@@ -17,7 +17,6 @@ import time
 from .errors import CapExceeded, ConfigError, StodepError
 from .model import (
     DEFAULT_ACTIVITY_CAP,
-    DEFAULT_OUTCOME_CAP,
     DEFAULT_STATE_CAP,
     Instance,
     validate_instance,
@@ -100,12 +99,9 @@ def _load_params(path: str | None) -> dict:
         return json.load(fh)
 
 
-def _make_policy(name: str, instance: Instance, caps: dict):
+def _make_policy(name: str, instance: Instance, state_cap: int):
     if name == "optimal":
-        table = solve_clairvoyant(
-            instance, state_cap=caps["state"], outcome_cap=caps["outcome"]
-        )
-        return optimal_policy_from_table(table)
+        return optimal_policy_from_table(solve_clairvoyant(instance, state_cap=state_cap))
     return policy_from_name(name)
 
 
@@ -130,9 +126,7 @@ def cmd_generate(args) -> int:
 
 def cmd_solve(args) -> int:
     instance = load_instance(args.instance)
-    table = solve_clairvoyant(
-        instance, state_cap=args.cap_states, outcome_cap=args.cap_outcomes
-    )
+    table = solve_clairvoyant(instance, state_cap=args.cap_states)
     j_star = float(table.values[table.state_index(instance.initial_items), 0])
     print(f"J*={j_star!r}")
     if args.dump_table:
@@ -149,8 +143,7 @@ def cmd_solve(args) -> int:
 
 def cmd_simulate(args) -> int:
     instance = load_instance(args.instance)
-    caps = {"state": args.cap_states, "outcome": args.cap_outcomes}
-    policy = _make_policy(args.policy, instance, caps)
+    policy = _make_policy(args.policy, instance, args.cap_states)
     totals = []
     out_fh = open(args.out, "w", encoding="utf-8") if args.out else None
     try:
@@ -185,6 +178,7 @@ def cmd_check(args) -> int:
     specs = [_parse_property(s.strip()) for s in args.properties.split(",") if s.strip()]
     reports = []
     table = None
+    policy_table = None
     all_passed = True
     for name, bound in specs:
         if name == "assumption1":
@@ -195,23 +189,20 @@ def cmd_check(args) -> int:
             report = check_submodular(instance.reward, instance.capacities, tol)
         elif name in ("vfm", "ir"):
             if table is None:
-                table = solve_clairvoyant(
-                    instance, state_cap=args.cap_states, outcome_cap=args.cap_outcomes
-                )
+                table = solve_clairvoyant(instance, state_cap=args.cap_states)
             check = check_vfm if name == "vfm" else check_ir
             report = check(instance, table, tol)
         else:  # ratio
             if table is None:
-                table = solve_clairvoyant(
-                    instance, state_cap=args.cap_states, outcome_cap=args.cap_outcomes
-                )
+                table = solve_clairvoyant(instance, state_cap=args.cap_states)
             if args.policy == "optimal":
                 policy = optimal_policy_from_table(table)
             else:
                 policy = policy_from_name(args.policy)
+            if policy_table is None:
+                policy_table = evaluate_policy_exact(instance, policy, state_cap=args.cap_states)
             report = check_ratio(
-                instance, policy, bound, tol,
-                j_star=table, state_cap=args.cap_states, outcome_cap=args.cap_outcomes,
+                instance, policy, bound, tol, j_star=table, j_policy=policy_table
             )
         label = name if bound is None else f"{name}:{bound:g}"
         print(f"{label}: {'pass' if report.passed else 'FAIL'}")
@@ -254,21 +245,19 @@ def _batch_rows(config: dict, args):
             row["num_types"] = instance.num_types
             row["horizon"] = instance.horizon
             row["num_activities"] = instance.num_activities
-            table = solve_clairvoyant(
-                instance, state_cap=args.cap_states, outcome_cap=args.cap_outcomes
-            )
+            table = solve_clairvoyant(instance, state_cap=args.cap_states)
             si0 = table.state_index(instance.initial_items)
             j_star = float(table.values[si0, 0])
             row["j_star"] = j_star
+            policy_tables = {}
             for pol_name in policies:
                 policy = (
                     optimal_policy_from_table(table)
                     if pol_name == "optimal"
                     else policy_from_name(pol_name)
                 )
-                j_pol_table = evaluate_policy_exact(
-                    instance, policy, state_cap=args.cap_states, outcome_cap=args.cap_outcomes
-                )
+                j_pol_table = evaluate_policy_exact(instance, policy, state_cap=args.cap_states)
+                policy_tables[pol_name] = j_pol_table
                 j_pol = float(j_pol_table.values[si0, 0])
                 row[f"j[{pol_name}]"] = j_pol
                 if j_pol > 0.0:
@@ -294,7 +283,7 @@ def _batch_rows(config: dict, args):
                 else:
                     passed = check_ratio(
                         instance, policy_from_name("myopic"), bound, tol, j_star=table,
-                        state_cap=args.cap_states, outcome_cap=args.cap_outcomes,
+                        j_policy=policy_tables.get("myopic"), state_cap=args.cap_states,
                     ).passed
                 row[label] = passed
         except StodepError as exc:
@@ -333,7 +322,6 @@ def cmd_batch(args) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cap-states", type=int, default=DEFAULT_STATE_CAP)
-    parser.add_argument("--cap-outcomes", type=int, default=DEFAULT_OUTCOME_CAP)
     parser.add_argument("--cap-activities", type=int, default=DEFAULT_ACTIVITY_CAP)
     parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
     parser.add_argument("--out", type=str, default=None)
@@ -394,6 +382,11 @@ def main(argv=None) -> int:
         if isinstance(exc, FileNotFoundError):
             message = f"instance not found: {exc.filename}"
         print(json.dumps({"error": type(exc).__name__, "message": message}))
+        return 2
+    except (KeyError, ValueError, TypeError) as exc:
+        # Input of the wrong shape: a parameter file missing a field, an
+        # out-of-range argument such as --reps 0, or JSON that is not an object.
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
         return 2
     except StodepError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))

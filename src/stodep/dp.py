@@ -9,34 +9,50 @@ State indexing is mixed-radix with type 0 least significant:
     index(x) = sum_m x_m * prod_{m' < m} (cap_{m'} + 1)
 
 so external tools can address exported tables directly.
+
+Every sweep (solve, policy evaluation, audit and the myopic decision tables)
+applies one Bellman operator.  The depletion law is a product of independent
+per-type binomials, so the expectation E[V(x - X)] factorizes over types: for
+each type m a batch of (c_m + 1) x (c_m + 1) binomial transition matrices
+B_m(p[t, a, m]), one per activity, is contracted with the value tensor along
+that type's axis.  An epoch costs S * A * sum_m (c_m + 1) for S states and A
+activities, where enumerating outcomes costs S * A * prod_m (x_m + 1).
+Activities go through the operator in chunks of a fixed size, so peak memory
+grows with S and not with A.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    EnumerationCapExceeded,
-    FingerprintMismatch,
-    StateSpaceCapExceeded,
-)
+from .errors import ConfigError, DomainError, FingerprintMismatch, StateSpaceCapExceeded
 from .model import (
-    DEFAULT_OUTCOME_CAP,
     DEFAULT_STATE_CAP,
     Instance,
     State,
-    _type_support,
-    outcome_reward_fn,
-    outcome_space_size,
+    binomial_coefficient,
     state_space_size,
 )
+from .rewards import GeneralTabulatedReward, LinearDecayingReward, LinearReward, SubmodularReward
 from .serialize import instance_fingerprint
+
+# Activities within TIE_TOL * max(1, |best|) of the best Q are tied; the
+# lowest tied index wins.  Summation order moves Q by a few ulps, so exact
+# comparison would let rounding pick among mathematically equal activities.
+TIE_TOL = 1e-12
+
+# Activities per operator application: bounds the working set at a few
+# S * _CHUNK doubles whatever the number of activities.
+_CHUNK = 8
+
+
+def tie_slack(value):
+    """How far below value a Q may fall and still count as tied with it."""
+    return TIE_TOL * np.maximum(1.0, np.abs(value))
 
 
 def mixed_radix_radices(capacities: Sequence[int]) -> tuple[int, ...]:
@@ -146,97 +162,256 @@ def best_activity(table: ValueTable, state: State) -> int:
     return int(table.best_activity[idx, state.epoch])
 
 
-def _outcome_terms(
-    x: tuple[int, ...], p_row: Sequence[float], radices: Sequence[int]
-) -> list[tuple[tuple[int, ...], float, int]]:
-    """Support outcomes as (alpha, probability, index delta), lexicographic."""
-    supports = [_type_support(x[m], p_row[m]) for m in range(len(x))]
-    terms = []
-    for combo in itertools.product(*supports):
-        prob = 1.0
-        delta = 0
-        for m, (j, pr) in enumerate(combo):
-            prob *= pr
-            delta += j * radices[m]
-        terms.append((tuple(j for j, _ in combo), prob, delta))
-    return terms
+class BellmanOperator:
+    """Q_t(x, a) = E[g(x, x - X, t) + V(x - X)] for every state x at once.
 
+    The expected reward takes one of three routes: the closed form
+    sum_m w_m[t] p_m x_m for linear and linear-decaying rewards; the
+    telescoping potential Phi(x) = w(cap - x) for submodular rewards, where
+    g = Phi(x') - Phi(x); and a dense g[t, x, x'] array built once from the
+    dict of a tabulated reward.
+    """
 
-def _prepare(instance: Instance, state_cap: int, outcome_cap: int):
-    caps = instance.capacities
-    n_entries = state_space_size(instance)
-    if n_entries > state_cap:
-        raise StateSpaceCapExceeded(f"state space {n_entries} exceeds cap {state_cap}")
-    if outcome_space_size(caps) > outcome_cap:
-        raise EnumerationCapExceeded(
-            f"outcome space {outcome_space_size(caps)} exceeds cap {outcome_cap}"
+    def __init__(self, instance: Instance, state_cap: int = DEFAULT_STATE_CAP):
+        n_entries = state_space_size(instance)
+        if n_entries > state_cap:
+            raise StateSpaceCapExceeded(f"state space {n_entries} exceeds cap {state_cap}")
+        self.instance = instance
+        self.dims = tuple(c + 1 for c in instance.capacities)
+        self.num_states = n_entries // (instance.horizon + 1)
+        radices = mixed_radix_radices(instance.capacities)
+        self.items = np.arange(self.num_states)[:, None] // np.array(radices) % np.array(self.dims)
+        self._layouts = {n: _binomial_layout(n) for n in set(self.dims)}
+        self._states: list[tuple[int, ...]] | None = None
+        self.weights = self.potential = self.tabulated = None
+        rew = instance.reward
+        if isinstance(rew, LinearReward):
+            self.weights = np.tile(np.asarray(rew.weights, dtype=np.float64), (instance.horizon, 1))
+        elif isinstance(rew, LinearDecayingReward):
+            self.weights = np.asarray(rew.weights, dtype=np.float64).T
+        elif isinstance(rew, SubmodularReward):
+            caps = np.array(instance.capacities)
+            self.potential = np.array(
+                [rew.w(y) for y in map(tuple, (caps - self.items).tolist())], dtype=np.float64
+            )
+        elif isinstance(rew, GeneralTabulatedReward):
+            self.tabulated = self._dense_rewards(rew, radices)
+        else:
+            raise ConfigError(f"unknown reward spec {type(rew).__name__}")
+        if self.weights is not None:  # (horizon, M) weights times (M, S) item counts
+            self._counts = self.items.T.astype(np.float64)
+
+    def _dense_rewards(self, rew: GeneralTabulatedReward, radices: tuple[int, ...]) -> np.ndarray:
+        """g[t, index(x), index(x')] for t < horizon; every x' <= x needs an entry."""
+        T, S = self.instance.horizon, self.num_states
+        M = len(self.dims)
+        caps = self.instance.capacities
+        rows = np.array(
+            [(*x, *x_next, t, value) for (x, x_next, t), value in rew.table.items()
+             if len(x) == len(x_next) == M],
+            dtype=np.float64,
+        ).reshape(-1, 2 * M + 2)
+        x, x_next = rows[:, :M].astype(np.int64), rows[:, M:2 * M].astype(np.int64)
+        t = rows[:, 2 * M].astype(np.int64)
+        keep = (t >= 0) & (t < T) & ((0 <= x_next) & (x_next <= x) & (x < self.dims)).all(axis=1)
+        at = (t[keep], x[keep] @ radices, x_next[keep] @ radices)
+        g = np.zeros((T, S, S))
+        g[at] = rows[keep, -1]
+        present = np.zeros((T, S, S), dtype=bool)
+        present[at] = True
+        below = (self.items[None, :, :] <= self.items[:, None, :]).all(axis=2)
+        missing = np.argwhere(below & ~present)
+        if len(missing):
+            t, i, j = (int(v) for v in missing[0])
+            key = (decode_state(i, caps), decode_state(j, caps), t)
+            raise DomainError(f"tabulated reward has no entry for {key}")
+        return g
+
+    def states(self) -> list[tuple[int, ...]]:
+        """Item vectors in index order."""
+        if self._states is None:
+            self._states = list(map(tuple, self.items.tolist()))
+        return self._states
+
+    def q(self, t: int, v_next: np.ndarray | None, acts: np.ndarray) -> np.ndarray:
+        """Q_t(., a) for each a in acts, shape (len(acts), S); v_next=None means V = 0."""
+        p = self.instance.schedule[t, acts]
+        mats = [self._matrices(p[:, m], n) for m, n in enumerate(self.dims)]
+        if self.potential is not None:
+            return self._expect(mats, v_next, self.potential)
+        if self.weights is not None:
+            reward = (p * self.weights[t]) @ self._counts
+        else:
+            reward = (_kron(mats) * self.tabulated[t]).sum(axis=2)
+        return reward if v_next is None else reward + self._expect(mats, v_next)
+
+    def _matrices(self, p: np.ndarray, n: int) -> np.ndarray:
+        """B[a, x, y] = P(y of x items remain) = C(x, x - y) p^(x - y) (1 - p)^y."""
+        coef, depleted, remaining = self._layouts[n]
+        p = p[:, None, None]
+        return coef * p**depleted * (1.0 - p) ** remaining
+
+    def _expect(self, mats: list[np.ndarray], v, phi=None) -> np.ndarray:
+        """(K_a v)(x) = E[v(x - X)] for every activity of the batch, shape (k, S).
+
+        K = K_{M-1} ... K_0, where K_m takes the expectation over type m's
+        depletion.  Each step contracts the last axis of the C-order tensor
+        (type m) and moves it to the front, so the next type's axis comes
+        last and the axes are back in their original order after M steps.
+
+        With a potential phi the result also holds E[phi(x - X)] - phi(x),
+        telescoped one type at a time: step m adds
+        D_m phi(x) = sum_y B_m[x_m, y] (phi(x with x_m = y) - phi(x)), so
+        the total is sum_m K_{M-1} ... K_{m+1} D_m phi.  Built from
+        differences, the expected reward is exactly zero wherever phi is flat
+        below x, where K(v + phi) - phi would leave a rounding residue.
+        """
+        S, k = self.num_states, len(mats[0])
+        w = v
+        for mat, n in zip(mats, self.dims):
+            if w is not None:
+                w = np.matmul(w.reshape(-1, S // n, n), mat.transpose(0, 2, 1))
+            if phi is not None:
+                f = phi.reshape(S // n, n)
+                gain = np.einsum("kxy,ixy->kix", mat, f[:, None, :] - f[:, :, None])
+                w = gain if w is None else w + gain
+                phi = f.T.reshape(S)
+            w = w.transpose(0, 2, 1).reshape(k, S)
+        return w
+
+    def epoch(self, t: int, v_next: np.ndarray | None, acts=None) -> "Epoch":
+        if acts is None:
+            acts = np.arange(self.instance.num_activities)
+        return Epoch(self, t, v_next, acts)
+
+    def policy_choices(self, policy, t: int) -> np.ndarray:
+        """policy.select at every state of epoch t."""
+        instance = self.instance
+        choice = np.fromiter(
+            (policy.select(State(x, t), instance) for x in self.states()),
+            dtype=np.int32,
+            count=self.num_states,
         )
-    radices = mixed_radix_radices(caps)
-    n_states = n_entries // (instance.horizon + 1)
-    states = [decode_state(i, caps) for i in range(n_states)]
-    return radices, states
+        if choice.min() < 0 or choice.max() >= instance.num_activities:
+            raise DomainError(f"policy {getattr(policy, 'name', policy)!r} chose an unknown activity")
+        return choice
+
+    def used(self, choice: np.ndarray) -> np.ndarray:
+        """The distinct activities in choice, ascending."""
+        # np.unique would import numpy.ma, a few MB of resident memory.
+        return np.flatnonzero(np.bincount(choice, minlength=self.instance.num_activities))
+
+    def table(self, values: np.ndarray, chosen: np.ndarray) -> ValueTable:
+        return ValueTable(
+            capacities=self.instance.capacities,
+            horizon=self.instance.horizon,
+            num_activities=self.instance.num_activities,
+            fingerprint=instance_fingerprint(self.instance),
+            values=values,
+            best_activity=chosen,
+        )
 
 
-def _backward_sweep(
-    instance: Instance,
-    select: Callable[[State], int] | None,
-    state_cap: int,
-    outcome_cap: int,
-) -> ValueTable:
-    """Backward induction; select=None maximizes (ties to the lowest index)."""
-    radices, states = _prepare(instance, state_cap, outcome_cap)
-    T = instance.horizon
-    A = instance.num_activities
-    g = outcome_reward_fn(instance)
-    values = np.zeros((len(states), T + 1), dtype=np.float64)
-    chosen = np.full((len(states), T), -1, dtype=np.int32)
-    for t in range(T - 1, -1, -1):
-        next_col = values[:, t + 1]
-        for si, x in enumerate(states):
-            if select is None:
-                best_q = -np.inf
-                best_a = -1
-                for a in range(A):
-                    q = 0.0
-                    for alpha, prob, delta in _outcome_terms(
-                        x, instance.probability_row(t, a), radices
-                    ):
-                        q += prob * (g(x, alpha, t) + next_col[si - delta])
-                    if q > best_q:
-                        best_q, best_a = q, a
-                values[si, t] = best_q
-                chosen[si, t] = best_a
-            else:
-                a = select(State(x, t))
-                q = 0.0
-                for alpha, prob, delta in _outcome_terms(
-                    x, instance.probability_row(t, a), radices
-                ):
-                    q += prob * (g(x, alpha, t) + next_col[si - delta])
-                values[si, t] = q
-                chosen[si, t] = a
-    return ValueTable(
-        capacities=instance.capacities,
-        horizon=T,
-        num_activities=A,
-        fingerprint=instance_fingerprint(instance),
-        values=values,
-        best_activity=chosen,
+def _binomial_layout(n: int):
+    """Coefficient, depleted-count and remaining-count grids of an n x n binomial matrix."""
+    x = np.arange(n)[:, None]
+    y = np.arange(n)[None, :]
+    coef = np.array(
+        [[float(binomial_coefficient(i, i - j)) if j <= i else 0.0 for j in range(n)] for i in range(n)]
     )
+    return coef, np.maximum(x - y, 0), y
+
+
+def _kron(mats: list[np.ndarray]) -> np.ndarray:
+    """Full transition matrices P[a, x, x'] = prod_m B_m[a, x_m, x'_m], type 0 least significant."""
+    k = len(mats[0])
+    out = np.ones((k, 1, 1))
+    for mat in reversed(mats):
+        n = mat.shape[1]
+        out = (out[:, :, None, :, None] * mat[:, None, :, None, :]).reshape(
+            k, out.shape[1] * n, out.shape[2] * n
+        )
+    return out
+
+
+class Epoch:
+    """Q at one epoch for a sorted array of activities, produced chunk by chunk.
+
+    Iterating yields (activities, q) pairs.  When one chunk covers all the
+    activities its q is computed once and reused by every later pass.
+    """
+
+    def __init__(self, op: BellmanOperator, t: int, v_next, acts: np.ndarray):
+        self.op, self.t, self.v_next = op, t, v_next
+        self.chunks = [acts[i:i + _CHUNK] for i in range(0, len(acts), _CHUNK)]
+        self._single = None
+
+    def __iter__(self):
+        if len(self.chunks) == 1:
+            if self._single is None:
+                self._single = self.op.q(self.t, self.v_next, self.chunks[0])
+            yield self.chunks[0], self._single
+            return
+        for acts in self.chunks:
+            yield acts, self.op.q(self.t, self.v_next, acts)
+
+    def best(self, key: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
+        """Per-state maximum over activities of q, or of key(q)."""
+        best = None
+        for _, q in self:
+            top = (q if key is None else key(q)).max(axis=0)
+            best = top if best is None else np.maximum(best, top)
+        return best
+
+    def lowest(self, cond: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """Per-state lowest activity whose q satisfies cond; -1 where none does."""
+        choice = np.full(self.op.num_states, -1, dtype=np.int32)
+        for acts, q in self:
+            hit = cond(q)
+            first = hit.argmax(axis=0)
+            take = (choice < 0) & hit.any(axis=0)
+            choice[take] = acts[first[take]]
+        return choice
+
+    def at(self, choice: np.ndarray) -> np.ndarray:
+        """Per-state q at the given activity; NaN where it is not in this epoch."""
+        out = np.full(self.op.num_states, np.nan)
+        for acts, q in self:
+            pos = np.minimum(np.searchsorted(acts, choice), len(acts) - 1)
+            inside = np.flatnonzero(acts[pos] == choice)
+            out[inside] = q[pos[inside], inside]
+        return out
+
+
+def lowest_tied(epoch: Epoch) -> tuple[np.ndarray, np.ndarray]:
+    """Per-state max Q and the lowest activity within tie_slack of it."""
+    best = epoch.best()
+    floor = best - tie_slack(best)
+    return best, epoch.lowest(lambda q: q >= floor)
+
+
+def _empty_table(op: BellmanOperator) -> tuple[np.ndarray, np.ndarray]:
+    # Column-major, so the epoch columns the sweep reads and writes are contiguous.
+    S, T = op.num_states, op.instance.horizon
+    return np.zeros((S, T + 1), order="F"), np.full((S, T), -1, dtype=np.int32, order="F")
 
 
 def solve_clairvoyant(
     instance: Instance,
     *,
     state_cap: int = DEFAULT_STATE_CAP,
-    outcome_cap: int = DEFAULT_OUTCOME_CAP,
 ) -> ValueTable:
     """Exact J* by backward induction over the full reduced state space.
 
-    Deterministic: outcomes are accumulated in lexicographic order and
-    activity ties resolve to the lowest index.
+    best_activity is the lowest activity whose Q lies within
+    TIE_TOL * max(1, |J*|) of the maximum J*(x, t), so rounding noise in the
+    summation order never decides between activities that tie exactly.
     """
-    return _backward_sweep(instance, None, state_cap, outcome_cap)
+    op = BellmanOperator(instance, state_cap)
+    values, chosen = _empty_table(op)
+    for t in range(instance.horizon - 1, -1, -1):
+        values[:, t], chosen[:, t] = lowest_tied(op.epoch(t, values[:, t + 1]))
+    return op.table(values, chosen)
 
 
 def evaluate_policy_exact(
@@ -244,16 +419,33 @@ def evaluate_policy_exact(
     policy,
     *,
     state_cap: int = DEFAULT_STATE_CAP,
-    outcome_cap: int = DEFAULT_OUTCOME_CAP,
 ) -> ValueTable:
     """Exact J^pi via the same recursion with the policy's activity fixed."""
-    table = _backward_sweep(
-        instance,
-        lambda state: policy.select(state, instance),
-        state_cap,
-        outcome_cap,
-    )
+    op = BellmanOperator(instance, state_cap)
+    values, chosen = _empty_table(op)
+    for t in range(instance.horizon - 1, -1, -1):
+        choice = op.policy_choices(policy, t)
+        values[:, t] = op.epoch(t, values[:, t + 1], op.used(choice)).at(choice)
+        chosen[:, t] = choice
+    table = op.table(values, chosen)
     table.policy_name = getattr(policy, "name", str(policy))
+    return table
+
+
+def one_step_decisions(
+    instance: Instance, rule: Callable[[Epoch], np.ndarray]
+) -> np.ndarray:
+    """(num_states, horizon) activity table from rule applied to Q with V = 0.
+
+    Q is then the expected one-step reward, which is what the myopic
+    policies rank.
+    """
+    op = BellmanOperator(instance)
+    table = np.empty((op.num_states, instance.horizon), dtype=np.int32)
+    for t in range(instance.horizon):
+        table[:, t] = rule(op.epoch(t, None))
+    if table.min() < 0:
+        raise DomainError("the decision rule selects no activity at some state")
     return table
 
 
@@ -284,58 +476,51 @@ def audit_table(
     *,
     tol: float = 1e-12,
     policy=None,
-    outcome_cap: int = DEFAULT_OUTCOME_CAP,
 ) -> AuditReport:
     """Recompute one backward step at every (x, t) and compare with the table.
 
-    With policy=None the table is audited against the maximizing recursion
-    (including that best_activity attains the maximum); otherwise against the
-    policy's fixed choice.
+    With policy=None the table is audited against the maximizing recursion,
+    including that best_activity attains the maximum within
+    max(tol, tie_slack(maximum)); otherwise against the policy's fixed choice.
     """
     table.require_match(instance)
-    radices, states = _prepare(instance, state_cap=2**62, outcome_cap=outcome_cap)
+    op = BellmanOperator(instance, state_cap=2**62)
+    states = op.states()
     T = instance.horizon
-    g = outcome_reward_fn(instance)
     failures: list[dict] = []
     max_residual = 0.0
-    checked = 0
     for t in range(T - 1, -1, -1):
-        next_col = table.values[:, t + 1]
-        for si, x in enumerate(states):
-            q_by_activity = []
-            if policy is None:
-                acts = range(instance.num_activities)
-            else:
-                acts = [policy.select(State(x, t), instance)]
-            for a in acts:
-                q = 0.0
-                for alpha, prob, delta in _outcome_terms(
-                    x, instance.probability_row(t, a), radices
-                ):
-                    q += prob * (g(x, alpha, t) + next_col[si - delta])
-                q_by_activity.append((q, a))
-            target = max(q for q, _ in q_by_activity)
-            residual = abs(float(table.values[si, t]) - target)
-            max_residual = max(max_residual, residual)
-            checked += 1
-            stored_a = int(table.best_activity[si, t])
-            attained = next((q for q, a in q_by_activity if a == stored_a), None)
-            if residual > tol or attained is None or abs(attained - target) > tol:
-                failures.append(
-                    {
-                        "items": list(x),
-                        "t": t,
-                        "stored": float(table.values[si, t]),
-                        "recomputed": target,
-                        "residual": residual,
-                    }
-                )
-    # Terminal boundary: J(x, horizon) must be exactly zero.
-    for si, x in enumerate(states):
-        checked += 1
-        if table.values[si, T] != 0.0:
+        v_next = table.values[:, t + 1]
+        stored = table.values[:, t]
+        stored_a = table.best_activity[:, t]
+        if policy is None:
+            epoch = op.epoch(t, v_next)
+            target = epoch.best()
+            attained = epoch.at(stored_a)
+            wrong_activity = ~(target - attained <= np.maximum(tol, tie_slack(target)))
+        else:
+            choice = op.policy_choices(policy, t)
+            target = op.epoch(t, v_next, op.used(choice)).at(choice)
+            wrong_activity = stored_a != choice
+        residual = np.abs(stored - target)
+        max_residual = max(max_residual, float(residual.max()))
+        for si in np.flatnonzero(~(residual <= tol) | wrong_activity):
             failures.append(
-                {"items": list(x), "t": T, "stored": float(table.values[si, T]), "recomputed": 0.0,
-                 "residual": abs(float(table.values[si, T]))}
+                {
+                    "items": list(states[si]),
+                    "t": t,
+                    "stored": float(stored[si]),
+                    "recomputed": float(target[si]),
+                    "residual": float(residual[si]),
+                }
             )
-    return AuditReport(entries_checked=checked, max_residual=max_residual, failures=failures)
+    # Terminal boundary: J(x, horizon) must be exactly zero.
+    for si in np.flatnonzero(table.values[:, T] != 0.0):
+        stored = float(table.values[si, T])
+        failures.append(
+            {"items": list(states[si]), "t": T, "stored": stored, "recomputed": 0.0,
+             "residual": abs(stored)}
+        )
+    return AuditReport(
+        entries_checked=op.num_states * (T + 1), max_residual=max_residual, failures=failures
+    )

@@ -96,7 +96,10 @@ class Instance:
             raise ConfigError(f"per-type capacity is capped at {MAX_CAPACITY}")
         if any(c < 0 for c in self.capacities):
             raise ConfigError("capacities must be non-negative")
-        self.schedule = np.asarray(self.schedule, dtype=np.float64)
+        # A private read-only copy: _rows, the fingerprint and the solver's
+        # transition matrices are all derived from it.
+        self.schedule = np.array(self.schedule, dtype=np.float64)
+        self.schedule.flags.writeable = False
         expected = (self.horizon, len(self.activities), self.num_types)
         if self.schedule.shape != expected:
             raise ConfigError(
@@ -190,8 +193,10 @@ def validate_instance(instance: Instance) -> ValidationReport:
             out.append(RuleViolation("initial_items", (m,), "initial items out of [0, capacity]"))
 
     sched = instance.schedule
-    bad = np.argwhere((sched < 0.0) | (sched > 1.0))
-    for t, a, m in bad:
+    finite = np.isfinite(sched)
+    for t, a, m in np.argwhere(~finite):
+        out.append(RuleViolation("schedule", (int(t), int(a), int(m)), "probability not finite"))
+    for t, a, m in np.argwhere(finite & ((sched < 0.0) | (sched > 1.0))):
         out.append(RuleViolation("schedule", (int(t), int(a), int(m)), "probability out of [0,1]"))
 
     if instance.arrivals is not None or instance.deadlines is not None:
@@ -228,7 +233,9 @@ def _validate_reward(instance: Instance) -> list[RuleViolation]:
             out.append(RuleViolation("reward.weights", (), "length != num_types"))
             return out
         for m, w in enumerate(rew.weights):
-            if w < 0:
+            if not math.isfinite(w):
+                out.append(RuleViolation("reward.weights", (m,), "weight not finite"))
+            elif w < 0:
                 out.append(RuleViolation("reward.weights", (m,), "negative weight"))
     elif isinstance(rew, LinearDecayingReward):
         if len(rew.weights) != M:
@@ -239,7 +246,9 @@ def _validate_reward(instance: Instance) -> list[RuleViolation]:
                 out.append(RuleViolation("reward.weights", (m,), "row length != horizon"))
                 continue
             for t, w in enumerate(row):
-                if w < 0:
+                if not math.isfinite(w):
+                    out.append(RuleViolation("reward.weights", (m, t), "weight not finite"))
+                elif w < 0:
                     out.append(RuleViolation("reward.weights", (m, t), "negative weight"))
                 if t + 1 < T and row[t + 1] > w:
                     out.append(RuleViolation("reward.weights", (m, t + 1), "w not non-increasing in t"))
@@ -264,16 +273,22 @@ def _validate_submodular_structure(rew: SubmodularReward, num_types: int) -> lis
         if len(ev.covers) != num_types:
             out.append(RuleViolation("reward.covers", (), "one cover per type required"))
         for e, w in enumerate(ev.element_weights):
-            if w < 0:
+            if not math.isfinite(w):
+                out.append(RuleViolation("reward.element_weights", (e,), "weight not finite"))
+            elif w < 0:
                 out.append(RuleViolation("reward.element_weights", (e,), "negative weight"))
     elif isinstance(ev, BudgetedLinearFunction):
         if len(ev.values) != num_types:
             out.append(RuleViolation("reward.values", (), "one value per type required"))
         for g, b in enumerate(ev.budgets):
-            if b < 0:
+            if math.isnan(b):
+                out.append(RuleViolation("reward.budgets", (g,), "budget is NaN"))
+            elif b < 0:
                 out.append(RuleViolation("reward.budgets", (g,), "negative budget"))
         for m, v in enumerate(ev.values):
-            if v < 0:
+            if not math.isfinite(v):
+                out.append(RuleViolation("reward.values", (m,), "value not finite"))
+            elif v < 0:
                 out.append(RuleViolation("reward.values", (m,), "negative value"))
     return out
 
@@ -292,7 +307,9 @@ def _validate_tabulated(rew: GeneralTabulatedReward, instance: Instance) -> list
                         previous = None
                         continue
                     value = 0.0  # terminal entries default to zero
-                if value < 0:
+                if not math.isfinite(value):
+                    out.append(RuleViolation("reward.table", (x, x_next, t), "reward not finite"))
+                elif value < 0:
                     out.append(RuleViolation("reward.table", (x, x_next, t), "negative reward"))
                 if t == T and value != 0.0:
                     out.append(RuleViolation("reward.table", (x, x_next, t), "terminal reward nonzero"))
@@ -376,7 +393,7 @@ def reward(
 
 
 def outcome_reward_fn(instance: Instance):
-    """Specialized g(x, alpha, t) on depletion counts, for the solver hot loops.
+    """Specialized g(x, alpha, t) on depletion counts, for the scalar enumeration loops.
 
     Bit-identical to reward(x, x - alpha, t, instance) for alpha <= x; inputs
     are assumed valid by construction.

@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import weakref
 
+import numpy as np
+
+from .dp import Epoch, lowest_tied, one_step_decisions, tie_slack
 from .errors import ConfigError, DomainError
-from .model import Instance, State, expected_one_step_reward
+from .model import Instance, State
 
 
 class Policy:
@@ -22,69 +25,67 @@ class Policy:
         raise NotImplementedError
 
 
-def _one_step_values(state: State, instance: Instance) -> list[float]:
-    return [
-        expected_one_step_reward(state, a, instance)
-        for a in range(instance.num_activities)
-    ]
+class _OneStepPolicy(Policy):
+    """A rule on expected one-step rewards, precomputed as a decision table.
 
-
-class MyopicPolicy(Policy):
-    """Maximizes the expected reward of the next epoch; ties to the lowest index.
-
-    Decisions are memoized per instance (keyed weakly) since they depend only
-    on (items, epoch).
+    The table comes from one Bellman sweep with V = 0 the first time an
+    instance is seen, and is memoized per instance (keyed weakly); select is
+    a lookup.  Ties follow the solver's rule (see stodep.dp.TIE_TOL).
     """
+
+    def __init__(self):
+        self._memo: weakref.WeakKeyDictionary[Instance, np.ndarray] = weakref.WeakKeyDictionary()
+
+    def _rule(self, epoch: Epoch) -> np.ndarray:
+        raise NotImplementedError
+
+    def select(self, state: State, instance: Instance) -> int:
+        table = self._memo.get(instance)
+        if table is None:
+            dims = tuple(c + 1 for c in instance.capacities)
+            # Fortran order makes table[x_0, ..., x_{M-1}, t] the mixed-radix entry.
+            table = one_step_decisions(instance, self._rule).reshape(
+                dims + (instance.horizon,), order="F"
+            )
+            self._memo[instance] = table
+        try:
+            return table.item(state.items + (state.epoch,))
+        except IndexError:
+            raise DomainError(f"state {state} has no decision in this instance") from None
+
+
+class MyopicPolicy(_OneStepPolicy):
+    """Maximizes the expected reward of the next epoch; ties to the lowest index."""
 
     name = "myopic"
 
-    def __init__(self):
-        self._memo: weakref.WeakKeyDictionary[Instance, dict] = weakref.WeakKeyDictionary()
-
-    def select(self, state: State, instance: Instance) -> int:
-        cache = self._memo.setdefault(instance, {})
-        key = (state.items, state.epoch)
-        choice = cache.get(key)
-        if choice is None:
-            values = _one_step_values(state, instance)
-            best = 0
-            for a in range(1, len(values)):
-                if values[a] > values[best]:
-                    best = a
-            choice = best
-            cache[key] = choice
-        return choice
+    def _rule(self, epoch: Epoch) -> np.ndarray:
+        return lowest_tied(epoch)[1]
 
 
-class ApproxMyopicPolicy(Policy):
+class ApproxMyopicPolicy(_OneStepPolicy):
     """Adversarial 1/alpha-approximate one-step oracle.
 
     Among activities whose expected one-step reward is at least (1/alpha) times
     the maximum, picks the one with the smallest expected reward (ties to the
     lowest index).  This is the weakest oracle the 1+alpha guarantee admits,
-    which is what makes it useful for stress-testing that bound.
+    which is what makes it useful for stress-testing that bound.  Both the
+    threshold and the minimum are compared with the solver's tie slack.
     """
 
     def __init__(self, alpha: float):
         if alpha < 1.0:
             raise ConfigError("alpha must be >= 1")
+        super().__init__()
         self.alpha = float(alpha)
         self.name = f"approx:{self.alpha:g}"
-        self._memo: weakref.WeakKeyDictionary[Instance, dict] = weakref.WeakKeyDictionary()
 
-    def select(self, state: State, instance: Instance) -> int:
-        cache = self._memo.setdefault(instance, {})
-        key = (state.items, state.epoch)
-        choice = cache.get(key)
-        if choice is None:
-            values = _one_step_values(state, instance)
-            threshold = max(values) / self.alpha
-            choice = None
-            for a, v in enumerate(values):
-                if v >= threshold and (choice is None or v < values[choice]):
-                    choice = a
-            cache[key] = choice
-        return choice
+    def _rule(self, epoch: Epoch) -> np.ndarray:
+        threshold = epoch.best() / self.alpha
+        floor = threshold - tie_slack(threshold)
+        least = -epoch.best(lambda q: np.where(q >= floor, -q, -np.inf))
+        ceiling = least + tie_slack(least)
+        return epoch.lowest(lambda q: (q >= floor) & (q <= ceiling))
 
 
 class TablePolicy(Policy):

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError, EnumerationCapExceeded
 from .model import (
-    DEFAULT_OUTCOME_CAP,
     DEFAULT_STATE_CAP,
     Instance,
     State,
@@ -391,7 +390,6 @@ def check_ratio(
     j_star: ValueTable | None = None,
     j_policy: ValueTable | None = None,
     state_cap: int = DEFAULT_STATE_CAP,
-    outcome_cap: int = DEFAULT_OUTCOME_CAP,
 ) -> RatioReport:
     """Maximum over all states of J* / J^policy versus a claimed bound.
 
@@ -400,13 +398,11 @@ def check_ratio(
     forces J* = 0.  Precomputed tables may be supplied to avoid re-solving.
     """
     if j_star is None:
-        j_star = solve_clairvoyant(instance, state_cap=state_cap, outcome_cap=outcome_cap)
+        j_star = solve_clairvoyant(instance, state_cap=state_cap)
     else:
         j_star.require_match(instance)
     if j_policy is None:
-        j_policy = evaluate_policy_exact(
-            instance, policy, state_cap=state_cap, outcome_cap=outcome_cap
-        )
+        j_policy = evaluate_policy_exact(instance, policy, state_cap=state_cap)
     else:
         j_policy.require_match(instance)
     caps = instance.capacities

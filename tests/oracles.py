@@ -9,7 +9,7 @@ import itertools
 import math
 from functools import lru_cache
 
-from stodep import reward as instance_reward
+from stodep import State, reward as instance_reward
 
 
 def binomial_pmf_oracle(x, p):
@@ -24,15 +24,22 @@ def binomial_pmf_oracle(x, p):
     return out
 
 
-def dp_value_oracle(instance, items=None, t=0):
-    """Optimal value by plain memoized recursion over (items, t)."""
+def value_function_oracle(instance, policy=None):
+    """J(x, t) by plain memoized recursion: optimal, or under policy if given.
+
+    Returns the memoized function of (items tuple, t).
+    """
 
     @lru_cache(maxsize=None)
     def value(x, t):
         if t >= instance.horizon:
             return 0.0
+        if policy is None:
+            activities = range(instance.num_activities)
+        else:
+            activities = [policy.select(State(x, t), instance)]
         best = -math.inf
-        for a in range(instance.num_activities):
+        for a in activities:
             p_row = instance.probability_row(t, a)
             total = 0.0
             for alpha, prob in binomial_pmf_oracle(x, p_row).items():
@@ -43,8 +50,13 @@ def dp_value_oracle(instance, items=None, t=0):
             best = max(best, total)
         return best
 
+    return value
+
+
+def dp_value_oracle(instance, items=None, t=0):
+    """Optimal value by plain memoized recursion over (items, t)."""
     start = tuple(items) if items is not None else instance.initial_items
-    return value(start, t)
+    return value_function_oracle(instance)(start, t)
 
 
 def set_cover_exists(num_elements, covers, k):

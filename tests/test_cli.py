@@ -194,6 +194,30 @@ def test_generate_unknown_app_exits_2(capsys, tmp_path):
     assert main(["generate", "--app", "bogus", "--params", str(params)]) == 2
 
 
+def _error_line(capsys) -> dict:
+    return json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+
+
+def test_missing_app_parameter_exits_2(capsys, tmp_path):
+    params = tmp_path / "p.json"
+    params.write_text("{}")
+    assert main(["generate", "--app", "worstcase", "--params", str(params)]) == 2
+    err = _error_line(capsys)
+    assert err["error"] == "KeyError" and "epsilon" in err["message"]
+
+
+def test_simulate_zero_reps_exits_2(worst_case_file, capsys):
+    assert main(["simulate", "--instance", str(worst_case_file), "--reps", "0"]) == 2
+    assert _error_line(capsys)["error"] == "ValueError"
+
+
+def test_non_object_instance_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert main(["solve", "--instance", str(path)]) == 2
+    assert _error_line(capsys)["error"] == "TypeError"
+
+
 MINIMAL_PARAMS = {
     "worstcase": {"epsilon": 0.5},
     "setcover": {"ground_set": ["a", "b"], "cover_sets": [["a"], ["a", "b"]], "k": 1},

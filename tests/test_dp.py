@@ -1,9 +1,15 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stodep
 from stodep import (
+    BudgetedLinearFunction,
     FingerprintMismatch,
+    GeneralTabulatedReward,
     LinearDecayingReward,
     LinearReward,
     State,
@@ -18,11 +24,11 @@ from stodep import (
     optimal_value,
     solve_clairvoyant,
 )
-from stodep.dp import ValueTable, decode_state, mixed_radix_radices, state_index
+from stodep.dp import TIE_TOL, ValueTable, decode_state, mixed_radix_radices, state_index
 from stodep.apps import build_worst_case_instance, random_linear_decaying_instance
 
 from conftest import make_instance
-from oracles import dp_value_oracle
+from oracles import dp_value_oracle, value_function_oracle
 
 
 def test_worst_case_optimal_value(worst_case_tenth):
@@ -187,3 +193,125 @@ def test_table_json_round_trip(tmp_path, worst_case_tenth):
     assert loaded.fingerprint == table.fingerprint
     assert np.array_equal(loaded.values, table.values)
     assert np.array_equal(loaded.best_activity, table.best_activity)
+
+
+# ------------------------------------------------- differential tests vs oracles
+
+
+@st.composite
+def small_instances(draw):
+    """Random instances on every reward route, with 0/1 probabilities and windows."""
+    M = draw(st.integers(1, 3))
+    caps = tuple(draw(st.integers(1, 2)) for _ in range(M))
+    T = draw(st.integers(1, 3))
+    A = draw(st.integers(1, 3))
+    prob = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    schedule = np.array([draw(prob) for _ in range(T * A * M)]).reshape(T, A, M)
+    windows = {}
+    if draw(st.booleans()):
+        arrivals = tuple(draw(st.integers(0, T)) for _ in range(M))
+        deadlines = tuple(draw(st.integers(a, T)) for a in arrivals)
+        for m in range(M):
+            schedule[: arrivals[m], :, m] = 0.0
+            schedule[deadlines[m]:, :, m] = 0.0
+        windows = {"arrivals": arrivals, "deadlines": deadlines}
+    weight = st.floats(0.0, 2.0)
+
+    def coverage():
+        n = M + 1
+        covers = tuple(frozenset(draw(st.sets(st.integers(0, n - 1), max_size=n))) for _ in range(M))
+        return CoverageFunction(n, covers, tuple(draw(weight) for _ in range(n)))
+
+    route = draw(st.sampled_from(["linear", "linear_decaying", "coverage", "budgeted", "tabulated"]))
+    if route == "linear":
+        rew = LinearReward(tuple(draw(weight) for _ in range(M)))
+    elif route == "linear_decaying":
+        rew = LinearDecayingReward(
+            tuple(tuple(sorted((draw(weight) for _ in range(T)), reverse=True)) for _ in range(M))
+        )
+    elif route == "coverage":
+        rew = SubmodularReward(coverage())
+    elif route == "budgeted":
+        budget = st.one_of(st.just(math.inf), st.floats(0.5, 3.0))
+        rew = SubmodularReward(
+            BudgetedLinearFunction(
+                budgets=(draw(budget), draw(budget)),
+                values=tuple(draw(weight) for _ in range(M)),
+                groups=tuple(draw(st.integers(0, 1)) for _ in range(M)),
+            )
+        )
+    else:
+        rew = GeneralTabulatedReward.from_potential(coverage(), caps, T)
+    inst = make_instance(capacities=caps, horizon=T, schedule=schedule, reward=rew, **windows)
+    assert stodep.validate_instance(inst).passed
+    return inst
+
+
+def _all_states(instance):
+    for t in range(instance.horizon):
+        for items in itertools.product(*(range(c + 1) for c in instance.capacities)):
+            yield State(items, t)
+
+
+def _assert_table_matches(table, instance, oracle):
+    for state in _all_states(instance):
+        expected = oracle(state.items, state.epoch)
+        got = float(table.values[table.state_index(state.items), state.epoch])
+        assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected)), (state, got, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=small_instances())
+def test_solver_matches_oracle_everywhere(inst):
+    _assert_table_matches(solve_clairvoyant(inst), inst, value_function_oracle(inst))
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=small_instances(), data=st.data())
+def test_policy_values_match_oracle(inst, data):
+    fixed = data.draw(st.integers(0, inst.num_activities - 1))
+    seed = data.draw(st.integers(0, 2**32))
+    for policy in (
+        myopic_policy(),
+        stodep.approx_myopic_policy(2.0),
+        stodep.FixedPolicy(fixed),
+        stodep.SeededRandomPolicy(seed),
+    ):
+        table = evaluate_policy_exact(inst, policy)
+        _assert_table_matches(table, inst, value_function_oracle(inst, policy))
+
+
+def _slack(value):
+    # the tie slack plus room for the last-digit gap between the vectorized
+    # and the scalar one-step reward
+    return 1.01 * TIE_TOL * max(1.0, abs(value))
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=small_instances())
+def test_myopic_decisions_obey_one_step_inequalities(inst):
+    myopic, approx = myopic_policy(), stodep.approx_myopic_policy(2.0)
+    for state in _all_states(inst):
+        values = [
+            stodep.expected_one_step_reward(state, a, inst) for a in range(inst.num_activities)
+        ]
+        best = max(values)
+        chosen = myopic.select(state, inst)
+        assert values[chosen] >= best - _slack(best)
+        # no lower index is tied with the maximum
+        assert all(v < best - 0.5 * TIE_TOL * max(1.0, abs(best)) for v in values[:chosen])
+        threshold = best / 2.0
+        pick = values[approx.select(state, inst)]
+        assert pick >= threshold - _slack(threshold)
+        assert all(pick <= v + _slack(v) for v in values if v >= threshold + _slack(threshold))
+
+
+@settings(max_examples=40, deadline=None)
+@given(inst=small_instances(), data=st.data())
+def test_audit_rejects_one_perturbed_entry(inst, data):
+    table = solve_clairvoyant(inst)
+    assert audit_table(inst, table).passed
+    si = data.draw(st.integers(0, table.num_states - 1))
+    t = data.draw(st.integers(0, inst.horizon))
+    table.values[si, t] += 1e-6 * max(1.0, abs(table.values[si, t]))
+    assert not audit_table(inst, table).passed

@@ -48,6 +48,56 @@ def test_probability_out_of_bounds_reported(worst_case_tenth):
     assert any(v.rule == "probability out of [0,1]" for v in report.violations)
 
 
+def test_nan_schedule_entry_reported():
+    bad = make_instance(
+        capacities=(1,),
+        horizon=1,
+        schedule=[[[math.nan], [0.5]]],
+        reward=LinearReward((1.0,)),
+    )
+    report = validate_instance(bad)
+    assert [(v.field, v.indices, v.rule) for v in report.violations] == [
+        ("schedule", (0, 0, 0), "probability not finite")
+    ]
+
+
+@pytest.mark.parametrize(
+    "rew, field",
+    [
+        (LinearReward((math.nan,)), "reward.weights"),
+        (LinearReward((math.inf,)), "reward.weights"),
+        (LinearDecayingReward(((math.inf, 1.0),)), "reward.weights"),
+        (LinearDecayingReward(((1.0, math.nan),)), "reward.weights"),
+        (SubmodularReward(CoverageFunction(1, (frozenset({0}),), (math.nan,))),
+         "reward.element_weights"),
+        (SubmodularReward(BudgetedLinearFunction((1.0,), (math.inf,), (0,))), "reward.values"),
+        (SubmodularReward(BudgetedLinearFunction((math.nan,), (1.0,), (0,))), "reward.budgets"),
+    ],
+)
+def test_non_finite_reward_weights_reported(rew, field):
+    bad = make_instance(capacities=(1,), horizon=2, schedule=[[[0.5]], [[0.5]]], reward=rew)
+    report = validate_instance(bad)
+    assert not report.passed
+    assert {v.field for v in report.violations} == {field}
+
+
+def test_infinite_budget_means_uncapped():
+    rew = SubmodularReward(BudgetedLinearFunction((math.inf,), (1.0,), (0,)))
+    inst = make_instance(capacities=(1,), horizon=1, schedule=[[[0.5]]], reward=rew)
+    assert validate_instance(inst).passed
+
+
+def test_schedule_is_read_only():
+    source = np.full((1, 1, 1), 0.5)
+    inst = make_instance(capacities=(1,), horizon=1, schedule=source, reward=LinearReward((1.0,)))
+    fingerprint = stodep.instance_fingerprint(inst)
+    with pytest.raises(ValueError):
+        inst.schedule[0, 0, 0] = 0.9
+    source[0, 0, 0] = 0.9  # the instance holds its own copy
+    assert inst.probability_row(0, 0) == (0.5,)
+    assert stodep.instance_fingerprint(inst) == fingerprint
+
+
 def test_decaying_weights_must_not_increase():
     bad = make_instance(
         capacities=(1,),
