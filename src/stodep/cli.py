@@ -160,51 +160,70 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_property(spec: str) -> tuple[str, float | None]:
+def _parse_property(spec: str) -> tuple[str, str, float | None]:
+    """(label, name, bound) of a property spec such as vfm or ratio:2."""
     if spec.startswith("ratio"):
         _, _, arg = spec.partition(":")
         if not arg:
             raise ConfigError("ratio property needs a bound, e.g. ratio:2")
-        return "ratio", float(arg)
+        bound = float(arg)
+        return f"ratio:{bound:g}", "ratio", bound
     if spec in ("vfm", "ir", "submodular", "assumption1"):
-        return spec, None
+        return spec, spec, None
     raise ConfigError(f"unknown property {spec!r}")
+
+
+class _Certifier:
+    """Runs parsed properties on one instance.
+
+    J* and the table of the policy that ratio bounds are checked against
+    are each computed at most once, when a property first needs them;
+    either may be supplied already computed.
+    """
+
+    def __init__(self, instance: Instance, tol: float, state_cap: int, ratio_policy: str,
+                 *, j_star=None, policy_table=None):
+        self.instance, self.tol, self.state_cap = instance, tol, state_cap
+        self.ratio_policy = ratio_policy
+        self._j_star, self._policy_table = j_star, policy_table
+
+    def j_star(self):
+        if self._j_star is None:
+            self._j_star = solve_clairvoyant(self.instance, state_cap=self.state_cap)
+        return self._j_star
+
+    def run(self, name: str, bound: float | None):
+        """The report for one property; None for submodular on another reward kind."""
+        instance, tol = self.instance, self.tol
+        if name == "assumption1":
+            return check_assumption1(instance, tol)
+        if name == "submodular":
+            if not isinstance(instance.reward, SubmodularReward):
+                return None
+            return check_submodular(instance.reward, instance.capacities, tol)
+        if name == "vfm":
+            return check_vfm(instance, self.j_star(), tol)
+        if name == "ir":
+            return check_ir(instance, self.j_star(), tol)
+        policy = policy_from_name(self.ratio_policy, table=self.j_star())
+        if self._policy_table is None:
+            self._policy_table = evaluate_policy_exact(instance, policy, state_cap=self.state_cap)
+        return check_ratio(
+            instance, policy, bound, tol, j_star=self.j_star(), j_policy=self._policy_table
+        )
 
 
 def cmd_check(args) -> int:
     # no up-front validation here: reporting broken structure is what check is for
     instance = load_instance(args.instance, validate=False)
-    tol = args.tol
     specs = [_parse_property(s.strip()) for s in args.properties.split(",") if s.strip()]
+    certifier = _Certifier(instance, args.tol, args.cap_states, args.policy)
     reports = []
-    table = None
-    policy_table = None
     all_passed = True
-    for name, bound in specs:
-        if name == "assumption1":
-            report = check_assumption1(instance, tol)
-        elif name == "submodular":
-            if not isinstance(instance.reward, SubmodularReward):
-                raise ConfigError("submodular check requires a submodular reward")
-            report = check_submodular(instance.reward, instance.capacities, tol)
-        elif name in ("vfm", "ir"):
-            if table is None:
-                table = solve_clairvoyant(instance, state_cap=args.cap_states)
-            check = check_vfm if name == "vfm" else check_ir
-            report = check(instance, table, tol)
-        else:  # ratio
-            if table is None:
-                table = solve_clairvoyant(instance, state_cap=args.cap_states)
-            if args.policy == "optimal":
-                policy = optimal_policy_from_table(table)
-            else:
-                policy = policy_from_name(args.policy)
-            if policy_table is None:
-                policy_table = evaluate_policy_exact(instance, policy, state_cap=args.cap_states)
-            report = check_ratio(
-                instance, policy, bound, tol, j_star=table, j_policy=policy_table
-            )
-        label = name if bound is None else f"{name}:{bound:g}"
+    for label, name, bound in specs:
+        report = certifier.run(name, bound)
+        if report is None:
+            raise ConfigError("submodular check requires a submodular reward")
         print(f"{label}: {'pass' if report.passed else 'FAIL'}")
         all_passed = all_passed and report.passed
         reports.append((label, report))
@@ -230,8 +249,7 @@ def _batch_rows(config: dict, args):
     columns = ["seed", "fingerprint", "family", "num_types", "horizon", "num_activities", "j_star"]
     for pol in policies:
         columns += [f"j[{pol}]", f"ratio[{pol}]"]
-    for name, bound in prop_specs:
-        columns.append(name if bound is None else f"{name}:{bound:g}")
+    columns += [label for label, _, _ in prop_specs]
     columns.append("error")
     rows = []
     for seed in seeds:
@@ -251,11 +269,7 @@ def _batch_rows(config: dict, args):
             row["j_star"] = j_star
             policy_tables = {}
             for pol_name in policies:
-                policy = (
-                    optimal_policy_from_table(table)
-                    if pol_name == "optimal"
-                    else policy_from_name(pol_name)
-                )
+                policy = policy_from_name(pol_name, table=table)
                 j_pol_table = evaluate_policy_exact(instance, policy, state_cap=args.cap_states)
                 policy_tables[pol_name] = j_pol_table
                 j_pol = float(j_pol_table.values[si0, 0])
@@ -266,26 +280,12 @@ def _batch_rows(config: dict, args):
                     row[f"ratio[{pol_name}]"] = 1.0
                 else:
                     row[f"ratio[{pol_name}]"] = float("inf")
-            for name, bound in prop_specs:
-                label = name if bound is None else f"{name}:{bound:g}"
-                if name == "assumption1":
-                    passed = check_assumption1(instance, tol).passed
-                elif name == "submodular":
-                    passed = (
-                        check_submodular(instance.reward, instance.capacities, tol).passed
-                        if isinstance(instance.reward, SubmodularReward)
-                        else None
-                    )
-                elif name == "vfm":
-                    passed = check_vfm(instance, table, tol).passed
-                elif name == "ir":
-                    passed = check_ir(instance, table, tol).passed
-                else:
-                    passed = check_ratio(
-                        instance, policy_from_name("myopic"), bound, tol, j_star=table,
-                        j_policy=policy_tables.get("myopic"), state_cap=args.cap_states,
-                    ).passed
-                row[label] = passed
+            # Ratio bounds in batch are the myopic guarantee's.
+            certifier = _Certifier(instance, tol, args.cap_states, "myopic", j_star=table,
+                                   policy_table=policy_tables.get("myopic"))
+            for label, name, bound in prop_specs:
+                report = certifier.run(name, bound)
+                row[label] = None if report is None else report.passed
         except StodepError as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - started

@@ -227,6 +227,19 @@ class BellmanOperator:
             raise DomainError(f"tabulated reward has no entry for {key}")
         return g
 
+    def rewards(self, x: np.ndarray, x_next: np.ndarray) -> np.ndarray:
+        """g(x, x', t) at pairs of state indices for every t < horizon, shape (horizon, n)."""
+        if self.weights is not None:
+            depleted = self.items[x] - self.items[x_next]
+            g = 0.0  # summed type by type, as the scalar reward is
+            for m in range(depleted.shape[1]):
+                g = g + self.weights[:, m, None] * depleted[:, m]
+            return g
+        if self.potential is not None:
+            g = self.potential[x_next] - self.potential[x]
+            return np.broadcast_to(g, (self.instance.horizon, len(g)))
+        return self.tabulated[:, x, x_next]
+
     def states(self) -> list[tuple[int, ...]]:
         """Item vectors in index order."""
         if self._states is None:

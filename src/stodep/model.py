@@ -22,6 +22,8 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, EnumerationCapExceeded
 from .rewards import (
+    BudgetedLinearFunction,
+    CoverageFunction,
     GeneralTabulatedReward,
     LinearDecayingReward,
     LinearReward,
@@ -220,103 +222,102 @@ def validate_instance(instance: Instance) -> ValidationReport:
                                 "nonzero probability outside the [arrival, deadline) window",
                             )
                         )
-    out.extend(_validate_reward(instance))
+    rules = list(reward_rules(instance))
+    lhs, rhs = (np.array([r[k] for r in rules], dtype=np.float64) for k in (3, 4))
+    for k in np.flatnonzero(exceeds(lhs, rhs, 0.0)):
+        out.append(RuleViolation(*rules[k][:3]))
     return ValidationReport(out)
 
 
-def _validate_reward(instance: Instance) -> list[RuleViolation]:
-    out: list[RuleViolation] = []
+def exceeds(lhs, rhs, tol):
+    """Elementwise: does the pair break lhs <= rhs under tolerance tol?
+
+    It does when either side is not finite or lhs > rhs + max(tol, tol * |rhs|).
+    validate_instance applies it with tol = 0, the certifiers with theirs.
+    """
+    lhs, rhs = np.asarray(lhs), np.asarray(rhs)
+    with np.errstate(invalid="ignore"):  # 0 * inf: that pair is not finite anyway
+        slack = np.maximum(tol, tol * np.abs(rhs))
+        return ~(np.isfinite(lhs) & np.isfinite(rhs)) | (lhs > rhs + slack)
+
+
+# lhs and rhs of a structural fault (a wrong length, a missing table entry):
+# it breaks under any tolerance.
+_FAULT = (math.inf, 0.0)
+
+
+def _non_negative(field: str, indices: tuple, value: float, noun: str):
+    rule = f"negative {noun}" if math.isfinite(value) else f"{noun} not finite"
+    return field, indices, rule, 0.0, value
+
+
+def reward_rules(instance: Instance) -> Iterator[tuple[str, tuple, str, float, float]]:
+    """Every rule on the reward data, as (field, indices, rule, lhs, rhs).
+
+    Each rule asks for lhs <= rhs with both sides finite (see exceeds).
+    Structural faults are yielded only where they occur; the monotonicity of
+    a submodular potential is probed by stodep.properties.check_assumption1,
+    not here.
+    """
     rew = instance.reward
     M, T = instance.num_types, instance.horizon
     if isinstance(rew, LinearReward):
         if len(rew.weights) != M:
-            out.append(RuleViolation("reward.weights", (), "length != num_types"))
-            return out
+            yield ("reward.weights", (), "length != num_types", *_FAULT)
+            return
         for m, w in enumerate(rew.weights):
-            if not math.isfinite(w):
-                out.append(RuleViolation("reward.weights", (m,), "weight not finite"))
-            elif w < 0:
-                out.append(RuleViolation("reward.weights", (m,), "negative weight"))
+            yield _non_negative("reward.weights", (m,), w, "weight")
     elif isinstance(rew, LinearDecayingReward):
         if len(rew.weights) != M:
-            out.append(RuleViolation("reward.weights", (), "one row per type required"))
-            return out
+            yield ("reward.weights", (), "one row per type required", *_FAULT)
+            return
         for m, row in enumerate(rew.weights):
             if len(row) != T:
-                out.append(RuleViolation("reward.weights", (m,), "row length != horizon"))
+                yield ("reward.weights", (m,), "row length != horizon", *_FAULT)
                 continue
             for t, w in enumerate(row):
-                if not math.isfinite(w):
-                    out.append(RuleViolation("reward.weights", (m, t), "weight not finite"))
-                elif w < 0:
-                    out.append(RuleViolation("reward.weights", (m, t), "negative weight"))
-                if t + 1 < T and row[t + 1] > w:
-                    out.append(RuleViolation("reward.weights", (m, t + 1), "w not non-increasing in t"))
+                yield _non_negative("reward.weights", (m, t), w, "weight")
+                if t + 1 < T:
+                    yield "reward.weights", (m, t + 1), "w not non-increasing in t", row[t + 1], w
     elif isinstance(rew, SubmodularReward):
-        out.extend(_validate_submodular_structure(rew, M))
+        # Built-in evaluators are submodular by construction, so only their
+        # data ranges are rules; stodep.properties.check_submodular checks
+        # custom evaluators on demand.
+        ev = rew.evaluator
+        if isinstance(ev, CoverageFunction):
+            if len(ev.covers) != M:
+                yield ("reward.covers", (), "one cover per type required", *_FAULT)
+            for e, w in enumerate(ev.element_weights):
+                yield _non_negative("reward.element_weights", (e,), w, "weight")
+        elif isinstance(ev, BudgetedLinearFunction):
+            if len(ev.values) != M:
+                yield ("reward.values", (), "one value per type required", *_FAULT)
+            for g, b in enumerate(ev.budgets):
+                if b != math.inf:  # an uncapped group
+                    yield _non_negative("reward.budgets", (g,), b, "budget")
+            for m, v in enumerate(ev.values):
+                yield _non_negative("reward.values", (m,), v, "value")
     elif isinstance(rew, GeneralTabulatedReward):
-        out.extend(_validate_tabulated(rew, instance))
+        for x in _iter_box(instance.capacities):
+            for x_next in _iter_box(x):
+                previous = None
+                for t in range(T + 1):
+                    key = (x, x_next, t)
+                    value = rew.table.get(key)
+                    if value is None:
+                        if t < T:
+                            yield ("reward.table", key, "missing entry", *_FAULT)
+                            previous = None
+                            continue
+                        value = 0.0  # terminal entries default to zero
+                    yield _non_negative("reward.table", key, value, "reward")
+                    if t == T:
+                        yield "reward.table", key, "terminal reward nonzero", abs(value), 0.0
+                    if previous is not None:
+                        yield "reward.table", key, "non-increasing in t", value, previous
+                    previous = value
     else:
-        out.append(RuleViolation("reward", (), f"unknown reward spec {type(rew).__name__}"))
-    return out
-
-
-def _validate_submodular_structure(rew: SubmodularReward, num_types: int) -> list[RuleViolation]:
-    # Built-in evaluators are submodular by construction, so only their data
-    # ranges need checking; custom evaluators are checked on demand by
-    # stodep.properties.check_submodular.
-    from .rewards import BudgetedLinearFunction, CoverageFunction
-
-    out: list[RuleViolation] = []
-    ev = rew.evaluator
-    if isinstance(ev, CoverageFunction):
-        if len(ev.covers) != num_types:
-            out.append(RuleViolation("reward.covers", (), "one cover per type required"))
-        for e, w in enumerate(ev.element_weights):
-            if not math.isfinite(w):
-                out.append(RuleViolation("reward.element_weights", (e,), "weight not finite"))
-            elif w < 0:
-                out.append(RuleViolation("reward.element_weights", (e,), "negative weight"))
-    elif isinstance(ev, BudgetedLinearFunction):
-        if len(ev.values) != num_types:
-            out.append(RuleViolation("reward.values", (), "one value per type required"))
-        for g, b in enumerate(ev.budgets):
-            if math.isnan(b):
-                out.append(RuleViolation("reward.budgets", (g,), "budget is NaN"))
-            elif b < 0:
-                out.append(RuleViolation("reward.budgets", (g,), "negative budget"))
-        for m, v in enumerate(ev.values):
-            if not math.isfinite(v):
-                out.append(RuleViolation("reward.values", (m,), "value not finite"))
-            elif v < 0:
-                out.append(RuleViolation("reward.values", (m,), "negative value"))
-    return out
-
-
-def _validate_tabulated(rew: GeneralTabulatedReward, instance: Instance) -> list[RuleViolation]:
-    out: list[RuleViolation] = []
-    T = instance.horizon
-    for x in _iter_box(instance.capacities):
-        for x_next in _iter_box(x):
-            previous = None
-            for t in range(T + 1):
-                value = rew.table.get((x, x_next, t))
-                if value is None:
-                    if t < T:
-                        out.append(RuleViolation("reward.table", (x, x_next, t), "missing entry"))
-                        previous = None
-                        continue
-                    value = 0.0  # terminal entries default to zero
-                if not math.isfinite(value):
-                    out.append(RuleViolation("reward.table", (x, x_next, t), "reward not finite"))
-                elif value < 0:
-                    out.append(RuleViolation("reward.table", (x, x_next, t), "negative reward"))
-                if t == T and value != 0.0:
-                    out.append(RuleViolation("reward.table", (x, x_next, t), "terminal reward nonzero"))
-                if previous is not None and value > previous:
-                    out.append(RuleViolation("reward.table", (x, x_next, t), "g not non-increasing in t"))
-                previous = value
-    return out
+        yield ("reward", (), f"unknown reward spec {type(rew).__name__}", *_FAULT)
 
 
 def _type_support(count: int, p: float) -> tuple[tuple[int, float], ...]:
@@ -392,53 +393,6 @@ def reward(
     )
 
 
-def outcome_reward_fn(instance: Instance):
-    """Specialized g(x, alpha, t) on depletion counts, for the scalar enumeration loops.
-
-    Bit-identical to reward(x, x - alpha, t, instance) for alpha <= x; inputs
-    are assumed valid by construction.
-    """
-    rew = instance.reward
-    T = instance.horizon
-    M = instance.num_types
-    caps = instance.capacities
-    if isinstance(rew, LinearReward):
-        w = rew.weights
-
-        def linear(x, alpha, t):
-            if t >= T:
-                return 0.0
-            return sum(w[m] * alpha[m] for m in range(M))
-
-        return linear
-    if isinstance(rew, LinearDecayingReward):
-        rows = rew.weights
-
-        def decaying(x, alpha, t):
-            if t >= T:
-                return 0.0
-            return sum(rows[m][t] * alpha[m] for m in range(M))
-
-        return decaying
-    if isinstance(rew, SubmodularReward):
-        w = rew.w
-
-        def telescoped(x, alpha, t):
-            if t >= T:
-                return 0.0
-            before = tuple(caps[m] - x[m] for m in range(M))
-            after = tuple(before[m] + alpha[m] for m in range(M))
-            return w(after) - w(before)
-
-        return telescoped
-
-    def tabulated(x, alpha, t):
-        x_next = tuple(x[m] - alpha[m] for m in range(M))
-        return rew.amount(x, x_next, t, horizon=T, capacities=caps)
-
-    return tabulated
-
-
 def expected_one_step_reward(
     state: State,
     activity: int,
@@ -470,10 +424,9 @@ def expected_one_step_reward(
         else:
             weights = tuple(row[t] for row in rew.weights)
         return sum(weights[m] * x[m] * p_row[m] for m in range(instance.num_types))
-    g = outcome_reward_fn(instance)
     total = 0.0
     for alpha, prob in depletion_pmf(state, activity, instance, outcome_cap=outcome_cap):
-        total += prob * g(x, alpha, t)
+        total += prob * reward(x, tuple(v - a for v, a in zip(x, alpha)), t, instance)
     return total
 
 

@@ -25,18 +25,17 @@ class Policy:
         raise NotImplementedError
 
 
-class _OneStepPolicy(Policy):
-    """A rule on expected one-step rewards, precomputed as a decision table.
+class _DecisionTable(Policy):
+    """Selects by lookup in a (num_states, horizon) table of activities.
 
-    The table comes from one Bellman sweep with V = 0 the first time an
-    instance is seen, and is memoized per instance (keyed weakly); select is
-    a lookup.  Ties follow the solver's rule (see stodep.dp.TIE_TOL).
+    The table is built once per instance (keyed weakly) and read as an nd
+    view table[x_0, ..., x_{M-1}, t]; a state outside it raises DomainError.
     """
 
     def __init__(self):
         self._memo: weakref.WeakKeyDictionary[Instance, np.ndarray] = weakref.WeakKeyDictionary()
 
-    def _rule(self, epoch: Epoch) -> np.ndarray:
+    def _decisions(self, instance: Instance) -> np.ndarray:
         raise NotImplementedError
 
     def select(self, state: State, instance: Instance) -> int:
@@ -44,14 +43,30 @@ class _OneStepPolicy(Policy):
         if table is None:
             dims = tuple(c + 1 for c in instance.capacities)
             # Fortran order makes table[x_0, ..., x_{M-1}, t] the mixed-radix entry.
-            table = one_step_decisions(instance, self._rule).reshape(
-                dims + (instance.horizon,), order="F"
-            )
+            table = self._decisions(instance).reshape(dims + (instance.horizon,), order="F")
             self._memo[instance] = table
-        try:
-            return table.item(state.items + (state.epoch,))
-        except IndexError:
-            raise DomainError(f"state {state} has no decision in this instance") from None
+        key = state.items + (state.epoch,)
+        # A negative index would wrap around; item() reads a 1-tuple as a flat index.
+        if len(key) == table.ndim and min(key) >= 0:
+            try:
+                return table.item(key)
+            except IndexError:
+                pass
+        raise DomainError(f"state {state} has no decision in this instance")
+
+
+class _OneStepPolicy(_DecisionTable):
+    """A rule on expected one-step rewards, precomputed as a decision table.
+
+    The table comes from one Bellman sweep with V = 0 the first time an
+    instance is seen.  Ties follow the solver's rule (see stodep.dp.TIE_TOL).
+    """
+
+    def _rule(self, epoch: Epoch) -> np.ndarray:
+        raise NotImplementedError
+
+    def _decisions(self, instance: Instance) -> np.ndarray:
+        return one_step_decisions(instance, self._rule)
 
 
 class MyopicPolicy(_OneStepPolicy):
@@ -88,22 +103,18 @@ class ApproxMyopicPolicy(_OneStepPolicy):
         return epoch.lowest(lambda q: (q >= floor) & (q <= ceiling))
 
 
-class TablePolicy(Policy):
+class TablePolicy(_DecisionTable):
     """Greedy maximizer read off a solved value table."""
 
     name = "optimal"
 
     def __init__(self, table):
+        super().__init__()
         self.table = table
-        self._verified: weakref.WeakKeyDictionary[Instance, bool] = weakref.WeakKeyDictionary()
 
-    def select(self, state: State, instance: Instance) -> int:
-        if not self._verified.get(instance, False):
-            self.table.require_match(instance)
-            self._verified[instance] = True
-        if state.epoch >= self.table.horizon:
-            raise DomainError("no activity is defined at the terminal epoch")
-        return int(self.table.best_activity[self.table.state_index(state.items), state.epoch])
+    def _decisions(self, instance: Instance) -> np.ndarray:
+        self.table.require_match(instance)
+        return self.table.best_activity
 
 
 class FixedPolicy(Policy):

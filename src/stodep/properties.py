@@ -7,39 +7,31 @@ structure (non-negative, non-increasing in t, zero at the horizon), potential
 monotonicity/submodularity, and the myopic approximation-ratio bounds.
 
 Tolerance semantics: a pair (lhs, rhs) that must satisfy lhs <= rhs is a
-violation iff lhs > rhs + max(tol, tol * |rhs|).
+violation iff either side is not finite or lhs > rhs + max(tol, tol * |rhs|)
+(stodep.model.exceeds).  The value-table certifiers compare whole arrays of
+such pairs; each docstring gives the order its violations are listed in.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
 
 from .errors import ConfigError, EnumerationCapExceeded
-from .model import (
-    DEFAULT_STATE_CAP,
-    Instance,
-    State,
-    _iter_box,
-    outcome_reward_fn,
-    validate_instance,
-)
-from .rewards import (
-    GeneralTabulatedReward,
-    LinearDecayingReward,
-    LinearReward,
-    SubmodularReward,
-)
-from .dp import ValueTable, decode_state, evaluate_policy_exact, solve_clairvoyant
+from .model import DEFAULT_STATE_CAP, Instance, _iter_box, exceeds, reward_rules
+from .rewards import SubmodularReward
+from .dp import BellmanOperator, ValueTable, decode_state, evaluate_policy_exact, solve_clairvoyant
 from .serialize import instance_fingerprint
 
 DEFAULT_TOL = 1e-9
 DEFAULT_PAIR_CAP = 10**7
 
-
-def _exceeds(lhs: float, rhs: float, tol: float) -> bool:
-    return lhs > rhs + max(tol, tol * abs(rhs))
+# Candidate (x, x', t) triples per block of check_ir: bounds its working set
+# at a few such arrays of doubles whatever the size of the table.
+_BLOCK = 2**16
 
 
 @dataclass
@@ -104,7 +96,7 @@ class RatioReport:
     def passed(self) -> bool:
         if self.zero_value_states:
             return False
-        return not _exceeds(self.max_ratio, self.bound, self.tolerance)
+        return not exceeds(self.max_ratio, self.bound, self.tolerance)
 
     def to_dict(self) -> dict:
         return {
@@ -124,46 +116,53 @@ class RatioReport:
         }
 
 
+def _report(name: str, fingerprint: str, tol: float, chunks: Iterable[tuple]) -> PropertyReport:
+    """PropertyReport over chunks of pairs that must satisfy lhs <= rhs.
+
+    Each chunk is (lhs, rhs, witness): equal-shape arrays, read in C order,
+    and a function from the flat index of a violating pair to its witness.
+    worst_gap is the largest lhs - rhs that is not NaN.
+    """
+    checked, worst, violations = 0, -math.inf, []
+    for lhs, rhs, witness in chunks:
+        lhs = np.ravel(np.asarray(lhs, dtype=np.float64))
+        rhs = np.ravel(np.asarray(rhs, dtype=np.float64))
+        gap = lhs - rhs
+        checked += gap.size
+        worst = max(worst, float(np.max(gap, initial=-math.inf, where=~np.isnan(gap))))
+        for i in np.flatnonzero(exceeds(lhs, rhs, tol)):
+            violations.append(
+                Violation(witness(int(i)), float(lhs[i]), float(rhs[i]), float(gap[i]))
+            )
+    return PropertyReport(name, fingerprint, checked, violations, worst if checked else 0.0, tol)
+
+
 def check_vfm(instance: Instance, table: ValueTable, tol: float = DEFAULT_TOL) -> PropertyReport:
     """Value-function monotonicity: J(x - e_m, t) <= J(x, t) for all x, m, t.
 
     Single-coordinate decrements suffice: the full componentwise order follows
-    by chaining them.
+    by chaining them.  Violations are listed by type m, then epoch, then
+    state index.
     """
     table.require_match(instance)
-    caps = instance.capacities
-    violations: list[Violation] = []
-    worst = -math.inf
-    checked = 0
-    for t in range(instance.horizon + 1):
-        col = table.values[:, t]
-        for si in range(table.num_states):
-            x = decode_state(si, caps)
-            rhs = float(col[si])
-            for m in range(instance.num_types):
-                if x[m] == 0:
-                    continue
-                lhs = float(col[si - table.radices[m]])
-                checked += 1
-                gap = lhs - rhs
-                worst = max(worst, gap)
-                if _exceeds(lhs, rhs, tol):
-                    violations.append(
-                        Violation(
-                            witness={"x": list(x), "m": m, "t": t},
-                            lhs=lhs,
-                            rhs=rhs,
-                            gap=gap,
-                        )
-                    )
-    return PropertyReport(
-        property_name="vfm",
-        fingerprint=table.fingerprint,
-        checked=checked,
-        violations=violations,
-        worst_gap=worst if checked else 0.0,
-        tolerance=tol,
-    )
+    # V[x_0, ..., x_{M-1}, t]: the state index is the Fortran-order offset.
+    dims = tuple(c + 1 for c in table.capacities)
+    values = table.values.reshape(dims + (table.horizon + 1,), order="F")
+
+    def chunks():
+        for m, cap in enumerate(table.capacities):
+            upper = values.take(range(1, cap + 1), axis=m).transpose()  # J(x, t), t first
+            lower = values.take(range(cap), axis=m).transpose()  # J(x - e_m, t)
+
+            def witness(i, m=m, shape=upper.shape):
+                t, *x = np.unravel_index(i, shape)
+                x = [int(v) for v in reversed(x)]
+                x[m] += 1
+                return {"x": x, "m": m, "t": int(t)}
+
+            yield lower, upper, witness
+
+    return _report("vfm", table.fingerprint, tol, chunks())
 
 
 def check_ir(
@@ -176,50 +175,39 @@ def check_ir(
     """Immediate rewards: J(x, t) <= g(x, x - alpha, t) + J(x - alpha, t), all alpha <= x.
 
     The inequality is checked on every depletion vector, not just unit steps,
-    because g need not be additive across alpha.  For decaying-linear rewards
-    the credited amount sum_m alpha_m w[m][t] coincides with g at epoch t, so g
-    is used uniformly.
+    because g need not be additive across alpha; g is zero at the horizon.
+    The pairs (x, x' = x - alpha) are compared at every epoch at once, a
+    block of x at a time.  Violations are listed by the state index of x,
+    then that of x', then epoch.
     """
     table.require_match(instance)
-    caps = instance.capacities
-    pairs = instance.horizon + 1
-    for c in caps:
+    T = instance.horizon
+    pairs = T + 1
+    for c in instance.capacities:
         pairs *= (c + 1) * (c + 2) // 2
     if pairs > pair_cap:
         raise EnumerationCapExceeded(f"(x, alpha) enumeration {pairs} exceeds cap {pair_cap}")
-    g = outcome_reward_fn(instance)
-    violations: list[Violation] = []
-    worst = -math.inf
-    checked = 0
-    radices = table.radices
-    for t in range(instance.horizon + 1):
-        col = table.values[:, t]
-        for si in range(table.num_states):
-            x = decode_state(si, caps)
-            lhs = float(col[si])
-            for alpha in _iter_box(x):
-                delta = sum(a * r for a, r in zip(alpha, radices))
-                rhs = g(x, alpha, t) + float(col[si - delta])
-                checked += 1
-                gap = lhs - rhs
-                worst = max(worst, gap)
-                if _exceeds(lhs, rhs, tol):
-                    violations.append(
-                        Violation(
-                            witness={"x": list(x), "alpha": list(alpha), "t": t},
-                            lhs=lhs,
-                            rhs=rhs,
-                            gap=gap,
-                        )
-                    )
-    return PropertyReport(
-        property_name="ir",
-        fingerprint=table.fingerprint,
-        checked=checked,
-        violations=violations,
-        worst_gap=worst if checked else 0.0,
-        tolerance=tol,
-    )
+    op = BellmanOperator(instance, state_cap=2**62)  # the table already holds every state
+    items, values = op.items, table.values
+    S = len(items)
+    rows = max(1, _BLOCK // (S * (T + 1)))
+
+    def chunks():
+        for lo in range(0, S, rows):
+            below = (items[lo:lo + rows, None, :] >= items[None, :, :]).all(axis=2)
+            x, x_next = np.nonzero(below)
+            x += lo
+            rhs = values[x_next]  # J(x', t), shape (len(x), T + 1)
+            rhs[:, :T] += op.rewards(x, x_next).T
+
+            def witness(i, x=x, x_next=x_next):
+                k, t = divmod(i, T + 1)
+                alpha = items[x[k]] - items[x_next[k]]
+                return {"x": items[x[k]].tolist(), "alpha": alpha.tolist(), "t": t}
+
+            yield values[x], rhs, witness
+
+    return _report("ir", table.fingerprint, tol, chunks())
 
 
 def check_submodular(
@@ -237,148 +225,55 @@ def check_submodular(
     bound = tuple(int(b) for b in domain_bound)
     M = len(bound)
     points = list(_iter_box(bound))
-    violations: list[Violation] = []
-    worst = -math.inf
-    checked = 0
+    w = reward.w
 
-    def unit(m):
-        return tuple(1 if i == m else 0 for i in range(M))
+    def up(y, m):
+        return tuple(v + (1 if i == m else 0) for i, v in enumerate(y))
 
-    for y in points:
-        wy = reward.w(y)
-        for m in range(M):
-            y_up = tuple(v + u for v, u in zip(y, unit(m)))
-            checked += 1
-            gap = wy - reward.w(y_up)
-            worst = max(worst, gap)
-            if _exceeds(wy, reward.w(y_up), tol):
-                violations.append(
-                    Violation(
-                        witness={"kind": "monotonicity", "y": list(y), "m": m},
-                        lhs=wy,
-                        rhs=reward.w(y_up),
-                        gap=gap,
-                    )
-                )
-    for y in points:
-        wy = reward.w(y)
-        for y_lo in _iter_box(y):
-            if y_lo == y:
-                continue
-            w_lo = reward.w(y_lo)
-            for m in range(M):
-                e = unit(m)
-                lhs = reward.w(tuple(a + b for a, b in zip(y, e))) - wy
-                rhs = reward.w(tuple(a + b for a, b in zip(y_lo, e))) - w_lo
-                checked += 1
-                gap = lhs - rhs
-                worst = max(worst, gap)
-                if _exceeds(lhs, rhs, tol):
-                    violations.append(
-                        Violation(
-                            witness={
-                                "kind": "diminishing_returns",
-                                "y": list(y),
-                                "y_prime": list(y_lo),
-                                "m": m,
-                            },
-                            lhs=lhs,
-                            rhs=rhs,
-                            gap=gap,
-                        )
-                    )
-    return PropertyReport(
-        property_name="submodular",
-        fingerprint=f"reward:{reward.label}",
-        checked=checked,
-        violations=violations,
-        worst_gap=worst if checked else 0.0,
-        tolerance=tol,
-    )
+    mono = [(y, m) for y in points for m in range(M)]
+    dr = [(y, y_lo, m) for y in points for y_lo in _iter_box(y) if y_lo != y for m in range(M)]
+    chunks = [
+        (
+            [w(y) for y, m in mono],
+            [w(up(y, m)) for y, m in mono],
+            lambda i: {"kind": "monotonicity", "y": list(mono[i][0]), "m": mono[i][1]},
+        ),
+        (
+            [w(up(y, m)) - w(y) for y, _, m in dr],
+            [w(up(y_lo, m)) - w(y_lo) for _, y_lo, m in dr],
+            lambda i: {"kind": "diminishing_returns", "y": list(dr[i][0]),
+                       "y_prime": list(dr[i][1]), "m": dr[i][2]},
+        ),
+    ]
+    return _report("submodular", f"reward:{reward.label}", tol, chunks)
 
 
 def check_assumption1(instance: Instance, tol: float = DEFAULT_TOL) -> PropertyReport:
     """Reward structure: non-negative, non-increasing in t, zero at the horizon.
 
-    Exhaustive over the finite domain for tabulated rewards; per-entry
-    structural checks for the built-in families (whose form already forces the
-    time shape); bounded monotonicity probing for custom potentials.
+    Reports the rules validate_instance applies (stodep.model.reward_rules)
+    under tolerance tol, plus, for submodular rewards, a probe of the
+    potential's monotonicity along unit steps on the capacity box, which
+    also covers custom evaluators.
     """
+    rules = list(reward_rules(instance))
     rew = instance.reward
-    violations: list[Violation] = []
-    checked = 0
-    worst = -math.inf
-    T = instance.horizon
-
-    def record(witness, lhs, rhs):
-        nonlocal checked, worst
-        checked += 1
-        gap = lhs - rhs
-        worst = max(worst, gap)
-        if _exceeds(lhs, rhs, tol):
-            violations.append(Violation(witness=witness, lhs=lhs, rhs=rhs, gap=gap))
-
-    if isinstance(rew, LinearReward):
-        for m, w in enumerate(rew.weights):
-            record({"field": "weights", "m": m, "rule": "non-negative"}, 0.0, w)
-    elif isinstance(rew, LinearDecayingReward):
-        for m, row in enumerate(rew.weights):
-            for t, w in enumerate(row):
-                record({"field": "weights", "m": m, "t": t, "rule": "non-negative"}, 0.0, w)
-                if t + 1 < len(row):
-                    record(
-                        {"field": "weights", "m": m, "t": t + 1, "rule": "non-increasing"},
-                        row[t + 1],
-                        w,
-                    )
-    elif isinstance(rew, SubmodularReward):
-        # g >= 0 reduces to monotonicity of the potential; probe unit steps on
-        # the capacity box.  Built-in forms are monotone by construction but a
-        # cheap probe also covers custom evaluators.
-        for y in _iter_box(instance.capacities):
-            wy = rew.w(tuple(y))
+    if isinstance(rew, SubmodularReward):
+        caps = instance.capacities
+        for y in _iter_box(caps):
             for m in range(instance.num_types):
-                if y[m] == instance.capacities[m]:
-                    continue
-                y_up = tuple(v + (1 if i == m else 0) for i, v in enumerate(y))
-                record({"field": "potential", "y": list(y), "m": m, "rule": "monotone"}, wy, rew.w(y_up))
-    elif isinstance(rew, GeneralTabulatedReward):
-        for x in _iter_box(instance.capacities):
-            for x_next in _iter_box(x):
-                previous = None
-                for t in range(T + 1):
-                    value = rew.table.get((x, x_next, t))
-                    if value is None:
-                        if t < T:
-                            violations.append(
-                                Violation(
-                                    witness={"x": list(x), "x_next": list(x_next), "t": t,
-                                             "rule": "missing entry"},
-                                    lhs=0.0,
-                                    rhs=0.0,
-                                    gap=0.0,
-                                )
-                            )
-                            previous = None
-                            continue
-                        value = 0.0
-                    record({"x": list(x), "x_next": list(x_next), "t": t, "rule": "non-negative"},
-                           0.0, value)
-                    if t == T:
-                        record({"x": list(x), "x_next": list(x_next), "t": t,
-                                "rule": "terminal reward nonzero"}, value, 0.0)
-                    if previous is not None:
-                        record({"x": list(x), "x_next": list(x_next), "t": t,
-                                "rule": "non-increasing in t"}, value, previous)
-                    previous = value
-    return PropertyReport(
-        property_name="assumption1",
-        fingerprint=instance_fingerprint(instance),
-        checked=checked,
-        violations=violations,
-        worst_gap=worst if checked else 0.0,
-        tolerance=tol,
-    )
+                if y[m] < caps[m]:
+                    y_up = tuple(v + (1 if i == m else 0) for i, v in enumerate(y))
+                    rules.append(("reward.potential", (y, m), "potential not monotone",
+                                  rew.w(y), rew.w(y_up)))
+
+    def witness(i):
+        field, indices, rule, _, _ = rules[i]
+        return {"field": field, "indices": list(indices), "rule": rule}
+
+    lhs = [r[3] for r in rules]
+    rhs = [r[4] for r in rules]
+    return _report("assumption1", instance_fingerprint(instance), tol, [(lhs, rhs, witness)])
 
 
 def check_ratio(
@@ -395,7 +290,9 @@ def check_ratio(
 
     States with J^policy = 0 < J* are reported separately (the ratio is
     unbounded there); for the families the guarantees cover, J^policy = 0
-    forces J* = 0.  Precomputed tables may be supplied to avoid re-solving.
+    forces J* = 0.  worst_state is the first maximum, and zero_value_states
+    are listed, in (epoch, state index) order.  Precomputed tables may be
+    supplied to avoid re-solving.
     """
     if j_star is None:
         j_star = solve_clairvoyant(instance, state_cap=state_cap)
@@ -406,26 +303,19 @@ def check_ratio(
     else:
         j_policy.require_match(instance)
     caps = instance.capacities
+    star, pol = j_star.values.T, j_policy.values.T  # (epoch, state index)
+    zero_states = [
+        {"x": list(decode_state(int(si), caps)), "t": int(t), "j_star": float(star[t, si])}
+        for t, si in zip(*np.nonzero((pol == 0.0) & (star > 0.0)))
+    ]
+    ratio = np.divide(star, pol, out=np.ones(star.shape), where=pol != 0.0)
+    t, si = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
     max_ratio = 1.0
     worst_state = None
-    zero_states: list[dict] = []
-    checked = 0
-    for t in range(instance.horizon + 1):
-        star_col = j_star.values[:, t]
-        pol_col = j_policy.values[:, t]
-        for si in range(j_star.num_states):
-            star = float(star_col[si])
-            pol = float(pol_col[si])
-            checked += 1
-            if pol == 0.0:
-                if star > 0.0:
-                    zero_states.append({"x": list(decode_state(si, caps)), "t": t, "j_star": star})
-                continue
-            ratio = star / pol
-            if ratio > max_ratio:
-                max_ratio = ratio
-                worst_state = {"x": list(decode_state(si, caps)), "t": t,
-                               "j_star": star, "j_policy": pol}
+    if ratio[t, si] > max_ratio:
+        max_ratio = float(ratio[t, si])
+        worst_state = {"x": list(decode_state(int(si), caps)), "t": int(t),
+                       "j_star": float(star[t, si]), "j_policy": float(pol[t, si])}
     x0 = instance.initial_items
     si0 = j_star.state_index(x0)
     star0 = float(j_star.values[si0, 0])
@@ -445,5 +335,5 @@ def check_ratio(
         max_ratio=max_ratio,
         worst_state=worst_state,
         zero_value_states=zero_states,
-        checked=checked,
+        checked=ratio.size,
     )

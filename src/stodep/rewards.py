@@ -58,10 +58,6 @@ class LinearReward(RewardSpec):
         w = self.weights
         return sum(w[m] * (x[m] - x_next[m]) for m in range(len(w)))
 
-    def potential(self, y: Sequence[int]) -> float:
-        w = self.weights
-        return sum(w[m] * y[m] for m in range(len(w)))
-
     def spec_dict(self) -> dict:
         return {"kind": self.kind, "weights": list(self.weights)}
 
@@ -327,12 +323,3 @@ def reward_from_dict(spec: Mapping) -> RewardSpec:
         return GeneralTabulatedReward(table)
     raise ConfigError(f"unknown reward kind {kind!r}")
 
-
-def is_linear_family(reward: RewardSpec) -> bool:
-    """True for rewards in the decaying-linear family (constant linear included)."""
-    return isinstance(reward, (LinearReward, LinearDecayingReward))
-
-
-def is_submodular_family(reward: RewardSpec) -> bool:
-    """True for rewards that telescope through a potential (linear included)."""
-    return isinstance(reward, (LinearReward, SubmodularReward))

@@ -13,7 +13,7 @@ import json
 from typing import IO, Mapping
 
 from .errors import ConfigError
-from .model import Instance, validate_instance
+from .model import Instance, _iter_box, validate_instance
 from .rewards import reward_from_dict
 
 
@@ -99,10 +99,15 @@ def _fingerprint_payload(instance: Instance) -> dict:
     try:
         payload["reward"] = instance.reward.spec_dict()
     except ConfigError:
-        # Custom evaluators are not serializable; fall back to their label so
-        # in-memory instances can still be fingerprinted (uniqueness of the
-        # label is the caller's responsibility).
-        payload["reward"] = {"kind": "submodular_custom", "label": instance.reward.label}
+        # Custom evaluators are not serializable, so their values on the
+        # capacity box stand in for them: two evaluators that share a label
+        # but differ anywhere a table can reach get different fingerprints.
+        rew = instance.reward
+        payload["reward"] = {
+            "kind": "submodular_custom",
+            "label": rew.label,
+            "values": [rew.w(y) for y in _iter_box(instance.capacities)],
+        }
     return payload
 
 

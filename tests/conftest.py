@@ -1,7 +1,19 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from stodep import Instance, LinearReward
+import stodep
+from stodep import (
+    BudgetedLinearFunction,
+    CoverageFunction,
+    GeneralTabulatedReward,
+    Instance,
+    LinearDecayingReward,
+    LinearReward,
+    SubmodularReward,
+)
 from stodep.apps import build_worst_case_instance
 
 
@@ -45,3 +57,52 @@ def single_type_instance():
         schedule=[[[0.5]], [[0.5]]],
         reward=LinearReward((1.0,)),
     )
+
+
+@st.composite
+def small_instances(draw):
+    """Random instances on every reward route, with 0/1 probabilities and windows."""
+    M = draw(st.integers(1, 3))
+    caps = tuple(draw(st.integers(1, 2)) for _ in range(M))
+    T = draw(st.integers(1, 3))
+    A = draw(st.integers(1, 3))
+    prob = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    schedule = np.array([draw(prob) for _ in range(T * A * M)]).reshape(T, A, M)
+    windows = {}
+    if draw(st.booleans()):
+        arrivals = tuple(draw(st.integers(0, T)) for _ in range(M))
+        deadlines = tuple(draw(st.integers(a, T)) for a in arrivals)
+        for m in range(M):
+            schedule[: arrivals[m], :, m] = 0.0
+            schedule[deadlines[m]:, :, m] = 0.0
+        windows = {"arrivals": arrivals, "deadlines": deadlines}
+    weight = st.floats(0.0, 2.0)
+
+    def coverage():
+        n = M + 1
+        covers = tuple(frozenset(draw(st.sets(st.integers(0, n - 1), max_size=n))) for _ in range(M))
+        return CoverageFunction(n, covers, tuple(draw(weight) for _ in range(n)))
+
+    route = draw(st.sampled_from(["linear", "linear_decaying", "coverage", "budgeted", "tabulated"]))
+    if route == "linear":
+        rew = LinearReward(tuple(draw(weight) for _ in range(M)))
+    elif route == "linear_decaying":
+        rew = LinearDecayingReward(
+            tuple(tuple(sorted((draw(weight) for _ in range(T)), reverse=True)) for _ in range(M))
+        )
+    elif route == "coverage":
+        rew = SubmodularReward(coverage())
+    elif route == "budgeted":
+        budget = st.one_of(st.just(math.inf), st.floats(0.5, 3.0))
+        rew = SubmodularReward(
+            BudgetedLinearFunction(
+                budgets=(draw(budget), draw(budget)),
+                values=tuple(draw(weight) for _ in range(M)),
+                groups=tuple(draw(st.integers(0, 1)) for _ in range(M)),
+            )
+        )
+    else:
+        rew = GeneralTabulatedReward.from_potential(coverage(), caps, T)
+    inst = make_instance(capacities=caps, horizon=T, schedule=schedule, reward=rew, **windows)
+    assert stodep.validate_instance(inst).passed
+    return inst

@@ -90,3 +90,84 @@ def best_feasible_subset_value(evaluate, num_elements, feasible):
             if feasible(subset):
                 best = max(best, evaluate(subset) - base)
     return best
+
+
+# ------------------------------------------- scalar certifiers (one pair a step)
+
+
+def _breaks(lhs, rhs, tol):
+    """lhs <= rhs fails under tol: a side is not finite or lhs > rhs + max(tol, tol |rhs|)."""
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        return True
+    return lhs > rhs + max(tol, tol * abs(rhs))
+
+
+def _index_states(capacities):
+    """Item vectors in mixed-radix index order (type 0 least significant)."""
+    boxes = (range(c + 1) for c in reversed(capacities))
+    return [tuple(reversed(v)) for v in itertools.product(*boxes)]
+
+
+def _certificate(pairs, tol):
+    """(checked, worst_gap, violations) over (witness, lhs, rhs) triples, in order."""
+    checked, worst, violations = 0, -math.inf, []
+    for witness, lhs, rhs in pairs:
+        checked += 1
+        gap = lhs - rhs
+        worst = max(worst, gap)
+        if _breaks(lhs, rhs, tol):
+            violations.append((witness, lhs, rhs, gap))
+    return checked, worst if checked else 0.0, violations
+
+
+def vfm_oracle(instance, values, tol):
+    """J(x - e_m, t) <= J(x, t) pair by pair on values[index(x), t]."""
+    states = _index_states(instance.capacities)
+    index = {x: i for i, x in enumerate(states)}
+
+    def pairs():
+        for t in range(instance.horizon + 1):
+            for x in states:
+                for m in range(len(x)):
+                    if x[m]:
+                        lower = x[:m] + (x[m] - 1,) + x[m + 1:]
+                        witness = {"x": list(x), "m": m, "t": t}
+                        yield witness, values[index[lower], t], values[index[x], t]
+
+    return _certificate(pairs(), tol)
+
+
+def ir_oracle(instance, values, tol):
+    """J(x, t) <= g(x, x - alpha, t) + J(x - alpha, t) for every alpha <= x; g = 0 at t = T."""
+    states = _index_states(instance.capacities)
+    index = {x: i for i, x in enumerate(states)}
+    T = instance.horizon
+
+    def pairs():
+        for t in range(T + 1):
+            for x in states:
+                for alpha in itertools.product(*(range(v + 1) for v in x)):
+                    x_next = tuple(v - a for v, a in zip(x, alpha))
+                    g = instance_reward(x, x_next, t, instance) if t < T else 0.0
+                    witness = {"x": list(x), "alpha": list(alpha), "t": t}
+                    yield witness, values[index[x], t], g + values[index[x_next], t]
+
+    return _certificate(pairs(), tol)
+
+
+def ratio_oracle(instance, star_values, policy_values):
+    """(max_ratio, worst_state, zero_value_states, checked) of J* / J^policy, scanned by (t, x)."""
+    states = _index_states(instance.capacities)
+    max_ratio, worst_state, zero_states, checked = 1.0, None, [], 0
+    for t in range(instance.horizon + 1):
+        for si, x in enumerate(states):
+            star, pol = float(star_values[si, t]), float(policy_values[si, t])
+            checked += 1
+            if pol == 0.0:
+                if star > 0.0:
+                    zero_states.append({"x": list(x), "t": t, "j_star": star})
+                continue
+            if star / pol > max_ratio:
+                max_ratio = star / pol
+                worst_state = {"x": list(x), "t": t, "j_star": star, "j_policy": pol}
+    return max_ratio, worst_state, zero_states, checked

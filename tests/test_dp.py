@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -7,9 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import stodep
 from stodep import (
-    BudgetedLinearFunction,
     FingerprintMismatch,
-    GeneralTabulatedReward,
     LinearDecayingReward,
     LinearReward,
     State,
@@ -27,7 +24,7 @@ from stodep import (
 from stodep.dp import TIE_TOL, ValueTable, decode_state, mixed_radix_radices, state_index
 from stodep.apps import build_worst_case_instance, random_linear_decaying_instance
 
-from conftest import make_instance
+from conftest import make_instance, small_instances
 from oracles import dp_value_oracle, value_function_oracle
 
 
@@ -196,55 +193,6 @@ def test_table_json_round_trip(tmp_path, worst_case_tenth):
 
 
 # ------------------------------------------------- differential tests vs oracles
-
-
-@st.composite
-def small_instances(draw):
-    """Random instances on every reward route, with 0/1 probabilities and windows."""
-    M = draw(st.integers(1, 3))
-    caps = tuple(draw(st.integers(1, 2)) for _ in range(M))
-    T = draw(st.integers(1, 3))
-    A = draw(st.integers(1, 3))
-    prob = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
-    schedule = np.array([draw(prob) for _ in range(T * A * M)]).reshape(T, A, M)
-    windows = {}
-    if draw(st.booleans()):
-        arrivals = tuple(draw(st.integers(0, T)) for _ in range(M))
-        deadlines = tuple(draw(st.integers(a, T)) for a in arrivals)
-        for m in range(M):
-            schedule[: arrivals[m], :, m] = 0.0
-            schedule[deadlines[m]:, :, m] = 0.0
-        windows = {"arrivals": arrivals, "deadlines": deadlines}
-    weight = st.floats(0.0, 2.0)
-
-    def coverage():
-        n = M + 1
-        covers = tuple(frozenset(draw(st.sets(st.integers(0, n - 1), max_size=n))) for _ in range(M))
-        return CoverageFunction(n, covers, tuple(draw(weight) for _ in range(n)))
-
-    route = draw(st.sampled_from(["linear", "linear_decaying", "coverage", "budgeted", "tabulated"]))
-    if route == "linear":
-        rew = LinearReward(tuple(draw(weight) for _ in range(M)))
-    elif route == "linear_decaying":
-        rew = LinearDecayingReward(
-            tuple(tuple(sorted((draw(weight) for _ in range(T)), reverse=True)) for _ in range(M))
-        )
-    elif route == "coverage":
-        rew = SubmodularReward(coverage())
-    elif route == "budgeted":
-        budget = st.one_of(st.just(math.inf), st.floats(0.5, 3.0))
-        rew = SubmodularReward(
-            BudgetedLinearFunction(
-                budgets=(draw(budget), draw(budget)),
-                values=tuple(draw(weight) for _ in range(M)),
-                groups=tuple(draw(st.integers(0, 1)) for _ in range(M)),
-            )
-        )
-    else:
-        rew = GeneralTabulatedReward.from_potential(coverage(), caps, T)
-    inst = make_instance(capacities=caps, horizon=T, schedule=schedule, reward=rew, **windows)
-    assert stodep.validate_instance(inst).passed
-    return inst
 
 
 def _all_states(instance):

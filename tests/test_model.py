@@ -79,6 +79,7 @@ def test_non_finite_reward_weights_reported(rew, field):
     report = validate_instance(bad)
     assert not report.passed
     assert {v.field for v in report.violations} == {field}
+    assert not stodep.check_assumption1(bad).passed
 
 
 def test_infinite_budget_means_uncapped():

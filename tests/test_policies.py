@@ -4,6 +4,7 @@ import pytest
 import stodep
 from stodep import (
     ConfigError,
+    DomainError,
     LinearReward,
     State,
     approx_myopic_policy,
@@ -159,3 +160,18 @@ def test_policy_from_name():
         policy_from_name("optimal")
     with pytest.raises(ConfigError):
         policy_from_name("nope")
+
+
+@pytest.mark.parametrize("name", ["myopic", "approx:2", "optimal"])
+def test_select_rejects_states_outside_the_table(name, worst_case_tenth):
+    policy = policy_from_name(name, table=solve_clairvoyant(worst_case_tenth))
+    assert policy.select(State((1, 1), 1), worst_case_tenth) in (0, 1)
+    for state in (
+        State((-1, 0), 0),  # negative items
+        State((2, 0), 0),  # above capacity
+        State((1, 1), -1),  # negative epoch
+        State((1, 1), 2),  # the terminal epoch
+        State((1,), 0),  # wrong number of types
+    ):
+        with pytest.raises(DomainError):
+            policy.select(state, worst_case_tenth)

@@ -1,7 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stodep
 from stodep import (
@@ -27,7 +29,8 @@ from stodep.apps import (
     random_submodular_instance,
 )
 
-from conftest import make_instance
+from conftest import make_instance, small_instances
+from oracles import ir_oracle, ratio_oracle, vfm_oracle
 
 
 def test_vfm_and_ir_hold_on_both_families():
@@ -182,3 +185,62 @@ def test_tolerance_semantics():
     # negative-gap worst case is still reported in worst_gap
     report = check_vfm(inst, table)
     assert report.worst_gap <= 1e-12
+
+
+def test_ir_flags_a_raised_entry(worst_case_tenth):
+    table = solve_clairvoyant(worst_case_tenth)
+    table.values[table.state_index((1, 1)), 0] += 0.5
+    report = check_ir(worst_case_tenth, table)
+    assert not report.passed
+    for v in report.violations:
+        assert (v.witness["x"], v.witness["t"]) == ([1, 1], 0)
+        assert v.witness["alpha"] != [0, 0] and v.gap > 0.4
+
+
+# ------------------------------------------ array certifiers vs scalar oracles
+
+
+def _perturb_one(data, table):
+    """Move one entry of the table up or down, or leave it clean."""
+    if data.draw(st.booleans()):
+        si = data.draw(st.integers(0, table.num_states - 1))
+        t = data.draw(st.integers(0, table.horizon))
+        table.values[si, t] += data.draw(st.sampled_from([-0.5, -1e-6, 1e-6, 0.5]))
+
+
+def _witness_key(witness):
+    return tuple(sorted((k, tuple(v) if isinstance(v, list) else v) for k, v in witness.items()))
+
+
+def _assert_matches_oracle(report, oracle):
+    checked, worst, violations = oracle
+    assert report.checked == checked
+    assert abs(report.worst_gap - worst) <= 1e-12 * max(1.0, abs(worst))
+    assert {_witness_key(v.witness) for v in report.violations} == {
+        _witness_key(w) for w, *_ in violations
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=small_instances(), data=st.data())
+def test_vfm_and_ir_match_scalar_oracles(inst, data):
+    table = solve_clairvoyant(inst)
+    _perturb_one(data, table)
+    _assert_matches_oracle(check_vfm(inst, table), vfm_oracle(inst, table.values, 1e-9))
+    ir = ir_oracle(inst, table.values, 1e-9)
+    _assert_matches_oracle(check_ir(inst, table), ir)
+    with mock.patch.object(stodep.properties, "_BLOCK", 1):  # one x per block
+        _assert_matches_oracle(check_ir(inst, table), ir)
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=small_instances(), data=st.data())
+def test_ratio_matches_scalar_oracle(inst, data):
+    j_star = solve_clairvoyant(inst)
+    policy = data.draw(st.sampled_from([myopic_policy(), stodep.approx_myopic_policy(2.0)]))
+    j_policy = stodep.evaluate_policy_exact(inst, policy)
+    _perturb_one(data, data.draw(st.sampled_from([j_star, j_policy])))
+    report = check_ratio(inst, policy, 2.0, j_star=j_star, j_policy=j_policy)
+    expected = ratio_oracle(inst, j_star.values, j_policy.values)
+    got = (report.max_ratio, report.worst_state, report.zero_value_states, report.checked)
+    assert got == expected

@@ -7,7 +7,9 @@ import pytest
 import stodep
 from stodep import (
     ConfigError,
+    FingerprintMismatch,
     GeneralTabulatedReward,
+    SetFunctionEvaluator,
     SubmodularReward,
     instance_fingerprint,
     instance_from_dict,
@@ -112,8 +114,25 @@ def test_custom_evaluator_is_not_serializable():
     )
     with pytest.raises(ConfigError):
         instance_to_dict(inst)
-    # but fingerprinting still works through the label
+    # but fingerprinting still works, through its values
     assert len(instance_fingerprint(inst)) == 64
+
+
+def test_custom_evaluators_fingerprint_by_their_values():
+    def build(fn):
+        return make_instance(
+            capacities=(1, 1),
+            horizon=1,
+            schedule=[[[0.5, 0.5]]],
+            reward=SubmodularReward(SetFunctionEvaluator(fn)),  # both keep the default label
+        )
+
+    a = build(lambda s: float(len(s)))
+    b = build(lambda s: 2.0 * len(s))
+    assert instance_fingerprint(a) != instance_fingerprint(b)
+    assert instance_fingerprint(a) == instance_fingerprint(build(lambda s: float(len(s))))
+    with pytest.raises(FingerprintMismatch):
+        stodep.check_vfm(b, stodep.solve_clairvoyant(a))
 
 
 def test_missing_field_reported():
