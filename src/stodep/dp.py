@@ -19,6 +19,10 @@ that type's axis.  An epoch costs S * A * sum_m (c_m + 1) for S states and A
 activities, where enumerating outcomes costs S * A * prod_m (x_m + 1).
 Activities go through the operator in chunks of a fixed size, so peak memory
 grows with S and not with A.
+
+Each instance gets one operator (bellman_operator), built on first use and
+kept on the instance, so a solve, the policy evaluations and the certifiers
+of one instance share its state decoding and reward data.
 """
 
 from __future__ import annotations
@@ -162,6 +166,23 @@ def best_activity(table: ValueTable, state: State) -> int:
     return int(table.best_activity[idx, state.epoch])
 
 
+def bellman_operator(instance: Instance, state_cap: int = DEFAULT_STATE_CAP) -> "BellmanOperator":
+    """The instance's operator: built on the first call, then kept on the instance.
+
+    It is stored in the instance's __dict__, as functools.cached_property
+    stores a value, so it lives exactly as long as the instance; it holds no
+    reference back to it.  The state cap is checked on every call.
+    """
+    n_entries = state_space_size(instance)
+    if n_entries > state_cap:
+        raise StateSpaceCapExceeded(f"state space {n_entries} exceeds cap {state_cap}")
+    cache = vars(instance)
+    op = cache.get("_bellman_operator")
+    if op is None:
+        op = cache["_bellman_operator"] = BellmanOperator(instance)
+    return op
+
+
 class BellmanOperator:
     """Q_t(x, a) = E[g(x, x - X, t) + V(x - X)] for every state x at once.
 
@@ -172,13 +193,11 @@ class BellmanOperator:
     dict of a tabulated reward.
     """
 
-    def __init__(self, instance: Instance, state_cap: int = DEFAULT_STATE_CAP):
-        n_entries = state_space_size(instance)
-        if n_entries > state_cap:
-            raise StateSpaceCapExceeded(f"state space {n_entries} exceeds cap {state_cap}")
-        self.instance = instance
+    def __init__(self, instance: Instance):
+        self.schedule = instance.schedule
+        self.horizon, self.num_activities = instance.horizon, instance.num_activities
         self.dims = tuple(c + 1 for c in instance.capacities)
-        self.num_states = n_entries // (instance.horizon + 1)
+        self.num_states = state_space_size(instance) // (instance.horizon + 1)
         radices = mixed_radix_radices(instance.capacities)
         self.items = np.arange(self.num_states)[:, None] // np.array(radices) % np.array(self.dims)
         self._layouts = {n: _binomial_layout(n) for n in set(self.dims)}
@@ -195,17 +214,16 @@ class BellmanOperator:
                 [rew.w(y) for y in map(tuple, (caps - self.items).tolist())], dtype=np.float64
             )
         elif isinstance(rew, GeneralTabulatedReward):
-            self.tabulated = self._dense_rewards(rew, radices)
+            self.tabulated = self._dense_rewards(rew, instance.capacities, radices)
         else:
             raise ConfigError(f"unknown reward spec {type(rew).__name__}")
         if self.weights is not None:  # (horizon, M) weights times (M, S) item counts
             self._counts = self.items.T.astype(np.float64)
 
-    def _dense_rewards(self, rew: GeneralTabulatedReward, radices: tuple[int, ...]) -> np.ndarray:
+    def _dense_rewards(self, rew: GeneralTabulatedReward, caps, radices) -> np.ndarray:
         """g[t, index(x), index(x')] for t < horizon; every x' <= x needs an entry."""
-        T, S = self.instance.horizon, self.num_states
+        T, S = self.horizon, self.num_states
         M = len(self.dims)
-        caps = self.instance.capacities
         rows = np.array(
             [(*x, *x_next, t, value) for (x, x_next, t), value in rew.table.items()
              if len(x) == len(x_next) == M],
@@ -237,7 +255,7 @@ class BellmanOperator:
             return g
         if self.potential is not None:
             g = self.potential[x_next] - self.potential[x]
-            return np.broadcast_to(g, (self.instance.horizon, len(g)))
+            return np.broadcast_to(g, (self.horizon, len(g)))
         return self.tabulated[:, x, x_next]
 
     def states(self) -> list[tuple[int, ...]]:
@@ -248,7 +266,7 @@ class BellmanOperator:
 
     def q(self, t: int, v_next: np.ndarray | None, acts: np.ndarray) -> np.ndarray:
         """Q_t(., a) for each a in acts, shape (len(acts), S); v_next=None means V = 0."""
-        p = self.instance.schedule[t, acts]
+        p = self.schedule[t, acts]
         mats = [self._matrices(p[:, m], n) for m, n in enumerate(self.dims)]
         if self.potential is not None:
             return self._expect(mats, v_next, self.potential)
@@ -294,35 +312,13 @@ class BellmanOperator:
 
     def epoch(self, t: int, v_next: np.ndarray | None, acts=None) -> "Epoch":
         if acts is None:
-            acts = np.arange(self.instance.num_activities)
+            acts = np.arange(self.num_activities)
         return Epoch(self, t, v_next, acts)
-
-    def policy_choices(self, policy, t: int) -> np.ndarray:
-        """policy.select at every state of epoch t."""
-        instance = self.instance
-        choice = np.fromiter(
-            (policy.select(State(x, t), instance) for x in self.states()),
-            dtype=np.int32,
-            count=self.num_states,
-        )
-        if choice.min() < 0 or choice.max() >= instance.num_activities:
-            raise DomainError(f"policy {getattr(policy, 'name', policy)!r} chose an unknown activity")
-        return choice
 
     def used(self, choice: np.ndarray) -> np.ndarray:
         """The distinct activities in choice, ascending."""
         # np.unique would import numpy.ma, a few MB of resident memory.
-        return np.flatnonzero(np.bincount(choice, minlength=self.instance.num_activities))
-
-    def table(self, values: np.ndarray, chosen: np.ndarray) -> ValueTable:
-        return ValueTable(
-            capacities=self.instance.capacities,
-            horizon=self.instance.horizon,
-            num_activities=self.instance.num_activities,
-            fingerprint=instance_fingerprint(self.instance),
-            values=values,
-            best_activity=chosen,
-        )
+        return np.flatnonzero(np.bincount(choice, minlength=self.num_activities))
 
 
 def _binomial_layout(n: int):
@@ -405,8 +401,19 @@ def lowest_tied(epoch: Epoch) -> tuple[np.ndarray, np.ndarray]:
 
 def _empty_table(op: BellmanOperator) -> tuple[np.ndarray, np.ndarray]:
     # Column-major, so the epoch columns the sweep reads and writes are contiguous.
-    S, T = op.num_states, op.instance.horizon
+    S, T = op.num_states, op.horizon
     return np.zeros((S, T + 1), order="F"), np.full((S, T), -1, dtype=np.int32, order="F")
+
+
+def _value_table(instance: Instance, values: np.ndarray, chosen: np.ndarray) -> ValueTable:
+    return ValueTable(
+        capacities=instance.capacities,
+        horizon=instance.horizon,
+        num_activities=instance.num_activities,
+        fingerprint=instance_fingerprint(instance),
+        values=values,
+        best_activity=chosen,
+    )
 
 
 def solve_clairvoyant(
@@ -420,11 +427,11 @@ def solve_clairvoyant(
     TIE_TOL * max(1, |J*|) of the maximum J*(x, t), so rounding noise in the
     summation order never decides between activities that tie exactly.
     """
-    op = BellmanOperator(instance, state_cap)
+    op = bellman_operator(instance, state_cap)
     values, chosen = _empty_table(op)
     for t in range(instance.horizon - 1, -1, -1):
         values[:, t], chosen[:, t] = lowest_tied(op.epoch(t, values[:, t + 1]))
-    return op.table(values, chosen)
+    return _value_table(instance, values, chosen)
 
 
 def evaluate_policy_exact(
@@ -433,28 +440,35 @@ def evaluate_policy_exact(
     *,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> ValueTable:
-    """Exact J^pi via the same recursion with the policy's activity fixed."""
-    op = BellmanOperator(instance, state_cap)
+    """Exact J^pi via the same recursion with the policy's activity fixed.
+
+    The activities come from policy.decisions (stodep.policies.Policy), one
+    column per epoch.
+    """
+    op = bellman_operator(instance, state_cap)
+    decisions = policy.decisions(instance, state_cap)
     values, chosen = _empty_table(op)
+    chosen[:] = decisions
     for t in range(instance.horizon - 1, -1, -1):
-        choice = op.policy_choices(policy, t)
+        choice = chosen[:, t]
         values[:, t] = op.epoch(t, values[:, t + 1], op.used(choice)).at(choice)
-        chosen[:, t] = choice
-    table = op.table(values, chosen)
+    table = _value_table(instance, values, chosen)
     table.policy_name = getattr(policy, "name", str(policy))
     return table
 
 
 def one_step_decisions(
-    instance: Instance, rule: Callable[[Epoch], np.ndarray]
+    instance: Instance,
+    rule: Callable[[Epoch], np.ndarray],
+    state_cap: int = DEFAULT_STATE_CAP,
 ) -> np.ndarray:
     """(num_states, horizon) activity table from rule applied to Q with V = 0.
 
     Q is then the expected one-step reward, which is what the myopic
     policies rank.
     """
-    op = BellmanOperator(instance)
-    table = np.empty((op.num_states, instance.horizon), dtype=np.int32)
+    op = bellman_operator(instance, state_cap)
+    table = np.empty((op.num_states, instance.horizon), dtype=np.int32, order="F")
     for t in range(instance.horizon):
         table[:, t] = rule(op.epoch(t, None))
     if table.min() < 0:
@@ -497,9 +511,10 @@ def audit_table(
     max(tol, tie_slack(maximum)); otherwise against the policy's fixed choice.
     """
     table.require_match(instance)
-    op = BellmanOperator(instance, state_cap=2**62)
+    op = bellman_operator(instance, state_cap=2**62)  # the table already holds every state
     states = op.states()
     T = instance.horizon
+    decisions = None if policy is None else policy.decisions(instance, state_cap=2**62)
     failures: list[dict] = []
     max_residual = 0.0
     for t in range(T - 1, -1, -1):
@@ -512,7 +527,7 @@ def audit_table(
             attained = epoch.at(stored_a)
             wrong_activity = ~(target - attained <= np.maximum(tol, tie_slack(target)))
         else:
-            choice = op.policy_choices(policy, t)
+            choice = decisions[:, t]
             target = op.epoch(t, v_next, op.used(choice)).at(choice)
             wrong_activity = stored_a != choice
         residual = np.abs(stored - target)

@@ -7,16 +7,17 @@ depleted per type is an independent Binomial(x_m, p_m) draw; outcomes across
 types are independent, so the joint law is the product of binomial pmfs.
 
 All operations here are pure functions of their inputs; random sampling takes
-an explicit numpy Generator.  Instances should be treated as immutable once
-constructed.
+an explicit numpy Generator.  Instances are immutable, so data derived from
+one (its fingerprint, its Bellman operator) is computed once and kept on it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Sequence
+from dataclasses import dataclass, field, fields
+from types import MappingProxyType
+from typing import Any, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,7 +58,25 @@ class State(NamedTuple):
     epoch: int
 
 
-@dataclass(eq=False)
+def freeze(value: Any) -> Any:
+    """Read-only deep copy of JSON-like data: mappings become proxies, lists tuples."""
+    if isinstance(value, Mapping):
+        return MappingProxyType({k: freeze(v) for k, v in value.items()})
+    if isinstance(value, (list, tuple)):
+        return tuple(freeze(v) for v in value)
+    return value
+
+
+def thaw(value: Any) -> Any:
+    """Plain JSON-ready copy of frozen data: mappings become dicts, tuples lists."""
+    if isinstance(value, Mapping):
+        return {k: thaw(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [thaw(v) for v in value]
+    return value
+
+
+@dataclass(frozen=True, eq=False)
 class Instance:
     """A full stochastic depletion problem over a realized probability schedule.
 
@@ -65,6 +84,11 @@ class Instance:
     constructor enforces shapes and structural limits; value-level rules
     (probability bounds, reward monotonicity, arrival/deadline masking) are
     reported by validate_instance as data, not raised.
+
+    Instances are immutable: assigning a field raises, and the schedule and
+    metadata are read-only copies of what was passed in.  That is what lets
+    stodep.serialize.instance_fingerprint and stodep.dp.bellman_operator
+    compute their results once and keep them on the instance.
     """
 
     num_types: int
@@ -76,14 +100,17 @@ class Instance:
     reward: RewardSpec
     arrivals: tuple[int, ...] | None = None
     deadlines: tuple[int, ...] | None = None
-    metadata: dict = field(default_factory=dict)
+    metadata: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
-        self.num_types = int(self.num_types)
-        self.horizon = int(self.horizon)
-        self.capacities = tuple(int(c) for c in self.capacities)
-        self.initial_items = tuple(int(v) for v in self.initial_items)
-        self.activities = tuple(str(a) for a in self.activities)
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
+        put("num_types", int(self.num_types))
+        put("horizon", int(self.horizon))
+        put("capacities", tuple(int(c) for c in self.capacities))
+        put("initial_items", tuple(int(v) for v in self.initial_items))
+        put("activities", tuple(str(a) for a in self.activities))
         if self.num_types < 1:
             raise ConfigError("num_types must be >= 1")
         if self.horizon < 1:
@@ -98,28 +125,32 @@ class Instance:
             raise ConfigError(f"per-type capacity is capped at {MAX_CAPACITY}")
         if any(c < 0 for c in self.capacities):
             raise ConfigError("capacities must be non-negative")
-        # A private read-only copy: _rows, the fingerprint and the solver's
-        # transition matrices are all derived from it.
-        self.schedule = np.array(self.schedule, dtype=np.float64)
-        self.schedule.flags.writeable = False
+        schedule = np.array(self.schedule, dtype=np.float64)
+        schedule.flags.writeable = False
+        put("schedule", schedule)
         expected = (self.horizon, len(self.activities), self.num_types)
-        if self.schedule.shape != expected:
+        if schedule.shape != expected:
             raise ConfigError(
-                f"schedule shape {self.schedule.shape} != (horizon, activities, types) {expected}"
+                f"schedule shape {schedule.shape} != (horizon, activities, types) {expected}"
             )
         if self.arrivals is not None:
-            self.arrivals = tuple(int(v) for v in self.arrivals)
+            put("arrivals", tuple(int(v) for v in self.arrivals))
             if len(self.arrivals) != self.num_types:
                 raise ConfigError("arrivals must have one entry per type")
         if self.deadlines is not None:
-            self.deadlines = tuple(int(v) for v in self.deadlines)
+            put("deadlines", tuple(int(v) for v in self.deadlines))
             if len(self.deadlines) != self.num_types:
                 raise ConfigError("deadlines must have one entry per type")
+        put("metadata", freeze(self.metadata))
         # Plain-float view of the schedule for the hot loops.
-        self._rows = tuple(
-            tuple(tuple(float(p) for p in self.schedule[t, a]) for a in range(len(self.activities)))
+        put("_rows", tuple(
+            tuple(tuple(float(p) for p in schedule[t, a]) for a in range(len(self.activities)))
             for t in range(self.horizon)
-        )
+        ))
+
+    def __reduce__(self):
+        # Pickled as its constructor arguments, so derived data stays behind.
+        return Instance, tuple(thaw(getattr(self, f.name)) for f in fields(self))
 
     @property
     def num_activities(self) -> int:

@@ -2,7 +2,9 @@
 
 Every policy is a total mapping (state, instance) -> activity index with a
 stable name; the same inputs always produce the same choice, so exact policy
-evaluation and seeded simulation are reproducible.
+evaluation and seeded simulation are reproducible.  Exact evaluation reads a
+policy through its decision table (Policy.decisions), which the myopic,
+approximate-myopic and optimal policies hold already.
 """
 
 from __future__ import annotations
@@ -11,9 +13,9 @@ import weakref
 
 import numpy as np
 
-from .dp import Epoch, lowest_tied, one_step_decisions, tie_slack
+from .dp import Epoch, bellman_operator, lowest_tied, one_step_decisions, tie_slack
 from .errors import ConfigError, DomainError
-from .model import Instance, State
+from .model import DEFAULT_STATE_CAP, Instance, State
 
 
 class Policy:
@@ -23,6 +25,26 @@ class Policy:
 
     def select(self, state: State, instance: Instance) -> int:
         raise NotImplementedError
+
+    def decisions(self, instance: Instance, state_cap: int = DEFAULT_STATE_CAP) -> np.ndarray:
+        """(num_states, horizon) table of the activity chosen at each (state index, t).
+
+        Built here from select at every state; range-checked.
+        """
+        op = bellman_operator(instance, state_cap)
+        table = np.empty((op.num_states, instance.horizon), dtype=np.int32, order="F")
+        for t in range(instance.horizon):
+            table[:, t] = np.fromiter(
+                (self.select(State(x, t), instance) for x in op.states()),
+                dtype=np.int32,
+                count=op.num_states,
+            )
+        return self._in_range(table, instance)
+
+    def _in_range(self, table: np.ndarray, instance: Instance) -> np.ndarray:
+        if table.min() < 0 or table.max() >= instance.num_activities:
+            raise DomainError(f"policy {self.name!r} chose an unknown activity")
+        return table
 
 
 class _DecisionTable(Policy):
@@ -35,16 +57,25 @@ class _DecisionTable(Policy):
     def __init__(self):
         self._memo: weakref.WeakKeyDictionary[Instance, np.ndarray] = weakref.WeakKeyDictionary()
 
-    def _decisions(self, instance: Instance) -> np.ndarray:
+    def _decisions(self, instance: Instance, state_cap: int) -> np.ndarray:
         raise NotImplementedError
+
+    def _table(self, instance: Instance, state_cap: int = DEFAULT_STATE_CAP) -> np.ndarray:
+        table = self._memo.get(instance)
+        if table is None:
+            table = self._in_range(self._decisions(instance, state_cap), instance)
+            dims = tuple(c + 1 for c in instance.capacities)
+            # Fortran order makes table[x_0, ..., x_{M-1}, t] the mixed-radix entry.
+            table = self._memo[instance] = table.reshape(dims + (instance.horizon,), order="F")
+        return table
+
+    def decisions(self, instance: Instance, state_cap: int = DEFAULT_STATE_CAP) -> np.ndarray:
+        return self._table(instance, state_cap).reshape(-1, instance.horizon, order="F")
 
     def select(self, state: State, instance: Instance) -> int:
         table = self._memo.get(instance)
         if table is None:
-            dims = tuple(c + 1 for c in instance.capacities)
-            # Fortran order makes table[x_0, ..., x_{M-1}, t] the mixed-radix entry.
-            table = self._decisions(instance).reshape(dims + (instance.horizon,), order="F")
-            self._memo[instance] = table
+            table = self._table(instance)
         key = state.items + (state.epoch,)
         # A negative index would wrap around; item() reads a 1-tuple as a flat index.
         if len(key) == table.ndim and min(key) >= 0:
@@ -58,15 +89,16 @@ class _DecisionTable(Policy):
 class _OneStepPolicy(_DecisionTable):
     """A rule on expected one-step rewards, precomputed as a decision table.
 
-    The table comes from one Bellman sweep with V = 0 the first time an
-    instance is seen.  Ties follow the solver's rule (see stodep.dp.TIE_TOL).
+    The table comes from one sweep with V = 0 of the instance's Bellman
+    operator the first time an instance is seen.  Ties follow the solver's
+    rule (see stodep.dp.TIE_TOL).
     """
 
     def _rule(self, epoch: Epoch) -> np.ndarray:
         raise NotImplementedError
 
-    def _decisions(self, instance: Instance) -> np.ndarray:
-        return one_step_decisions(instance, self._rule)
+    def _decisions(self, instance: Instance, state_cap: int) -> np.ndarray:
+        return one_step_decisions(instance, self._rule, state_cap)
 
 
 class MyopicPolicy(_OneStepPolicy):
@@ -112,7 +144,7 @@ class TablePolicy(_DecisionTable):
         super().__init__()
         self.table = table
 
-    def _decisions(self, instance: Instance) -> np.ndarray:
+    def _decisions(self, instance: Instance, state_cap: int) -> np.ndarray:
         self.table.require_match(instance)
         return self.table.best_activity
 

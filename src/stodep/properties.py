@@ -23,14 +23,15 @@ import numpy as np
 from .errors import ConfigError, EnumerationCapExceeded
 from .model import DEFAULT_STATE_CAP, Instance, _iter_box, exceeds, reward_rules
 from .rewards import SubmodularReward
-from .dp import BellmanOperator, ValueTable, decode_state, evaluate_policy_exact, solve_clairvoyant
+from .dp import ValueTable, bellman_operator, decode_state, evaluate_policy_exact, solve_clairvoyant
 from .serialize import instance_fingerprint
 
 DEFAULT_TOL = 1e-9
 DEFAULT_PAIR_CAP = 10**7
 
-# Candidate (x, x', t) triples per block of check_ir: bounds its working set
-# at a few such arrays of doubles whatever the size of the table.
+# Candidate (x, x', t) triples per block of check_ir, and candidate (y, y')
+# pairs per block of check_submodular: bounds their working sets at a few
+# such arrays whatever the size of the table or the box.
 _BLOCK = 2**16
 
 
@@ -187,7 +188,7 @@ def check_ir(
         pairs *= (c + 1) * (c + 2) // 2
     if pairs > pair_cap:
         raise EnumerationCapExceeded(f"(x, alpha) enumeration {pairs} exceeds cap {pair_cap}")
-    op = BellmanOperator(instance, state_cap=2**62)  # the table already holds every state
+    op = bellman_operator(instance, state_cap=2**62)  # the table already holds every state
     items, values = op.items, table.values
     S = len(items)
     rows = max(1, _BLOCK // (S * (T + 1)))
@@ -218,7 +219,10 @@ def check_submodular(
     Checks w(y + e_m) >= w(y) and, for every comparable pair y' <= y,
     w(y + e_m) - w(y) <= w(y' + e_m) - w(y').  On the integer lattice the
     unit-increment form implies the general vector form by telescoping the
-    increment one coordinate at a time.
+    increment one coordinate at a time.  w is read once at each point of the
+    box and one unit step above it along each axis; the pairs are compared as
+    arrays, a block of y at a time.  Violations are listed by y, then y'
+    (both lexicographically), then m, monotonicity first.
     """
     if not isinstance(reward, SubmodularReward):
         raise ConfigError("check_submodular applies to the submodular reward variant")
@@ -226,26 +230,35 @@ def check_submodular(
     M = len(bound)
     points = list(_iter_box(bound))
     w = reward.w
+    base = np.array([w(y) for y in points], dtype=np.float64)
+    up = np.array(
+        [w(y[:m] + (y[m] + 1,) + y[m + 1:]) for y in points for m in range(M)], dtype=np.float64
+    ).reshape(len(points), M)
+    gain = up - base[:, None]  # w(y + e_m) - w(y)
+    box = np.array(points).reshape(len(points), M)
+    rows = max(1, _BLOCK // len(points))
 
-    def up(y, m):
-        return tuple(v + (1 if i == m else 0) for i, v in enumerate(y))
+    def chunks():
+        yield (
+            np.broadcast_to(base[:, None], up.shape),
+            up,
+            lambda i: {"kind": "monotonicity", "y": list(points[i // M]), "m": i % M},
+        )
+        for lo in range(0, len(points), rows):
+            below = (box[lo:lo + rows, None, :] >= box[None, :, :]).all(axis=2)
+            y, y_lo = np.nonzero(below)
+            y += lo
+            keep = y != y_lo
+            y, y_lo = y[keep], y_lo[keep]
 
-    mono = [(y, m) for y in points for m in range(M)]
-    dr = [(y, y_lo, m) for y in points for y_lo in _iter_box(y) if y_lo != y for m in range(M)]
-    chunks = [
-        (
-            [w(y) for y, m in mono],
-            [w(up(y, m)) for y, m in mono],
-            lambda i: {"kind": "monotonicity", "y": list(mono[i][0]), "m": mono[i][1]},
-        ),
-        (
-            [w(up(y, m)) - w(y) for y, _, m in dr],
-            [w(up(y_lo, m)) - w(y_lo) for _, y_lo, m in dr],
-            lambda i: {"kind": "diminishing_returns", "y": list(dr[i][0]),
-                       "y_prime": list(dr[i][1]), "m": dr[i][2]},
-        ),
-    ]
-    return _report("submodular", f"reward:{reward.label}", tol, chunks)
+            def witness(i, y=y, y_lo=y_lo):
+                k, m = divmod(i, M)
+                return {"kind": "diminishing_returns", "y": list(points[y[k]]),
+                        "y_prime": list(points[y_lo[k]]), "m": m}
+
+            yield gain[y], gain[y_lo], witness
+
+    return _report("submodular", f"reward:{reward.label}", tol, chunks())
 
 
 def check_assumption1(instance: Instance, tol: float = DEFAULT_TOL) -> PropertyReport:

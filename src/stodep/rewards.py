@@ -5,12 +5,17 @@ vector of remaining items moves from x to x'.  Every variant returns 0 at the
 terminal epoch (t == horizon), and is non-negative and non-increasing in t on
 valid data; `stodep.model.validate_instance` and the property checkers verify
 those facts rather than assuming them.
+
+The reward specs and the coverage and budgeted evaluators are frozen: an
+instance's fingerprint and solver data are computed once, so the data they
+are computed from cannot change.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 from .errors import ConfigError, DomainError
 
@@ -36,7 +41,7 @@ class RewardSpec:
         raise NotImplementedError
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LinearReward(RewardSpec):
     """Per-item depletion rewards, constant over epochs: g = sum_m w_m (x_m - x'_m).
 
@@ -50,7 +55,7 @@ class LinearReward(RewardSpec):
     kind = "linear"
 
     def __post_init__(self):
-        self.weights = tuple(float(v) for v in self.weights)
+        object.__setattr__(self, "weights", tuple(float(v) for v in self.weights))
 
     def amount(self, x, x_next, t, *, horizon, capacities) -> float:
         if t >= horizon:
@@ -62,7 +67,7 @@ class LinearReward(RewardSpec):
         return {"kind": self.kind, "weights": list(self.weights)}
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LinearDecayingReward(RewardSpec):
     """Per-item rewards that decay over time: g = sum_m w[m][t] (x_m - x'_m).
 
@@ -75,7 +80,8 @@ class LinearDecayingReward(RewardSpec):
     kind = "linear_decaying"
 
     def __post_init__(self):
-        self.weights = tuple(tuple(float(v) for v in row) for row in self.weights)
+        weights = tuple(tuple(float(v) for v in row) for row in self.weights)
+        object.__setattr__(self, "weights", weights)
 
     def amount(self, x, x_next, t, *, horizon, capacities) -> float:
         if t >= horizon:
@@ -87,7 +93,7 @@ class LinearDecayingReward(RewardSpec):
         return {"kind": self.kind, "weights": [list(row) for row in self.weights]}
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CoverageFunction:
     """Weighted-coverage potential: depleting an item of type m covers covers[m].
 
@@ -102,16 +108,15 @@ class CoverageFunction:
     kind = "submodular_coverage"
 
     def __post_init__(self):
-        self.covers = tuple(frozenset(int(e) for e in c) for c in self.covers)
-        self.element_weights = tuple(float(v) for v in self.element_weights)
+        covers = tuple(frozenset(int(e) for e in c) for c in self.covers)
+        object.__setattr__(self, "covers", covers)
+        object.__setattr__(self, "element_weights", tuple(float(v) for v in self.element_weights))
         if len(self.element_weights) != self.num_elements:
             raise ConfigError("element_weights length must equal num_elements")
-        for m, cover in enumerate(self.covers):
+        for m, cover in enumerate(covers):
             if any(e < 0 or e >= self.num_elements for e in cover):
                 raise ConfigError(f"covers[{m}] contains an element outside the universe")
-        self._masks = tuple(
-            sum(1 << e for e in cover) for cover in self.covers
-        )
+        object.__setattr__(self, "_masks", tuple(sum(1 << e for e in cover) for cover in covers))
 
     def __call__(self, y: Sequence[int]) -> float:
         mask = 0
@@ -135,7 +140,7 @@ class CoverageFunction:
         }
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class BudgetedLinearFunction:
     """Budget-truncated linear potential: sum_g min(B_g, sum_{m in group g} v_m y_m).
 
@@ -150,9 +155,9 @@ class BudgetedLinearFunction:
     kind = "submodular_budgeted"
 
     def __post_init__(self):
-        self.budgets = tuple(float(b) for b in self.budgets)
-        self.values = tuple(float(v) for v in self.values)
-        self.groups = tuple(int(g) for g in self.groups)
+        object.__setattr__(self, "budgets", tuple(float(b) for b in self.budgets))
+        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "groups", tuple(int(g) for g in self.groups))
         if len(self.values) != len(self.groups):
             raise ConfigError("values and groups must have one entry per type")
         if any(g < 0 or g >= len(self.budgets) for g in self.groups):
@@ -192,6 +197,7 @@ class SetFunctionEvaluator:
         return float(self.fn(frozenset(m for m, v in enumerate(y) if v > 0)))
 
 
+@dataclass(frozen=True, eq=False)
 class SubmodularReward(RewardSpec):
     """Rewards that telescope through a potential of cumulative depletions.
 
@@ -200,13 +206,17 @@ class SubmodularReward(RewardSpec):
     per type) to a value; it should be monotone and submodular (checkable with
     stodep.properties.check_submodular).  Built-in evaluators: CoverageFunction,
     BudgetedLinearFunction, SetFunctionEvaluator; any callable works in memory
-    but only built-in forms serialize.
+    but only built-in forms serialize.  The potential is memoized, so a custom
+    evaluator must be a pure function.
     """
 
-    def __init__(self, evaluator: Callable[[Sequence[int]], float], label: str | None = None):
-        self.evaluator = evaluator
-        self.label = label if label is not None else getattr(evaluator, "label", "custom")
-        self._cache: dict[tuple[int, ...], float] = {}
+    evaluator: Callable[[Sequence[int]], float]
+    label: str | None = None
+    _cache: dict[tuple[int, ...], float] = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.label is None:
+            object.__setattr__(self, "label", getattr(self.evaluator, "label", "custom"))
 
     @property
     def kind(self) -> str:
@@ -236,23 +246,30 @@ class SubmodularReward(RewardSpec):
         return spec()
 
 
+@dataclass(frozen=True, eq=False)
 class GeneralTabulatedReward(RewardSpec):
     """Explicit table of g(x, x', t) over the finite reduced domain.
 
     Keys are (x, x', t) with x' <= x <= capacities componentwise and
     0 <= t <= horizon.  Entries at t == horizon may be omitted and default to 0;
     a missing entry below the horizon is a domain error (and is reported as a
-    violation by validate_instance).
+    violation by validate_instance).  table is a read-only copy of the mapping
+    passed in.
     """
+
+    table: Mapping[tuple[tuple[int, ...], tuple[int, ...], int], float]
 
     kind = "general_tabulated"
 
-    def __init__(self, table: Mapping[tuple, float]):
-        self.table: dict[tuple[tuple[int, ...], tuple[int, ...], int], float] = {}
-        for (x, x_next, t), value in table.items():
-            self.table[(tuple(int(v) for v in x), tuple(int(v) for v in x_next), int(t))] = float(
-                value
-            )
+    def __post_init__(self):
+        table = {
+            (tuple(int(v) for v in x), tuple(int(v) for v in x_next), int(t)): float(value)
+            for (x, x_next, t), value in self.table.items()
+        }
+        object.__setattr__(self, "table", MappingProxyType(table))
+
+    def __reduce__(self):
+        return GeneralTabulatedReward, (dict(self.table),)
 
     @classmethod
     def from_potential(

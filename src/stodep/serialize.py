@@ -4,6 +4,7 @@ Numbers are serialized as shortest round-trip decimals (Python's default JSON
 float formatting), so a save/load cycle reproduces the in-memory floats
 bit-exactly.  The fingerprint is the SHA-256 of the canonical serialization
 (sorted keys, no whitespace) and binds solver outputs to their instance.
+Instances are immutable, so it is computed once per instance and kept on it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 from typing import IO, Mapping
 
 from .errors import ConfigError
-from .model import Instance, _iter_box, validate_instance
+from .model import Instance, _iter_box, thaw, validate_instance
 from .rewards import reward_from_dict
 
 
@@ -27,7 +28,7 @@ def instance_to_dict(instance: Instance) -> dict:
         "activities": list(instance.activities),
         "schedule": instance.schedule.tolist(),
         "reward": instance.reward.spec_dict(),
-        "metadata": instance.metadata,
+        "metadata": thaw(instance.metadata),
     }
     if instance.arrivals is not None:
         out["arrivals"] = list(instance.arrivals)
@@ -90,7 +91,7 @@ def _fingerprint_payload(instance: Instance) -> dict:
         "horizon": instance.horizon,
         "activities": list(instance.activities),
         "schedule": instance.schedule.tolist(),
-        "metadata": instance.metadata,
+        "metadata": thaw(instance.metadata),
     }
     if instance.arrivals is not None:
         payload["arrivals"] = list(instance.arrivals)
@@ -112,6 +113,15 @@ def _fingerprint_payload(instance: Instance) -> dict:
 
 
 def instance_fingerprint(instance: Instance) -> str:
-    """SHA-256 hex digest of the canonical serialization."""
-    canonical = json.dumps(_fingerprint_payload(instance), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    """SHA-256 hex digest of the canonical serialization.
+
+    The digest is computed on the first call and kept on the instance, in
+    the way functools.cached_property keeps a value.
+    """
+    cache = vars(instance)
+    digest = cache.get("_fingerprint")
+    if digest is None:
+        payload = _fingerprint_payload(instance)
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        digest = cache["_fingerprint"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return digest

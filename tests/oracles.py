@@ -171,3 +171,27 @@ def ratio_oracle(instance, star_values, policy_values):
                 max_ratio = star / pol
                 worst_state = {"x": list(x), "t": t, "j_star": star, "j_policy": pol}
     return max_ratio, worst_state, zero_states, checked
+
+
+def submodular_oracle(reward, bound, tol):
+    """w(y) <= w(y + e_m), then w(y + e_m) - w(y) <= w(y' + e_m) - w(y') for y' <= y, y' != y."""
+    box = list(itertools.product(*(range(b + 1) for b in bound)))
+    w = reward.w
+
+    def up(y, m):
+        return y[:m] + (y[m] + 1,) + y[m + 1:]
+
+    def pairs():
+        for y in box:
+            for m in range(len(y)):
+                yield {"kind": "monotonicity", "y": list(y), "m": m}, w(y), w(up(y, m))
+        for y in box:
+            for y_lo in itertools.product(*(range(v + 1) for v in y)):
+                if y_lo == y:
+                    continue
+                for m in range(len(y)):
+                    witness = {"kind": "diminishing_returns", "y": list(y),
+                               "y_prime": list(y_lo), "m": m}
+                    yield witness, w(up(y, m)) - w(y), w(up(y_lo, m)) - w(y_lo)
+
+    return _certificate(pairs(), tol)

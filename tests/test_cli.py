@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -303,3 +307,13 @@ def test_check_submodular_property_via_cli(tmp_path, capsys):
     assert main(["check", "--instance", str(out), "--properties", "submodular,vfm", "--strict"]) == 0
     text = capsys.readouterr().out
     assert "submodular: pass" in text and "vfm: pass" in text
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-m", "stodep", "--help"], capture_output=True,
+                         text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("usage: stodep")

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -263,3 +265,67 @@ def test_audit_rejects_one_perturbed_entry(inst, data):
     t = data.draw(st.integers(0, inst.horizon))
     table.values[si, t] += 1e-6 * max(1.0, abs(table.values[si, t]))
     assert not audit_table(inst, table).passed
+
+
+# ------------------------------------------------ per-instance reuse and lifetime
+
+
+@pytest.mark.parametrize("name", ["myopic", "approx:2", "optimal"])
+def test_table_policies_are_evaluated_without_select(name, monkeypatch):
+    inst = random_linear_decaying_instance(10)
+    policy = stodep.policy_from_name(name, table=solve_clairvoyant(inst))
+    expected = evaluate_policy_exact(inst, policy)
+
+    def no_select(state, instance):
+        raise AssertionError("select called during evaluation")
+
+    monkeypatch.setattr(policy, "select", no_select)
+    again = evaluate_policy_exact(inst, policy)
+    assert np.array_equal(again.values, expected.values)
+    assert np.array_equal(again.best_activity, expected.best_activity)
+    assert audit_table(inst, again, policy=policy).passed
+
+
+def test_one_instance_builds_one_operator_and_one_fingerprint(monkeypatch):
+    built, hashed = [], []
+    real_operator = stodep.dp.BellmanOperator
+    real_payload = stodep.serialize._fingerprint_payload
+
+    def operator(instance):
+        built.append(instance)
+        return real_operator(instance)
+
+    def payload(instance):
+        hashed.append(instance)
+        return real_payload(instance)
+
+    monkeypatch.setattr(stodep.dp, "BellmanOperator", operator)
+    monkeypatch.setattr(stodep.serialize, "_fingerprint_payload", payload)
+    inst = random_linear_decaying_instance(10)
+    table = solve_clairvoyant(inst)
+    for policy in (myopic_policy(), stodep.approx_myopic_policy(2.0), stodep.RoundRobinPolicy()):
+        evaluate_policy_exact(inst, policy)
+    assert stodep.check_ir(inst, table).passed
+    assert audit_table(inst, table).passed
+    assert built == [inst] and hashed == [inst]
+
+
+def test_cap_is_checked_on_every_call():
+    inst = random_linear_decaying_instance(10)
+    solve_clairvoyant(inst)  # builds and keeps the operator
+    with pytest.raises(StateSpaceCapExceeded):
+        solve_clairvoyant(inst, state_cap=1)
+    with pytest.raises(StateSpaceCapExceeded):
+        evaluate_policy_exact(inst, stodep.RoundRobinPolicy(), state_cap=1)
+
+
+def test_solved_instance_is_freed():
+    inst = random_linear_decaying_instance(10)
+    table = solve_clairvoyant(inst)
+    for policy in (myopic_policy(), optimal_policy_from_table(table)):
+        evaluate_policy_exact(inst, policy)
+    assert audit_table(inst, table).passed
+    ref = weakref.ref(inst)
+    del inst
+    gc.collect()
+    assert ref() is None

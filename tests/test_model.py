@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -97,6 +98,78 @@ def test_schedule_is_read_only():
     source[0, 0, 0] = 0.9  # the instance holds its own copy
     assert inst.probability_row(0, 0) == (0.5,)
     assert stodep.instance_fingerprint(inst) == fingerprint
+
+
+def test_instance_fields_cannot_be_assigned(worst_case_tenth):
+    for f in dataclasses.fields(worst_case_tenth):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(worst_case_tenth, f.name, getattr(worst_case_tenth, f.name))
+
+
+def test_new_reward_cannot_reach_a_seen_instance():
+    inst = stodep.apps.random_linear_decaying_instance(10)
+    policy = stodep.myopic_policy()
+    before = stodep.evaluate_policy_exact(inst, policy)
+    doubled = LinearDecayingReward(tuple(tuple(2 * w for w in row) for row in inst.reward.weights))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inst.reward = doubled
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inst.reward.weights = doubled.weights
+    after = stodep.evaluate_policy_exact(inst, policy)
+    assert np.array_equal(after.values, before.values) and after.fingerprint == before.fingerprint
+    # The supported way to change a field builds a new instance, seen afresh.
+    other = dataclasses.replace(inst, reward=doubled)
+    fresh = stodep.evaluate_policy_exact(other, stodep.myopic_policy())
+    assert np.allclose(stodep.evaluate_policy_exact(other, policy).values, fresh.values)
+    assert np.allclose(fresh.values, 2 * before.values)
+
+
+def test_metadata_is_a_read_only_copy():
+    source = {"app": "test", "trace": [[1, 2], [3]], "nested": {"k": 1}}
+    inst = make_instance(
+        capacities=(1,), horizon=1, schedule=[[[0.5]]], reward=LinearReward((1.0,)),
+        metadata=source,
+    )
+    fingerprint = stodep.instance_fingerprint(inst)
+    source["app"] = "changed"
+    source["trace"][0].append(9)
+    source["nested"]["k"] = 2
+    with pytest.raises(TypeError):
+        inst.metadata["app"] = "changed"
+    with pytest.raises(TypeError):
+        inst.metadata["nested"]["k"] = 2
+    with pytest.raises(AttributeError):
+        inst.metadata["trace"][0].append(9)
+    fresh = make_instance(
+        capacities=(1,), horizon=1, schedule=[[[0.5]]], reward=LinearReward((1.0,)),
+        metadata={"app": "test", "trace": [[1, 2], [3]], "nested": {"k": 1}},
+    )
+    assert stodep.instance_fingerprint(inst) == fingerprint == stodep.instance_fingerprint(fresh)
+    assert stodep.instance_to_dict(inst)["metadata"] == {
+        "app": "test", "trace": [[1, 2], [3]], "nested": {"k": 1}
+    }
+
+
+def test_reward_specs_are_frozen():
+    source = {((1,), (0,), 0): 1.0, ((1,), (1,), 0): 0.0, ((0,), (0,), 0): 0.0}
+    tab = GeneralTabulatedReward(source)
+    source[((1,), (0,), 0)] = 5.0
+    assert tab.table[((1,), (0,), 0)] == 1.0
+    with pytest.raises(TypeError):
+        tab.table[((1,), (0,), 0)] = 5.0
+    specs = {
+        "weights": LinearReward((1.0,)),
+        "table": tab,
+        "evaluator": SubmodularReward(lambda y: 0.0),
+        "covers": CoverageFunction(1, (frozenset({0}),), (1.0,)),
+        "budgets": BudgetedLinearFunction((1.0,), (1.0,), (0,)),
+    }
+    specs["label"] = specs["evaluator"]
+    for attr, spec in specs.items():
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(spec, attr, getattr(spec, attr))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        LinearDecayingReward(((1.0,),)).weights = ((2.0,),)
 
 
 def test_decaying_weights_must_not_increase():

@@ -30,7 +30,7 @@ from stodep.apps import (
 )
 
 from conftest import make_instance, small_instances
-from oracles import ir_oracle, ratio_oracle, vfm_oracle
+from oracles import ir_oracle, ratio_oracle, submodular_oracle, vfm_oracle
 
 
 def test_vfm_and_ir_hold_on_both_families():
@@ -244,3 +244,50 @@ def test_ratio_matches_scalar_oracle(inst, data):
     expected = ratio_oracle(inst, j_star.values, j_policy.values)
     got = (report.max_ratio, report.worst_state, report.zero_value_states, report.checked)
     assert got == expected
+
+
+@st.composite
+def potentials(draw):
+    """(reward, bound): a built-in evaluator, maybe moved at one point of the box."""
+    M = draw(st.integers(1, 3))
+    bound = tuple(draw(st.integers(0, 2)) for _ in range(M))
+    weight = st.floats(0.0, 2.0)
+    if draw(st.booleans()):
+        n = M + 1
+        covers = tuple(frozenset(draw(st.sets(st.integers(0, n - 1), max_size=n))) for _ in range(M))
+        evaluator = CoverageFunction(n, covers, tuple(draw(weight) for _ in range(n)))
+    else:
+        evaluator = BudgetedLinearFunction(
+            budgets=(draw(st.one_of(st.just(math.inf), st.floats(0.5, 3.0))), draw(weight)),
+            values=tuple(draw(weight) for _ in range(M)),
+            groups=tuple(draw(st.integers(0, 1)) for _ in range(M)),
+        )
+    if not draw(st.booleans()):
+        return SubmodularReward(evaluator), bound
+    # One point of the box or just above it takes another value.
+    at = tuple(draw(st.integers(0, b + 1)) for b in bound)
+    delta = draw(st.sampled_from([-0.5, -1e-6, 1e-6, 0.5, math.nan]))
+
+    def moved(y):
+        return evaluator(y) + (delta if tuple(y) == at else 0.0)
+
+    return SubmodularReward(moved, label="moved"), bound
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=potentials())
+def test_submodular_matches_scalar_oracle(case):
+    reward, bound = case
+    checked, worst, violations = submodular_oracle(reward, bound, 1e-9)
+    report = check_submodular(reward, bound)
+    assert report.checked == checked
+    assert report.worst_gap == worst
+    got = [(v.witness, v.lhs, v.rhs) for v in report.violations]
+    assert len(got) == len(violations)
+    for (witness, lhs, rhs), (o_witness, o_lhs, o_rhs, _) in zip(got, violations):
+        assert witness == o_witness
+        assert np.array_equal([lhs, rhs], [o_lhs, o_rhs], equal_nan=True)
+    with mock.patch.object(stodep.properties, "_BLOCK", 1):  # one y per block
+        assert [v.witness for v in check_submodular(reward, bound).violations] == [
+            w for w, *_ in violations
+        ]

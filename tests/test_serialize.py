@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -138,3 +139,30 @@ def test_custom_evaluators_fingerprint_by_their_values():
 def test_missing_field_reported():
     with pytest.raises(ConfigError):
         instance_from_dict({"num_types": 1})
+
+
+def test_save_load_save_is_byte_identical(tmp_path):
+    inst = build_set_cover_instance(["a", "b", "c"], [["a", "b"], ["b", "c"]], 2)
+    assert inst.metadata["cover_sets"]  # nested lists
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_instance(inst, first)
+    save_instance(load_instance(first), second)
+    assert first.read_bytes() == second.read_bytes()
+    # The same bytes as from the plain dict form, whose metadata holds lists.
+    plain = json.dumps(instance_to_dict(inst), indent=2, sort_keys=True) + "\n"
+    assert first.read_text() == plain
+    assert instance_fingerprint(load_instance(first)) == instance_fingerprint(inst)
+
+
+def test_instances_pickle_without_their_derived_data():
+    inst = build_set_cover_instance(["a", "b", "c"], [["a", "b"], ["b", "c"]], 2)
+    tab = make_instance(
+        capacities=(1,), horizon=1, schedule=[[[0.5]]],
+        reward=GeneralTabulatedReward.from_potential(lambda y: float(y[0]), (1,), 1),
+    )
+    for original in (inst, tab):
+        stodep.solve_clairvoyant(original)  # computes the fingerprint and the operator
+        copy = pickle.loads(pickle.dumps(original))
+        assert "_bellman_operator" not in vars(copy) and "_fingerprint" not in vars(copy)
+        assert instance_to_dict(copy) == instance_to_dict(original)
+        assert instance_fingerprint(copy) == instance_fingerprint(original)
