@@ -14,7 +14,7 @@ import json
 import sys
 import time
 
-from .errors import CapExceeded, ConfigError, StodepError
+from .errors import ActivityCapExceeded, CapExceeded, ConfigError, StodepError
 from .model import (
     DEFAULT_ACTIVITY_CAP,
     DEFAULT_STATE_CAP,
@@ -99,6 +99,15 @@ def _load_params(path: str | None) -> dict:
         return json.load(fh)
 
 
+def _load(args, *, validate: bool = True) -> Instance:
+    """The --instance file, with more activities than --cap-activities refused."""
+    instance = load_instance(args.instance, validate=validate)
+    n, cap = instance.num_activities, args.cap_activities
+    if n > cap:
+        raise ActivityCapExceeded(f"{n} activities exceed cap {cap}")
+    return instance
+
+
 def _make_policy(name: str, instance: Instance, state_cap: int):
     if name == "optimal":
         return optimal_policy_from_table(solve_clairvoyant(instance, state_cap=state_cap))
@@ -125,7 +134,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    instance = load_instance(args.instance)
+    instance = _load(args)
     table = solve_clairvoyant(instance, state_cap=args.cap_states)
     j_star = float(table.values[table.state_index(instance.initial_items), 0])
     print(f"J*={j_star!r}")
@@ -142,7 +151,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    instance = load_instance(args.instance)
+    instance = _load(args)
     policy = _make_policy(args.policy, instance, args.cap_states)
     totals = []
     out_fh = open(args.out, "w", encoding="utf-8") if args.out else None
@@ -214,8 +223,8 @@ class _Certifier:
 
 
 def cmd_check(args) -> int:
-    # no up-front validation here: reporting broken structure is what check is for
-    instance = load_instance(args.instance, validate=False)
+    # Only shapes are checked on loading: reporting broken values is what check is for.
+    instance = _load(args, validate=False)
     specs = [_parse_property(s.strip()) for s in args.properties.split(",") if s.strip()]
     certifier = _Certifier(instance, args.tol, args.cap_states, args.policy)
     reports = []
@@ -240,7 +249,7 @@ def _batch_rows(config: dict, args):
     params = config.get("params", {})
     policies = config.get("policies", ["myopic"])
     prop_specs = [_parse_property(s) for s in config.get("properties", [])]
-    tol = float(config.get("tol", DEFAULT_TOL))
+    tol = float(config.get("tol", args.tol))
     if "seeds" in config:
         seeds = [int(s) for s in config["seeds"]]
     else:

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, FingerprintMismatch, StateSpaceCapExceeded
+from .errors import DomainError, FingerprintMismatch, StateSpaceCapExceeded
 from .model import (
     DEFAULT_STATE_CAP,
     Instance,
@@ -201,7 +201,6 @@ class BellmanOperator:
         radices = mixed_radix_radices(instance.capacities)
         self.items = np.arange(self.num_states)[:, None] // np.array(radices) % np.array(self.dims)
         self._layouts = {n: _binomial_layout(n) for n in set(self.dims)}
-        self._states: list[tuple[int, ...]] | None = None
         self.weights = self.potential = self.tabulated = None
         rew = instance.reward
         if isinstance(rew, LinearReward):
@@ -213,10 +212,8 @@ class BellmanOperator:
             self.potential = np.array(
                 [rew.w(y) for y in map(tuple, (caps - self.items).tolist())], dtype=np.float64
             )
-        elif isinstance(rew, GeneralTabulatedReward):
+        else:  # GeneralTabulatedReward; Instance admits no other kind
             self.tabulated = self._dense_rewards(rew, instance.capacities, radices)
-        else:
-            raise ConfigError(f"unknown reward spec {type(rew).__name__}")
         if self.weights is not None:  # (horizon, M) weights times (M, S) item counts
             self._counts = self.items.T.astype(np.float64)
 
@@ -257,12 +254,6 @@ class BellmanOperator:
             g = self.potential[x_next] - self.potential[x]
             return np.broadcast_to(g, (self.horizon, len(g)))
         return self.tabulated[:, x, x_next]
-
-    def states(self) -> list[tuple[int, ...]]:
-        """Item vectors in index order."""
-        if self._states is None:
-            self._states = list(map(tuple, self.items.tolist()))
-        return self._states
 
     def q(self, t: int, v_next: np.ndarray | None, acts: np.ndarray) -> np.ndarray:
         """Q_t(., a) for each a in acts, shape (len(acts), S); v_next=None means V = 0."""
@@ -512,7 +503,6 @@ def audit_table(
     """
     table.require_match(instance)
     op = bellman_operator(instance, state_cap=2**62)  # the table already holds every state
-    states = op.states()
     T = instance.horizon
     decisions = None if policy is None else policy.decisions(instance, state_cap=2**62)
     failures: list[dict] = []
@@ -535,7 +525,7 @@ def audit_table(
         for si in np.flatnonzero(~(residual <= tol) | wrong_activity):
             failures.append(
                 {
-                    "items": list(states[si]),
+                    "items": op.items[si].tolist(),
                     "t": t,
                     "stored": float(stored[si]),
                     "recomputed": float(target[si]),
@@ -546,7 +536,7 @@ def audit_table(
     for si in np.flatnonzero(table.values[:, T] != 0.0):
         stored = float(table.values[si, T])
         failures.append(
-            {"items": list(states[si]), "t": T, "stored": stored, "recomputed": 0.0,
+            {"items": op.items[si].tolist(), "t": T, "stored": stored, "recomputed": 0.0,
              "residual": abs(stored)}
         )
     return AuditReport(

@@ -81,9 +81,10 @@ class Instance:
     """A full stochastic depletion problem over a realized probability schedule.
 
     Fields mirror the canonical JSON form (see stodep.serialize).  The
-    constructor enforces shapes and structural limits; value-level rules
-    (probability bounds, reward monotonicity, arrival/deadline masking) are
-    reported by validate_instance as data, not raised.
+    constructor raises ConfigError on every fault of shape, the reward data's
+    included, and of structural limits; value-level rules (probability bounds,
+    reward monotonicity, arrival/deadline masking) are reported by
+    validate_instance as data, not raised.
 
     Instances are immutable: assigning a field raises, and the schedule and
     metadata are read-only copies of what was passed in.  That is what lets
@@ -141,6 +142,7 @@ class Instance:
             put("deadlines", tuple(int(v) for v in self.deadlines))
             if len(self.deadlines) != self.num_types:
                 raise ConfigError("deadlines must have one entry per type")
+        _check_reward_shape(self.reward, self.num_types, self.horizon)
         put("metadata", freeze(self.metadata))
         # Plain-float view of the schedule for the hot loops.
         put("_rows", tuple(
@@ -162,6 +164,27 @@ class Instance:
 
     def initial_state(self) -> State:
         return State(self.initial_items, 0)
+
+
+def _check_reward_shape(rew: RewardSpec, M: int, T: int) -> None:
+    """Raise ConfigError unless the reward's data has one entry per type (and epoch)."""
+    if isinstance(rew, LinearReward):
+        if len(rew.weights) != M:
+            raise ConfigError(f"reward.weights: length {len(rew.weights)} != num_types {M}")
+    elif isinstance(rew, LinearDecayingReward):
+        if len(rew.weights) != M:
+            raise ConfigError(f"reward.weights: one row per type required, got {len(rew.weights)}")
+        for m, row in enumerate(rew.weights):
+            if len(row) != T:
+                raise ConfigError(f"reward.weights[{m}]: row length {len(row)} != horizon {T}")
+    elif isinstance(rew, SubmodularReward):
+        ev = rew.evaluator
+        if isinstance(ev, CoverageFunction) and len(ev.covers) != M:
+            raise ConfigError(f"reward.covers: one cover per type required, got {len(ev.covers)}")
+        if isinstance(ev, BudgetedLinearFunction) and len(ev.values) != M:
+            raise ConfigError(f"reward.values: one value per type required, got {len(ev.values)}")
+    elif not isinstance(rew, GeneralTabulatedReward):
+        raise ConfigError(f"unknown reward spec {type(rew).__name__}")
 
 
 def state_space_size(instance: Instance) -> int:
@@ -216,7 +239,7 @@ def validate_instance(instance: Instance) -> ValidationReport:
     operation in the package.
     """
     out: list[RuleViolation] = []
-    M, T, A = instance.num_types, instance.horizon, instance.num_activities
+    M, T = instance.num_types, instance.horizon
 
     for m, cap in enumerate(instance.capacities):
         if cap < 1:
@@ -240,19 +263,12 @@ def validate_instance(instance: Instance) -> ValidationReport:
                 out.append(
                     RuleViolation("arrivals/deadlines", (m,), "need 0 <= arrival <= deadline <= horizon")
                 )
-        for t in range(T):
-            for m in range(M):
-                if arrivals[m] <= t < deadlines[m]:
-                    continue
-                for a in range(A):
-                    if sched[t, a, m] != 0.0:
-                        out.append(
-                            RuleViolation(
-                                "schedule",
-                                (t, a, m),
-                                "nonzero probability outside the [arrival, deadline) window",
-                            )
-                        )
+        epochs = np.arange(T)[:, None]
+        outside = (epochs < np.array(arrivals)) | (epochs >= np.array(deadlines))  # (T, M)
+        # The schedule transposed to (T, M, A), so the hits come in (t, m, a) order.
+        for t, m, a in np.argwhere((sched.transpose(0, 2, 1) != 0.0) & outside[:, :, None]):
+            out.append(RuleViolation("schedule", (int(t), int(a), int(m)),
+                                     "nonzero probability outside the [arrival, deadline) window"))
     rules = list(reward_rules(instance))
     lhs, rhs = (np.array([r[k] for r in rules], dtype=np.float64) for k in (3, 4))
     for k in np.flatnonzero(exceeds(lhs, rhs, 0.0)):
@@ -272,8 +288,7 @@ def exceeds(lhs, rhs, tol):
         return ~(np.isfinite(lhs) & np.isfinite(rhs)) | (lhs > rhs + slack)
 
 
-# lhs and rhs of a structural fault (a wrong length, a missing table entry):
-# it breaks under any tolerance.
+# lhs and rhs of a missing table entry: it breaks under any tolerance.
 _FAULT = (math.inf, 0.0)
 
 
@@ -283,29 +298,21 @@ def _non_negative(field: str, indices: tuple, value: float, noun: str):
 
 
 def reward_rules(instance: Instance) -> Iterator[tuple[str, tuple, str, float, float]]:
-    """Every rule on the reward data, as (field, indices, rule, lhs, rhs).
+    """Every value rule on the reward data, as (field, indices, rule, lhs, rhs).
 
-    Each rule asks for lhs <= rhs with both sides finite (see exceeds).
-    Structural faults are yielded only where they occur; the monotonicity of
-    a submodular potential is probed by stodep.properties.check_assumption1,
+    Each rule asks for lhs <= rhs with both sides finite (see exceeds).  The
+    data's shape is the constructor's to enforce, so the only structural
+    fault yielded here is a missing table entry; the monotonicity of a
+    submodular potential is probed by stodep.properties.check_assumption1,
     not here.
     """
     rew = instance.reward
-    M, T = instance.num_types, instance.horizon
+    T = instance.horizon
     if isinstance(rew, LinearReward):
-        if len(rew.weights) != M:
-            yield ("reward.weights", (), "length != num_types", *_FAULT)
-            return
         for m, w in enumerate(rew.weights):
             yield _non_negative("reward.weights", (m,), w, "weight")
     elif isinstance(rew, LinearDecayingReward):
-        if len(rew.weights) != M:
-            yield ("reward.weights", (), "one row per type required", *_FAULT)
-            return
         for m, row in enumerate(rew.weights):
-            if len(row) != T:
-                yield ("reward.weights", (m,), "row length != horizon", *_FAULT)
-                continue
             for t, w in enumerate(row):
                 yield _non_negative("reward.weights", (m, t), w, "weight")
                 if t + 1 < T:
@@ -316,19 +323,15 @@ def reward_rules(instance: Instance) -> Iterator[tuple[str, tuple, str, float, f
         # custom evaluators on demand.
         ev = rew.evaluator
         if isinstance(ev, CoverageFunction):
-            if len(ev.covers) != M:
-                yield ("reward.covers", (), "one cover per type required", *_FAULT)
             for e, w in enumerate(ev.element_weights):
                 yield _non_negative("reward.element_weights", (e,), w, "weight")
         elif isinstance(ev, BudgetedLinearFunction):
-            if len(ev.values) != M:
-                yield ("reward.values", (), "one value per type required", *_FAULT)
             for g, b in enumerate(ev.budgets):
                 if b != math.inf:  # an uncapped group
                     yield _non_negative("reward.budgets", (g,), b, "budget")
             for m, v in enumerate(ev.values):
                 yield _non_negative("reward.values", (m,), v, "value")
-    elif isinstance(rew, GeneralTabulatedReward):
+    else:  # GeneralTabulatedReward, the one kind left
         for x in _iter_box(instance.capacities):
             for x_next in _iter_box(x):
                 previous = None
@@ -347,8 +350,6 @@ def reward_rules(instance: Instance) -> Iterator[tuple[str, tuple, str, float, f
                     if previous is not None:
                         yield "reward.table", key, "non-increasing in t", value, previous
                     previous = value
-    else:
-        yield ("reward", (), f"unknown reward spec {type(rew).__name__}", *_FAULT)
 
 
 def _type_support(count: int, p: float) -> tuple[tuple[int, float], ...]:

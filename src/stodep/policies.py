@@ -32,10 +32,11 @@ class Policy:
         Built here from select at every state; range-checked.
         """
         op = bellman_operator(instance, state_cap)
+        states = [tuple(x) for x in op.items.tolist()]
         table = np.empty((op.num_states, instance.horizon), dtype=np.int32, order="F")
         for t in range(instance.horizon):
             table[:, t] = np.fromiter(
-                (self.select(State(x, t), instance) for x in op.states()),
+                (self.select(State(x, t), instance) for x in states),
                 dtype=np.int32,
                 count=op.num_states,
             )

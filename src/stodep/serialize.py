@@ -20,6 +20,10 @@ from .rewards import reward_from_dict
 
 def instance_to_dict(instance: Instance) -> dict:
     """Canonical on-disk form of an instance."""
+    return _canonical(instance, instance.reward.spec_dict())
+
+
+def _canonical(instance: Instance, reward: dict) -> dict:
     out = {
         "num_types": instance.num_types,
         "capacities": list(instance.capacities),
@@ -27,7 +31,7 @@ def instance_to_dict(instance: Instance) -> dict:
         "horizon": instance.horizon,
         "activities": list(instance.activities),
         "schedule": instance.schedule.tolist(),
-        "reward": instance.reward.spec_dict(),
+        "reward": reward,
         "metadata": thaw(instance.metadata),
     }
     if instance.arrivals is not None:
@@ -84,32 +88,19 @@ def load_instance(path_or_file, *, validate: bool = True) -> Instance:
 
 
 def _fingerprint_payload(instance: Instance) -> dict:
-    payload = {
-        "num_types": instance.num_types,
-        "capacities": list(instance.capacities),
-        "initial_items": list(instance.initial_items),
-        "horizon": instance.horizon,
-        "activities": list(instance.activities),
-        "schedule": instance.schedule.tolist(),
-        "metadata": thaw(instance.metadata),
-    }
-    if instance.arrivals is not None:
-        payload["arrivals"] = list(instance.arrivals)
-    if instance.deadlines is not None:
-        payload["deadlines"] = list(instance.deadlines)
+    rew = instance.reward
     try:
-        payload["reward"] = instance.reward.spec_dict()
+        reward = rew.spec_dict()
     except ConfigError:
         # Custom evaluators are not serializable, so their values on the
         # capacity box stand in for them: two evaluators that share a label
         # but differ anywhere a table can reach get different fingerprints.
-        rew = instance.reward
-        payload["reward"] = {
+        reward = {
             "kind": "submodular_custom",
             "label": rew.label,
             "values": [rew.w(y) for y in _iter_box(instance.capacities)],
         }
-    return payload
+    return _canonical(instance, reward)
 
 
 def instance_fingerprint(instance: Instance) -> str:

@@ -106,3 +106,27 @@ def small_instances(draw):
     inst = make_instance(capacities=caps, horizon=T, schedule=schedule, reward=rew, **windows)
     assert stodep.validate_instance(inst).passed
     return inst
+
+
+# Reward data of the wrong shape for the worst-case example (two types, two
+# epochs): one case per shape rule of the Instance constructor, with both a
+# short and a long row or cover list where either used to slip through.
+SHAPE_FAULTS = {
+    "linear-weights-long": {"kind": "linear", "weights": [1.0, 0.9, 0.5]},
+    "decaying-one-row": {"kind": "linear_decaying", "weights": [[1.0, 0.5]]},
+    "decaying-row-short": {"kind": "linear_decaying", "weights": [[1.0], [0.9]]},
+    "decaying-row-long": {"kind": "linear_decaying", "weights": [[1.0, 0.5, 0.2], [0.9, 0.4, 0.1]]},
+    "coverage-covers-long": {
+        "kind": "submodular_coverage", "num_elements": 2,
+        "covers": [[0], [1], [0, 1]], "element_weights": [1.0, 1.0],
+    },
+    "coverage-covers-short": {
+        "kind": "submodular_coverage", "num_elements": 2,
+        "covers": [[0]], "element_weights": [1.0, 1.0],
+    },
+    "budgeted-values-long": {
+        "kind": "submodular_budgeted", "budgets": [1.0],
+        "values": [1.0, 1.0, 1.0], "groups": [0, 0, 0],
+    },
+    "unknown-kind": {"kind": "mystery"},
+}

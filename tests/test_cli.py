@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 from stodep.cli import main
-from stodep.serialize import load_instance, save_instance
+from stodep.serialize import instance_to_dict, load_instance, save_instance
 from stodep.apps import build_worst_case_instance
+
+from conftest import SHAPE_FAULTS
 
 
 @pytest.fixture
@@ -220,6 +222,82 @@ def test_non_object_instance_json_exits_2(tmp_path, capsys):
     path.write_text("[1, 2]")
     assert main(["solve", "--instance", str(path)]) == 2
     assert _error_line(capsys)["error"] == "TypeError"
+
+
+def _hostile_inputs():
+    """(instance JSON, extra flags, exit code, error) per hostile case.
+
+    error None: it depends on the command (a ConfigError from validation on
+    loading, or the DomainError that check meets first).
+    """
+    base = instance_to_dict(build_worst_case_instance(0.1))
+    cases = {name: (dict(base, reward=spec), [], 2, "ConfigError")
+             for name, spec in SHAPE_FAULTS.items()}
+    missing = {"kind": "general_tabulated", "entries": [[[1, 1], [0, 0], 0, 1.0]]}
+    cases["tabulated-missing-entry"] = (dict(base, reward=missing), [], 2, None)
+    nan = json.loads(json.dumps(base))
+    nan["schedule"][0][0][0] = float("nan")
+    cases["nan-schedule-entry"] = (nan, [], 2, None)
+    cases["activities-over-cap"] = (base, ["--cap-activities", "1"], 3, "ActivityCapExceeded")
+    return cases
+
+
+HOSTILE = _hostile_inputs()
+COMMANDS = {
+    "solve": ["solve"],
+    "simulate": ["simulate", "--reps", "2"],
+    "check": ["check", "--properties", "vfm,ir,ratio:2,assumption1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_hostile_input_ends_in_one_json_error(case, command, tmp_path, capsys):
+    data, flags, code, error = HOSTILE[case]
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(data))
+    assert main(COMMANDS[command] + ["--instance", str(path)] + flags) == code
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert not any(line.endswith(": pass") for line in lines)
+    err = json.loads(lines[-1])
+    assert set(err) == {"error", "message"} and "\n" not in err["message"]
+    if error is not None:
+        assert err["error"] == error
+    assert all(not line.startswith("{") for line in lines[:-1])
+
+
+@pytest.mark.parametrize("prop", ["vfm", "ir", "ratio:2", "assumption1"])
+@pytest.mark.parametrize("case", sorted(SHAPE_FAULTS))
+def test_check_rejects_shape_faults_for_any_property(case, prop, tmp_path, capsys):
+    data, _, _, _ = HOSTILE[case]
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", "--instance", str(path), "--properties", prop]) == 2
+    assert _error_line(capsys)["error"] == "ConfigError"
+
+
+def test_activity_cap_admits_the_count_itself(worst_case_file, capsys):
+    assert main(["solve", "--instance", str(worst_case_file), "--cap-activities", "2"]) == 0
+    assert "J*=1.9" in capsys.readouterr().out
+
+
+def test_batch_tol_flag_applies_when_the_config_has_none(tmp_path, capsys):
+    # J*/J^myopic = 1.9 on the worst-case example, so ratio:1.89 holds only
+    # under a tolerance of at least about 0.0053.
+    config = {"app": "worstcase", "params": {"epsilon": 0.1}, "seeds": [0],
+              "properties": ["ratio:1.89"]}
+
+    def ratio_cell(cfg, *flags):
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "report"
+        assert main(["batch", "--config", str(path), "--out", str(out), *flags]) == 0
+        header, row = out.with_suffix(".csv").read_text().splitlines()
+        return dict(zip(header.split(","), row.split(",")))["ratio:1.89"]
+
+    assert ratio_cell(config) == "false"
+    assert ratio_cell(config, "--tol", "0.01") == "true"
+    assert ratio_cell(dict(config, tol=1e-9), "--tol", "0.01") == "false"  # the config wins
 
 
 MINIMAL_PARAMS = {

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from stodep import (
     GeneralTabulatedReward,
     LinearDecayingReward,
     LinearReward,
+    RewardSpec,
     State,
     SubmodularReward,
     apply_depletion_no_step,
@@ -23,10 +25,13 @@ from stodep import (
     expected_one_step_reward,
     reward,
     sample_depletion,
+    instance_to_dict,
+    load_instance,
+    reward_from_dict,
     validate_instance,
 )
 
-from conftest import make_instance
+from conftest import SHAPE_FAULTS, make_instance
 from oracles import binomial_pmf_oracle
 
 
@@ -205,6 +210,32 @@ def test_arrival_deadline_masking_enforced():
         deadlines=(2,),
     )
     assert validate_instance(ok).passed
+
+
+@pytest.mark.parametrize("case", sorted(SHAPE_FAULTS))
+def test_reward_shape_faults_raise_when_the_instance_is_built(case, worst_case_tenth, tmp_path):
+    spec = SHAPE_FAULTS[case]
+    with pytest.raises(stodep.ConfigError):
+        rew = RewardSpec() if case == "unknown-kind" else reward_from_dict(spec)
+        dataclasses.replace(worst_case_tenth, reward=rew)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(instance_to_dict(worst_case_tenth), reward=spec)))
+    with pytest.raises(stodep.ConfigError):
+        load_instance(path, validate=False)
+
+
+def test_window_violations_come_in_t_m_a_order():
+    rng = np.random.default_rng(5)
+    T, A, M = 4, 3, 2
+    schedule = rng.choice([0.0, 0.3, math.nan], size=(T, A, M))
+    arrivals, deadlines = (1, 0), (3, 2)
+    inst = make_instance(capacities=(1,) * M, horizon=T, schedule=schedule,
+                         reward=LinearReward((1.0,) * M), arrivals=arrivals, deadlines=deadlines)
+    got = [v.indices for v in validate_instance(inst).violations
+           if v.rule == "nonzero probability outside the [arrival, deadline) window"]
+    expected = [(t, a, m) for t in range(T) for m in range(M) for a in range(A)
+                if not arrivals[m] <= t < deadlines[m] and schedule[t, a, m] != 0.0]
+    assert got == expected and len(expected) > 3
 
 
 # ----------------------------------------------------------------------- pmf

@@ -136,6 +136,29 @@ def test_custom_evaluators_fingerprint_by_their_values():
         stodep.check_vfm(b, stodep.solve_clairvoyant(a))
 
 
+def test_fingerprints_are_pinned():
+    # Tables saved earlier stay bound to their instances only while these
+    # digests hold: every reward route, a custom evaluator, windows, metadata.
+    custom = make_instance(
+        capacities=(1, 1), horizon=1, schedule=[[[0.5, 0.5]]],
+        reward=SubmodularReward(SetFunctionEvaluator(lambda s: float(len(s)))),
+    )
+    windowed = make_instance(
+        capacities=(1,), horizon=3, schedule=[[[0.0]], [[0.4]], [[0.0]]],
+        reward=stodep.LinearReward((1.0,)), arrivals=(1,), deadlines=(2,),
+        metadata={"app": "x", "k": [1, 2]},
+    )
+    tabulated = make_instance(
+        capacities=(1,), horizon=1, schedule=[[[0.5]]],
+        reward=GeneralTabulatedReward.from_potential(lambda y: float(y[0]), (1,), 1),
+    )
+    digests = [instance_fingerprint(i)[:16] for i in
+               (build_worst_case_instance(0.1), custom, windowed, tabulated)]
+    assert digests == [
+        "f420e613016b815d", "7a2ddba3be664c57", "7eff14d12cf8daeb", "0aea97a50c5e9971",
+    ]
+
+
 def test_missing_field_reported():
     with pytest.raises(ConfigError):
         instance_from_dict({"num_types": 1})
