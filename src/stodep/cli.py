@@ -99,9 +99,9 @@ def _load_params(path: str | None) -> dict:
         return json.load(fh)
 
 
-def _load(args, *, validate: bool = True) -> Instance:
-    """The --instance file, with more activities than --cap-activities refused."""
-    instance = load_instance(args.instance, validate=validate)
+def _load(args, *, rewards: bool = True) -> Instance:
+    """The validated --instance file, with more activities than --cap-activities refused."""
+    instance = load_instance(args.instance, rewards=rewards)
     n, cap = instance.num_activities, args.cap_activities
     if n > cap:
         raise ActivityCapExceeded(f"{n} activities exceed cap {cap}")
@@ -223,8 +223,8 @@ class _Certifier:
 
 
 def cmd_check(args) -> int:
-    # Only shapes are checked on loading: reporting broken values is what check is for.
-    instance = _load(args, validate=False)
+    # The reward value rules are left to assumption1: reporting them is what check is for.
+    instance = _load(args, rewards=False)
     specs = [_parse_property(s.strip()) for s in args.properties.split(",") if s.strip()]
     certifier = _Certifier(instance, args.tol, args.cap_states, args.policy)
     reports = []

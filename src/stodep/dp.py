@@ -17,8 +17,10 @@ each type m a batch of (c_m + 1) x (c_m + 1) binomial transition matrices
 B_m(p[t, a, m]), one per activity, is contracted with the value tensor along
 that type's axis.  An epoch costs S * A * sum_m (c_m + 1) for S states and A
 activities, where enumerating outcomes costs S * A * prod_m (x_m + 1).
-Activities go through the operator in chunks of a fixed size, so peak memory
-grows with S and not with A.
+Activities go through the operator in chunks of a fixed size.  An Epoch
+computes each chunk's Q once and keeps it for later passes over the epoch
+while the kept chunks fit a fixed byte budget (_Q_BUDGET); chunks past it are
+recomputed on each pass, so memory stays bounded whatever A is.
 
 Each instance gets one operator (bellman_operator), built on first use and
 kept on the instance, so a solve, the policy evaluations and the certifiers
@@ -33,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, FingerprintMismatch, StateSpaceCapExceeded
+from .errors import ConfigError, DomainError, FingerprintMismatch, StateSpaceCapExceeded
 from .model import (
     DEFAULT_STATE_CAP,
     Instance,
@@ -52,6 +54,14 @@ TIE_TOL = 1e-12
 # Activities per operator application: bounds the working set at a few
 # S * _CHUNK doubles whatever the number of activities.
 _CHUNK = 8
+
+# Bytes of Q an Epoch keeps for its later passes: chunk k is kept while
+# (k + 1) * _CHUNK * S doubles fit.  The first chunk is always kept, since it
+# is in memory while it is computed anyway.
+_Q_BUDGET = 2**27
+
+# Table rows per block written by ValueTable.save_json.
+_DUMP_ROWS = 1024
 
 
 def tie_slack(value):
@@ -113,13 +123,18 @@ class ValueTable:
                 "value table fingerprint does not match the supplied instance"
             )
 
-    def to_dict(self) -> dict:
+    def _header(self) -> dict:
         return {
             "fingerprint": self.fingerprint,
             "capacities": list(self.capacities),
             "horizon": self.horizon,
             "num_activities": self.num_activities,
             "policy_name": self.policy_name,
+        }
+
+    def to_dict(self) -> dict:
+        return {
+            **self._header(),
             "values": self.values.tolist(),
             "best_activity": self.best_activity.tolist(),
         }
@@ -137,8 +152,20 @@ class ValueTable:
         )
 
     def save_json(self, path) -> None:
+        """Write to_dict() exactly as json.dump would, a block of rows at a time.
+
+        json.dumps of a whole block runs in the C encoder, where json.dump
+        to a file runs the pure-Python one; blocks bound the extra memory.
+        """
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
+            fh.write(json.dumps(self._header())[:-1])
+            for name, array in (("values", self.values), ("best_activity", self.best_activity)):
+                fh.write(f', "{name}": [')
+                for lo in range(0, len(array), _DUMP_ROWS):
+                    fh.write(", " if lo else "")
+                    fh.write(json.dumps(array[lo:lo + _DUMP_ROWS].tolist())[1:-1])
+                fh.write("]")
+            fh.write("}")
 
 
 def _check_state(table: ValueTable, state: State) -> int:
@@ -200,7 +227,11 @@ class BellmanOperator:
         self.num_states = state_space_size(instance) // (instance.horizon + 1)
         radices = mixed_radix_radices(instance.capacities)
         self.items = np.arange(self.num_states)[:, None] // np.array(radices) % np.array(self.dims)
-        self._layouts = {n: _binomial_layout(n) for n in set(self.dims)}
+        # Per distinct type size n: the binomial grids and the types of that size.
+        self._layouts = [
+            (*_binomial_layout(n), [m for m, d in enumerate(self.dims) if d == n])
+            for n in sorted(set(self.dims))
+        ]
         self.weights = self.potential = self.tabulated = None
         rew = instance.reward
         if isinstance(rew, LinearReward):
@@ -218,7 +249,11 @@ class BellmanOperator:
             self._counts = self.items.T.astype(np.float64)
 
     def _dense_rewards(self, rew: GeneralTabulatedReward, caps, radices) -> np.ndarray:
-        """g[t, index(x), index(x')] for t < horizon; every x' <= x needs an entry."""
+        """g[t, index(x), index(x')] for t < horizon; every x' <= x needs an entry.
+
+        A key outside the domain (wrong length, x' <= x <= capacities or
+        0 <= t <= horizon broken) raises ConfigError.
+        """
         T, S = self.horizon, self.num_states
         M = len(self.dims)
         rows = np.array(
@@ -226,9 +261,19 @@ class BellmanOperator:
              if len(x) == len(x_next) == M],
             dtype=np.float64,
         ).reshape(-1, 2 * M + 2)
+        if len(rows) < len(rew.table):
+            key = next(k for k in rew.table if not len(k[0]) == len(k[1]) == M)
+            raise ConfigError(f"reward.table: key {key} does not have {M} types")
         x, x_next = rows[:, :M].astype(np.int64), rows[:, M:2 * M].astype(np.int64)
         t = rows[:, 2 * M].astype(np.int64)
-        keep = (t >= 0) & (t < T) & ((0 <= x_next) & (x_next <= x) & (x < self.dims)).all(axis=1)
+        boxed = ((0 <= x_next) & (x_next <= x) & (x < self.dims)).all(axis=1)
+        inside = boxed & (t >= 0) & (t <= T)
+        if not inside.all():
+            i = int(np.argmin(inside))
+            key = (tuple(x[i].tolist()), tuple(x_next[i].tolist()), int(t[i]))
+            raise ConfigError(f"reward.table: key {key} outside the domain "
+                              "x' <= x <= capacities, 0 <= t <= horizon")
+        keep = t < T
         at = (t[keep], x[keep] @ radices, x_next[keep] @ radices)
         g = np.zeros((T, S, S))
         g[at] = rows[keep, -1]
@@ -258,7 +303,7 @@ class BellmanOperator:
     def q(self, t: int, v_next: np.ndarray | None, acts: np.ndarray) -> np.ndarray:
         """Q_t(., a) for each a in acts, shape (len(acts), S); v_next=None means V = 0."""
         p = self.schedule[t, acts]
-        mats = [self._matrices(p[:, m], n) for m, n in enumerate(self.dims)]
+        mats = self._matrices(p)
         if self.potential is not None:
             return self._expect(mats, v_next, self.potential)
         if self.weights is not None:
@@ -267,11 +312,19 @@ class BellmanOperator:
             reward = (_kron(mats) * self.tabulated[t]).sum(axis=2)
         return reward if v_next is None else reward + self._expect(mats, v_next)
 
-    def _matrices(self, p: np.ndarray, n: int) -> np.ndarray:
-        """B[a, x, y] = P(y of x items remain) = C(x, x - y) p^(x - y) (1 - p)^y."""
-        coef, depleted, remaining = self._layouts[n]
-        p = p[:, None, None]
-        return coef * p**depleted * (1.0 - p) ** remaining
+    def _matrices(self, p: np.ndarray) -> list[np.ndarray]:
+        """Per type m, B_m[a, x, y] = P(y of x left) = C(x, x - y) p^(x - y) (1 - p)^y.
+
+        p is (activities, types).  The matrices of all types of one size come
+        from one numpy evaluation, laid out (type, activity, x, y) so that
+        each type's batch is contiguous.
+        """
+        mats = [None] * len(self.dims)
+        for coef, depleted, remaining, types in self._layouts:
+            pn = p[:, types].T[:, :, None, None]
+            for m, mat in zip(types, coef * pn**depleted * (1.0 - pn) ** remaining):
+                mats[m] = mat
+        return mats
 
     def _expect(self, mats: list[np.ndarray], v, phi=None) -> np.ndarray:
         """(K_a v)(x) = E[v(x - X)] for every activity of the batch, shape (k, S).
@@ -337,23 +390,26 @@ def _kron(mats: list[np.ndarray]) -> np.ndarray:
 class Epoch:
     """Q at one epoch for a sorted array of activities, produced chunk by chunk.
 
-    Iterating yields (activities, q) pairs.  When one chunk covers all the
-    activities its q is computed once and reused by every later pass.
+    Iterating yields (activities, q) pairs.  Each chunk's q is computed once
+    and reused by every later pass while the kept chunks fit _Q_BUDGET; a
+    chunk past the budget is recomputed on each pass.
     """
 
     def __init__(self, op: BellmanOperator, t: int, v_next, acts: np.ndarray):
         self.op, self.t, self.v_next = op, t, v_next
         self.chunks = [acts[i:i + _CHUNK] for i in range(0, len(acts), _CHUNK)]
-        self._single = None
+        self._kept: list[np.ndarray] = []
 
     def __iter__(self):
-        if len(self.chunks) == 1:
-            if self._single is None:
-                self._single = self.op.q(self.t, self.v_next, self.chunks[0])
-            yield self.chunks[0], self._single
-            return
-        for acts in self.chunks:
-            yield acts, self.op.q(self.t, self.v_next, acts)
+        kept, chunk_bytes = self._kept, _CHUNK * self.op.num_states * 8
+        for k, acts in enumerate(self.chunks):
+            if k < len(kept):
+                q = kept[k]
+            else:
+                q = self.op.q(self.t, self.v_next, acts)
+                if k == 0 or (k + 1) * chunk_bytes <= _Q_BUDGET:
+                    kept.append(q)
+            yield acts, q
 
     def best(self, key: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
         """Per-state maximum over activities of q, or of key(q)."""

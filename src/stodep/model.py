@@ -232,11 +232,13 @@ def _iter_box(bounds: Sequence[int]) -> Iterator[tuple[int, ...]]:
     return itertools.product(*(range(b + 1) for b in bounds))
 
 
-def validate_instance(instance: Instance) -> ValidationReport:
+def validate_instance(instance: Instance, *, rewards: bool = True) -> ValidationReport:
     """Check every value-level invariant; violations are data, not failures.
 
     An instance with an empty violation list is accepted by every other
-    operation in the package.
+    operation in the package.  rewards=False leaves out the value rules on
+    the reward data (reward_rules), which stodep check reports as its
+    assumption1 property.
     """
     out: list[RuleViolation] = []
     M, T = instance.num_types, instance.horizon
@@ -269,10 +271,11 @@ def validate_instance(instance: Instance) -> ValidationReport:
         for t, m, a in np.argwhere((sched.transpose(0, 2, 1) != 0.0) & outside[:, :, None]):
             out.append(RuleViolation("schedule", (int(t), int(a), int(m)),
                                      "nonzero probability outside the [arrival, deadline) window"))
-    rules = list(reward_rules(instance))
-    lhs, rhs = (np.array([r[k] for r in rules], dtype=np.float64) for k in (3, 4))
-    for k in np.flatnonzero(exceeds(lhs, rhs, 0.0)):
-        out.append(RuleViolation(*rules[k][:3]))
+    if rewards:
+        rules = list(reward_rules(instance))
+        lhs, rhs = (np.array([r[k] for r in rules], dtype=np.float64) for k in (3, 4))
+        for k in np.flatnonzero(exceeds(lhs, rhs, 0.0)):
+            out.append(RuleViolation(*rules[k][:3]))
     return ValidationReport(out)
 
 

@@ -126,14 +126,16 @@ def _report(name: str, fingerprint: str, tol: float, chunks: Iterable[tuple]) ->
     """
     checked, worst, violations = 0, -math.inf, []
     for lhs, rhs, witness in chunks:
-        lhs = np.ravel(np.asarray(lhs, dtype=np.float64))
-        rhs = np.ravel(np.asarray(rhs, dtype=np.float64))
+        # Views are read in place; flat indices follow C order of their shape.
+        lhs = np.asarray(lhs, dtype=np.float64)
+        rhs = np.asarray(rhs, dtype=np.float64)
         gap = lhs - rhs
         checked += gap.size
-        worst = max(worst, float(np.max(gap, initial=-math.inf, where=~np.isnan(gap))))
+        worst = max(worst, float(np.fmax.reduce(gap, axis=None, initial=-math.inf)))  # skips NaN
         for i in np.flatnonzero(exceeds(lhs, rhs, tol)):
+            i = int(i)
             violations.append(
-                Violation(witness(int(i)), float(lhs[i]), float(rhs[i]), float(gap[i]))
+                Violation(witness(i), float(lhs.flat[i]), float(rhs.flat[i]), float(gap.flat[i]))
             )
     return PropertyReport(name, fingerprint, checked, violations, worst if checked else 0.0, tol)
 
@@ -151,9 +153,12 @@ def check_vfm(instance: Instance, table: ValueTable, tol: float = DEFAULT_TOL) -
     values = table.values.reshape(dims + (table.horizon + 1,), order="F")
 
     def chunks():
-        for m, cap in enumerate(table.capacities):
-            upper = values.take(range(1, cap + 1), axis=m).transpose()  # J(x, t), t first
-            lower = values.take(range(cap), axis=m).transpose()  # J(x - e_m, t)
+        for m in range(len(dims)):
+            cut = [slice(None)] * values.ndim
+            cut[m] = slice(1, None)
+            upper = values[tuple(cut)].transpose()  # J(x, t), t first
+            cut[m] = slice(None, -1)
+            lower = values[tuple(cut)].transpose()  # J(x - e_m, t)
 
             def witness(i, m=m, shape=upper.shape):
                 t, *x = np.unravel_index(i, shape)

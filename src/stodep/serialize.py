@@ -68,8 +68,12 @@ def save_instance(instance: Instance, path_or_file) -> None:
             fh.write(payload + "\n")
 
 
-def load_instance(path_or_file, *, validate: bool = True) -> Instance:
-    """Load and (by default) validate an instance, raising ConfigError on bad data."""
+def load_instance(path_or_file, *, validate: bool = True, rewards: bool = True) -> Instance:
+    """Load and (by default) validate an instance, raising ConfigError on bad data.
+
+    rewards=False validates everything but the reward value rules (see
+    stodep.model.validate_instance).
+    """
     if hasattr(path_or_file, "read"):
         data = json.load(path_or_file)
     else:
@@ -77,7 +81,7 @@ def load_instance(path_or_file, *, validate: bool = True) -> Instance:
             data = json.load(fh)
     instance = instance_from_dict(data)
     if validate:
-        report = validate_instance(instance)
+        report = validate_instance(instance, rewards=rewards)
         if not report.passed:
             first = report.violations[0]
             raise ConfigError(

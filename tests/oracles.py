@@ -24,6 +24,16 @@ def binomial_pmf_oracle(x, p):
     return out
 
 
+def q_oracle(instance, x, t, a, value=None):
+    """E[g(x, x - X, t) + value(x - X, t + 1)] for activity a; value=None means V = 0."""
+    total = 0.0
+    for alpha, prob in binomial_pmf_oracle(x, instance.probability_row(t, a)).items():
+        x_next = tuple(v - d for v, d in zip(x, alpha))
+        later = 0.0 if value is None else value(x_next, t + 1)
+        total += prob * (instance_reward(x, x_next, t, instance) + later)
+    return total
+
+
 def value_function_oracle(instance, policy=None):
     """J(x, t) by plain memoized recursion: optimal, or under policy if given.
 
@@ -38,17 +48,7 @@ def value_function_oracle(instance, policy=None):
             activities = range(instance.num_activities)
         else:
             activities = [policy.select(State(x, t), instance)]
-        best = -math.inf
-        for a in activities:
-            p_row = instance.probability_row(t, a)
-            total = 0.0
-            for alpha, prob in binomial_pmf_oracle(x, p_row).items():
-                x_next = tuple(v - d for v, d in zip(x, alpha))
-                total += prob * (
-                    instance_reward(x, x_next, t, instance) + value(x_next, t + 1)
-                )
-            best = max(best, total)
-        return best
+        return max(q_oracle(instance, x, t, a, value) for a in activities)
 
     return value
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from stodep import GeneralTabulatedReward
 from stodep.cli import main
 from stodep.serialize import instance_to_dict, load_instance, save_instance
 from stodep.apps import build_worst_case_instance
@@ -79,7 +80,6 @@ def test_check_command(worst_case_file, tmp_path, capsys):
 
 def test_check_strict_fails_on_violation(tmp_path, capsys):
     # non-submodular tabulated reward with a reachable monotonicity break
-    from stodep import GeneralTabulatedReward
     from conftest import make_instance
 
     reward = GeneralTabulatedReward.from_potential(
@@ -94,7 +94,6 @@ def test_check_strict_fails_on_violation(tmp_path, capsys):
 
 
 def test_check_reports_reward_structure_failure(tmp_path, capsys):
-    from stodep import GeneralTabulatedReward
     from conftest import make_instance
 
     table = {
@@ -228,16 +227,31 @@ def _hostile_inputs():
     """(instance JSON, extra flags, exit code, error) per hostile case.
 
     error None: it depends on the command (a ConfigError from validation on
-    loading, or the DomainError that check meets first).
+    loading, or the DomainError that check meets first: check leaves the
+    reward value rules to its assumption1 property).
     """
     base = instance_to_dict(build_worst_case_instance(0.1))
     cases = {name: (dict(base, reward=spec), [], 2, "ConfigError")
              for name, spec in SHAPE_FAULTS.items()}
     missing = {"kind": "general_tabulated", "entries": [[[1, 1], [0, 0], 0, 1.0]]}
     cases["tabulated-missing-entry"] = (dict(base, reward=missing), [], 2, None)
-    nan = json.loads(json.dumps(base))
-    nan["schedule"][0][0][0] = float("nan")
-    cases["nan-schedule-entry"] = (nan, [], 2, None)
+    # Value faults outside the reward: every command refuses them on loading.
+    value_faults = {
+        "nan-schedule-entry": {"schedule": [[[float("nan"), 0.0], [0.0, 1.0]],
+                                            [[1.0, 0.0], [0.0, 0.0]]]},
+        "probability-above-one": {"schedule": [[[1.5, 0.0], [0.0, 1.0]],
+                                               [[1.0, 0.0], [0.0, 0.0]]]},
+        "negative-probability": {"schedule": [[[1.0, 0.0], [0.0, -0.5]],
+                                              [[1.0, 0.0], [0.0, 0.0]]]},
+        "capacity-zero": {"capacities": [0, 1], "initial_items": [0, 1]},
+        "initial-items-above-capacity": {"initial_items": [2, 1]},
+        "negative-initial-items": {"initial_items": [1, -1]},
+        "deadline-before-arrival": {"arrivals": [1, 0], "deadlines": [0, 2]},
+        "deadline-past-horizon": {"arrivals": [0, 0], "deadlines": [3, 2]},
+        "probability-outside-window": {"arrivals": [0, 1], "deadlines": [2, 2]},
+    }
+    for name, fields in value_faults.items():
+        cases[name] = (dict(base, **fields), [], 2, "ConfigError")
     cases["activities-over-cap"] = (base, ["--cap-activities", "1"], 3, "ActivityCapExceeded")
     return cases
 
@@ -274,6 +288,36 @@ def test_check_rejects_shape_faults_for_any_property(case, prop, tmp_path, capsy
     path.write_text(json.dumps(data))
     assert main(["check", "--instance", str(path), "--properties", prop]) == 2
     assert _error_line(capsys)["error"] == "ConfigError"
+
+
+# Tabulated entries whose key has the wrong length or lies outside the
+# domain of the two-type, two-epoch worst-case example.
+STRAY_ENTRIES = {
+    "three-types": [[1, 1, 1], [0, 0, 0], 0, 99.0],
+    "epoch-past-horizon": [[1, 1], [0, 0], 5, 99.0],
+    "items-above-capacity": [[2, 1], [0, 0], 0, 99.0],
+    "next-above-items": [[0, 1], [1, 1], 0, 99.0],
+    "negative-next": [[1, 1], [-1, 0], 0, 99.0],
+    "negative-epoch": [[1, 1], [0, 0], -1, 99.0],
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "check"])
+@pytest.mark.parametrize("case", sorted(STRAY_ENTRIES))
+def test_tabulated_entry_outside_the_domain_exits_2(case, command, tmp_path, capsys):
+    inst = build_worst_case_instance(0.1)
+    reward = GeneralTabulatedReward.from_potential(lambda y: float(sum(y)), inst.capacities,
+                                                   inst.horizon)
+    data = dict(instance_to_dict(inst), reward=reward.spec_dict())
+    path = tmp_path / "clean.json"
+    path.write_text(json.dumps(data))
+    assert main([command, "--instance", str(path)]) == 0
+    capsys.readouterr()
+    data["reward"]["entries"].append(STRAY_ENTRIES[case])
+    path.write_text(json.dumps(data))
+    assert main([command, "--instance", str(path)]) == 2
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "ConfigError"
 
 
 def test_activity_cap_admits_the_count_itself(worst_case_file, capsys):

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,11 +24,19 @@ from stodep import (
     optimal_value,
     solve_clairvoyant,
 )
-from stodep.dp import TIE_TOL, ValueTable, decode_state, mixed_radix_radices, state_index
+from stodep.dp import (
+    _CHUNK,
+    TIE_TOL,
+    ValueTable,
+    best_activity,
+    decode_state,
+    mixed_radix_radices,
+    state_index,
+)
 from stodep.apps import build_worst_case_instance, random_linear_decaying_instance
 
 from conftest import make_instance, small_instances
-from oracles import dp_value_oracle, value_function_oracle
+from oracles import dp_value_oracle, q_oracle, value_function_oracle
 
 
 def test_worst_case_optimal_value(worst_case_tenth):
@@ -237,6 +246,21 @@ def _slack(value):
     return 1.01 * TIE_TOL * max(1.0, abs(value))
 
 
+def _assert_lowest_tied(values, chosen):
+    """values[chosen] attains the maximum and no lower index is tied with it."""
+    best = max(values)
+    assert values[chosen] >= best - _slack(best)
+    assert all(v < best - 0.5 * TIE_TOL * max(1.0, abs(best)) for v in values[:chosen])
+
+
+def _assert_approx_pick(values, chosen, alpha):
+    """values[chosen] is the least value of at least max / alpha."""
+    threshold = max(values) / alpha
+    pick = values[chosen]
+    assert pick >= threshold - _slack(threshold)
+    assert all(pick <= v + _slack(v) for v in values if v >= threshold + _slack(threshold))
+
+
 @settings(max_examples=60, deadline=None)
 @given(inst=small_instances())
 def test_myopic_decisions_obey_one_step_inequalities(inst):
@@ -245,15 +269,135 @@ def test_myopic_decisions_obey_one_step_inequalities(inst):
         values = [
             stodep.expected_one_step_reward(state, a, inst) for a in range(inst.num_activities)
         ]
-        best = max(values)
-        chosen = myopic.select(state, inst)
-        assert values[chosen] >= best - _slack(best)
-        # no lower index is tied with the maximum
-        assert all(v < best - 0.5 * TIE_TOL * max(1.0, abs(best)) for v in values[:chosen])
-        threshold = best / 2.0
-        pick = values[approx.select(state, inst)]
-        assert pick >= threshold - _slack(threshold)
-        assert all(pick <= v + _slack(v) for v in values if v >= threshold + _slack(threshold))
+        _assert_lowest_tied(values, myopic.select(state, inst))
+        _assert_approx_pick(values, approx.select(state, inst), 2.0)
+
+
+# ------------------------------------------------ more activities than one chunk
+
+
+@st.composite
+def multi_chunk_instances(draw):
+    """small_instances widened to 9-20 activities, so a sweep takes two or three chunks.
+
+    Some schedule rows are copies of a row in another chunk, so exact ties
+    cross chunk boundaries.
+    """
+    base = draw(small_instances())
+    T, M = base.horizon, base.num_types
+    A = draw(st.integers(9, 20))
+    prob = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    schedule = np.array([draw(prob) for _ in range(T * A * M)]).reshape(T, A, M)
+    for m in range(M) if base.arrivals is not None else ():
+        schedule[: base.arrivals[m], :, m] = 0.0
+        schedule[base.deadlines[m]:, :, m] = 0.0
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, A - 1 - _CHUNK))
+        j = draw(st.integers((i // _CHUNK + 1) * _CHUNK, A - 1))
+        schedule[:, j] = schedule[:, i]
+    windows = {"arrivals": base.arrivals, "deadlines": base.deadlines}
+    inst = make_instance(capacities=base.capacities, horizon=T, schedule=schedule,
+                         reward=base.reward, **windows)
+    assert stodep.validate_instance(inst).passed
+    return inst
+
+
+@settings(max_examples=30, deadline=None)
+@given(inst=multi_chunk_instances())
+def test_multi_chunk_sweeps_match_oracles(inst):
+    table = solve_clairvoyant(inst)
+    value = value_function_oracle(inst)
+    _assert_table_matches(table, inst, value)
+    assert audit_table(inst, table).passed
+    myopic, approx = myopic_policy(), stodep.approx_myopic_policy(2.0)
+    for state in _all_states(inst):
+        x, t = state
+        acts = range(inst.num_activities)
+        _assert_lowest_tied([q_oracle(inst, x, t, a, value) for a in acts],
+                            best_activity(table, state))
+        one_step = [q_oracle(inst, x, t, a) for a in acts]
+        _assert_lowest_tied(one_step, myopic.select(state, inst))
+        _assert_approx_pick(one_step, approx.select(state, inst), 2.0)
+    # An activity whose schedule repeats a lower one's ties with it exactly.
+    rows = inst.schedule.transpose(1, 0, 2).tolist()
+    copies = [j for j in range(inst.num_activities) if rows[j] in rows[:j]]
+    assert any(j >= _CHUNK for j in copies)
+    for chosen in (table.best_activity, myopic.decisions(inst), approx.decisions(inst)):
+        assert not np.isin(chosen, copies).any()
+
+
+def _wide_instance(reward_kind):
+    """Three chunks of activities, with rows copied across both chunk boundaries."""
+    rng = np.random.default_rng(17)
+    T, caps, A = 3, (2, 1, 2), 2 * _CHUNK + 4
+    schedule = rng.random((T, A, len(caps)))
+    for i, j in ((1, _CHUNK + 1), (1, 2 * _CHUNK + 1), (_CHUNK + 2, 2 * _CHUNK + 2)):
+        schedule[:, j] = schedule[:, i]
+    if reward_kind == "coverage":
+        reward = SubmodularReward(CoverageFunction(
+            4, (frozenset({0, 1}), frozenset({1, 2}), frozenset({3})), tuple(rng.random(4))
+        ))
+    else:
+        reward = LinearDecayingReward(
+            tuple(tuple(sorted(rng.random(T), reverse=True)) for _ in caps)
+        )
+    return make_instance(capacities=caps, horizon=T, schedule=schedule, reward=reward)
+
+
+def _counting_q(monkeypatch):
+    """Record the epoch of every BellmanOperator.q call."""
+    calls = []
+    real_q = stodep.dp.BellmanOperator.q
+
+    def q(self, t, v_next, acts):
+        calls.append(t)
+        return real_q(self, t, v_next, acts)
+
+    monkeypatch.setattr(stodep.dp.BellmanOperator, "q", q)
+    return calls
+
+
+def test_one_q_call_per_chunk_and_epoch(monkeypatch):
+    inst = _wide_instance("linear_decaying")
+    calls = _counting_q(monkeypatch)
+    once = {t: 3 for t in range(inst.horizon)}
+    table = solve_clairvoyant(inst)
+    assert Counter(calls) == once
+    for sweep in (
+        lambda: audit_table(inst, table),
+        lambda: myopic_policy().decisions(inst),
+        lambda: stodep.approx_myopic_policy(2.0).decisions(inst),
+    ):
+        calls.clear()
+        sweep()
+        assert Counter(calls) == once
+
+
+@pytest.mark.parametrize("reward_kind", ["linear_decaying", "coverage"])
+def test_q_budget_of_one_chunk_changes_no_output(reward_kind, monkeypatch):
+    def outputs():
+        inst = _wide_instance(reward_kind)  # a fresh instance: no decision table kept
+        table = solve_clairvoyant(inst)
+        out = [table.values, table.best_activity, audit_table(inst, table).to_dict()]
+        for policy in (myopic_policy(), stodep.approx_myopic_policy(2.0)):
+            evaluated = evaluate_policy_exact(inst, policy)
+            out += [evaluated.best_activity, evaluated.values,
+                    audit_table(inst, evaluated, policy=policy).to_dict()]
+        return out
+
+    calls = _counting_q(monkeypatch)
+    full = outputs()
+    unbudgeted_calls = len(calls)
+    calls.clear()
+    num_states = 3 * 2 * 3
+    monkeypatch.setattr(stodep.dp, "_Q_BUDGET", _CHUNK * num_states * 8)
+    budgeted = outputs()
+    assert len(calls) > unbudgeted_calls  # chunks past the first were recomputed
+    for a, b in zip(full, budgeted):
+        if isinstance(a, dict):
+            assert a == b
+        else:
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @settings(max_examples=40, deadline=None)
