@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, FingerprintMismatch, StateSpaceCapExceeded
+from .errors import DomainError, FingerprintMismatch, StateSpaceCapExceeded
 from .model import (
     DEFAULT_STATE_CAP,
     Instance,
@@ -216,8 +216,8 @@ class BellmanOperator:
     The expected reward takes one of three routes: the closed form
     sum_m w_m[t] p_m x_m for linear and linear-decaying rewards; the
     telescoping potential Phi(x) = w(cap - x) for submodular rewards, where
-    g = Phi(x') - Phi(x); and a dense g[t, x, x'] array built once from the
-    dict of a tabulated reward.
+    g = Phi(x') - Phi(x); and a dense g[t, x, x'] array scattered once from
+    the key and value arrays of a tabulated reward.
     """
 
     def __init__(self, instance: Instance):
@@ -251,32 +251,15 @@ class BellmanOperator:
     def _dense_rewards(self, rew: GeneralTabulatedReward, caps, radices) -> np.ndarray:
         """g[t, index(x), index(x')] for t < horizon; every x' <= x needs an entry.
 
-        A key outside the domain (wrong length, x' <= x <= capacities or
-        0 <= t <= horizon broken) raises ConfigError.
+        The Instance constructor has checked that every key lies in the domain.
         """
         T, S = self.horizon, self.num_states
         M = len(self.dims)
-        rows = np.array(
-            [(*x, *x_next, t, value) for (x, x_next, t), value in rew.table.items()
-             if len(x) == len(x_next) == M],
-            dtype=np.float64,
-        ).reshape(-1, 2 * M + 2)
-        if len(rows) < len(rew.table):
-            key = next(k for k in rew.table if not len(k[0]) == len(k[1]) == M)
-            raise ConfigError(f"reward.table: key {key} does not have {M} types")
-        x, x_next = rows[:, :M].astype(np.int64), rows[:, M:2 * M].astype(np.int64)
-        t = rows[:, 2 * M].astype(np.int64)
-        boxed = ((0 <= x_next) & (x_next <= x) & (x < self.dims)).all(axis=1)
-        inside = boxed & (t >= 0) & (t <= T)
-        if not inside.all():
-            i = int(np.argmin(inside))
-            key = (tuple(x[i].tolist()), tuple(x_next[i].tolist()), int(t[i]))
-            raise ConfigError(f"reward.table: key {key} outside the domain "
-                              "x' <= x <= capacities, 0 <= t <= horizon")
-        keep = t < T
-        at = (t[keep], x[keep] @ radices, x_next[keep] @ radices)
+        keep = rew.keys[:, 2 * M] < T
+        keys = rew.keys[keep]
+        at = (keys[:, 2 * M], keys[:, :M] @ radices, keys[:, M:2 * M] @ radices)
         g = np.zeros((T, S, S))
-        g[at] = rows[keep, -1]
+        g[at] = rew.values[keep]
         present = np.zeros((T, S, S), dtype=bool)
         present[at] = True
         below = (self.items[None, :, :] <= self.items[:, None, :]).all(axis=2)

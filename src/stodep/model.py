@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, fields
 from types import MappingProxyType
-from typing import Any, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -142,7 +142,7 @@ class Instance:
             put("deadlines", tuple(int(v) for v in self.deadlines))
             if len(self.deadlines) != self.num_types:
                 raise ConfigError("deadlines must have one entry per type")
-        _check_reward_shape(self.reward, self.num_types, self.horizon)
+        _check_reward_shape(self.reward, self.capacities, self.horizon)
         put("metadata", freeze(self.metadata))
         # Plain-float view of the schedule for the hot loops.
         put("_rows", tuple(
@@ -166,8 +166,13 @@ class Instance:
         return State(self.initial_items, 0)
 
 
-def _check_reward_shape(rew: RewardSpec, M: int, T: int) -> None:
-    """Raise ConfigError unless the reward's data has one entry per type (and epoch)."""
+def _check_reward_shape(rew: RewardSpec, caps: tuple[int, ...], T: int) -> None:
+    """Raise ConfigError unless the reward's data has one entry per type (and epoch).
+
+    Every key of a tabulated reward must lie in the domain x' <= x <= caps,
+    0 <= t <= T.
+    """
+    M = len(caps)
     if isinstance(rew, LinearReward):
         if len(rew.weights) != M:
             raise ConfigError(f"reward.weights: length {len(rew.weights)} != num_types {M}")
@@ -183,8 +188,27 @@ def _check_reward_shape(rew: RewardSpec, M: int, T: int) -> None:
             raise ConfigError(f"reward.covers: one cover per type required, got {len(ev.covers)}")
         if isinstance(ev, BudgetedLinearFunction) and len(ev.values) != M:
             raise ConfigError(f"reward.values: one value per type required, got {len(ev.values)}")
-    elif not isinstance(rew, GeneralTabulatedReward):
+    elif isinstance(rew, GeneralTabulatedReward):
+        keys = rew.keys
+        if not len(keys):
+            raise ConfigError("reward.entries: the table has no entries")
+        if keys.shape[1] != 2 * M + 1:
+            raise ConfigError(f"reward.entries: key {_table_key(keys[0], keys.shape[1] // 2)} "
+                              f"does not have {M} types")
+        x, x_next, t = keys[:, :M], keys[:, M:2 * M], keys[:, 2 * M]
+        inside = ((0 <= x_next) & (x_next <= x) & (x <= caps)).all(axis=1) & (0 <= t) & (t <= T)
+        if not inside.all():
+            key = _table_key(keys[np.argmin(inside)], M)
+            raise ConfigError(f"reward.entries: key {key} outside the domain "
+                              "x' <= x <= capacities, 0 <= t <= horizon")
+    else:
         raise ConfigError(f"unknown reward spec {type(rew).__name__}")
+
+
+def _table_key(row, M: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The (x, x', t) tuple of a tabulated key row."""
+    row = [int(v) for v in row]
+    return tuple(row[:M]), tuple(row[M:2 * M]), row[2 * M]
 
 
 def state_space_size(instance: Instance) -> int:
@@ -272,10 +296,9 @@ def validate_instance(instance: Instance, *, rewards: bool = True) -> Validation
             out.append(RuleViolation("schedule", (int(t), int(a), int(m)),
                                      "nonzero probability outside the [arrival, deadline) window"))
     if rewards:
-        rules = list(reward_rules(instance))
-        lhs, rhs = (np.array([r[k] for r in rules], dtype=np.float64) for k in (3, 4))
+        lhs, rhs, describe = reward_rules(instance)
         for k in np.flatnonzero(exceeds(lhs, rhs, 0.0)):
-            out.append(RuleViolation(*rules[k][:3]))
+            out.append(RuleViolation(*describe(int(k))))
     return ValidationReport(out)
 
 
@@ -291,26 +314,31 @@ def exceeds(lhs, rhs, tol):
         return ~(np.isfinite(lhs) & np.isfinite(rhs)) | (lhs > rhs + slack)
 
 
-# lhs and rhs of a missing table entry: it breaks under any tolerance.
-_FAULT = (math.inf, 0.0)
-
-
 def _non_negative(field: str, indices: tuple, value: float, noun: str):
     rule = f"negative {noun}" if math.isfinite(value) else f"{noun} not finite"
     return field, indices, rule, 0.0, value
 
 
-def reward_rules(instance: Instance) -> Iterator[tuple[str, tuple, str, float, float]]:
-    """Every value rule on the reward data, as (field, indices, rule, lhs, rhs).
+def reward_rules(instance: Instance) -> tuple[np.ndarray, np.ndarray, Callable[[int], tuple]]:
+    """Every value rule on the reward data, as arrays lhs and rhs and describe.
 
-    Each rule asks for lhs <= rhs with both sides finite (see exceeds).  The
-    data's shape is the constructor's to enforce, so the only structural
-    fault yielded here is a missing table entry; the monotonicity of a
+    Rule k asks for lhs[k] <= rhs[k] with both sides finite (see exceeds);
+    describe(k) is its (field, indices, rule).  The data's shape and a
+    tabulated reward's domain are the constructor's to enforce, so the only
+    structural fault here is a missing table entry; the monotonicity of a
     submodular potential is probed by stodep.properties.check_assumption1,
     not here.
     """
     rew = instance.reward
-    T = instance.horizon
+    if isinstance(rew, GeneralTabulatedReward):
+        return _table_rules(rew, instance.capacities, instance.horizon)
+    rules = list(_scalar_rules(rew, instance.horizon))
+    lhs, rhs = (np.array([r[k] for r in rules], dtype=np.float64) for k in (3, 4))
+    return lhs, rhs, lambda k: rules[k][:3]
+
+
+def _scalar_rules(rew: RewardSpec, T: int) -> Iterator[tuple[str, tuple, str, float, float]]:
+    """The rules of the weight and potential kinds, as (field, indices, rule, lhs, rhs)."""
     if isinstance(rew, LinearReward):
         for m, w in enumerate(rew.weights):
             yield _non_negative("reward.weights", (m,), w, "weight")
@@ -320,7 +348,7 @@ def reward_rules(instance: Instance) -> Iterator[tuple[str, tuple, str, float, f
                 yield _non_negative("reward.weights", (m, t), w, "weight")
                 if t + 1 < T:
                     yield "reward.weights", (m, t + 1), "w not non-increasing in t", row[t + 1], w
-    elif isinstance(rew, SubmodularReward):
+    else:
         # Built-in evaluators are submodular by construction, so only their
         # data ranges are rules; stodep.properties.check_submodular checks
         # custom evaluators on demand.
@@ -334,25 +362,65 @@ def reward_rules(instance: Instance) -> Iterator[tuple[str, tuple, str, float, f
                     yield _non_negative("reward.budgets", (g,), b, "budget")
             for m, v in enumerate(ev.values):
                 yield _non_negative("reward.values", (m,), v, "value")
-    else:  # GeneralTabulatedReward, the one kind left
-        for x in _iter_box(instance.capacities):
-            for x_next in _iter_box(x):
-                previous = None
-                for t in range(T + 1):
-                    key = (x, x_next, t)
-                    value = rew.table.get(key)
-                    if value is None:
-                        if t < T:
-                            yield ("reward.table", key, "missing entry", *_FAULT)
-                            previous = None
-                            continue
-                        value = 0.0  # terminal entries default to zero
-                    yield _non_negative("reward.table", key, value, "reward")
-                    if t == T:
-                        yield "reward.table", key, "terminal reward nonzero", abs(value), 0.0
-                    if previous is not None:
-                        yield "reward.table", key, "non-increasing in t", value, previous
-                    previous = value
+
+
+def _suffix_products(radices: np.ndarray) -> np.ndarray:
+    """Per row, prod_{m' > m} radices[m']: mixed-radix weights, last axis least significant."""
+    weights = np.ones_like(radices)
+    weights[..., :-1] = np.cumprod(radices[..., :0:-1], axis=-1)[..., ::-1]
+    return weights
+
+
+def _table_rules(rew: GeneralTabulatedReward, caps: tuple[int, ...], T: int):
+    """reward_rules of a tabulated reward, on a (pair, t, rule) grid.
+
+    Pairs (x, x') with x' <= x are numbered as _iter_box lists them: x over
+    the capacity box, then x' over the box of x.  Each (pair, t) has up to
+    three rules, in this order: the entry is present (t < T) or else
+    non-negative; zero at t = T; and no larger than at t - 1 when both
+    entries are present.  A missing entry at t = T counts as 0.  The rules
+    that apply are read in C order of the grid, which is the order of the
+    scalar loop over x, x', t.
+    """
+    M = len(caps)
+    box = np.indices([c + 1 for c in caps]).reshape(M, -1).T  # x in _iter_box order
+    sizes = np.prod(box + 1, axis=1)  # pairs per x
+    starts = np.cumsum(sizes) - sizes
+    x, x_next, t = rew.keys[:, :M], rew.keys[:, M:2 * M], rew.keys[:, 2 * M]
+    lex = x @ _suffix_products(np.array(caps) + 1)
+    pair = starts[lex] + (x_next * _suffix_products(x + 1)).sum(axis=1)
+    value = np.zeros((int(sizes.sum()), T + 1))
+    value[pair, t] = rew.values
+    have = np.zeros(value.shape, dtype=bool)
+    have[pair, t] = True
+    have[:, T] = True  # a terminal entry defaults to zero
+
+    lhs, rhs = np.zeros(value.shape + (3,)), np.zeros(value.shape + (3,))
+    applies = np.zeros(value.shape + (3,), dtype=bool)
+    lhs[:, :, 0] = np.where(have, 0.0, np.inf)  # missing: breaks under any tolerance
+    rhs[:, :, 0] = np.where(have, value, 0.0)
+    applies[:, :, 0] = True
+    lhs[:, T, 1] = np.abs(value[:, T])
+    applies[:, T, 1] = True
+    lhs[:, 1:, 2], rhs[:, 1:, 2] = value[:, 1:], value[:, :-1]
+    applies[:, 1:, 2] = have[:, 1:] & have[:, :-1]
+    cells = np.flatnonzero(applies)
+
+    def describe(k):
+        p, t, rule = np.unravel_index(cells[k], applies.shape)
+        i = int(np.searchsorted(starts, p, side="right")) - 1
+        x = box[i]
+        digits = int(p - starts[i]) // _suffix_products(x + 1) % (x + 1)
+        key = (tuple(x.tolist()), tuple(digits.tolist()), int(t))
+        if rule == 1:
+            return "reward.table", key, "terminal reward nonzero"
+        if rule == 2:
+            return "reward.table", key, "non-increasing in t"
+        if not have[p, t]:
+            return "reward.table", key, "missing entry"
+        return _non_negative("reward.table", key, float(value[p, t]), "reward")[:3]
+
+    return lhs[applies], rhs[applies], describe
 
 
 def _type_support(count: int, p: float) -> tuple[tuple[int, float], ...]:

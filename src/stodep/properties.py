@@ -274,24 +274,24 @@ def check_assumption1(instance: Instance, tol: float = DEFAULT_TOL) -> PropertyR
     potential's monotonicity along unit steps on the capacity box, which
     also covers custom evaluators.
     """
-    rules = list(reward_rules(instance))
+    lhs, rhs, describe = reward_rules(instance)
+
+    def witness(i):
+        field, indices, rule = describe(i)
+        return {"field": field, "indices": list(indices), "rule": rule}
+
+    chunks = [(lhs, rhs, witness)]
     rew = instance.reward
     if isinstance(rew, SubmodularReward):
         caps = instance.capacities
-        for y in _iter_box(caps):
-            for m in range(instance.num_types):
-                if y[m] < caps[m]:
-                    y_up = tuple(v + (1 if i == m else 0) for i, v in enumerate(y))
-                    rules.append(("reward.potential", (y, m), "potential not monotone",
-                                  rew.w(y), rew.w(y_up)))
-
-    def witness(i):
-        field, indices, rule, _, _ = rules[i]
-        return {"field": field, "indices": list(indices), "rule": rule}
-
-    lhs = [r[3] for r in rules]
-    rhs = [r[4] for r in rules]
-    return _report("assumption1", instance_fingerprint(instance), tol, [(lhs, rhs, witness)])
+        probes = [(y, m) for y in _iter_box(caps) for m in range(len(caps)) if y[m] < caps[m]]
+        chunks.append((
+            [rew.w(y) for y, m in probes],
+            [rew.w(y[:m] + (y[m] + 1,) + y[m + 1:]) for y, m in probes],
+            lambda i: {"field": "reward.potential", "indices": list(probes[i]),
+                       "rule": "potential not monotone"},
+        ))
+    return _report("assumption1", instance_fingerprint(instance), tol, chunks)
 
 
 def check_ratio(

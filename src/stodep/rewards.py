@@ -14,8 +14,11 @@ are computed from cannot change.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, DomainError
 
@@ -246,30 +249,46 @@ class SubmodularReward(RewardSpec):
         return spec()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class GeneralTabulatedReward(RewardSpec):
     """Explicit table of g(x, x', t) over the finite reduced domain.
 
     Keys are (x, x', t) with x' <= x <= capacities componentwise and
-    0 <= t <= horizon.  Entries at t == horizon may be omitted and default to 0;
-    a missing entry below the horizon is a domain error (and is reported as a
-    violation by validate_instance).  table is a read-only copy of the mapping
-    passed in.
+    0 <= t <= horizon, which the Instance constructor checks.  Entries at
+    t == horizon may be omitted and default to 0; a missing entry below the
+    horizon is a domain error (and is reported as a violation by
+    validate_instance).
+
+    The table is held as two read-only arrays: keys, int64 of shape
+    (n, 2M + 1) with rows (x, x', t) in lexicographic order, and values,
+    float64 of shape (n,).  table is a read-only mapping
+    {(x, x', t): value} built from them when first read.
     """
 
-    table: Mapping[tuple[tuple[int, ...], tuple[int, ...], int], float]
+    keys: np.ndarray
+    values: np.ndarray
 
     kind = "general_tabulated"
 
-    def __post_init__(self):
-        table = {
-            (tuple(int(v) for v in x), tuple(int(v) for v in x_next), int(t)): float(value)
-            for (x, x_next, t), value in self.table.items()
-        }
-        object.__setattr__(self, "table", MappingProxyType(table))
+    def __init__(self, table: Mapping):
+        """From a mapping {(x, x', t): value}."""
+        self._store([(*key, value) for key, value in table.items()])
+
+    @classmethod
+    def from_entries(cls, entries: Sequence) -> "GeneralTabulatedReward":
+        """From a sequence of [x, x', t, value] entries, the JSON form."""
+        rew = cls.__new__(cls)
+        rew._store(entries)
+        return rew
+
+    def _store(self, entries) -> None:
+        keys, values = _normalise(list(entries))
+        keys.flags.writeable = values.flags.writeable = False
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "values", values)
 
     def __reduce__(self):
-        return GeneralTabulatedReward, (dict(self.table),)
+        return GeneralTabulatedReward.from_entries, (self.spec_dict()["entries"],)
 
     @classmethod
     def from_potential(
@@ -282,14 +301,22 @@ class GeneralTabulatedReward(RewardSpec):
         from itertools import product
 
         caps = tuple(int(c) for c in capacities)
-        table = {}
+        entries = []
         for x in product(*(range(c + 1) for c in caps)):
             w_x = float(potential(tuple(c - v for c, v in zip(caps, x))))
             for x_next in product(*(range(v + 1) for v in x)):
                 w_next = float(potential(tuple(c - v for c, v in zip(caps, x_next))))
-                for t in range(horizon):
-                    table[(x, x_next, t)] = w_next - w_x
-        return cls(table)
+                entries += [(x, x_next, t, w_next - w_x) for t in range(horizon)]
+        return cls.from_entries(entries)
+
+    @cached_property
+    def table(self) -> Mapping[tuple[tuple[int, ...], tuple[int, ...], int], float]:
+        """Read-only mapping {(x, x', t): value}, built from the arrays on first read."""
+        m = self.keys.shape[1] // 2
+        return MappingProxyType({
+            (tuple(key[:m]), tuple(key[m:2 * m]), key[-1]): value
+            for key, value in zip(self.keys.tolist(), self.values.tolist())
+        })
 
     def amount(self, x, x_next, t, *, horizon, capacities) -> float:
         key = (tuple(x), tuple(x_next), t)
@@ -301,11 +328,79 @@ class GeneralTabulatedReward(RewardSpec):
         return value
 
     def spec_dict(self) -> dict:
-        entries = [
-            [list(x), list(x_next), t, value]
-            for (x, x_next, t), value in sorted(self.table.items())
-        ]
-        return {"kind": self.kind, "entries": entries}
+        m = self.keys.shape[1] // 2
+        columns = (self.keys[:, :m], self.keys[:, m:2 * m], self.keys[:, -1], self.values)
+        return {"kind": self.kind, "entries": list(map(list, zip(*(c.tolist() for c in columns))))}
+
+
+def _columns(entries: list) -> tuple[np.ndarray, np.ndarray] | None:
+    """(keys, values) of [x, x', t, value] entries in their order, or None.
+
+    None unless every entry has four fields, x and x' are integer lists of
+    one length throughout, t is an integer and value a number.
+    """
+    try:
+        xs, xs_next, ts, vs = zip(*entries, strict=True)
+        x, x_next, t, values = (np.array(column) for column in (xs, xs_next, ts, vs))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if not (x.ndim == 2 and x.shape == x_next.shape and t.ndim == values.ndim == 1):
+        return None
+    keys = np.concatenate((x, x_next, t[:, None]), axis=1)
+    if keys.dtype.kind != "i" or values.dtype.kind not in "biuf":
+        return None
+    return keys.astype(np.int64, copy=False), values.astype(np.float64, copy=False)
+
+
+def _entry_fault(entry, width: int | None) -> str | None:
+    """What is wrong with one entry, given the key length of entries[0]."""
+    columns = _columns([entry])
+    if columns is None:
+        try:
+            _, _, _, _ = entry
+        except (TypeError, ValueError):
+            return "expected four fields [x, x_next, t, value]"
+        return "x and x_next must be lists of integers of one length, t an integer, value a number"
+    if width is not None and columns[0].shape[1] != width:
+        return "key is not as long as that of entries[0]"
+    return None
+
+
+def _normalise(entries: list) -> tuple[np.ndarray, np.ndarray]:
+    """Lexicographically sorted (keys, values) of [x, x', t, value] entries.
+
+    Raises ConfigError, naming the entry, on one that is not four fields
+    with integer keys as long as that of entries[0], and on a key given
+    twice.
+    """
+    if not entries:
+        return np.zeros((0, 1), dtype=np.int64), np.zeros(0)
+    columns = _columns(entries)
+    if columns is None:
+        first = _columns(entries[:1])
+        width = None if first is None else first[0].shape[1]
+        for k, entry in enumerate(entries):
+            fault = _entry_fault(entry, width)
+            if fault is not None:
+                raise ConfigError(f"reward.entries[{k}] {entry!r}: {fault}")
+        raise ConfigError("reward.entries: the values are not numbers of one kind")
+    keys, values = columns
+    if not _ascending(keys).all():  # saved tables are sorted already
+        order = np.lexsort(keys.T[::-1])
+        keys, values = keys[order], values[order]
+        repeated = np.flatnonzero(~_ascending(keys))
+        if len(repeated):
+            first, again = sorted(int(order[j]) for j in (repeated[0], repeated[0] + 1))
+            raise ConfigError(f"reward.entries[{again}] {entries[again]!r}: "
+                              f"key given twice (also entries[{first}])")
+    return keys, values
+
+
+def _ascending(keys: np.ndarray) -> np.ndarray:
+    """Per adjacent pair of key rows, is the second lexicographically greater?"""
+    earlier, later = keys[:-1], keys[1:]
+    at = np.arange(len(later)), (later != earlier).argmax(axis=1)  # first column that differs
+    return later[at] > earlier[at]
 
 
 def reward_from_dict(spec: Mapping) -> RewardSpec:
@@ -333,10 +428,6 @@ def reward_from_dict(spec: Mapping) -> RewardSpec:
             )
         )
     if kind == "general_tabulated":
-        table = {
-            (tuple(x), tuple(x_next), int(t)): float(v)
-            for x, x_next, t, v in spec["entries"]
-        }
-        return GeneralTabulatedReward(table)
+        return GeneralTabulatedReward.from_entries(spec["entries"])
     raise ConfigError(f"unknown reward kind {kind!r}")
 

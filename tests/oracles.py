@@ -108,6 +108,35 @@ def _index_states(capacities):
     return [tuple(reversed(v)) for v in itertools.product(*boxes)]
 
 
+def table_rules_oracle(instance):
+    """Value rules on a tabulated reward, as (field, key, rule, lhs, rhs), one loop step each.
+
+    Walks x over the capacity box, x' over the box of x and t up to the
+    horizon.  A missing entry below the horizon breaks under any tolerance;
+    a missing terminal entry counts as 0.
+    """
+    rew, T = instance.reward, instance.horizon
+    for x in itertools.product(*(range(c + 1) for c in instance.capacities)):
+        for x_next in itertools.product(*(range(v + 1) for v in x)):
+            previous = None
+            for t in range(T + 1):
+                key = (x, x_next, t)
+                value = rew.table.get(key)
+                if value is None:
+                    if t < T:
+                        yield "reward.table", key, "missing entry", math.inf, 0.0
+                        previous = None
+                        continue
+                    value = 0.0
+                rule = "negative reward" if math.isfinite(value) else "reward not finite"
+                yield "reward.table", key, rule, 0.0, value
+                if t == T:
+                    yield "reward.table", key, "terminal reward nonzero", abs(value), 0.0
+                if previous is not None:
+                    yield "reward.table", key, "non-increasing in t", value, previous
+                previous = value
+
+
 def _certificate(pairs, tol):
     """(checked, worst_gap, violations) over (witness, lhs, rhs) triples, in order."""
     checked, worst, violations = 0, -math.inf, []

@@ -235,6 +235,18 @@ def _hostile_inputs():
              for name, spec in SHAPE_FAULTS.items()}
     missing = {"kind": "general_tabulated", "entries": [[[1, 1], [0, 0], 0, 1.0]]}
     cases["tabulated-missing-entry"] = (dict(base, reward=missing), [], 2, None)
+    # Malformed tabulated entries: every command refuses them when it builds the instance.
+    table = GeneralTabulatedReward.from_potential(lambda y: float(sum(y)), (1, 1), 2).spec_dict()
+    malformed = {
+        "tabulated-duplicate-key": [[1, 1], [0, 0], 0, 99.0],
+        "tabulated-non-integral-key": [[1, 0.5], [0, 0], 0, 1.0],
+        "tabulated-three-fields": [[1, 1], [0, 0], 0],
+    }
+    for name, entry in malformed.items():
+        spec = dict(table, entries=table["entries"] + [entry])
+        cases[name] = (dict(base, reward=spec), [], 2, "ConfigError")
+    empty = {"kind": "general_tabulated", "entries": []}
+    cases["tabulated-no-entries"] = (dict(base, reward=empty), [], 2, "ConfigError")
     # Value faults outside the reward: every command refuses them on loading.
     value_faults = {
         "nan-schedule-entry": {"schedule": [[[float("nan"), 0.0], [0.0, 1.0]],
@@ -302,7 +314,14 @@ STRAY_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("command", ["solve", "check"])
+STRAY_COMMANDS = {
+    "solve": ["solve"],
+    "check": ["check"],
+    "check-assumption1": ["check", "--properties", "assumption1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(STRAY_COMMANDS))
 @pytest.mark.parametrize("case", sorted(STRAY_ENTRIES))
 def test_tabulated_entry_outside_the_domain_exits_2(case, command, tmp_path, capsys):
     inst = build_worst_case_instance(0.1)
@@ -311,11 +330,11 @@ def test_tabulated_entry_outside_the_domain_exits_2(case, command, tmp_path, cap
     data = dict(instance_to_dict(inst), reward=reward.spec_dict())
     path = tmp_path / "clean.json"
     path.write_text(json.dumps(data))
-    assert main([command, "--instance", str(path)]) == 0
+    assert main(STRAY_COMMANDS[command] + ["--instance", str(path)]) == 0
     capsys.readouterr()
     data["reward"]["entries"].append(STRAY_ENTRIES[case])
     path.write_text(json.dumps(data))
-    assert main([command, "--instance", str(path)]) == 2
+    assert main(STRAY_COMMANDS[command] + ["--instance", str(path)]) == 2
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "ConfigError"
 

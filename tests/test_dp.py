@@ -1,4 +1,5 @@
 import gc
+import io
 import itertools
 import weakref
 from collections import Counter
@@ -428,6 +429,33 @@ def test_table_policies_are_evaluated_without_select(name, monkeypatch):
     assert np.array_equal(again.values, expected.values)
     assert np.array_equal(again.best_activity, expected.best_activity)
     assert audit_table(inst, again, policy=policy).passed
+
+
+def test_tabulated_rewards_are_read_without_the_table_mapping(monkeypatch):
+    caps, T = (2, 1, 2), 3
+    rew = stodep.GeneralTabulatedReward.from_potential(
+        CoverageFunction(3, (frozenset({0}), frozenset({1, 2}), frozenset({2})), (1.0, 0.5, 0.25)),
+        caps, T,
+    )
+    inst = make_instance(capacities=caps, horizon=T, schedule=np.full((T, 2, 3), 0.4), reward=rew)
+    saved = io.StringIO()
+    stodep.save_instance(inst, saved)
+    expected = solve_clairvoyant(inst)
+
+    def no_table(self):
+        raise AssertionError("table mapping read")
+
+    monkeypatch.setattr(stodep.GeneralTabulatedReward, "table", property(no_table))
+    saved.seek(0)
+    loaded = stodep.load_instance(saved)  # parses and validates
+    assert stodep.check_assumption1(loaded).passed
+    table = solve_clairvoyant(loaded)
+    assert np.array_equal(table.values, expected.values)
+    assert stodep.check_ir(loaded, table).passed
+    assert loaded.reward.spec_dict() == rew.spec_dict()
+    assert stodep.instance_fingerprint(loaded) == stodep.instance_fingerprint(inst)
+    with pytest.raises(AssertionError, match="table mapping read"):
+        loaded.reward.table
 
 
 def test_one_instance_builds_one_operator_and_one_fingerprint(monkeypatch):

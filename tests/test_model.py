@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -32,7 +33,7 @@ from stodep import (
 )
 
 from conftest import SHAPE_FAULTS, make_instance
-from oracles import binomial_pmf_oracle
+from oracles import _breaks, _certificate, binomial_pmf_oracle, table_rules_oracle
 
 
 # ---------------------------------------------------------------- validation
@@ -162,6 +163,9 @@ def test_reward_specs_are_frozen():
     assert tab.table[((1,), (0,), 0)] == 1.0
     with pytest.raises(TypeError):
         tab.table[((1,), (0,), 0)] = 5.0
+    for array in (tab.keys, tab.values):
+        with pytest.raises(ValueError):
+            array[0] = 5
     specs = {
         "weights": LinearReward((1.0,)),
         "table": tab,
@@ -418,6 +422,118 @@ def test_tabulated_reward_lookup_and_terminal_default():
     assert reward((1,), (0,), 0, inst) == 2.0
     assert reward((1,), (0,), 1, inst) == 0.0  # terminal entries default to zero
     assert validate_instance(inst).passed
+
+
+TABLE_FAULTS = ("missing", "missing-terminal", "negative", "nan", "inf", "-inf", "increase",
+                "terminal")
+
+
+@st.composite
+def faulty_tables(draw):
+    """(capacities, horizon, table) of a valid tabulated reward with 0-4 faults.
+
+    The valid values are non-negative and non-increasing in t; each pair
+    may or may not carry its (zero) terminal entry.
+    """
+    M, T = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    caps = tuple(draw(st.integers(1, 2)) for _ in range(M))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = {}
+    for x in itertools.product(*(range(c + 1) for c in caps)):
+        for x_next in itertools.product(*(range(v + 1) for v in x)):
+            for t, value in enumerate(sorted(rng.random(T).tolist(), reverse=True)):
+                table[(x, x_next, t)] = value
+            if rng.random() < 0.5:
+                table[(x, x_next, T)] = 0.0
+    for fault in draw(st.lists(st.sampled_from(TABLE_FAULTS), max_size=4)):
+        keys = sorted(k for k in table if (k[2] == T) == (fault == "missing-terminal"))
+        if not keys:
+            continue
+        x, x_next, t = key = keys[draw(st.integers(0, len(keys) - 1))]
+        if fault.startswith("missing"):
+            del table[key]
+        elif fault == "increase":
+            table[(x, x_next, max(t, 1))] = table.get((x, x_next, max(t, 1) - 1), 0.0) + 0.5
+        elif fault == "terminal":
+            table[(x, x_next, T)] = 0.25
+        else:
+            table[key] = {"negative": -0.5, "nan": math.nan, "inf": math.inf, "-inf": -math.inf}[fault]
+    return caps, T, table
+
+
+def _tabulated_instance(caps, T, reward):
+    return make_instance(capacities=caps, horizon=T, schedule=np.full((T, 2, len(caps)), 0.5),
+                         reward=reward)
+
+
+@settings(max_examples=120, deadline=None)
+@given(faulty_tables())
+def test_table_rules_match_the_scalar_oracle(case):
+    caps, T, table = case
+    inst = _tabulated_instance(caps, T, GeneralTabulatedReward(table))
+    rules = list(table_rules_oracle(inst))
+    violations = validate_instance(inst).violations
+    assert [(v.field, v.indices, v.rule) for v in violations] == [
+        r[:3] for r in rules if _breaks(r[3], r[4], 0.0)
+    ]
+    report = stodep.check_assumption1(inst)
+    checked, worst, expected = _certificate(
+        (({"field": f, "indices": list(key), "rule": rule}, lhs, rhs)
+         for f, key, rule, lhs, rhs in rules),
+        report.tolerance,
+    )
+    assert (report.checked, repr(report.worst_gap)) == (checked, repr(worst))
+    assert [(v.witness, repr(v.lhs), repr(v.rhs)) for v in report.violations] == [
+        (witness, repr(lhs), repr(rhs)) for witness, lhs, rhs, _ in expected
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(faulty_tables(), st.randoms(use_true_random=False))
+def test_entry_order_does_not_reach_the_outputs(case, rnd):
+    caps, T, table = case
+    inst = _tabulated_instance(caps, T, GeneralTabulatedReward(table))
+    entries = [[list(x), list(x_next), t, v] for (x, x_next, t), v in table.items()]
+    rnd.shuffle(entries)
+    shuffled = _tabulated_instance(caps, T, GeneralTabulatedReward.from_entries(entries))
+    ordered = [[list(x), list(x_next), t, v] for (x, x_next, t), v in sorted(table.items())]
+    assert json.dumps(shuffled.reward.spec_dict()["entries"]) == json.dumps(ordered)
+    assert stodep.instance_fingerprint(shuffled) == stodep.instance_fingerprint(inst)
+    saved = [io.StringIO(), io.StringIO()]
+    stodep.save_instance(inst, saved[0])
+    stodep.save_instance(shuffled, saved[1])
+    assert saved[0].getvalue() == saved[1].getvalue()
+
+
+@pytest.mark.parametrize("entry", [
+    [[1, 1], [0, 0], 0, 99.0],  # a duplicate key
+    [[1, 0.5], [0, 0], 0, 1.0],  # a non-integral item count
+    [[1, 1], [0, 0], 0.0, 1.0],  # a non-integral epoch
+    [[1, 1], [0, 0], 0],  # three fields
+    [[1, 1, 1], [0, 0, 0], 0, 1.0],  # a key longer than the others
+    [[1, 1], [0, 0], 0, None],  # a value that is not a number
+])
+def test_malformed_entries_are_refused_by_index(entry):
+    entries = GeneralTabulatedReward.from_potential(lambda y: float(sum(y)), (1, 1), 2).spec_dict()
+    entries = entries["entries"]
+    entries.insert(3, entry)
+    with pytest.raises(stodep.ConfigError, match=r"entries\[3\]"):
+        reward_from_dict({"kind": "general_tabulated", "entries": entries})
+
+
+@pytest.mark.parametrize("entries", [
+    [[[1, 1, 1], [0, 0, 0], 0, 1.0]],  # keys of three types for two
+    [[[2, 1], [0, 0], 0, 1.0]],  # x above capacity
+    [[[0, 1], [1, 1], 0, 1.0]],  # x' above x
+    [[[1, 1], [-1, 0], 0, 1.0]],  # x' negative
+    [[[1, 1], [0, 0], 3, 1.0]],  # t past the horizon
+    [[[1, 1], [0, 0], -1, 1.0]],  # t negative
+    [],  # no entries at all
+])
+def test_tabulated_keys_outside_the_domain_raise_when_the_instance_is_built(entries, worst_case_tenth):
+    rew = GeneralTabulatedReward.from_entries(entries)
+    with pytest.raises(stodep.ConfigError):
+        dataclasses.replace(worst_case_tenth, reward=rew)
 
 
 # ------------------------------------------------------ expected step reward
