@@ -61,6 +61,7 @@ from .dp import (
     ValueTable,
     audit_table,
     best_activity,
+    evaluate_policies_exact,
     evaluate_policy_exact,
     optimal_value,
     solve_clairvoyant,

@@ -21,7 +21,7 @@ from .model import (
     Instance,
     validate_instance,
 )
-from .dp import evaluate_policy_exact, solve_clairvoyant
+from .dp import evaluate_policies_exact, evaluate_policy_exact, solve_clairvoyant
 from .policies import optimal_policy_from_table, policy_from_name
 from .properties import (
     DEFAULT_TOL,
@@ -276,11 +276,12 @@ def _batch_rows(config: dict, args):
             si0 = table.state_index(instance.initial_items)
             j_star = float(table.values[si0, 0])
             row["j_star"] = j_star
-            policy_tables = {}
-            for pol_name in policies:
-                policy = policy_from_name(pol_name, table=table)
-                j_pol_table = evaluate_policy_exact(instance, policy, state_cap=args.cap_states)
-                policy_tables[pol_name] = j_pol_table
+            evaluated = evaluate_policies_exact(
+                instance, [policy_from_name(name, table=table) for name in policies],
+                state_cap=args.cap_states,
+            )
+            policy_tables = dict(zip(policies, evaluated))
+            for pol_name, j_pol_table in zip(policies, evaluated):
                 j_pol = float(j_pol_table.values[si0, 0])
                 row[f"j[{pol_name}]"] = j_pol
                 if j_pol > 0.0:

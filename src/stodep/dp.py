@@ -17,10 +17,18 @@ each type m a batch of (c_m + 1) x (c_m + 1) binomial transition matrices
 B_m(p[t, a, m]), one per activity, is contracted with the value tensor along
 that type's axis.  An epoch costs S * A * sum_m (c_m + 1) for S states and A
 activities, where enumerating outcomes costs S * A * prod_m (x_m + 1).
-Activities go through the operator in chunks of a fixed size.  An Epoch
-computes each chunk's Q once and keeps it for later passes over the epoch
-while the kept chunks fit a fixed byte budget (_Q_BUDGET); chunks past it are
-recomputed on each pass, so memory stays bounded whatever A is.
+
+The operator takes a stack of P value vectors, one per policy, and returns Q
+for every (policy, activity) pair, so evaluate_policies_exact evaluates P
+policies in one backward sweep and one_step_decisions serves every one-step
+rule from one sweep with V = 0.  Activities go through the operator in chunks
+of at most _CHUNK_ENTRIES Q entries (P * k * S for k activities), so a small
+table takes every pair in one call.  No Q depends on which activities share
+its call (see BellmanOperator._linear_reward), so stacked and single
+evaluations agree bit for bit.  An Epoch computes each chunk's Q once
+and keeps it for later passes over the epoch while the kept chunks fit a
+fixed byte budget (_Q_BUDGET); chunks past it are recomputed on each pass, so
+memory stays bounded whatever A and P are.
 
 Each instance gets one operator (bellman_operator), built on first use and
 kept on the instance, so a solve, the policy evaluations and the certifiers
@@ -51,13 +59,19 @@ from .serialize import instance_fingerprint
 # comparison would let rounding pick among mathematically equal activities.
 TIE_TOL = 1e-12
 
-# Activities per operator application: bounds the working set at a few
-# S * _CHUNK doubles whatever the number of activities.
-_CHUNK = 8
+# Q entries (policies x activities x states) per operator application: bounds
+# the working set at a few such arrays whatever the number of activities; a
+# 7**7-state table takes 8 activities of one policy per chunk.  A chunk holds
+# at least one activity.
+_CHUNK_ENTRIES = 6_600_000
+
+# Activities per block of the linear reward's matrix product (see
+# BellmanOperator._linear_reward).
+_REWARD_BLOCK = 8
 
 # Bytes of Q an Epoch keeps for its later passes: chunk k is kept while
-# (k + 1) * _CHUNK * S doubles fit.  The first chunk is always kept, since it
-# is in memory while it is computed anyway.
+# (k + 1) chunks of doubles fit.  The first chunk is always kept, since it is
+# in memory while it is computed anyway.
 _Q_BUDGET = 2**27
 
 # Table rows per block written by ValueTable.save_json.
@@ -92,7 +106,7 @@ def decode_state(index: int, capacities: Sequence[int]) -> tuple[int, ...]:
 class ValueTable:
     """Dense J(x, t) plus the maximizing activity per (x, t < horizon).
 
-    For tables produced by evaluate_policy_exact, best_activity holds the
+    For tables produced by evaluate_policies_exact, best_activity holds the
     policy's chosen activity and policy_name records which policy.
     """
 
@@ -284,16 +298,46 @@ class BellmanOperator:
         return self.tabulated[:, x, x_next]
 
     def q(self, t: int, v_next: np.ndarray | None, acts: np.ndarray) -> np.ndarray:
-        """Q_t(., a) for each a in acts, shape (len(acts), S); v_next=None means V = 0."""
+        """Q_t(., a) for each a in acts and each value vector of v_next.
+
+        acts holds distinct activities in ascending order.  v_next is one
+        vector (S,) or a stack of P vectors (P, S), one per policy; Q is then
+        (len(acts), S) or (P, len(acts), S), with the reward term shared by
+        the stack.  v_next=None means V = 0.
+        """
         p = self.schedule[t, acts]
         mats = self._matrices(p)
         if self.potential is not None:
             return self._expect(mats, v_next, self.potential)
         if self.weights is not None:
-            reward = (p * self.weights[t]) @ self._counts
+            reward = self._linear_reward(t, acts)
         else:
             reward = (_kron(mats) * self.tabulated[t]).sum(axis=2)
         return reward if v_next is None else reward + self._expect(mats, v_next)
+
+    def _linear_reward(self, t: int, acts: np.ndarray) -> np.ndarray:
+        """sum_m w_m[t] p[t, a, m] x_m for each a in acts, shape (len(acts), S).
+
+        A BLAS matrix product can round a row differently depending on how
+        many rows it computes (seen from 4 types up), so each row comes from
+        the product of its fixed block of _REWARD_BLOCK activities.
+        A Q's bits then do not depend on which activities share its call: a
+        chunk, a policy's own choices, or the union of several policies'.
+        """
+        B = _REWARD_BLOCK
+        lo = int(acts[0]) // B * B
+        if int(acts[-1]) < lo + B:  # one block, as on every table of up to 8 activities
+            block = (self.schedule[t, lo:lo + B] * self.weights[t]) @ self._counts
+            return block if len(block) == len(acts) else block[acts - lo]
+        out = np.empty((len(acts), self.num_states))
+        i = 0
+        while i < len(acts):  # acts ascend, so each block's activities are a run
+            lo = int(acts[i]) // B * B
+            j = int(np.searchsorted(acts, lo + B))
+            block = (self.schedule[t, lo:lo + B] * self.weights[t]) @ self._counts
+            np.take(block, acts[i:j] - lo, axis=0, out=out[i:j])
+            i = j
+        return out
 
     def _matrices(self, p: np.ndarray) -> list[np.ndarray]:
         """Per type m, B_m[a, x, y] = P(y of x left) = C(x, x - y) p^(x - y) (1 - p)^y.
@@ -310,7 +354,9 @@ class BellmanOperator:
         return mats
 
     def _expect(self, mats: list[np.ndarray], v, phi=None) -> np.ndarray:
-        """(K_a v)(x) = E[v(x - X)] for every activity of the batch, shape (k, S).
+        """(K_a v)(x) = E[v(x - X)] for every activity of the batch and vector of v.
+
+        v is (S,) or (P, S); the result is (k, S) or (P, k, S).
 
         K = K_{M-1} ... K_0, where K_m takes the expectation over type m's
         depletion.  Each step contracts the last axis of the C-order tensor
@@ -324,17 +370,18 @@ class BellmanOperator:
         differences, the expected reward is exactly zero wherever phi is flat
         below x, where K(v + phi) - phi would leave a rounding residue.
         """
-        S, k = self.num_states, len(mats[0])
+        S = self.num_states
+        lead = () if v is None else v.shape[:-1]  # (P,) for a stack
         w = v
         for mat, n in zip(mats, self.dims):
-            if w is not None:
-                w = np.matmul(w.reshape(-1, S // n, n), mat.transpose(0, 2, 1))
+            if w is not None:  # the activity axis, -1, is 1 before the first step
+                w = np.matmul(w.reshape(lead + (-1, S // n, n)), mat.transpose(0, 2, 1))
             if phi is not None:
                 f = phi.reshape(S // n, n)
                 gain = np.einsum("kxy,ixy->kix", mat, f[:, None, :] - f[:, :, None])
                 w = gain if w is None else w + gain
                 phi = f.T.reshape(S)
-            w = w.transpose(0, 2, 1).reshape(k, S)
+            w = w.swapaxes(-1, -2).reshape(lead + (-1, S))
         return w
 
     def epoch(self, t: int, v_next: np.ndarray | None, acts=None) -> "Epoch":
@@ -343,9 +390,9 @@ class BellmanOperator:
         return Epoch(self, t, v_next, acts)
 
     def used(self, choice: np.ndarray) -> np.ndarray:
-        """The distinct activities in choice, ascending."""
+        """The distinct activities in choice (of any shape), ascending."""
         # np.unique would import numpy.ma, a few MB of resident memory.
-        return np.flatnonzero(np.bincount(choice, minlength=self.num_activities))
+        return np.flatnonzero(np.bincount(choice.ravel(), minlength=self.num_activities))
 
 
 def _binomial_layout(n: int):
@@ -373,24 +420,32 @@ def _kron(mats: list[np.ndarray]) -> np.ndarray:
 class Epoch:
     """Q at one epoch for a sorted array of activities, produced chunk by chunk.
 
-    Iterating yields (activities, q) pairs.  Each chunk's q is computed once
-    and reused by every later pass while the kept chunks fit _Q_BUDGET; a
-    chunk past the budget is recomputed on each pass.
+    v_next is None (V = 0), one value vector (S,) or a stack (P, S); every
+    per-state result has v_next's shape, (S,) for V = 0.  Iterating yields
+    (activities, q) pairs.  A chunk holds as many activities as keep its Q
+    within _CHUNK_ENTRIES entries, and at least one.  Each chunk's q is
+    computed once and reused by every later pass while the kept chunks fit
+    _Q_BUDGET; a chunk past the budget is recomputed on each pass.
     """
 
     def __init__(self, op: BellmanOperator, t: int, v_next, acts: np.ndarray):
         self.op, self.t, self.v_next = op, t, v_next
-        self.chunks = [acts[i:i + _CHUNK] for i in range(0, len(acts), _CHUNK)]
+        self.shape = (op.num_states,) if v_next is None else v_next.shape  # per-state results
+        # Q entries per activity; a stack of no policies still gets one chunk size.
+        per_activity = op.num_states if v_next is None else max(1, v_next.size)
+        width = max(1, _CHUNK_ENTRIES // per_activity)
+        self.chunks = [acts[i:i + width] for i in range(0, len(acts), width)]
+        self._keep = max(1, _Q_BUDGET // (width * per_activity * 8))
         self._kept: list[np.ndarray] = []
 
     def __iter__(self):
-        kept, chunk_bytes = self._kept, _CHUNK * self.op.num_states * 8
+        kept = self._kept
         for k, acts in enumerate(self.chunks):
             if k < len(kept):
                 q = kept[k]
             else:
                 q = self.op.q(self.t, self.v_next, acts)
-                if k == 0 or (k + 1) * chunk_bytes <= _Q_BUDGET:
+                if k < self._keep:
                     kept.append(q)
             yield acts, q
 
@@ -398,27 +453,26 @@ class Epoch:
         """Per-state maximum over activities of q, or of key(q)."""
         best = None
         for _, q in self:
-            top = (q if key is None else key(q)).max(axis=0)
+            top = (q if key is None else key(q)).max(axis=-2)
             best = top if best is None else np.maximum(best, top)
         return best
 
     def lowest(self, cond: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """Per-state lowest activity whose q satisfies cond; -1 where none does."""
-        choice = np.full(self.op.num_states, -1, dtype=np.int32)
+        choice = np.full(self.shape, -1, dtype=np.int32)
         for acts, q in self:
             hit = cond(q)
-            first = hit.argmax(axis=0)
-            take = (choice < 0) & hit.any(axis=0)
-            choice[take] = acts[first[take]]
+            take = (choice < 0) & hit.any(axis=-2)
+            choice[take] = acts[hit.argmax(axis=-2)[take]]
         return choice
 
     def at(self, choice: np.ndarray) -> np.ndarray:
         """Per-state q at the given activity; NaN where it is not in this epoch."""
-        out = np.full(self.op.num_states, np.nan)
+        out = np.full(choice.shape, np.nan)
         for acts, q in self:
             pos = np.minimum(np.searchsorted(acts, choice), len(acts) - 1)
-            inside = np.flatnonzero(acts[pos] == choice)
-            out[inside] = q[pos[inside], inside]
+            inside = np.nonzero(acts[pos] == choice)
+            out[inside] = q[inside[:-1] + (pos[inside],) + inside[-1:]]
         return out
 
 
@@ -429,20 +483,27 @@ def lowest_tied(epoch: Epoch) -> tuple[np.ndarray, np.ndarray]:
     return best, epoch.lowest(lambda q: q >= floor)
 
 
-def _empty_table(op: BellmanOperator) -> tuple[np.ndarray, np.ndarray]:
-    # Column-major, so the epoch columns the sweep reads and writes are contiguous.
+def _empty_tables(op: BellmanOperator, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zero values (count, T + 1, S) and unset activities (count, T, S).
+
+    Epoch-major, so the epoch rows a sweep reads and writes are contiguous;
+    table i is values[i].T, a Fortran-ordered (S, T + 1) array.
+    """
     S, T = op.num_states, op.horizon
-    return np.zeros((S, T + 1), order="F"), np.full((S, T), -1, dtype=np.int32, order="F")
+    return np.zeros((count, T + 1, S)), np.full((count, T, S), -1, dtype=np.int32)
 
 
-def _value_table(instance: Instance, values: np.ndarray, chosen: np.ndarray) -> ValueTable:
+def _value_table(instance: Instance, values: np.ndarray, chosen: np.ndarray,
+                 policy_name: str | None = None) -> ValueTable:
+    """The table of epoch-major values (T + 1, S) and activities (T, S)."""
     return ValueTable(
         capacities=instance.capacities,
         horizon=instance.horizon,
         num_activities=instance.num_activities,
         fingerprint=instance_fingerprint(instance),
-        values=values,
-        best_activity=chosen,
+        values=values.T,
+        best_activity=chosen.T,
+        policy_name=policy_name,
     )
 
 
@@ -458,10 +519,41 @@ def solve_clairvoyant(
     summation order never decides between activities that tie exactly.
     """
     op = bellman_operator(instance, state_cap)
-    values, chosen = _empty_table(op)
+    (values,), (chosen,) = _empty_tables(op, 1)
     for t in range(instance.horizon - 1, -1, -1):
-        values[:, t], chosen[:, t] = lowest_tied(op.epoch(t, values[:, t + 1]))
+        values[t], chosen[t] = lowest_tied(op.epoch(t, values[t + 1]))
     return _value_table(instance, values, chosen)
+
+
+def evaluate_policies_exact(
+    instance: Instance,
+    policies: Sequence,
+    *,
+    state_cap: int = DEFAULT_STATE_CAP,
+) -> list[ValueTable]:
+    """Exact J^pi of every policy, all from one backward sweep.
+
+    Each epoch applies the operator once to the stack of the policies' value
+    vectors, over the union of the activities they choose there, and reads
+    each policy's Q at its own choice.  The choices come from
+    stodep.policies.decision_tables, one column per epoch.
+    """
+    from .policies import decision_tables  # policies builds on this module
+
+    op = bellman_operator(instance, state_cap)
+    values, chosen = _empty_tables(op, len(policies))
+    for row, decisions in zip(chosen, decision_tables(instance, policies, state_cap)):
+        row[:] = decisions.T
+    # One policy's vectors go unstacked: stacked, its epoch costs about 3 us
+    # more (the (P, S) gather), an eighth of an epoch on a 64-state table.
+    stack = 0 if len(policies) == 1 else slice(None)
+    for t in range(instance.horizon - 1, -1, -1):
+        choice = chosen[stack, t]
+        values[stack, t] = op.epoch(t, values[stack, t + 1], op.used(choice)).at(choice)
+    return [
+        _value_table(instance, v, c, getattr(policy, "name", str(policy)))
+        for policy, v, c in zip(policies, values, chosen)
+    ]
 
 
 def evaluate_policy_exact(
@@ -475,35 +567,29 @@ def evaluate_policy_exact(
     The activities come from policy.decisions (stodep.policies.Policy), one
     column per epoch.
     """
-    op = bellman_operator(instance, state_cap)
-    decisions = policy.decisions(instance, state_cap)
-    values, chosen = _empty_table(op)
-    chosen[:] = decisions
-    for t in range(instance.horizon - 1, -1, -1):
-        choice = chosen[:, t]
-        values[:, t] = op.epoch(t, values[:, t + 1], op.used(choice)).at(choice)
-    table = _value_table(instance, values, chosen)
-    table.policy_name = getattr(policy, "name", str(policy))
-    return table
+    return evaluate_policies_exact(instance, [policy], state_cap=state_cap)[0]
 
 
 def one_step_decisions(
     instance: Instance,
-    rule: Callable[[Epoch], np.ndarray],
+    rules: Sequence[Callable[[Epoch], np.ndarray]],
     state_cap: int = DEFAULT_STATE_CAP,
-) -> np.ndarray:
-    """(num_states, horizon) activity table from rule applied to Q with V = 0.
+) -> list[np.ndarray]:
+    """One (num_states, horizon) activity table per rule, applied to Q with V = 0.
 
     Q is then the expected one-step reward, which is what the myopic
-    policies rank.
+    policies rank.  Every rule reads the same Epoch, so each epoch's Q is
+    computed once for all of them (within _Q_BUDGET).
     """
     op = bellman_operator(instance, state_cap)
-    table = np.empty((op.num_states, instance.horizon), dtype=np.int32, order="F")
+    tables = np.empty((len(rules), instance.horizon, op.num_states), dtype=np.int32)
     for t in range(instance.horizon):
-        table[:, t] = rule(op.epoch(t, None))
-    if table.min() < 0:
+        epoch = op.epoch(t, None)
+        for table, rule in zip(tables, rules):
+            table[t] = rule(epoch)
+    if (tables < 0).any():
         raise DomainError("the decision rule selects no activity at some state")
-    return table
+    return [table.T for table in tables]
 
 
 @dataclass

@@ -381,7 +381,16 @@ def _table_rules(rew: GeneralTabulatedReward, caps: tuple[int, ...], T: int):
     entries are present.  A missing entry at t = T counts as 0.  The rules
     that apply are read in C order of the grid, which is the order of the
     scalar loop over x, x', t.
+
+    The grid takes about 100 bytes a cell however few entries the table has,
+    so more than DEFAULT_OUTCOME_CAP cells raise EnumerationCapExceeded
+    before anything is allocated.
     """
+    cells = math.prod((c + 1) * (c + 2) // 2 for c in caps) * (T + 1)
+    if cells > DEFAULT_OUTCOME_CAP:
+        raise EnumerationCapExceeded(
+            f"tabulated reward grid of {cells} (x, x', t) cells exceeds cap {DEFAULT_OUTCOME_CAP}"
+        )
     M = len(caps)
     box = np.indices([c + 1 for c in caps]).reshape(M, -1).T  # x in _iter_box order
     sizes = np.prod(box + 1, axis=1)  # pairs per x

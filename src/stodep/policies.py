@@ -4,12 +4,14 @@ Every policy is a total mapping (state, instance) -> activity index with a
 stable name; the same inputs always produce the same choice, so exact policy
 evaluation and seeded simulation are reproducible.  Exact evaluation reads a
 policy through its decision table (Policy.decisions), which the myopic,
-approximate-myopic and optimal policies hold already.
+approximate-myopic and optimal policies hold already; decision_tables builds
+the one-step policies' tables of one instance from a single sweep.
 """
 
 from __future__ import annotations
 
 import weakref
+from typing import Sequence
 
 import numpy as np
 
@@ -64,10 +66,15 @@ class _DecisionTable(Policy):
     def _table(self, instance: Instance, state_cap: int = DEFAULT_STATE_CAP) -> np.ndarray:
         table = self._memo.get(instance)
         if table is None:
-            table = self._in_range(self._decisions(instance, state_cap), instance)
-            dims = tuple(c + 1 for c in instance.capacities)
-            # Fortran order makes table[x_0, ..., x_{M-1}, t] the mixed-radix entry.
-            table = self._memo[instance] = table.reshape(dims + (instance.horizon,), order="F")
+            table = self._keep(instance, self._decisions(instance, state_cap))
+        return table
+
+    def _keep(self, instance: Instance, table: np.ndarray) -> np.ndarray:
+        """Range-check a (num_states, horizon) table and keep it as the nd view."""
+        table = self._in_range(table, instance)
+        dims = tuple(c + 1 for c in instance.capacities)
+        # Fortran order makes table[x_0, ..., x_{M-1}, t] the mixed-radix entry.
+        table = self._memo[instance] = table.reshape(dims + (instance.horizon,), order="F")
         return table
 
     def decisions(self, instance: Instance, state_cap: int = DEFAULT_STATE_CAP) -> np.ndarray:
@@ -91,15 +98,16 @@ class _OneStepPolicy(_DecisionTable):
     """A rule on expected one-step rewards, precomputed as a decision table.
 
     The table comes from one sweep with V = 0 of the instance's Bellman
-    operator the first time an instance is seen.  Ties follow the solver's
-    rule (see stodep.dp.TIE_TOL).
+    operator the first time an instance is seen, shared with the other
+    one-step policies that decision_tables is given.  Ties follow the
+    solver's rule (see stodep.dp.TIE_TOL).
     """
 
     def _rule(self, epoch: Epoch) -> np.ndarray:
         raise NotImplementedError
 
     def _decisions(self, instance: Instance, state_cap: int) -> np.ndarray:
-        return one_step_decisions(instance, self._rule, state_cap)
+        return one_step_decisions(instance, [self._rule], state_cap)[0]
 
 
 class MyopicPolicy(_OneStepPolicy):
@@ -194,6 +202,24 @@ class SeededRandomPolicy(Policy):
         for v in state.items:
             h = mix64(h, v)
         return h % instance.num_activities
+
+
+def decision_tables(
+    instance: Instance, policies: Sequence[Policy], state_cap: int = DEFAULT_STATE_CAP
+) -> list[np.ndarray]:
+    """Policy.decisions of each policy on instance.
+
+    The one-step policies that have not seen the instance get their tables
+    from one shared sweep with V = 0 (stodep.dp.one_step_decisions).
+    """
+    fresh = {
+        id(p): p for p in policies if isinstance(p, _OneStepPolicy) and instance not in p._memo
+    }
+    if fresh:
+        rules = [p._rule for p in fresh.values()]
+        for policy, table in zip(fresh.values(), one_step_decisions(instance, rules, state_cap)):
+            policy._keep(instance, table)
+    return [p.decisions(instance, state_cap) for p in policies]
 
 
 def myopic_policy() -> Policy:

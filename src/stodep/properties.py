@@ -14,6 +14,7 @@ such pairs; each docstring gives the order its violations are listed in.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -129,10 +130,14 @@ def _report(name: str, fingerprint: str, tol: float, chunks: Iterable[tuple]) ->
         # Views are read in place; flat indices follow C order of their shape.
         lhs = np.asarray(lhs, dtype=np.float64)
         rhs = np.asarray(rhs, dtype=np.float64)
-        gap = lhs - rhs
+        bad = np.flatnonzero(exceeds(lhs, rhs, tol))
+        # A pair with a side that is not finite is a violation, so inf - inf
+        # (a NaN gap) can only occur in a chunk with violations.
+        with np.errstate(invalid="ignore") if len(bad) else contextlib.nullcontext():
+            gap = lhs - rhs
         checked += gap.size
         worst = max(worst, float(np.fmax.reduce(gap, axis=None, initial=-math.inf)))  # skips NaN
-        for i in np.flatnonzero(exceeds(lhs, rhs, tol)):
+        for i in bad:
             i = int(i)
             violations.append(
                 Violation(witness(i), float(lhs.flat[i]), float(rhs.flat[i]), float(gap.flat[i]))

@@ -228,7 +228,9 @@ def _hostile_inputs():
 
     error None: it depends on the command (a ConfigError from validation on
     loading, or the DomainError that check meets first: check leaves the
-    reward value rules to its assumption1 property).
+    reward value rules to its assumption1 property; for the huge tabulated
+    grid, the EnumerationCapExceeded of validation, or the state cap that
+    check's solve meets first).
     """
     base = instance_to_dict(build_worst_case_instance(0.1))
     cases = {name: (dict(base, reward=spec), [], 2, "ConfigError")
@@ -265,6 +267,14 @@ def _hostile_inputs():
     for name, fields in value_faults.items():
         cases[name] = (dict(base, **fields), [], 2, "ConfigError")
     cases["activities-over-cap"] = (base, ["--cap-activities", "1"], 3, "ActivityCapExceeded")
+    # Eight types of capacity 64 and a one-entry table: the reward rules'
+    # (x, x', t) grid would take petabytes, and is refused before it is built.
+    one_entry = {"kind": "general_tabulated", "entries": [[[64] * 8, [0] * 8, 0, 1.0]]}
+    cases["tabulated-huge-grid"] = (
+        dict(base, num_types=8, capacities=[64] * 8, initial_items=[64] * 8,
+             schedule=[[[0.5] * 8] * 2] * 2, reward=one_entry),
+        [], 3, None,
+    )
     return cases
 
 

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import io
 import itertools
@@ -18,6 +19,7 @@ from stodep import (
     SubmodularReward,
     CoverageFunction,
     audit_table,
+    evaluate_policies_exact,
     evaluate_policy_exact,
     monte_carlo_value,
     myopic_policy,
@@ -26,7 +28,6 @@ from stodep import (
     solve_clairvoyant,
 )
 from stodep.dp import (
-    _CHUNK,
     TIE_TOL,
     ValueTable,
     best_activity,
@@ -34,7 +35,9 @@ from stodep.dp import (
     mixed_radix_radices,
     state_index,
 )
+from stodep import cli
 from stodep.apps import build_worst_case_instance, random_linear_decaying_instance
+from stodep.policies import decision_tables
 
 from conftest import make_instance, small_instances
 from oracles import dp_value_oracle, q_oracle, value_function_oracle
@@ -276,10 +279,22 @@ def test_myopic_decisions_obey_one_step_inequalities(inst):
 
 # ------------------------------------------------ more activities than one chunk
 
+# Activities of one policy per chunk in the tests below: _eight_per_chunk
+# shrinks the chunk bound (dp._CHUNK_ENTRIES, in Q entries) to that many
+# activities, so tables of a few states still take several chunks.
+_CHUNK = 8
+
+
+def _eight_per_chunk(monkeypatch, instance):
+    num_states = stodep.state_space_size(instance) // (instance.horizon + 1)
+    monkeypatch.setattr(stodep.dp, "_CHUNK_ENTRIES", _CHUNK * num_states)
+
 
 @st.composite
 def multi_chunk_instances(draw):
-    """small_instances widened to 9-20 activities, so a sweep takes two or three chunks.
+    """small_instances widened to 9-20 activities.
+
+    With _eight_per_chunk a sweep takes two or three chunks.
 
     Some schedule rows are copies of a row in another chunk, so exact ties
     cross chunk boundaries.
@@ -306,6 +321,12 @@ def multi_chunk_instances(draw):
 @settings(max_examples=30, deadline=None)
 @given(inst=multi_chunk_instances())
 def test_multi_chunk_sweeps_match_oracles(inst):
+    with pytest.MonkeyPatch.context() as mp:
+        _eight_per_chunk(mp, inst)
+        _check_multi_chunk_sweeps(inst)
+
+
+def _check_multi_chunk_sweeps(inst):
     table = solve_clairvoyant(inst)
     value = value_function_oracle(inst)
     _assert_table_matches(table, inst, value)
@@ -360,6 +381,7 @@ def _counting_q(monkeypatch):
 
 def test_one_q_call_per_chunk_and_epoch(monkeypatch):
     inst = _wide_instance("linear_decaying")
+    _eight_per_chunk(monkeypatch, inst)
     calls = _counting_q(monkeypatch)
     once = {t: 3 for t in range(inst.horizon)}
     table = solve_clairvoyant(inst)
@@ -380,17 +402,20 @@ def test_q_budget_of_one_chunk_changes_no_output(reward_kind, monkeypatch):
         inst = _wide_instance(reward_kind)  # a fresh instance: no decision table kept
         table = solve_clairvoyant(inst)
         out = [table.values, table.best_activity, audit_table(inst, table).to_dict()]
-        for policy in (myopic_policy(), stodep.approx_myopic_policy(2.0)):
-            evaluated = evaluate_policy_exact(inst, policy)
+        policies = [myopic_policy(), stodep.approx_myopic_policy(2.0),
+                    optimal_policy_from_table(table)]
+        # P = 3 stacked: a chunk holds two activities of each policy
+        for policy, evaluated in zip(policies, evaluate_policies_exact(inst, policies)):
             out += [evaluated.best_activity, evaluated.values,
                     audit_table(inst, evaluated, policy=policy).to_dict()]
         return out
 
+    num_states = 3 * 2 * 3
+    monkeypatch.setattr(stodep.dp, "_CHUNK_ENTRIES", _CHUNK * num_states)
     calls = _counting_q(monkeypatch)
     full = outputs()
     unbudgeted_calls = len(calls)
     calls.clear()
-    num_states = 3 * 2 * 3
     monkeypatch.setattr(stodep.dp, "_Q_BUDGET", _CHUNK * num_states * 8)
     budgeted = outputs()
     assert len(calls) > unbudgeted_calls  # chunks past the first were recomputed
@@ -399,6 +424,121 @@ def test_q_budget_of_one_chunk_changes_no_output(reward_kind, monkeypatch):
             assert a == b
         else:
             assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_batch_row_makes_one_q_call_per_chunk_in_each_of_its_three_sweeps(monkeypatch):
+    inst = _wide_instance("linear_decaying")
+    _eight_per_chunk(monkeypatch, inst)
+    monkeypatch.setattr(cli, "build_from_app", lambda *args: inst)
+    calls = _counting_q(monkeypatch)
+    config = {"app": "wide", "seeds": [0], "policies": ["myopic", "approx:2", "optimal"],
+              "properties": ["vfm", "ir", "ratio:2", "assumption1"]}
+    args = argparse.Namespace(tol=1e-9, cap_activities=10**5, cap_states=10**7)
+    (row, _), = cli._batch_rows(config, args)[1]
+    assert row["error"] is None
+    got = Counter(calls)
+    # The solve and the shared V = 0 sweep each take 3 chunks of 8 activities
+    # per epoch; the stacked evaluation of the three policies takes 2
+    # activities of each per chunk, over the union of their choices.
+    table = solve_clairvoyant(inst)
+    chosen = np.stack([table.best_activity, myopic_policy().decisions(inst),
+                       stodep.approx_myopic_policy(2.0).decisions(inst)])
+    union = [len(np.unique(chosen[:, :, t])) for t in range(inst.horizon)]
+    assert got == {t: 3 + 3 + -(-union[t] // 2) for t in range(inst.horizon)}
+
+
+def test_no_policies_make_no_tables(worst_case_tenth):
+    assert evaluate_policies_exact(worst_case_tenth, []) == []
+    config = {"app": "random-linear-decaying", "seeds": [1], "policies": [],
+              "properties": ["ratio:2"]}
+    args = argparse.Namespace(tol=1e-9, cap_activities=10**5, cap_states=10**7)
+    (row, _), = cli._batch_rows(config, args)[1]
+    assert row["error"] is None and row["ratio:2"] is True
+
+
+def _policy_names(inst):
+    return st.one_of(
+        st.sampled_from(["myopic", "optimal", "round_robin"]),
+        st.sampled_from([1.0, 1.5, 2.0, 3.0]).map(lambda a: f"approx:{a:g}"),
+        st.integers(0, inst.num_activities - 1).map(lambda j: f"fixed:{j}"),
+        st.integers(0, 2**32).map(lambda s: f"random:{s}"),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(inst=st.one_of(small_instances(), multi_chunk_instances()), data=st.data())
+def test_stacked_evaluation_matches_one_at_a_time(inst, data):
+    names = data.draw(st.lists(_policy_names(inst), min_size=1, max_size=5))
+    with pytest.MonkeyPatch.context() as mp:
+        _eight_per_chunk(mp, inst)
+        table = solve_clairvoyant(inst)
+        shared = {}
+        # A repeated name is sometimes the same policy object, sometimes a new one.
+        policies = [
+            shared.setdefault(name, stodep.policy_from_name(name, table=table))
+            if data.draw(st.booleans()) else stodep.policy_from_name(name, table=table)
+            for name in names
+        ]
+        stacked = evaluate_policies_exact(inst, policies)
+        assert len(stacked) == len(names)
+        for name, got in zip(names, stacked):
+            alone = evaluate_policy_exact(inst, stodep.policy_from_name(name, table=table))
+            assert got.policy_name == alone.policy_name == name
+            assert got.values.tobytes() == alone.values.tobytes()
+            assert got.best_activity.tobytes() == alone.best_activity.tobytes()
+            oracle = value_function_oracle(inst, stodep.policy_from_name(name, table=table))
+            _assert_table_matches(got, inst, oracle)
+
+
+@pytest.mark.parametrize("reward_kind", ["linear_decaying", "coverage"])
+def test_q_rows_do_not_depend_on_the_activities_sharing_the_call(reward_kind):
+    """On a table large enough (5 types, 1024 states) that a BLAS product's
+    rounding depends on its row count, Q and the evaluations are bit for bit
+    the same whichever activities and value vectors share an operator call."""
+    rng = np.random.default_rng(1)
+    M, c, T, A = 5, 3, 3, 12
+    if reward_kind == "coverage":
+        covers = tuple(frozenset(e for e in range(M + 2) if rng.random() < 0.5) for _ in range(M))
+        reward = SubmodularReward(CoverageFunction(M + 2, covers, tuple(rng.random(M + 2))))
+    else:
+        reward = LinearDecayingReward(
+            tuple(tuple(sorted(rng.random(T).tolist(), reverse=True)) for _ in range(M))
+        )
+    inst = make_instance(capacities=(c,) * M, horizon=T, schedule=rng.random((T, A, M)),
+                         reward=reward)
+    op = stodep.dp.bellman_operator(inst)
+    v = rng.random((3, op.num_states))
+    for t in range(T):
+        for v_next in (None, v[0], v):
+            together = op.q(t, v_next, np.arange(A))
+            for a in range(A):
+                assert np.array_equal(op.q(t, v_next, np.array([a]))[..., 0, :],
+                                      together[..., a, :])
+        assert all(np.array_equal(op.q(t, v[p], np.arange(A)), together[p]) for p in range(3))
+    table = solve_clairvoyant(inst)
+    names = ["myopic", "approx:2", "optimal", "fixed:0", "round_robin"]
+    stacked = evaluate_policies_exact(
+        inst, [stodep.policy_from_name(n, table=table) for n in names]
+    )
+    for name, got in zip(names, stacked):
+        alone = evaluate_policy_exact(inst, stodep.policy_from_name(name, table=table))
+        assert got.values.tobytes() == alone.values.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(inst=st.one_of(small_instances(), multi_chunk_instances()), data=st.data())
+def test_shared_one_step_sweep_gives_each_policy_its_own_table(inst, data):
+    alphas = data.draw(st.lists(st.sampled_from([1.0, 1.5, 2.0, 3.0]), max_size=3))
+    with pytest.MonkeyPatch.context() as mp:
+        _eight_per_chunk(mp, inst)
+        calls = _counting_q(mp)
+        policies = [myopic_policy()] + [stodep.approx_myopic_policy(a) for a in alphas]
+        shared = decision_tables(inst, policies)
+        once = Counter(calls)  # one sweep, whatever the number of rules
+        assert once == {t: -(-inst.num_activities // _CHUNK) for t in range(inst.horizon)}
+        for policy, table in zip(policies, shared):
+            alone = stodep.policy_from_name(policy.name).decisions(inst)
+            assert table.dtype == alone.dtype and np.array_equal(table, alone)
 
 
 @settings(max_examples=40, deadline=None)

@@ -488,6 +488,21 @@ def test_table_rules_match_the_scalar_oracle(case):
     ]
 
 
+def test_table_rules_grid_over_the_cap_is_refused_before_it_is_built(monkeypatch):
+    one_entry = GeneralTabulatedReward({((64,) * 8, (0,) * 8, 0): 1.0})
+    huge = _tabulated_instance((64,) * 8, 2, one_entry)
+    for check in (validate_instance, stodep.check_assumption1):
+        with pytest.raises(EnumerationCapExceeded, match="grid of"):
+            check(huge)
+    # The cap bounds the cells of the grid: 6 * 3 pairs over T + 1 = 3 epochs.
+    small = _tabulated_instance((2, 1), 2, GeneralTabulatedReward({((1, 1), (0, 0), 0): 1.0}))
+    monkeypatch.setattr(stodep.model, "DEFAULT_OUTCOME_CAP", 6 * 3 * 3)
+    assert not validate_instance(small).passed  # missing entries, reported as data
+    monkeypatch.setattr(stodep.model, "DEFAULT_OUTCOME_CAP", 6 * 3 * 3 - 1)
+    with pytest.raises(EnumerationCapExceeded):
+        validate_instance(small)
+
+
 @settings(max_examples=40, deadline=None)
 @given(faulty_tables(), st.randoms(use_true_random=False))
 def test_entry_order_does_not_reach_the_outputs(case, rnd):
