@@ -20,10 +20,12 @@ activities, where enumerating outcomes costs S * A * prod_m (x_m + 1).
 
 The operator takes a stack of P value vectors, one per policy, and returns Q
 for every (policy, activity) pair, so evaluate_policies_exact evaluates P
-policies in one backward sweep and one_step_decisions serves every one-step
-rule from one sweep with V = 0.  Activities go through the operator in chunks
-of at most _CHUNK_ENTRIES Q entries (P * k * S for k activities), so a small
-table takes every pair in one call.  No Q depends on which activities share
+policies in one backward sweep (stacked at the epochs where the union of
+their activities fits one chunk) and one_step_decisions serves every
+one-step rule from one sweep with V = 0.  Activities go through the
+operator in chunks of at most _CHUNK_ENTRIES Q entries (P * k * S for k
+activities; k * S * S on the tabulated route), so a small table takes every
+pair in one call.  No Q depends on which activities share
 its call (see BellmanOperator._linear_reward), so stacked and single
 evaluations agree bit for bit.  An Epoch computes each chunk's Q once
 and keeps it for later passes over the epoch while the kept chunks fit a
@@ -59,10 +61,12 @@ from .serialize import instance_fingerprint
 # comparison would let rounding pick among mathematically equal activities.
 TIE_TOL = 1e-12
 
-# Q entries (policies x activities x states) per operator application: bounds
-# the working set at a few such arrays whatever the number of activities; a
+# Entries of the largest arrays of one operator application: Q's
+# (policies x activities x states), and for a tabulated reward the
+# (activities x states x states) transition and reward products.  Bounds the
+# working set at a few such arrays whatever the number of activities; a
 # 7**7-state table takes 8 activities of one policy per chunk.  A chunk holds
-# at least one activity.
+# at least one activity (BellmanOperator.chunk_width).
 _CHUNK_ENTRIES = 6_600_000
 
 # Activities per block of the linear reward's matrix product (see
@@ -326,7 +330,9 @@ class BellmanOperator:
         """
         B = _REWARD_BLOCK
         lo = int(acts[0]) // B * B
-        if int(acts[-1]) < lo + B:  # one block, as on every table of up to 8 activities
+        # One block, as on every table of up to 8 activities, skips the loop's
+        # search and gather: 5% of the exact-ladder largest rung's certify time.
+        if int(acts[-1]) < lo + B:
             block = (self.schedule[t, lo:lo + B] * self.weights[t]) @ self._counts
             return block if len(block) == len(acts) else block[acts - lo]
         out = np.empty((len(acts), self.num_states))
@@ -384,6 +390,15 @@ class BellmanOperator:
             w = w.swapaxes(-1, -2).reshape(lead + (-1, S))
         return w
 
+    def chunk_width(self, q_entries: int) -> int:
+        """Activities per q call, for q_entries Q entries per activity (P * S).
+
+        The tabulated route also builds (S, S) arrays per activity.
+        """
+        if self.tabulated is not None:
+            q_entries = max(q_entries, self.num_states**2)
+        return max(1, _CHUNK_ENTRIES // q_entries)
+
     def epoch(self, t: int, v_next: np.ndarray | None, acts=None) -> "Epoch":
         if acts is None:
             acts = np.arange(self.num_activities)
@@ -422,8 +437,9 @@ class Epoch:
 
     v_next is None (V = 0), one value vector (S,) or a stack (P, S); every
     per-state result has v_next's shape, (S,) for V = 0.  Iterating yields
-    (activities, q) pairs.  A chunk holds as many activities as keep its Q
-    within _CHUNK_ENTRIES entries, and at least one.  Each chunk's q is
+    (activities, q) pairs.  A chunk holds as many activities as keep its
+    working set within _CHUNK_ENTRIES entries (BellmanOperator.chunk_width),
+    and at least one.  Each chunk's q is
     computed once and reused by every later pass while the kept chunks fit
     _Q_BUDGET; a chunk past the budget is recomputed on each pass.
     """
@@ -433,7 +449,7 @@ class Epoch:
         self.shape = (op.num_states,) if v_next is None else v_next.shape  # per-state results
         # Q entries per activity; a stack of no policies still gets one chunk size.
         per_activity = op.num_states if v_next is None else max(1, v_next.size)
-        width = max(1, _CHUNK_ENTRIES // per_activity)
+        width = op.chunk_width(per_activity)
         self.chunks = [acts[i:i + width] for i in range(0, len(acts), width)]
         self._keep = max(1, _Q_BUDGET // (width * per_activity * 8))
         self._kept: list[np.ndarray] = []
@@ -483,14 +499,13 @@ def lowest_tied(epoch: Epoch) -> tuple[np.ndarray, np.ndarray]:
     return best, epoch.lowest(lambda q: q >= floor)
 
 
-def _empty_tables(op: BellmanOperator, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Zero values (count, T + 1, S) and unset activities (count, T, S).
+def _zero_values(op: BellmanOperator, count: int) -> np.ndarray:
+    """Zero values (count, T + 1, S).
 
     Epoch-major, so the epoch rows a sweep reads and writes are contiguous;
     table i is values[i].T, a Fortran-ordered (S, T + 1) array.
     """
-    S, T = op.num_states, op.horizon
-    return np.zeros((count, T + 1, S)), np.full((count, T, S), -1, dtype=np.int32)
+    return np.zeros((count, op.horizon + 1, op.num_states))
 
 
 def _value_table(instance: Instance, values: np.ndarray, chosen: np.ndarray,
@@ -519,7 +534,8 @@ def solve_clairvoyant(
     summation order never decides between activities that tie exactly.
     """
     op = bellman_operator(instance, state_cap)
-    (values,), (chosen,) = _empty_tables(op, 1)
+    (values,) = _zero_values(op, 1)
+    chosen = np.empty((instance.horizon, op.num_states), dtype=np.int32)
     for t in range(instance.horizon - 1, -1, -1):
         values[t], chosen[t] = lowest_tied(op.epoch(t, values[t + 1]))
     return _value_table(instance, values, chosen)
@@ -533,23 +549,37 @@ def evaluate_policies_exact(
 ) -> list[ValueTable]:
     """Exact J^pi of every policy, all from one backward sweep.
 
-    Each epoch applies the operator once to the stack of the policies' value
-    vectors, over the union of the activities they choose there, and reads
-    each policy's Q at its own choice.  The choices come from
-    stodep.policies.decision_tables, one column per epoch.
+    Where the union of the activities the policies choose at an epoch fits
+    one chunk, the epoch applies the operator once to the stack of the
+    policies' value vectors over that union, and reads each policy's Q at
+    its own choice.  Otherwise each policy's vector goes through the
+    operator alone over its own activities: the stack computes Q for every
+    (policy, activity) pair of the union, which on a large table costs more
+    than the calls it saves.  Both routes give the same bits.  The choices
+    come from stodep.policies.decision_tables, one column per epoch.
     """
     from .policies import decision_tables  # policies builds on this module
 
     op = bellman_operator(instance, state_cap)
-    values, chosen = _empty_tables(op, len(policies))
-    for row, decisions in zip(chosen, decision_tables(instance, policies, state_cap)):
-        row[:] = decisions.T
+    P = len(policies)
+    values = _zero_values(op, P)
+    # Epoch-major views of the policies' own (S, T) tables, not copies (the
+    # policies keep theirs anyway); read-only, as each is a table's best_activity.
+    chosen = [d.T for d in decision_tables(instance, policies, state_cap)]
+    for c in chosen:
+        c.flags.writeable = False
     # One policy's vectors go unstacked: stacked, its epoch costs about 3 us
     # more (the (P, S) gather), an eighth of an epoch on a 64-state table.
-    stack = 0 if len(policies) == 1 else slice(None)
+    width = op.chunk_width(max(P, 1) * op.num_states)
     for t in range(instance.horizon - 1, -1, -1):
-        choice = chosen[stack, t]
-        values[stack, t] = op.epoch(t, values[stack, t + 1], op.used(choice)).at(choice)
+        if P > 1:
+            choice = np.stack([c[t] for c in chosen])
+            union = op.used(choice)
+            if len(union) <= width:
+                values[:, t] = op.epoch(t, values[:, t + 1], union).at(choice)
+                continue
+        for v, c in zip(values, chosen):
+            v[t] = op.epoch(t, v[t + 1], op.used(c[t])).at(c[t])
     return [
         _value_table(instance, v, c, getattr(policy, "name", str(policy)))
         for policy, v, c in zip(policies, values, chosen)

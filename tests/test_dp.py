@@ -280,14 +280,16 @@ def test_myopic_decisions_obey_one_step_inequalities(inst):
 # ------------------------------------------------ more activities than one chunk
 
 # Activities of one policy per chunk in the tests below: _eight_per_chunk
-# shrinks the chunk bound (dp._CHUNK_ENTRIES, in Q entries) to that many
-# activities, so tables of a few states still take several chunks.
+# shrinks the chunk bound (dp._CHUNK_ENTRIES, in entries per activity: S, or
+# S * S on the tabulated route) to that many activities, so tables of a few
+# states still take several chunks.
 _CHUNK = 8
 
 
 def _eight_per_chunk(monkeypatch, instance):
-    num_states = stodep.state_space_size(instance) // (instance.horizon + 1)
-    monkeypatch.setattr(stodep.dp, "_CHUNK_ENTRIES", _CHUNK * num_states)
+    op = stodep.dp.bellman_operator(instance)
+    per_activity = op.num_states ** (1 if op.tabulated is None else 2)
+    monkeypatch.setattr(stodep.dp, "_CHUNK_ENTRIES", _CHUNK * per_activity)
 
 
 @st.composite
@@ -404,10 +406,17 @@ def test_q_budget_of_one_chunk_changes_no_output(reward_kind, monkeypatch):
         out = [table.values, table.best_activity, audit_table(inst, table).to_dict()]
         policies = [myopic_policy(), stodep.approx_myopic_policy(2.0),
                     optimal_policy_from_table(table)]
-        # P = 3 stacked: a chunk holds two activities of each policy
-        for policy, evaluated in zip(policies, evaluate_policies_exact(inst, policies)):
-            out += [evaluated.best_activity, evaluated.values,
-                    audit_table(inst, evaluated, policy=policy).to_dict()]
+        evaluated = evaluate_policies_exact(inst, policies)
+        for policy, ev in zip(policies, evaluated):
+            out += [ev.best_activity, ev.values, audit_table(inst, ev, policy=policy).to_dict()]
+        # Every pass of a P = 3 stack over all activities: a chunk holds two
+        # activities of each policy.
+        op = stodep.dp.bellman_operator(inst)
+        for t in range(inst.horizon):
+            epoch = op.epoch(t, np.stack([ev.values[:, t + 1] for ev in evaluated]))
+            best = epoch.best()
+            choice = epoch.lowest(lambda q: q >= best[:, None, :])
+            out += [best, choice, epoch.at(choice), epoch.best(np.negative)]
         return out
 
     num_states = 3 * 2 * 3
@@ -426,9 +435,12 @@ def test_q_budget_of_one_chunk_changes_no_output(reward_kind, monkeypatch):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
-def test_batch_row_makes_one_q_call_per_chunk_in_each_of_its_three_sweeps(monkeypatch):
+@pytest.mark.parametrize("stacked", [False, True])
+def test_batch_row_makes_one_q_call_per_chunk_in_each_of_its_three_sweeps(stacked, monkeypatch):
     inst = _wide_instance("linear_decaying")
-    _eight_per_chunk(monkeypatch, inst)
+    # 8 activities of one policy per chunk, or every (policy, activity) pair in one.
+    chunk = 3 * inst.num_activities if stacked else _CHUNK
+    monkeypatch.setattr(stodep.dp, "_CHUNK_ENTRIES", chunk * 3 * 2 * 3)
     monkeypatch.setattr(cli, "build_from_app", lambda *args: inst)
     calls = _counting_q(monkeypatch)
     config = {"app": "wide", "seeds": [0], "policies": ["myopic", "approx:2", "optimal"],
@@ -437,14 +449,69 @@ def test_batch_row_makes_one_q_call_per_chunk_in_each_of_its_three_sweeps(monkey
     (row, _), = cli._batch_rows(config, args)[1]
     assert row["error"] is None
     got = Counter(calls)
+    if stacked:  # one call per epoch in each of the three sweeps
+        assert got == {t: 3 for t in range(inst.horizon)}
+        return
     # The solve and the shared V = 0 sweep each take 3 chunks of 8 activities
-    # per epoch; the stacked evaluation of the three policies takes 2
-    # activities of each per chunk, over the union of their choices.
+    # per epoch.  A stacked chunk would hold 2 activities of each policy, and
+    # the union of their choices takes more than that, so each policy is
+    # evaluated alone over its own choices, 8 activities per chunk.
     table = solve_clairvoyant(inst)
     chosen = np.stack([table.best_activity, myopic_policy().decisions(inst),
                        stodep.approx_myopic_policy(2.0).decisions(inst)])
-    union = [len(np.unique(chosen[:, :, t])) for t in range(inst.horizon)]
-    assert got == {t: 3 + 3 + -(-union[t] // 2) for t in range(inst.horizon)}
+    assert all(len(np.unique(chosen[:, :, t])) > 2 for t in range(inst.horizon))
+    alone = [sum(-(-len(np.unique(c[:, t])) // _CHUNK) for c in chosen)
+             for t in range(inst.horizon)]
+    assert got == {t: 3 + 3 + alone[t] for t in range(inst.horizon)}
+
+
+def test_tabulated_chunks_bound_their_transition_products(monkeypatch):
+    """The tabulated route builds (k, S, S) arrays, so its chunks hold
+    _CHUNK_ENTRIES // (S * S) activities, not _CHUNK_ENTRIES // S."""
+    caps, T, A = (1, 2), 2, 25
+    S = 2 * 3
+    rng = np.random.default_rng(3)
+    rew = stodep.GeneralTabulatedReward.from_potential(
+        CoverageFunction(3, (frozenset({0, 1}), frozenset({2})), (1.0, 0.5, 0.25)), caps, T,
+    )
+    inst = make_instance(capacities=caps, horizon=T, schedule=rng.random((T, A, 2)), reward=rew)
+    monkeypatch.setattr(stodep.dp, "_CHUNK_ENTRIES", 10 * S * S)
+    sizes = []
+    real_q = stodep.dp.BellmanOperator.q
+
+    def q(self, t, v_next, acts):
+        sizes.append((t, len(acts)))
+        return real_q(self, t, v_next, acts)
+
+    monkeypatch.setattr(stodep.dp.BellmanOperator, "q", q)
+    table = solve_clairvoyant(inst)
+    assert sorted(sizes) == sorted([(t, k) for t in range(T) for k in (10, 10, 5)])
+    sizes.clear()
+    myopic_policy().decisions(inst)
+    assert sorted(sizes) == sorted([(t, k) for t in range(T) for k in (10, 10, 5)])
+    sizes.clear()
+    evaluate_policies_exact(inst, [myopic_policy(), optimal_policy_from_table(table)])
+    assert max(k for _, k in sizes) <= 10
+
+
+def test_optimal_policy_evaluates_to_the_solved_values_bit_for_bit():
+    """J^optimal = J*: evaluating the solve's own choices recomputes the Q the
+    solve maximised over, with the same bits, on 5-type linear tables where a
+    BLAS product's rounding depends on its row count."""
+    M, c, T, A = 5, 3, 4, 20
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        for reward in (
+            LinearReward(tuple(rng.random(M).tolist())),
+            LinearDecayingReward(
+                tuple(tuple(sorted(rng.random(T).tolist(), reverse=True)) for _ in range(M))
+            ),
+        ):
+            inst = make_instance(capacities=(c,) * M, horizon=T,
+                                 schedule=rng.random((T, A, M)), reward=reward)
+            table = solve_clairvoyant(inst)
+            evaluated = evaluate_policy_exact(inst, optimal_policy_from_table(table))
+            assert evaluated.values.tobytes() == table.values.tobytes()
 
 
 def test_no_policies_make_no_tables(worst_case_tenth):
