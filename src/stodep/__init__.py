@@ -23,16 +23,12 @@ from .errors import (
 )
 from .model import (
     DEFAULT_ACTIVITY_CAP,
-    DEFAULT_OUTCOME_CAP,
     DEFAULT_STATE_CAP,
     Instance,
     State,
     ValidationReport,
-    apply_depletion_no_step,
     apply_depletion_with_step,
-    depletion_pmf,
     expected_one_step_reward,
-    outcome_space_size,
     reward,
     sample_depletion,
     state_space_size,

@@ -30,6 +30,7 @@ from .properties import (
     check_ratio,
     check_submodular,
     check_vfm,
+    value_ratio,
 )
 from .rewards import SubmodularReward
 from .serialize import instance_fingerprint, instance_to_dict, load_instance, save_instance
@@ -284,12 +285,7 @@ def _batch_rows(config: dict, args):
             for pol_name, j_pol_table in zip(policies, evaluated):
                 j_pol = float(j_pol_table.values[si0, 0])
                 row[f"j[{pol_name}]"] = j_pol
-                if j_pol > 0.0:
-                    row[f"ratio[{pol_name}]"] = j_star / j_pol
-                elif j_star == 0.0:
-                    row[f"ratio[{pol_name}]"] = 1.0
-                else:
-                    row[f"ratio[{pol_name}]"] = float("inf")
+                row[f"ratio[{pol_name}]"] = value_ratio(j_star, j_pol)
             # Ratio bounds in batch are the myopic guarantee's.
             certifier = _Certifier(instance, tol, args.cap_states, "myopic", j_star=table,
                                    policy_table=policy_tables.get("myopic"))

@@ -40,19 +40,14 @@ of one instance share its state decoding and reward data.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, FingerprintMismatch, StateSpaceCapExceeded
-from .model import (
-    DEFAULT_STATE_CAP,
-    Instance,
-    State,
-    binomial_coefficient,
-    state_space_size,
-)
+from .errors import ConfigError, DomainError, FingerprintMismatch, StateSpaceCapExceeded
+from .model import DEFAULT_STATE_CAP, Instance, State, state_space_size
 from .rewards import GeneralTabulatedReward, LinearDecayingReward, LinearReward, SubmodularReward
 from .serialize import instance_fingerprint
 
@@ -159,15 +154,28 @@ class ValueTable:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ValueTable":
-        return cls(
+        """The table to_dict wrote; ConfigError unless its arrays cover every (x, t)."""
+        try:
+            values = np.asarray(data["values"], dtype=np.float64)
+            best = np.asarray(data["best_activity"], dtype=np.int32)
+        except ValueError as exc:  # ragged rows
+            raise ConfigError(f"table arrays: {exc}") from None
+        table = cls(
             capacities=tuple(data["capacities"]),
             horizon=data["horizon"],
             num_activities=data["num_activities"],
             fingerprint=data["fingerprint"],
-            values=np.asarray(data["values"], dtype=np.float64),
-            best_activity=np.asarray(data["best_activity"], dtype=np.int32),
+            values=values,
+            best_activity=best,
             policy_name=data.get("policy_name"),
         )
+        S, T = math.prod(c + 1 for c in table.capacities), table.horizon
+        if table.values.shape != (S, T + 1) or table.best_activity.shape != (S, T):
+            raise ConfigError(
+                f"table arrays of shapes {table.values.shape} and {table.best_activity.shape}; "
+                f"capacities {table.capacities} and horizon {T} need ({S}, {T + 1}) and ({S}, {T})"
+            )
+        return table
 
     def save_json(self, path) -> None:
         """Write to_dict() exactly as json.dump would, a block of rows at a time.
@@ -216,11 +224,19 @@ def bellman_operator(instance: Instance, state_cap: int = DEFAULT_STATE_CAP) -> 
 
     It is stored in the instance's __dict__, as functools.cached_property
     stores a value, so it lives exactly as long as the instance; it holds no
-    reference back to it.  The state cap is checked on every call.
+    reference back to it.  The state cap is checked on every call, against
+    the dense table and, for a tabulated reward, against the horizon * S**2
+    entries of its dense reward array g[t, x, x'].
     """
     n_entries = state_space_size(instance)
     if n_entries > state_cap:
         raise StateSpaceCapExceeded(f"state space {n_entries} exceeds cap {state_cap}")
+    if isinstance(instance.reward, GeneralTabulatedReward):
+        n_rewards = instance.horizon * (n_entries // (instance.horizon + 1)) ** 2
+        if n_rewards > state_cap:
+            raise StateSpaceCapExceeded(
+                f"dense tabulated reward of {n_rewards} entries exceeds cap {state_cap}"
+            )
     cache = vars(instance)
     op = cache.get("_bellman_operator")
     if op is None:
@@ -415,7 +431,7 @@ def _binomial_layout(n: int):
     x = np.arange(n)[:, None]
     y = np.arange(n)[None, :]
     coef = np.array(
-        [[float(binomial_coefficient(i, i - j)) if j <= i else 0.0 for j in range(n)] for i in range(n)]
+        [[float(math.comb(i, i - j)) if j <= i else 0.0 for j in range(n)] for i in range(n)]
     )
     return coef, np.maximum(x - y, 0), y
 

@@ -18,7 +18,8 @@ class CapExceeded(StodepError):
 
 
 class EnumerationCapExceeded(CapExceeded):
-    """An outcome or pair enumeration would exceed the configured cap."""
+    """An enumeration would exceed its cap: check_ir's (x, alpha) pairs or the
+    (x, x', t) grid of a tabulated reward's value rules."""
 
 
 class StateSpaceCapExceeded(CapExceeded):

@@ -1,10 +1,12 @@
-"""Core problem representation: instances, states, and the binomial depletion kernel.
+"""Core problem representation: instances, states, validation and the scalar step.
 
 An instance fixes a realized (clairvoyant) probability schedule: schedule[t][a][m]
 is the per-item success probability for depleting type m when activity a runs at
 epoch t.  Given the remaining counts x and an activity, the number of items
 depleted per type is an independent Binomial(x_m, p_m) draw; outcomes across
-types are independent, so the joint law is the product of binomial pmfs.
+types are independent, so the joint law is the product of binomial pmfs.  The
+expectation over that law is the Bellman operator's (stodep.dp); this module
+samples one outcome and scores one transition, as a simulated episode does.
 
 All operations here are pure functions of their inputs; random sampling takes
 an explicit numpy Generator.  Instances are immutable, so data derived from
@@ -32,23 +34,14 @@ from .rewards import (
     SubmodularReward,
 )
 
-DEFAULT_OUTCOME_CAP = 10**6
 DEFAULT_STATE_CAP = 10**7
 DEFAULT_ACTIVITY_CAP = 10**5
 
-# Binomial coefficients come from a precomputed Pascal triangle; per-type
-# capacities are capped accordingly.
+# The documented limit on any one type's capacity.
 MAX_CAPACITY = 64
 
-_PASCAL: list[list[int]] = [[1]]
-for _n in range(1, MAX_CAPACITY + 1):
-    _prev = _PASCAL[-1]
-    _PASCAL.append([1] + [_prev[k - 1] + _prev[k] for k in range(1, _n)] + [1])
-
-
-def binomial_coefficient(n: int, k: int) -> int:
-    """C(n, k) from the precomputed triangle, n <= MAX_CAPACITY."""
-    return _PASCAL[n][k]
+# Cells of the (x, x', t) grid _table_rules may build.
+_TABLE_GRID_CAP = 10**6
 
 
 class State(NamedTuple):
@@ -219,14 +212,6 @@ def state_space_size(instance: Instance) -> int:
     return size
 
 
-def outcome_space_size(items: Sequence[int]) -> int:
-    """Full outcome-space size prod(x_m + 1) used for the enumeration cap."""
-    size = 1
-    for x in items:
-        size *= x + 1
-    return size
-
-
 @dataclass
 class RuleViolation:
     """One broken validation rule, naming the field and indices involved."""
@@ -383,13 +368,13 @@ def _table_rules(rew: GeneralTabulatedReward, caps: tuple[int, ...], T: int):
     scalar loop over x, x', t.
 
     The grid takes about 100 bytes a cell however few entries the table has,
-    so more than DEFAULT_OUTCOME_CAP cells raise EnumerationCapExceeded
+    so more than _TABLE_GRID_CAP cells raise EnumerationCapExceeded
     before anything is allocated.
     """
     cells = math.prod((c + 1) * (c + 2) // 2 for c in caps) * (T + 1)
-    if cells > DEFAULT_OUTCOME_CAP:
+    if cells > _TABLE_GRID_CAP:
         raise EnumerationCapExceeded(
-            f"tabulated reward grid of {cells} (x, x', t) cells exceeds cap {DEFAULT_OUTCOME_CAP}"
+            f"tabulated reward grid of {cells} (x, x', t) cells exceeds cap {_TABLE_GRID_CAP}"
         )
     M = len(caps)
     box = np.indices([c + 1 for c in caps]).reshape(M, -1).T  # x in _iter_box order
@@ -432,59 +417,17 @@ def _table_rules(rew: GeneralTabulatedReward, caps: tuple[int, ...], T: int):
     return lhs[applies], rhs[applies], describe
 
 
-def _type_support(count: int, p: float) -> tuple[tuple[int, float], ...]:
-    """Positive-probability (count, probability) pairs for one type, ascending."""
-    if count == 0 or p == 0.0:
-        return ((0, 1.0),)
-    if p == 1.0:
-        return ((count, 1.0),)
-    q = 1.0 - p
-    return tuple(
-        (j, binomial_coefficient(count, j) * p**j * q ** (count - j)) for j in range(count + 1)
-    )
-
-
-def depletion_pmf(
-    state: State,
-    activity: int,
-    instance: Instance,
-    *,
-    outcome_cap: int = DEFAULT_OUTCOME_CAP,
-) -> list[tuple[tuple[int, ...], float]]:
-    """Exact joint law of depletion counts: the product of per-type binomials.
-
-    Returns the support only (outcomes with positive probability), ordered
-    lexicographically in the outcome vector.  The cap applies to the full
-    outcome-space size prod(x_m + 1) before any support pruning.
-    """
-    x, t = state.items, state.epoch
-    if t > instance.horizon - 1:
-        raise DomainError(f"epoch {t} has no decision (horizon {instance.horizon})")
-    if not 0 <= activity < instance.num_activities:
-        raise DomainError(f"activity index {activity} out of range")
-    if outcome_space_size(x) > outcome_cap:
-        raise EnumerationCapExceeded(
-            f"outcome space {outcome_space_size(x)} exceeds cap {outcome_cap}"
-        )
-    p_row = instance.probability_row(t, activity)
-    supports = [_type_support(x[m], p_row[m]) for m in range(instance.num_types)]
-    pmf = []
-    for combo in itertools.product(*supports):
-        prob = 1.0
-        for _, pr in combo:
-            prob *= pr
-        pmf.append((tuple(j for j, _ in combo), prob))
-    return pmf
-
-
 def sample_depletion(
     state: State, activity: int, instance: Instance, rng: np.random.Generator
 ) -> tuple[int, ...]:
     """Draw one outcome vector; per-type binomial draws in type order."""
     x, t = state.items, state.epoch
-    if t > instance.horizon - 1:
+    if not 0 <= t < instance.horizon:
         raise DomainError(f"epoch {t} has no decision (horizon {instance.horizon})")
-    p_row = instance.probability_row(t, activity)
+    rows = instance._rows[t]
+    if not 0 <= activity < len(rows):
+        raise DomainError(f"activity index {activity} out of range")
+    p_row = rows[activity]
     return tuple(
         int(rng.binomial(x[m], p_row[m])) if x[m] > 0 else 0 for m in range(instance.num_types)
     )
@@ -496,8 +439,10 @@ def reward(
     """g(x, x', t) for this instance's reward spec; zero at the terminal epoch."""
     x = tuple(x)
     x_next = tuple(x_next)
-    if any(n > v for n, v in zip(x_next, x)):
-        raise DomainError(f"x_next {x_next} not componentwise <= x {x}")
+    if t < 0:
+        raise DomainError(f"epoch {t} is negative")
+    if any(n < 0 or n > v for n, v in zip(x_next, x)):
+        raise DomainError(f"x_next {x_next} not componentwise within [0, x] for x {x}")
     if any(v > c for v, c in zip(x, instance.capacities)):
         raise DomainError(f"x {x} exceeds capacities {instance.capacities}")
     return instance.reward.amount(
@@ -505,50 +450,27 @@ def reward(
     )
 
 
-def expected_one_step_reward(
-    state: State,
-    activity: int,
-    instance: Instance,
-    *,
-    method: str = "auto",
-    outcome_cap: int = DEFAULT_OUTCOME_CAP,
-) -> float:
-    """E[g(x, x - X, t)] for one activity at one state.
+def expected_one_step_reward(state: State, activity: int, instance: Instance) -> float:
+    """E[g(x, x - X, t)] for one activity at one state: Q_t(x, a) with V = 0.
 
-    For linear and linear-decaying rewards the closed form
-    sum_m w[m][t] * x_m * p_m is used (method="auto"/"closed_form"); the general
-    path enumerates the depletion pmf.  Both paths agree within 1e-12 wherever
-    both apply.
+    Read from the instance's Bellman operator (stodep.dp.bellman_operator),
+    which is built on first use and raises StateSpaceCapExceeded above the
+    default state cap.
     """
+    from .dp import bellman_operator, mixed_radix_radices, state_index  # dp builds on this module
+
     x, t = state.items, state.epoch
-    if t > instance.horizon - 1:
+    if not 0 <= t < instance.horizon:
         raise DomainError(f"epoch {t} has no decision (horizon {instance.horizon})")
-    rew = instance.reward
-    if method not in ("auto", "enumerate", "closed_form"):
-        raise ConfigError(f"unknown method {method!r}")
-    linear_kind = isinstance(rew, (LinearReward, LinearDecayingReward))
-    if method == "closed_form" and not linear_kind:
-        raise ConfigError("closed form only applies to linear and linear-decaying rewards")
-    if linear_kind and method != "enumerate":
-        p_row = instance.probability_row(t, activity)
-        if isinstance(rew, LinearReward):
-            weights = rew.weights
-        else:
-            weights = tuple(row[t] for row in rew.weights)
-        return sum(weights[m] * x[m] * p_row[m] for m in range(instance.num_types))
-    total = 0.0
-    for alpha, prob in depletion_pmf(state, activity, instance, outcome_cap=outcome_cap):
-        total += prob * reward(x, tuple(v - a for v, a in zip(x, alpha)), t, instance)
-    return total
+    if not 0 <= activity < instance.num_activities:
+        raise DomainError(f"activity index {activity} out of range")
+    if len(x) != instance.num_types or not all(0 <= v <= c for v, c in zip(x, instance.capacities)):
+        raise DomainError(f"items {x} outside capacities {instance.capacities}")
+    q = bellman_operator(instance).q(t, None, np.array([activity]))
+    return float(q[0, state_index(x, mixed_radix_radices(instance.capacities))])
 
 
 def apply_depletion_with_step(state: State, alpha: Sequence[int]) -> State:
     """Deplete alpha items (clamped at zero) and advance the epoch."""
     items = tuple(max(0, v - a) for v, a in zip(state.items, alpha))
     return State(items, state.epoch + 1)
-
-
-def apply_depletion_no_step(state: State, alpha: Sequence[int]) -> State:
-    """Deplete alpha items (clamped at zero) without consuming an epoch."""
-    items = tuple(max(0, v - a) for v, a in zip(state.items, alpha))
-    return State(items, state.epoch)

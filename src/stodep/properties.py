@@ -299,6 +299,13 @@ def check_assumption1(instance: Instance, tol: float = DEFAULT_TOL) -> PropertyR
     return _report("assumption1", instance_fingerprint(instance), tol, chunks)
 
 
+def value_ratio(j_star: float, j_policy: float) -> float:
+    """J* / J^pi at one state where J^pi > 0; otherwise 1 if J* = 0, else inf."""
+    if j_policy > 0.0:
+        return j_star / j_policy
+    return 1.0 if j_star == 0.0 else math.inf
+
+
 def check_ratio(
     instance: Instance,
     policy,
@@ -343,10 +350,6 @@ def check_ratio(
     si0 = j_star.state_index(x0)
     star0 = float(j_star.values[si0, 0])
     pol0 = float(j_policy.values[si0, 0])
-    if pol0 > 0.0:
-        initial_ratio = star0 / pol0
-    else:
-        initial_ratio = 1.0 if star0 == 0.0 else math.inf
     return RatioReport(
         fingerprint=j_star.fingerprint,
         policy_name=getattr(policy, "name", str(policy)),
@@ -354,7 +357,7 @@ def check_ratio(
         tolerance=tol,
         j_star_initial=star0,
         j_policy_initial=pol0,
-        initial_ratio=initial_ratio,
+        initial_ratio=value_ratio(star0, pol0),
         max_ratio=max_ratio,
         worst_state=worst_state,
         zero_value_states=zero_states,

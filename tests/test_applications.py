@@ -13,7 +13,6 @@ from stodep import (
     check_ratio,
     check_submodular,
     evaluate_policy_exact,
-    expected_one_step_reward,
     myopic_policy,
     optimal_value,
     simulate_episode,
@@ -36,7 +35,13 @@ from stodep.apps import (
     build_worst_case_instance,
 )
 
-from oracles import best_feasible_subset_value, dp_value_oracle, set_cover_exists
+from oracles import (
+    best_feasible_subset_value,
+    binomial_pmf_oracle,
+    dp_value_oracle,
+    q_oracle,
+    set_cover_exists,
+)
 
 
 def j_at_start(instance, table):
@@ -126,8 +131,7 @@ def test_broadcast_full_subset_satisfies_all_requesters():
     assert validate_instance(inst).passed
     # transmitting page 0 to both users depletes both requests at once
     both = inst.activities.index("p0->u0+u1")
-    pmf = stodep.depletion_pmf(State((1, 1), 0), both, inst)
-    assert pmf == [((1, 1), 1.0)]
+    assert binomial_pmf_oracle((1, 1), inst.probability_row(0, both)) == {(1, 1): 1.0}
 
 
 def test_broadcast_static_channel_myopic_is_optimal():
@@ -160,7 +164,7 @@ def test_broadcast_myopic_maximizes_static_one_step_score():
     pol = myopic_policy()
     s = inst.initial_state()
     chosen = pol.select(s, inst)
-    values = [expected_one_step_reward(s, a, inst) for a in range(inst.num_activities)]
+    values = [q_oracle(inst, s.items, s.epoch, a) for a in range(inst.num_activities)]
     assert values[chosen] == max(values)
 
 

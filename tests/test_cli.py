@@ -275,6 +275,14 @@ def _hostile_inputs():
              schedule=[[[0.5] * 8] * 2] * 2, reward=one_entry),
         [], 3, None,
     )
+    # Eight types of capacity 5 (within the state cap): the dense reward
+    # g[t, x, x'] would take 41 TiB, and check's solve refuses it before it is built.
+    small_entry = {"kind": "general_tabulated", "entries": [[[5] * 8, [0] * 8, 0, 1.0]]}
+    cases["tabulated-huge-dense-reward"] = (
+        dict(base, num_types=8, capacities=[5] * 8, initial_items=[5] * 8,
+             schedule=[[[0.5] * 8] * 2] * 2, reward=small_entry),
+        [], 3, None,
+    )
     return cases
 
 
@@ -300,6 +308,14 @@ def test_hostile_input_ends_in_one_json_error(case, command, tmp_path, capsys):
     if error is not None:
         assert err["error"] == error
     assert all(not line.startswith("{") for line in lines[:-1])
+
+
+def test_check_refuses_a_dense_tabulated_reward_over_the_state_cap(tmp_path, capsys):
+    data, _, _, _ = HOSTILE["tabulated-huge-dense-reward"]
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", "--instance", str(path), "--properties", "vfm"]) == 3
+    assert _error_line(capsys)["error"] == "StateSpaceCapExceeded"
 
 
 @pytest.mark.parametrize("prop", ["vfm", "ir", "ratio:2", "assumption1"])

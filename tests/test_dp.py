@@ -63,9 +63,7 @@ def test_single_step_horizon_equals_myopic_value():
     )
     table = solve_clairvoyant(inst)
     s = State((2, 1), 0)
-    best = max(
-        stodep.expected_one_step_reward(s, a, inst) for a in range(inst.num_activities)
-    )
+    best = max(q_oracle(inst, s.items, s.epoch, a) for a in range(inst.num_activities))
     assert optimal_value(table, s) == pytest.approx(best, abs=1e-12)
 
 
@@ -207,6 +205,20 @@ def test_table_json_round_trip(tmp_path, worst_case_tenth):
     assert np.array_equal(loaded.best_activity, table.best_activity)
 
 
+@pytest.mark.parametrize("field, data", [
+    ("values", [[0.0]]),
+    ("values", [[0.0, 0.0, 0.0]] * 3),  # one state short
+    ("values", [0.0] * 12),  # flat
+    ("values", [[0.0, 0.0, 0.0]] * 3 + [[0.0]]),  # ragged
+    ("best_activity", [[0, 0, 0]] * 4),  # one column too many
+    ("best_activity", [[0]]),
+])
+def test_table_of_the_wrong_shape_is_refused(field, data, worst_case_tenth):
+    table = solve_clairvoyant(worst_case_tenth).to_dict()
+    with pytest.raises(stodep.ConfigError):
+        ValueTable.from_dict(dict(table, **{field: data}))
+
+
 # ------------------------------------------------- differential tests vs oracles
 
 
@@ -270,9 +282,7 @@ def _assert_approx_pick(values, chosen, alpha):
 def test_myopic_decisions_obey_one_step_inequalities(inst):
     myopic, approx = myopic_policy(), stodep.approx_myopic_policy(2.0)
     for state in _all_states(inst):
-        values = [
-            stodep.expected_one_step_reward(state, a, inst) for a in range(inst.num_activities)
-        ]
+        values = [q_oracle(inst, state.items, state.epoch, a) for a in range(inst.num_activities)]
         _assert_lowest_tied(values, myopic.select(state, inst))
         _assert_approx_pick(values, approx.select(state, inst), 2.0)
 

@@ -20,9 +20,7 @@ from stodep import (
     RewardSpec,
     State,
     SubmodularReward,
-    apply_depletion_no_step,
     apply_depletion_with_step,
-    depletion_pmf,
     expected_one_step_reward,
     reward,
     sample_depletion,
@@ -32,8 +30,8 @@ from stodep import (
     validate_instance,
 )
 
-from conftest import SHAPE_FAULTS, make_instance
-from oracles import _breaks, _certificate, binomial_pmf_oracle, table_rules_oracle
+from conftest import SHAPE_FAULTS, make_instance, small_instances
+from oracles import _breaks, _certificate, binomial_pmf_oracle, q_oracle, table_rules_oracle
 
 
 # ---------------------------------------------------------------- validation
@@ -245,15 +243,28 @@ def test_window_violations_come_in_t_m_a_order():
 # ----------------------------------------------------------------------- pmf
 
 
+def _depletion_pmf(inst, x, t, a):
+    """P(X = alpha) of every alpha <= x with positive probability, read off the
+    Bellman operator's transition matrix for activity a at epoch t."""
+    op = stodep.dp.bellman_operator(inst)
+    radices = stodep.dp.mixed_radix_radices(inst.capacities)
+    row = stodep.dp._kron(op._matrices(inst.schedule[t, [a]]))[0, stodep.dp.state_index(x, radices)]
+    pmf = {}
+    for alpha in itertools.product(*(range(v + 1) for v in x)):
+        prob = row[stodep.dp.state_index([v - d for v, d in zip(x, alpha)], radices)]
+        if prob != 0.0:
+            pmf[alpha] = float(prob)
+    return pmf
+
+
 def test_pmf_single_type_binomial(single_type_instance):
-    pmf = dict(depletion_pmf(State((2,), 0), 0, single_type_instance))
+    pmf = _depletion_pmf(single_type_instance, (2,), 0, 0)
     assert pmf == {(0,): 0.25, (1,): 0.5, (2,): 0.25}
 
 
 def test_pmf_deterministic_activity(worst_case_tenth):
     # activity 0 depletes type 0 with probability 1 and type 1 never
-    pmf = depletion_pmf(State((1, 1), 0), 0, worst_case_tenth)
-    assert pmf == [((1, 0), 1.0)]
+    assert _depletion_pmf(worst_case_tenth, (1, 1), 0, 0) == {(1, 0): 1.0}
 
 
 def test_pmf_matches_factorial_formula_oracle():
@@ -263,34 +274,12 @@ def test_pmf_matches_factorial_formula_oracle():
         schedule=[[[0.3, 0.6]]],
         reward=LinearReward((1.0, 1.0)),
     )
-    pmf = depletion_pmf(State((1, 2), 0), 0, inst)
+    pmf = _depletion_pmf(inst, (1, 2), 0, 0)
     expected = binomial_pmf_oracle((1, 2), (0.3, 0.6))
     assert len(pmf) == 6
-    for alpha, prob in pmf:
+    for alpha, prob in pmf.items():
         assert prob == pytest.approx(expected[alpha], abs=1e-15)
-    assert math.fsum(p for _, p in pmf) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_pmf_is_lexicographically_ordered(single_type_instance):
-    inst = make_instance(
-        capacities=(2, 1),
-        horizon=1,
-        schedule=[[[0.4, 0.7]]],
-        reward=LinearReward((1.0, 1.0)),
-    )
-    outcomes = [alpha for alpha, _ in depletion_pmf(State((2, 1), 0), 0, inst)]
-    assert outcomes == sorted(outcomes)
-
-
-def test_pmf_cap_enforced():
-    inst = make_instance(
-        capacities=(9, 9, 9),
-        horizon=1,
-        schedule=[[[0.5, 0.5, 0.5]]],
-        reward=LinearReward((1.0, 1.0, 1.0)),
-    )
-    with pytest.raises(EnumerationCapExceeded):
-        depletion_pmf(State((9, 9, 9), 0), 0, inst, outcome_cap=100)
+    assert math.fsum(pmf.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -307,9 +296,9 @@ def test_pmf_sums_to_one(counts, probs):
         schedule=[[p]],
         reward=LinearReward([1.0] * len(counts)),
     )
-    pmf = depletion_pmf(State(tuple(counts), 0), 0, inst)
-    assert math.fsum(pr for _, pr in pmf) == pytest.approx(1.0, abs=1e-12)
-    for alpha, pr in pmf:
+    pmf = _depletion_pmf(inst, tuple(counts), 0, 0)
+    assert math.fsum(pmf.values()) == pytest.approx(1.0, abs=1e-12)
+    for alpha, pr in pmf.items():
         assert all(0 <= a <= c for a, c in zip(alpha, counts))
         # probabilities may underflow to exactly zero for subnormal p
         assert pr >= 0.0
@@ -341,6 +330,13 @@ def test_sample_frequencies_match_pmf(single_type_instance):
         assert abs(counts[k] - n * expected_p) <= 3 * sigma
 
 
+@pytest.mark.parametrize("epoch, activity", [(-1, 0), (2, 0), (0, -1), (0, 1)])
+def test_sample_outside_the_epochs_or_activities_raises(single_type_instance, epoch, activity):
+    rng = np.random.default_rng(0)
+    with pytest.raises(DomainError):
+        sample_depletion(State((2,), epoch), activity, single_type_instance, rng)
+
+
 def test_sampling_reproducible(single_type_instance):
     a = sample_depletion(State((2,), 0), 0, single_type_instance, np.random.default_rng(7))
     b = sample_depletion(State((2,), 0), 0, single_type_instance, np.random.default_rng(7))
@@ -360,6 +356,12 @@ def test_example_reward_values(worst_case_tenth):
 def test_reward_domain_error(worst_case_tenth):
     with pytest.raises(DomainError):
         reward((0, 1), (1, 1), 0, worst_case_tenth)
+
+
+@pytest.mark.parametrize("x, x_next, t", [((1, 1), (0, 1), -1), ((1, 1), (-1, 1), 0)])
+def test_reward_at_a_negative_index_raises(worst_case_tenth, x, x_next, t):
+    with pytest.raises(DomainError):
+        reward(x, x_next, t, worst_case_tenth)
 
 
 def test_budgeted_linear_truncates():
@@ -496,9 +498,9 @@ def test_table_rules_grid_over_the_cap_is_refused_before_it_is_built(monkeypatch
             check(huge)
     # The cap bounds the cells of the grid: 6 * 3 pairs over T + 1 = 3 epochs.
     small = _tabulated_instance((2, 1), 2, GeneralTabulatedReward({((1, 1), (0, 0), 0): 1.0}))
-    monkeypatch.setattr(stodep.model, "DEFAULT_OUTCOME_CAP", 6 * 3 * 3)
+    monkeypatch.setattr(stodep.model, "_TABLE_GRID_CAP", 6 * 3 * 3)
     assert not validate_instance(small).passed  # missing entries, reported as data
-    monkeypatch.setattr(stodep.model, "DEFAULT_OUTCOME_CAP", 6 * 3 * 3 - 1)
+    monkeypatch.setattr(stodep.model, "_TABLE_GRID_CAP", 6 * 3 * 3 - 1)
     with pytest.raises(EnumerationCapExceeded):
         validate_instance(small)
 
@@ -578,10 +580,8 @@ def test_expected_reward_paths_agree():
         )
         for t in range(2):
             for a in range(2):
-                s = State(caps, t)
-                fast = expected_one_step_reward(s, a, inst, method="closed_form")
-                slow = expected_one_step_reward(s, a, inst, method="enumerate")
-                assert fast == pytest.approx(slow, abs=1e-12)
+                fast = expected_one_step_reward(State(caps, t), a, inst)
+                assert fast == pytest.approx(q_oracle(inst, caps, t, a), abs=1e-12)
 
 
 def test_expected_reward_enumeration_matches_scripted_sum():
@@ -601,25 +601,35 @@ def test_expected_reward_enumeration_matches_scripted_sum():
     assert expected_one_step_reward(s, 0, inst) == pytest.approx(expected, abs=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(inst=small_instances())
+def test_expected_reward_matches_the_enumeration_oracle(inst):
+    for t in range(inst.horizon):
+        for x in itertools.product(*(range(c + 1) for c in inst.capacities)):
+            for a in range(inst.num_activities):
+                got = expected_one_step_reward(State(x, t), a, inst)
+                assert got == pytest.approx(q_oracle(inst, x, t, a), abs=1e-12)
+
+
+@pytest.mark.parametrize("items, epoch, activity", [
+    ((1, 1), -1, 0),  # a negative epoch
+    ((1, 1), 2, 0),  # the terminal epoch
+    ((1, 1), 0, -1),  # a negative activity
+    ((1, 1), 0, 2),  # one past the last activity
+    ((2, 1), 0, 0),  # items above the capacities
+    ((-1, 1), 0, 0),  # negative items
+    ((1,), 0, 0),  # too few types
+])
+def test_expected_reward_outside_the_domain_raises(worst_case_tenth, items, epoch, activity):
+    with pytest.raises(DomainError):
+        expected_one_step_reward(State(items, epoch), activity, worst_case_tenth)
+
+
 # ---------------------------------------------------------------- transforms
 
 
 def test_transforms_examples():
     assert apply_depletion_with_step(State((1, 1), 0), (1, 0)) == State((0, 1), 1)
     assert apply_depletion_with_step(State((1, 1), 0), (0, 0)) == State((1, 1), 1)
-    assert apply_depletion_no_step(State((2, 1), 3), (1, 1)) == State((1, 0), 3)
-    assert apply_depletion_no_step(State((2, 1), 3), (0, 0)) == State((2, 1), 3)
     # over-depletion clamps at zero
     assert apply_depletion_with_step(State((1, 0), 0), (4, 2)) == State((0, 0), 1)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    items=st.lists(st.integers(0, 5), min_size=1, max_size=4),
-    data=st.data(),
-)
-def test_no_step_after_empty_step_equals_step(items, data):
-    alpha = tuple(data.draw(st.integers(0, 6)) for _ in items)
-    s = State(tuple(items), data.draw(st.integers(0, 3)))
-    via_pause = apply_depletion_no_step(apply_depletion_with_step(s, (0,) * len(items)), alpha)
-    assert via_pause == apply_depletion_with_step(s, alpha)

@@ -9,7 +9,6 @@ from stodep import (
     State,
     approx_myopic_policy,
     baseline_policies,
-    expected_one_step_reward,
     myopic_policy,
     optimal_policy_from_table,
     policy_from_name,
@@ -18,6 +17,7 @@ from stodep import (
 from stodep.apps import random_linear_decaying_instance, random_submodular_instance
 
 from conftest import make_instance
+from oracles import q_oracle
 
 
 def all_states(instance):
@@ -51,9 +51,9 @@ def test_myopic_one_step_dominance():
     for seed in (0, 4, 9):
         inst = random_submodular_instance(seed)
         for s in all_states(inst):
-            chosen = expected_one_step_reward(s, pol.select(s, inst), inst)
+            chosen = q_oracle(inst, s.items, s.epoch, pol.select(s, inst))
             for a in range(inst.num_activities):
-                assert chosen >= expected_one_step_reward(s, a, inst)
+                assert chosen >= q_oracle(inst, s.items, s.epoch, a)
 
 
 def test_myopic_agrees_with_optimal_at_last_epoch():
@@ -69,8 +69,8 @@ def test_myopic_agrees_with_optimal_at_last_epoch():
             chosen = pol.select(s, inst)
             best = int(table.best_activity[table.state_index(items), t])
             # both maximize the same one-step objective; values must agree
-            assert expected_one_step_reward(s, chosen, inst) == pytest.approx(
-                expected_one_step_reward(s, best, inst), abs=1e-12
+            assert q_oracle(inst, items, t, chosen) == pytest.approx(
+                q_oracle(inst, items, t, best), abs=1e-12
             )
 
 
@@ -103,10 +103,8 @@ def test_approx_one_step_guarantee():
         for seed in (3, 8):
             inst = random_submodular_instance(seed)
             for s in all_states(inst):
-                chosen = expected_one_step_reward(s, approx.select(s, inst), inst)
-                best = max(
-                    expected_one_step_reward(s, a, inst) for a in range(inst.num_activities)
-                )
+                chosen = q_oracle(inst, s.items, s.epoch, approx.select(s, inst))
+                best = max(q_oracle(inst, s.items, s.epoch, a) for a in range(inst.num_activities))
                 assert chosen >= best / alpha - 1e-12
 
 

@@ -155,6 +155,15 @@ def test_ratio_worst_case_is_sharp():
         assert not report.zero_value_states
 
 
+@pytest.mark.parametrize("j_star, j_policy, ratio", [
+    (3.0, 2.0, 1.5),
+    (0.0, 0.0, 1.0),  # nothing to earn: the policy loses nothing
+    (1.0, 0.0, math.inf),
+])
+def test_value_ratio_branches(j_star, j_policy, ratio):
+    assert stodep.properties.value_ratio(j_star, j_policy) == ratio
+
+
 def test_ratio_single_step_is_one():
     rng = np.random.default_rng(3)
     inst = make_instance(
