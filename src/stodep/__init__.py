@@ -60,6 +60,7 @@ from .dp import (
     evaluate_policies_exact,
     evaluate_policy_exact,
     optimal_value,
+    solve_and_evaluate,
     solve_clairvoyant,
 )
 from .policies import (

@@ -21,7 +21,7 @@ from .model import (
     Instance,
     validate_instance,
 )
-from .dp import evaluate_policies_exact, evaluate_policy_exact, solve_clairvoyant
+from .dp import OPTIMAL, solve_and_evaluate, solve_clairvoyant
 from .policies import optimal_policy_from_table, policy_from_name
 from .properties import (
     DEFAULT_TOL,
@@ -183,23 +183,33 @@ def _parse_property(spec: str) -> tuple[str, str, float | None]:
     raise ConfigError(f"unknown property {spec!r}")
 
 
+def _sweep_policy(name: str):
+    """The policy a name stands for in a solve_and_evaluate call: optimal is the solve's own."""
+    return OPTIMAL if name == "optimal" else policy_from_name(name)
+
+
 class _Certifier:
     """Runs parsed properties on one instance.
 
-    J* and the table of the policy that ratio bounds are checked against
-    are each computed at most once, when a property first needs them;
-    either may be supplied already computed.
+    J* is computed at most once, when a property first needs it; when the
+    specs bound a ratio, the same sweep evaluates the policy the ratio is
+    checked against.  Both may be supplied already computed.
     """
 
     def __init__(self, instance: Instance, tol: float, state_cap: int, ratio_policy: str,
-                 *, j_star=None, policy_table=None):
+                 specs, *, j_star=None, policy_table=None):
         self.instance, self.tol, self.state_cap = instance, tol, state_cap
         self.ratio_policy = ratio_policy
+        self._ratio = any(name == "ratio" for _, name, _ in specs)
         self._j_star, self._policy_table = j_star, policy_table
 
     def j_star(self):
         if self._j_star is None:
-            self._j_star = solve_clairvoyant(self.instance, state_cap=self.state_cap)
+            policies = [_sweep_policy(self.ratio_policy)] if self._ratio else []
+            self._j_star, evaluated = solve_and_evaluate(
+                self.instance, policies, state_cap=self.state_cap
+            )
+            self._policy_table = evaluated[0] if evaluated else None
         return self._j_star
 
     def run(self, name: str, bound: float | None):
@@ -216,8 +226,6 @@ class _Certifier:
         if name == "ir":
             return check_ir(instance, self.j_star(), tol)
         policy = policy_from_name(self.ratio_policy, table=self.j_star())
-        if self._policy_table is None:
-            self._policy_table = evaluate_policy_exact(instance, policy, state_cap=self.state_cap)
         return check_ratio(
             instance, policy, bound, tol, j_star=self.j_star(), j_policy=self._policy_table
         )
@@ -227,7 +235,7 @@ def cmd_check(args) -> int:
     # The reward value rules are left to assumption1: reporting them is what check is for.
     instance = _load(args, rewards=False)
     specs = [_parse_property(s.strip()) for s in args.properties.split(",") if s.strip()]
-    certifier = _Certifier(instance, args.tol, args.cap_states, args.policy)
+    certifier = _Certifier(instance, args.tol, args.cap_states, args.policy, specs)
     reports = []
     all_passed = True
     for label, name, bound in specs:
@@ -250,6 +258,7 @@ def _batch_rows(config: dict, args):
     params = config.get("params", {})
     policies = config.get("policies", ["myopic"])
     prop_specs = [_parse_property(s) for s in config.get("properties", [])]
+    ratio = any(name == "ratio" for _, name, _ in prop_specs)
     tol = float(config.get("tol", args.tol))
     if "seeds" in config:
         seeds = [int(s) for s in config["seeds"]]
@@ -273,22 +282,21 @@ def _batch_rows(config: dict, args):
             row["num_types"] = instance.num_types
             row["horizon"] = instance.horizon
             row["num_activities"] = instance.num_activities
-            table = solve_clairvoyant(instance, state_cap=args.cap_states)
+            # Ratio bounds in batch are the myopic guarantee's; myopic joins the row's sweep.
+            names = policies + ["myopic"] * (ratio and "myopic" not in policies)
+            table, evaluated = solve_and_evaluate(
+                instance, [_sweep_policy(name) for name in names], state_cap=args.cap_states
+            )
             si0 = table.state_index(instance.initial_items)
             j_star = float(table.values[si0, 0])
             row["j_star"] = j_star
-            evaluated = evaluate_policies_exact(
-                instance, [policy_from_name(name, table=table) for name in policies],
-                state_cap=args.cap_states,
-            )
-            policy_tables = dict(zip(policies, evaluated))
-            for pol_name, j_pol_table in zip(policies, evaluated):
-                j_pol = float(j_pol_table.values[si0, 0])
+            policy_tables = dict(zip(names, evaluated))
+            for pol_name in policies:
+                j_pol = float(policy_tables[pol_name].values[si0, 0])
                 row[f"j[{pol_name}]"] = j_pol
                 row[f"ratio[{pol_name}]"] = value_ratio(j_star, j_pol)
-            # Ratio bounds in batch are the myopic guarantee's.
-            certifier = _Certifier(instance, tol, args.cap_states, "myopic", j_star=table,
-                                   policy_table=policy_tables.get("myopic"))
+            certifier = _Certifier(instance, tol, args.cap_states, "myopic", prop_specs,
+                                   j_star=table, policy_table=policy_tables.get("myopic"))
             for label, name, bound in prop_specs:
                 report = certifier.run(name, bound)
                 row[label] = None if report is None else report.passed

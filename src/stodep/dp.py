@@ -18,19 +18,23 @@ B_m(p[t, a, m]), one per activity, is contracted with the value tensor along
 that type's axis.  An epoch costs S * A * sum_m (c_m + 1) for S states and A
 activities, where enumerating outcomes costs S * A * prod_m (x_m + 1).
 
-The operator takes a stack of P value vectors, one per policy, and returns Q
-for every (policy, activity) pair, so evaluate_policies_exact evaluates P
-policies in one backward sweep (stacked at the epochs where the union of
-their activities fits one chunk) and one_step_decisions serves every
-one-step rule from one sweep with V = 0.  Activities go through the
-operator in chunks of at most _CHUNK_ENTRIES Q entries (P * k * S for k
-activities; k * S * S on the tabulated route), so a small table takes every
-pair in one call.  No Q depends on which activities share
-its call (see BellmanOperator._linear_reward), so stacked and single
-evaluations agree bit for bit.  An Epoch computes each chunk's Q once
-and keeps it for later passes over the epoch while the kept chunks fit a
-fixed byte budget (_Q_BUDGET); chunks past it are recomputed on each pass, so
-memory stays bounded whatever A and P are.
+The operator takes a stack of P value vectors and returns Q for every
+(row, activity) pair, with the expected one-step reward (Q with V = 0) as an
+extra row on request.  One backward loop (_sweep) serves solve_clairvoyant,
+evaluate_policies_exact, one_step_decisions and solve_and_evaluate: each
+epoch applies the operator once per chunk to the stack of J* and the
+policies' values, and the solve, the one-step rules and each policy (at its
+choice) read their rows of that one call.  Policies leave the stack at the
+epochs where it does not fit one chunk, and go through alone over their own
+activities.  Activities go through the operator in chunks of at most
+_CHUNK_ENTRIES Q entries (rows * k * S for k activities; k * S * S on the
+tabulated route), so a small table takes every pair in one call.  No Q
+depends on which activities or vectors share its call (see
+BellmanOperator._linear_reward), so stacked and single evaluations agree bit
+for bit.  An Epoch computes each chunk's Q once and keeps it for later
+passes over the epoch while the kept chunks fit a fixed byte budget
+(_Q_BUDGET); chunks past it are recomputed on each pass, so memory stays
+bounded whatever A and P are.
 
 Each instance gets one operator (bellman_operator), built on first use and
 kept on the instance, so a solve, the policy evaluations and the certifiers
@@ -154,11 +158,13 @@ class ValueTable:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ValueTable":
-        """The table to_dict wrote; ConfigError unless its arrays cover every (x, t)."""
+        """The table to_dict wrote; ConfigError unless its header is well formed
+        and its arrays cover every (x, t)."""
+        _check_header(data)
         try:
             values = np.asarray(data["values"], dtype=np.float64)
             best = np.asarray(data["best_activity"], dtype=np.int32)
-        except ValueError as exc:  # ragged rows
+        except (TypeError, ValueError) as exc:  # ragged rows, entries that are not numbers
             raise ConfigError(f"table arrays: {exc}") from None
         table = cls(
             capacities=tuple(data["capacities"]),
@@ -192,6 +198,30 @@ class ValueTable:
                     fh.write(json.dumps(array[lo:lo + _DUMP_ROWS].tolist())[1:-1])
                 fh.write("]")
             fh.write("}")
+
+
+def _check_header(data) -> None:
+    """ConfigError unless data has every field of a table, with the types and signs to_dict writes."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"a value table is a JSON object, not {type(data).__name__}")
+    missing = [k for k in ("fingerprint", "capacities", "horizon", "num_activities",
+                           "values", "best_activity") if k not in data]
+    if missing:
+        raise ConfigError(f"value table lacks {', '.join(missing)}")
+
+    def count(v, least):
+        return isinstance(v, int) and not isinstance(v, bool) and v >= least
+
+    caps = data["capacities"]
+    if not (isinstance(caps, (list, tuple)) and caps and all(count(c, 0) for c in caps)):
+        raise ConfigError(f"table capacities {caps!r}: a non-empty list of integers >= 0")
+    for name in ("horizon", "num_activities"):
+        if not count(data[name], 1):
+            raise ConfigError(f"table {name} {data[name]!r}: an integer >= 1")
+    if not isinstance(data["fingerprint"], str):
+        raise ConfigError(f"table fingerprint {data['fingerprint']!r}: a string")
+    if not isinstance(data.get("policy_name"), (str, type(None))):
+        raise ConfigError(f"table policy_name {data['policy_name']!r}: a string or null")
 
 
 def _check_state(table: ValueTable, state: State) -> int:
@@ -317,23 +347,34 @@ class BellmanOperator:
             return np.broadcast_to(g, (self.horizon, len(g)))
         return self.tabulated[:, x, x_next]
 
-    def q(self, t: int, v_next: np.ndarray | None, acts: np.ndarray) -> np.ndarray:
+    def q(self, t: int, v_next: np.ndarray | None, acts: np.ndarray, one_step: bool = False):
         """Q_t(., a) for each a in acts and each value vector of v_next.
 
         acts holds distinct activities in ascending order.  v_next is one
         vector (S,) or a stack of P vectors (P, S), one per policy; Q is then
         (len(acts), S) or (P, len(acts), S), with the reward term shared by
-        the stack.  v_next=None means V = 0.
+        the stack.  v_next=None means V = 0.  one_step=True (v_next a stack)
+        appends the Q of V = 0, the expected one-step reward, as row P: the
+        reward term itself, or on the potential route a zero row of the stack.
         """
         p = self.schedule[t, acts]
         mats = self._matrices(p)
         if self.potential is not None:
+            if one_step:
+                v_next = np.concatenate((v_next, np.zeros((1, self.num_states))))
             return self._expect(mats, v_next, self.potential)
         if self.weights is not None:
             reward = self._linear_reward(t, acts)
         else:
             reward = (_kron(mats) * self.tabulated[t]).sum(axis=2)
-        return reward if v_next is None else reward + self._expect(mats, v_next)
+        if v_next is None:
+            return reward
+        if not one_step:
+            return reward + self._expect(mats, v_next)
+        q = np.empty((len(v_next) + 1,) + reward.shape)
+        np.add(reward, self._expect(mats, v_next), out=q[:-1])
+        q[-1] = reward
+        return q
 
     def _linear_reward(self, t: int, acts: np.ndarray) -> np.ndarray:
         """sum_m w_m[t] p[t, a, m] x_m for each a in acts, shape (len(acts), S).
@@ -415,10 +456,10 @@ class BellmanOperator:
             q_entries = max(q_entries, self.num_states**2)
         return max(1, _CHUNK_ENTRIES // q_entries)
 
-    def epoch(self, t: int, v_next: np.ndarray | None, acts=None) -> "Epoch":
+    def epoch(self, t: int, v_next: np.ndarray | None, acts=None, one_step=False) -> "Epoch":
         if acts is None:
             acts = np.arange(self.num_activities)
-        return Epoch(self, t, v_next, acts)
+        return Epoch(self, t, v_next, acts, one_step)
 
     def used(self, choice: np.ndarray) -> np.ndarray:
         """The distinct activities in choice (of any shape), ascending."""
@@ -451,24 +492,38 @@ def _kron(mats: list[np.ndarray]) -> np.ndarray:
 class Epoch:
     """Q at one epoch for a sorted array of activities, produced chunk by chunk.
 
-    v_next is None (V = 0), one value vector (S,) or a stack (P, S); every
-    per-state result has v_next's shape, (S,) for V = 0.  Iterating yields
-    (activities, q) pairs.  A chunk holds as many activities as keep its
-    working set within _CHUNK_ENTRIES entries (BellmanOperator.chunk_width),
-    and at least one.  Each chunk's q is
-    computed once and reused by every later pass while the kept chunks fit
-    _Q_BUDGET; a chunk past the budget is recomputed on each pass.
+    v_next is None (V = 0), one value vector (S,) or a stack (P, S), and
+    one_step=True adds the Q of V = 0 as row P (BellmanOperator.q); every
+    per-state result has the shape of Q's rows, (S,) or (P[+1], S), and
+    rows() gives a view of some of them.  Iterating yields (activities, q)
+    pairs.  A chunk holds as many activities as keep its working set within
+    _CHUNK_ENTRIES entries (BellmanOperator.chunk_width), and at least one.
+    Each chunk's q is computed once and reused by every later pass, and by
+    every view, while the kept chunks fit _Q_BUDGET; a chunk past the
+    budget is recomputed on each pass.
     """
 
-    def __init__(self, op: BellmanOperator, t: int, v_next, acts: np.ndarray):
-        self.op, self.t, self.v_next = op, t, v_next
-        self.shape = (op.num_states,) if v_next is None else v_next.shape  # per-state results
-        # Q entries per activity; a stack of no policies still gets one chunk size.
-        per_activity = op.num_states if v_next is None else max(1, v_next.size)
+    def __init__(self, op: BellmanOperator, t: int, v_next, acts: np.ndarray,
+                 one_step: bool = False):
+        self.op, self.t, self.v_next, self.one_step = op, t, v_next, one_step
+        S = op.num_states
+        self.shape = (S,) if v_next is None or v_next.ndim == 1 else (len(v_next) + one_step, S)
+        per_activity = math.prod(self.shape)  # Q entries
         width = op.chunk_width(per_activity)
         self.chunks = [acts[i:i + width] for i in range(0, len(acts), width)]
-        self._keep = max(1, _Q_BUDGET // (width * per_activity * 8))
+        fit = _Q_BUDGET // (8 * per_activity)  # activities whose Q fits the budget
+        self._keep = max(1, len(self.chunks) if len(acts) <= fit else fit // width)
         self._kept: list[np.ndarray] = []
+        self._rows = None
+
+    def rows(self, sel) -> "Epoch":
+        """A view of Q's stack rows sel (an index or a slice) that shares this epoch's chunks."""
+        view = Epoch.__new__(Epoch)
+        shape = self.shape[1:]
+        if isinstance(sel, slice):
+            shape = (len(range(self.shape[0])[sel]),) + shape
+        view.__dict__ = {**self.__dict__, "_rows": sel, "shape": shape}
+        return view
 
     def __iter__(self):
         kept = self._kept
@@ -476,10 +531,10 @@ class Epoch:
             if k < len(kept):
                 q = kept[k]
             else:
-                q = self.op.q(self.t, self.v_next, acts)
+                q = self.op.q(self.t, self.v_next, acts, self.one_step)
                 if k < self._keep:
                     kept.append(q)
-            yield acts, q
+            yield acts, q if self._rows is None else q[self._rows]
 
     def best(self, key: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
         """Per-state maximum over activities of q, or of key(q)."""
@@ -491,11 +546,11 @@ class Epoch:
 
     def lowest(self, cond: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """Per-state lowest activity whose q satisfies cond; -1 where none does."""
-        choice = np.full(self.shape, -1, dtype=np.int32)
+        choice = None
         for acts, q in self:
             hit = cond(q)
-            take = (choice < 0) & hit.any(axis=-2)
-            choice[take] = acts[hit.argmax(axis=-2)[take]]
+            found = np.where(hit.any(axis=-2), acts[hit.argmax(axis=-2)], -1)
+            choice = found if choice is None else np.where(choice < 0, found, choice)
         return choice
 
     def at(self, choice: np.ndarray) -> np.ndarray:
@@ -511,7 +566,7 @@ class Epoch:
 def lowest_tied(epoch: Epoch) -> tuple[np.ndarray, np.ndarray]:
     """Per-state max Q and the lowest activity within tie_slack of it."""
     best = epoch.best()
-    floor = best - tie_slack(best)
+    floor = (best - tie_slack(best))[..., None, :]  # against Q's (activity, state) axes
     return best, epoch.lowest(lambda q: q >= floor)
 
 
@@ -538,6 +593,90 @@ def _value_table(instance: Instance, values: np.ndarray, chosen: np.ndarray,
     )
 
 
+def _sweep(op: BellmanOperator, solve: bool, sources: Sequence, rules: Sequence):
+    """The one backward loop behind every solve, evaluation and one-step table.
+
+    Returns (values, chosen, ruled).  values (R, T + 1, S) holds J* first if
+    solve, then J^pi for each source; chosen the epoch-major (T, S)
+    activities of each row; ruled (len(rules), T, S) the activity each rule
+    picks from the expected one-step reward (an Epoch of Q with V = 0).  A
+    policy's source is its (S, T) decision table, the index of a rule, or
+    None for the solve's own choice.
+
+    At each epoch the operator is applied once per chunk to the stack of
+    the solve's and the policies' value vectors, with the V = 0 Q as an
+    extra row when there are rules; the solve, the rules and then each
+    policy, at its choice, read their rows of it.  Rules and the solve need
+    every activity; policies that all read tables need only the union of
+    their choices.  Where the whole stack does not fit one chunk, the
+    policies leave it: each goes through alone over its own activities,
+    since the stack would compute Q for every (policy, activity) pair.
+    Both routes give the same bits.  One table policy alone goes
+    unstacked too; stacked, its epoch costs about 3 us more (the (P, S)
+    gather), an eighth of an epoch on a 64-state table.
+    """
+    T, S, A = op.horizon, op.num_states, op.num_activities
+    lead, P = int(solve), len(sources)
+    values = _zero_values(op, lead + P)
+    solved = np.empty((T, S), dtype=np.int32)
+    ruled = np.empty((len(rules), T, S), dtype=np.int32)
+    chosen = [ruled[s] if isinstance(s, int) else solved if s is None else s.T for s in sources]
+    every = np.arange(A)
+    width = op.chunk_width(max(1, lead + P + bool(rules)) * S)
+    for t in range(T - 1, -1, -1):
+        acts = every
+        if not (solve or rules) and P > 1:
+            acts = op.used(np.stack([c[t] for c in chosen]))
+        stacked = P > (0 if solve or rules else 1) and len(acts) <= width
+        rows = lead + P if stacked else lead
+        if rows:
+            epoch = op.epoch(t, values[:rows, t + 1], acts, bool(rules))
+        elif rules:
+            epoch = op.epoch(t, None, acts)
+        if solve:
+            values[0, t], solved[t] = lowest_tied(epoch.rows(0))
+        if rules:
+            one_step = epoch.rows(-1) if rows else epoch
+            for table, rule in zip(ruled, rules):
+                table[t] = rule(one_step)
+        if stacked:
+            choice = np.stack([c[t] for c in chosen])
+            values[lead:, t] = epoch.rows(slice(lead, rows)).at(choice)
+        epoch = one_step = None  # frees the kept Q before the next operator call
+        if not stacked:
+            for v, c in zip(values[lead:], chosen):
+                v[t] = op.epoch(t, v[t + 1], op.used(c[t])).at(c[t])
+    if (ruled < 0).any():
+        raise DomainError("the decision rule selects no activity at some state")
+    return values, [solved] * solve + chosen, ruled
+
+
+def _tables(instance: Instance, policies: Sequence, *, solve: bool,
+            state_cap: int) -> list[ValueTable]:
+    """J* (if solve) and then J^pi of each policy, from one _sweep.
+
+    Policy.decisions gives each policy's choices; the one-step policies that
+    have not seen the instance choose in the sweep instead, and keep their
+    tables (stodep.policies.decision_sources).
+    """
+    from .policies import decision_sources  # policies builds on this module
+
+    op = bellman_operator(instance, state_cap)
+    sources, rules, keep = decision_sources(instance, policies, state_cap)
+    if not solve and any(s is None for s in sources):
+        raise ConfigError("the optimal policy requires a solved value table")
+    values, chosen, ruled = _sweep(op, solve, sources, rules)
+    keep([table.T for table in ruled])
+    names = [None] * solve + [getattr(p, "name", str(p)) for p in policies]
+    tables = []
+    for i, (v, c, name) in enumerate(zip(values, chosen, names)):
+        if i >= solve:  # a policy's choices are its own table (or the solve's): read-only
+            c = c.view()
+            c.flags.writeable = False
+        tables.append(_value_table(instance, v, c, name))
+    return tables
+
+
 def solve_clairvoyant(
     instance: Instance,
     *,
@@ -549,12 +688,28 @@ def solve_clairvoyant(
     TIE_TOL * max(1, |J*|) of the maximum J*(x, t), so rounding noise in the
     summation order never decides between activities that tie exactly.
     """
-    op = bellman_operator(instance, state_cap)
-    (values,) = _zero_values(op, 1)
-    chosen = np.empty((instance.horizon, op.num_states), dtype=np.int32)
-    for t in range(instance.horizon - 1, -1, -1):
-        values[t], chosen[t] = lowest_tied(op.epoch(t, values[t + 1]))
-    return _value_table(instance, values, chosen)
+    return _tables(instance, [], solve=True, state_cap=state_cap)[0]
+
+
+# In the policies given to solve_and_evaluate, the optimal policy of that
+# solve: at each epoch it takes the solve's own choice.
+OPTIMAL = "optimal"
+
+
+def solve_and_evaluate(
+    instance: Instance,
+    policies: Sequence,
+    *,
+    state_cap: int = DEFAULT_STATE_CAP,
+) -> tuple[ValueTable, list[ValueTable]]:
+    """solve_clairvoyant and evaluate_policies_exact from one backward sweep.
+
+    Each epoch applies the operator once per chunk to the stack of J* and
+    the policies' values, where it fits one chunk (see _sweep).  The entry
+    OPTIMAL stands for the solve's own policy.
+    """
+    table, *evaluated = _tables(instance, policies, solve=True, state_cap=state_cap)
+    return table, evaluated
 
 
 def evaluate_policies_exact(
@@ -565,41 +720,13 @@ def evaluate_policies_exact(
 ) -> list[ValueTable]:
     """Exact J^pi of every policy, all from one backward sweep.
 
-    Where the union of the activities the policies choose at an epoch fits
-    one chunk, the epoch applies the operator once to the stack of the
-    policies' value vectors over that union, and reads each policy's Q at
-    its own choice.  Otherwise each policy's vector goes through the
-    operator alone over its own activities: the stack computes Q for every
-    (policy, activity) pair of the union, which on a large table costs more
-    than the calls it saves.  Both routes give the same bits.  The choices
-    come from stodep.policies.decision_tables, one column per epoch.
+    Where the activities the policies need at an epoch fit one chunk with
+    the whole stack of their values, the epoch applies the operator once to
+    that stack and reads each policy's Q at its own choice; otherwise each
+    policy goes through alone over its own activities (see _sweep).  The
+    choices come from Policy.decisions, one column per epoch.
     """
-    from .policies import decision_tables  # policies builds on this module
-
-    op = bellman_operator(instance, state_cap)
-    P = len(policies)
-    values = _zero_values(op, P)
-    # Epoch-major views of the policies' own (S, T) tables, not copies (the
-    # policies keep theirs anyway); read-only, as each is a table's best_activity.
-    chosen = [d.T for d in decision_tables(instance, policies, state_cap)]
-    for c in chosen:
-        c.flags.writeable = False
-    # One policy's vectors go unstacked: stacked, its epoch costs about 3 us
-    # more (the (P, S) gather), an eighth of an epoch on a 64-state table.
-    width = op.chunk_width(max(P, 1) * op.num_states)
-    for t in range(instance.horizon - 1, -1, -1):
-        if P > 1:
-            choice = np.stack([c[t] for c in chosen])
-            union = op.used(choice)
-            if len(union) <= width:
-                values[:, t] = op.epoch(t, values[:, t + 1], union).at(choice)
-                continue
-        for v, c in zip(values, chosen):
-            v[t] = op.epoch(t, v[t + 1], op.used(c[t])).at(c[t])
-    return [
-        _value_table(instance, v, c, getattr(policy, "name", str(policy)))
-        for policy, v, c in zip(policies, values, chosen)
-    ]
+    return _tables(instance, policies, solve=False, state_cap=state_cap)
 
 
 def evaluate_policy_exact(
@@ -627,15 +754,8 @@ def one_step_decisions(
     policies rank.  Every rule reads the same Epoch, so each epoch's Q is
     computed once for all of them (within _Q_BUDGET).
     """
-    op = bellman_operator(instance, state_cap)
-    tables = np.empty((len(rules), instance.horizon, op.num_states), dtype=np.int32)
-    for t in range(instance.horizon):
-        epoch = op.epoch(t, None)
-        for table, rule in zip(tables, rules):
-            table[t] = rule(epoch)
-    if (tables < 0).any():
-        raise DomainError("the decision rule selects no activity at some state")
-    return [table.T for table in tables]
+    _, _, ruled = _sweep(bellman_operator(instance, state_cap), False, [], rules)
+    return [table.T for table in ruled]
 
 
 @dataclass

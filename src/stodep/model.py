@@ -15,6 +15,7 @@ one (its fingerprint, its Bellman operator) is computed once and kept on it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, fields
@@ -137,11 +138,15 @@ class Instance:
                 raise ConfigError("deadlines must have one entry per type")
         _check_reward_shape(self.reward, self.capacities, self.horizon)
         put("metadata", freeze(self.metadata))
-        # Plain-float view of the schedule for the hot loops.
-        put("_rows", tuple(
-            tuple(tuple(float(p) for p in schedule[t, a]) for a in range(len(self.activities)))
-            for t in range(self.horizon)
-        ))
+
+    @functools.cached_property
+    def _rows(self) -> tuple[tuple[tuple[float, ...], ...], ...]:
+        """Plain-float schedule rows [t][activity] for the scalar simulation step.
+
+        Built on first read and kept in the instance's __dict__, so building
+        an instance that is only solved costs nothing for them.
+        """
+        return tuple(tuple(map(tuple, rows)) for rows in self.schedule.tolist())
 
     def __reduce__(self):
         # Pickled as its constructor arguments, so derived data stays behind.

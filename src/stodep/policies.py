@@ -4,18 +4,20 @@ Every policy is a total mapping (state, instance) -> activity index with a
 stable name; the same inputs always produce the same choice, so exact policy
 evaluation and seeded simulation are reproducible.  Exact evaluation reads a
 policy through its decision table (Policy.decisions), which the myopic,
-approximate-myopic and optimal policies hold already; decision_tables builds
-the one-step policies' tables of one instance from a single sweep.
+approximate-myopic and optimal policies hold already; a one-step policy new
+to an instance instead chooses inside the evaluating sweep
+(decision_sources), and decision_tables builds the one-step policies' tables
+of one instance from a single sweep.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .dp import Epoch, bellman_operator, lowest_tied, one_step_decisions, tie_slack
+from .dp import OPTIMAL, Epoch, bellman_operator, lowest_tied, one_step_decisions, tie_slack
 from .errors import ConfigError, DomainError
 from .model import DEFAULT_STATE_CAP, Instance, State
 
@@ -97,8 +99,9 @@ class _DecisionTable(Policy):
 class _OneStepPolicy(_DecisionTable):
     """A rule on expected one-step rewards, precomputed as a decision table.
 
-    The table comes from one sweep with V = 0 of the instance's Bellman
-    operator the first time an instance is seen, shared with the other
+    The table comes from the instance's Bellman operator with V = 0 the
+    first time an instance is seen: from the sweep that evaluates the policy
+    (decision_sources), or else from one sweep shared with the other
     one-step policies that decision_tables is given.  Ties follow the
     solver's rule (see stodep.dp.TIE_TOL).
     """
@@ -204,6 +207,35 @@ class SeededRandomPolicy(Policy):
         return h % instance.num_activities
 
 
+def decision_sources(
+    instance: Instance, policies: Sequence, state_cap: int = DEFAULT_STATE_CAP
+) -> tuple[list, list, Callable]:
+    """Where one backward sweep (stodep.dp) reads each policy's choices.
+
+    Returns (sources, rules, keep).  A policy's source is its Policy.decisions
+    table.  A one-step policy that has not seen the instance gets instead the
+    index of its rule in rules, which the sweep applies to each epoch's
+    expected one-step reward; keep(tables) then stores the rules'
+    (num_states, horizon) tables in their policies.  stodep.dp.OPTIMAL,
+    the solve's own policy, gets None.
+    """
+    fresh = {
+        id(p): p for p in policies if isinstance(p, _OneStepPolicy) and instance not in p._memo
+    }
+    index = {key: i for i, key in enumerate(fresh)}
+
+    def source(p):
+        if p == OPTIMAL:
+            return None
+        return index[id(p)] if id(p) in index else p.decisions(instance, state_cap)
+
+    def keep(tables):
+        for policy, table in zip(fresh.values(), tables):
+            policy._keep(instance, table)
+
+    return [source(p) for p in policies], [p._rule for p in fresh.values()], keep
+
+
 def decision_tables(
     instance: Instance, policies: Sequence[Policy], state_cap: int = DEFAULT_STATE_CAP
 ) -> list[np.ndarray]:
@@ -212,14 +244,13 @@ def decision_tables(
     The one-step policies that have not seen the instance get their tables
     from one shared sweep with V = 0 (stodep.dp.one_step_decisions).
     """
-    fresh = {
-        id(p): p for p in policies if isinstance(p, _OneStepPolicy) and instance not in p._memo
-    }
-    if fresh:
-        rules = [p._rule for p in fresh.values()]
-        for policy, table in zip(fresh.values(), one_step_decisions(instance, rules, state_cap)):
-            policy._keep(instance, table)
-    return [p.decisions(instance, state_cap) for p in policies]
+    sources, rules, keep = decision_sources(instance, policies, state_cap)
+    if rules:
+        keep(one_step_decisions(instance, rules, state_cap))
+    return [
+        p.decisions(instance, state_cap) if isinstance(s, int) else s
+        for p, s in zip(policies, sources)
+    ]
 
 
 def myopic_policy() -> Policy:

@@ -28,14 +28,17 @@ from stodep import (
     solve_clairvoyant,
 )
 from stodep.dp import (
+    OPTIMAL,
     TIE_TOL,
     ValueTable,
     best_activity,
     decode_state,
     mixed_radix_radices,
+    solve_and_evaluate,
     state_index,
 )
 from stodep import cli
+from stodep.cli import _sweep_policy
 from stodep.apps import build_worst_case_instance, random_linear_decaying_instance
 from stodep.policies import decision_tables
 
@@ -205,6 +208,9 @@ def test_table_json_round_trip(tmp_path, worst_case_tenth):
     assert np.array_equal(loaded.best_activity, table.best_activity)
 
 
+_MISSING = object()  # a field left out of the table
+
+
 @pytest.mark.parametrize("field, data", [
     ("values", [[0.0]]),
     ("values", [[0.0, 0.0, 0.0]] * 3),  # one state short
@@ -212,11 +218,30 @@ def test_table_json_round_trip(tmp_path, worst_case_tenth):
     ("values", [[0.0, 0.0, 0.0]] * 3 + [[0.0]]),  # ragged
     ("best_activity", [[0, 0, 0]] * 4),  # one column too many
     ("best_activity", [[0]]),
+    ("capacities", [1, "a"]),
+    ("capacities", []),
+    ("capacities", [1, -2]),
+    ("capacities", 3),
+    ("horizon", "x"),
+    ("horizon", 0),
+    ("horizon", 2.0),
+    ("num_activities", True),
+    ("fingerprint", None),
+    ("policy_name", 7),
+    ("fingerprint", _MISSING),
+    ("capacities", _MISSING),
+    ("best_activity", _MISSING),
+    ("best_activity", [[None, 0, 0]] * 4),
 ])
 def test_table_of_the_wrong_shape_is_refused(field, data, worst_case_tenth):
-    table = solve_clairvoyant(worst_case_tenth).to_dict()
+    table = dict(solve_clairvoyant(worst_case_tenth).to_dict(), **{field: data})
     with pytest.raises(stodep.ConfigError):
-        ValueTable.from_dict(dict(table, **{field: data}))
+        ValueTable.from_dict({k: v for k, v in table.items() if v is not _MISSING})
+
+
+def test_a_table_that_is_not_an_object_is_refused():
+    with pytest.raises(stodep.ConfigError):
+        ValueTable.from_dict([1, 2])
 
 
 # ------------------------------------------------- differential tests vs oracles
@@ -383,9 +408,9 @@ def _counting_q(monkeypatch):
     calls = []
     real_q = stodep.dp.BellmanOperator.q
 
-    def q(self, t, v_next, acts):
+    def q(self, t, v_next, acts, one_step=False):
         calls.append(t)
-        return real_q(self, t, v_next, acts)
+        return real_q(self, t, v_next, acts, one_step)
 
     monkeypatch.setattr(stodep.dp.BellmanOperator, "q", q)
     return calls
@@ -446,10 +471,11 @@ def test_q_budget_of_one_chunk_changes_no_output(reward_kind, monkeypatch):
 
 
 @pytest.mark.parametrize("stacked", [False, True])
-def test_batch_row_makes_one_q_call_per_chunk_in_each_of_its_three_sweeps(stacked, monkeypatch):
+def test_batch_row_makes_one_q_call_per_chunk_in_one_sweep(stacked, monkeypatch):
     inst = _wide_instance("linear_decaying")
-    # 8 activities of one policy per chunk, or every (policy, activity) pair in one.
-    chunk = 3 * inst.num_activities if stacked else _CHUNK
+    # The row's stack is J*, three policies and the one-step row: every
+    # (row, activity) pair in one chunk, or 8 activities of one row per chunk.
+    chunk = 5 * inst.num_activities if stacked else _CHUNK
     monkeypatch.setattr(stodep.dp, "_CHUNK_ENTRIES", chunk * 3 * 2 * 3)
     monkeypatch.setattr(cli, "build_from_app", lambda *args: inst)
     calls = _counting_q(monkeypatch)
@@ -459,20 +485,47 @@ def test_batch_row_makes_one_q_call_per_chunk_in_each_of_its_three_sweeps(stacke
     (row, _), = cli._batch_rows(config, args)[1]
     assert row["error"] is None
     got = Counter(calls)
-    if stacked:  # one call per epoch in each of the three sweeps
-        assert got == {t: 3 for t in range(inst.horizon)}
+    if stacked:  # one call per epoch for the solve, the one-step rules and the policies
+        assert got == {t: 1 for t in range(inst.horizon)}
         return
-    # The solve and the shared V = 0 sweep each take 3 chunks of 8 activities
-    # per epoch.  A stacked chunk would hold 2 activities of each policy, and
-    # the union of their choices takes more than that, so each policy is
-    # evaluated alone over its own choices, 8 activities per chunk.
+    # The solve and the one-step row share chunks of 4 activities (2 rows of
+    # 4 = 8 row-activities), 5 chunks per epoch.  The union of the policies'
+    # choices takes more than one chunk, so each policy is evaluated alone
+    # over its own choices, 8 activities per chunk.
     table = solve_clairvoyant(inst)
     chosen = np.stack([table.best_activity, myopic_policy().decisions(inst),
                        stodep.approx_myopic_policy(2.0).decisions(inst)])
     assert all(len(np.unique(chosen[:, :, t])) > 2 for t in range(inst.horizon))
     alone = [sum(-(-len(np.unique(c[:, t])) // _CHUNK) for c in chosen)
              for t in range(inst.horizon)]
-    assert got == {t: 3 + 3 + alone[t] for t in range(inst.horizon)}
+    head = -(-inst.num_activities // (_CHUNK // 2))
+    assert got == {t: head + alone[t] for t in range(inst.horizon)}
+
+
+@pytest.mark.parametrize("policy", ["myopic", "optimal", "round_robin"])
+def test_check_with_a_ratio_makes_one_q_call_per_epoch(policy, tmp_path, monkeypatch, capsys):
+    inst = _wide_instance("coverage")
+    path = tmp_path / "wide.json"
+    stodep.save_instance(inst, path)
+    calls = _counting_q(monkeypatch)
+    argv = ["check", "--instance", str(path), "--properties", "vfm,ir,ratio:2", "--policy", policy]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.rpartition(": ")[0] for line in lines] == ["vfm", "ir", "ratio:2"]
+    assert Counter(calls) == {t: 1 for t in range(inst.horizon)}
+
+
+def test_lowest_tied_reads_each_row_of_a_stack():
+    """A (P, S) floor against (P, k, S) Q, here with k = 1 and P = 5."""
+    inst = _wide_instance("coverage")
+    op = stodep.dp.bellman_operator(inst)
+    v = np.random.default_rng(5).random((5, op.num_states))
+    for acts in (np.array([3]), np.arange(inst.num_activities)):
+        best, choice = stodep.dp.lowest_tied(op.epoch(1, v, acts))
+        assert best.shape == choice.shape == v.shape
+        for p in range(5):
+            alone = stodep.dp.lowest_tied(op.epoch(1, v[p], acts))
+            assert np.array_equal(best[p], alone[0]) and np.array_equal(choice[p], alone[1])
 
 
 def test_tabulated_chunks_bound_their_transition_products(monkeypatch):
@@ -489,9 +542,9 @@ def test_tabulated_chunks_bound_their_transition_products(monkeypatch):
     sizes = []
     real_q = stodep.dp.BellmanOperator.q
 
-    def q(self, t, v_next, acts):
+    def q(self, t, v_next, acts, one_step=False):
         sizes.append((t, len(acts)))
-        return real_q(self, t, v_next, acts)
+        return real_q(self, t, v_next, acts, one_step)
 
     monkeypatch.setattr(stodep.dp.BellmanOperator, "q", q)
     table = solve_clairvoyant(inst)
@@ -565,6 +618,37 @@ def test_stacked_evaluation_matches_one_at_a_time(inst, data):
             assert got.best_activity.tobytes() == alone.best_activity.tobytes()
             oracle = value_function_oracle(inst, stodep.policy_from_name(name, table=table))
             _assert_table_matches(got, inst, oracle)
+
+
+@settings(max_examples=40, deadline=None)
+@given(inst=st.one_of(small_instances(), multi_chunk_instances()), data=st.data())
+def test_one_sweep_matches_the_separate_solve_tables_and_evaluation(inst, data):
+    names = data.draw(st.lists(_policy_names(inst), max_size=5))
+    with pytest.MonkeyPatch.context() as mp:
+        _eight_per_chunk(mp, inst)
+        table = solve_clairvoyant(inst)
+        separate = [stodep.policy_from_name(name, table=table) for name in names]
+        decisions = decision_tables(inst, separate)
+        expected = evaluate_policies_exact(inst, separate)
+        shared = {}
+        # A repeated name is sometimes the same policy object, sometimes a new one.
+        policies = [
+            shared.setdefault(name, _sweep_policy(name)) if data.draw(st.booleans())
+            else _sweep_policy(name)
+            for name in names
+        ]
+        warm = [p for p in policies if data.draw(st.booleans()) and p != OPTIMAL]
+        decision_tables(inst, warm)  # their memos already hold their tables
+        solved, evaluated = solve_and_evaluate(inst, policies)
+    assert solved.values.tobytes() == table.values.tobytes()
+    assert solved.best_activity.tobytes() == table.best_activity.tobytes()
+    assert len(evaluated) == len(names)
+    for name, policy, chosen, want, got in zip(names, policies, decisions, expected, evaluated):
+        assert got.policy_name == want.policy_name == name
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.best_activity.tobytes() == want.best_activity.tobytes() == chosen.tobytes()
+        if policy != OPTIMAL:  # a one-step policy keeps the table it chose in the sweep
+            assert policy.decisions(inst).tobytes() == chosen.tobytes()
 
 
 @pytest.mark.parametrize("reward_kind", ["linear_decaying", "coverage"])

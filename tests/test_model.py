@@ -104,6 +104,31 @@ def test_schedule_is_read_only():
     assert stodep.instance_fingerprint(inst) == fingerprint
 
 
+def test_schedule_rows_are_built_on_first_read():
+    from stodep.apps import build_queueing_instance, queueing_params_from_dict
+
+    rng = np.random.default_rng(2)
+    linear = make_instance(capacities=(2, 1), horizon=3, schedule=rng.random((3, 4, 2)),
+                           reward=LinearReward((1.0, 0.5)))
+    queueing = build_queueing_instance(queueing_params_from_dict({
+        "num_buffers": 2, "num_servers": 2, "horizon": 4,
+        "service_means": [[1.5, 2.0], [3.0, 1.2]],
+        "rewards": [[1.0, 0.8, 0.6, 0.4], [0.9, 0.7, 0.5, 0.3]],
+        "arrival_trace": [[1, 1, 1, 1], [1, 1, 1, 1]],
+    }), 0)
+    for inst in (linear, queueing):
+        assert "_rows" not in vars(inst)
+        stodep.solve_clairvoyant(inst)
+        assert "_rows" not in vars(inst)
+        T, A, M = inst.schedule.shape
+        expected = tuple(
+            tuple(tuple(float(p) for p in inst.schedule[t, a]) for a in range(A)) for t in range(T)
+        )
+        assert inst.probability_row(T - 1, A - 1) == expected[T - 1][A - 1]
+        assert "_rows" in vars(inst) and inst._rows == expected
+        assert all(type(p) is float for rows in inst._rows for row in rows for p in row)
+
+
 def test_instance_fields_cannot_be_assigned(worst_case_tenth):
     for f in dataclasses.fields(worst_case_tenth):
         with pytest.raises(dataclasses.FrozenInstanceError):
