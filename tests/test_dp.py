@@ -586,6 +586,14 @@ def test_no_policies_make_no_tables(worst_case_tenth):
     assert row["error"] is None and row["ratio:2"] is True
 
 
+def test_the_solves_own_policy_needs_the_solve(worst_case_tenth):
+    table, (optimal, again) = solve_and_evaluate(worst_case_tenth, [OPTIMAL, OPTIMAL])
+    assert optimal.policy_name == "optimal"
+    assert optimal.values.tobytes() == again.values.tobytes() == table.values.tobytes()
+    with pytest.raises(stodep.ConfigError):
+        evaluate_policies_exact(worst_case_tenth, [OPTIMAL])
+
+
 def _policy_names(inst):
     return st.one_of(
         st.sampled_from(["myopic", "optimal", "round_robin"]),
