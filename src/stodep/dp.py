@@ -546,11 +546,11 @@ class Epoch:
 
     def lowest(self, cond: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """Per-state lowest activity whose q satisfies cond; -1 where none does."""
-        choice = None
+        choice = np.full(self.shape, -1, dtype=np.int32)
         for acts, q in self:
             hit = cond(q)
-            found = np.where(hit.any(axis=-2), acts[hit.argmax(axis=-2)], -1)
-            choice = found if choice is None else np.where(choice < 0, found, choice)
+            take = (choice < 0) & hit.any(axis=-2)
+            choice[take] = acts[hit.argmax(axis=-2)[take]]
         return choice
 
     def at(self, choice: np.ndarray) -> np.ndarray:
