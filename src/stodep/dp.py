@@ -16,7 +16,11 @@ per-type binomials, so the expectation E[V(x - X)] factorizes over types: for
 each type m a batch of (c_m + 1) x (c_m + 1) binomial transition matrices
 B_m(p[t, a, m]), one per activity, is contracted with the value tensor along
 that type's axis.  An epoch costs S * A * sum_m (c_m + 1) for S states and A
-activities, where enumerating outcomes costs S * A * prod_m (x_m + 1).
+activities, where enumerating outcomes costs S * A * prod_m (x_m + 1).  At an
+epoch whose schedule holds a 0 or 1, each distinct schedule row u is computed
+once and only its types with 0 < p < 1 are contracted (p = 0 is the
+identity, p = 1 a copy of the x_m = 0 slice), so the epoch costs
+S * sum_u sum_{m : 0 < p_um < 1} (c_m + 1), with the same bits.
 
 The operator takes a stack of P value vectors and returns Q for every
 (row, activity) pair, with the expected one-step reward (Q with V = 0) as an
@@ -71,6 +75,12 @@ _CHUNK_ENTRIES = 6_600_000
 # Activities per block of the linear reward's matrix product (see
 # BellmanOperator._linear_reward).
 _REWARD_BLOCK = 8
+
+# Bytes of binomial matrices an operator keeps for its epochs with a 0 or 1
+# probability (BellmanOperator._rows), one epoch's distinct rows at a time:
+# an epoch is kept while it fits with those kept before it, and past the
+# budget its matrices are rebuilt on each call.
+_MATRIX_BUDGET = 2**24
 
 # Bytes of Q an Epoch keeps for its later passes: chunk k is kept while
 # (k + 1) chunks of doubles fit.  The first chunk is always kept, since it is
@@ -158,8 +168,8 @@ class ValueTable:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ValueTable":
-        """The table to_dict wrote; ConfigError unless its header is well formed
-        and its arrays cover every (x, t)."""
+        """The table to_dict wrote; ConfigError unless its header is well formed,
+        its arrays cover every (x, t) and every value is a finite number."""
         _check_header(data)
         try:
             values = np.asarray(data["values"], dtype=np.float64)
@@ -180,6 +190,13 @@ class ValueTable:
             raise ConfigError(
                 f"table arrays of shapes {table.values.shape} and {table.best_activity.shape}; "
                 f"capacities {table.capacities} and horizon {T} need ({S}, {T + 1}) and ({S}, {T})"
+            )
+        finite = np.isfinite(values)
+        if not finite.all():  # JSON null loads as NaN, and NaN and Infinity load as themselves
+            i, j = (int(k) for k in np.argwhere(~finite)[0])
+            raise ConfigError(
+                f"table value at (row {i}, column {j}) is {json.dumps(data['values'][i][j])}: "
+                "every value must be a finite number"
             )
         return table
 
@@ -311,6 +328,9 @@ class BellmanOperator:
             self.tabulated = self._dense_rewards(rew, instance.capacities, radices)
         if self.weights is not None:  # (horizon, M) weights times (M, S) item counts
             self._counts = self.items.T.astype(np.float64)
+        self._distinct = _distinct_rows(self.schedule)
+        self._kept: dict[int, tuple] = {}  # epoch -> _row_data of all its distinct rows
+        self._kept_bytes = 0
 
     def _dense_rewards(self, rew: GeneralTabulatedReward, caps, radices) -> np.ndarray:
         """g[t, index(x), index(x')] for t < horizon; every x' <= x needs an entry.
@@ -356,13 +376,20 @@ class BellmanOperator:
         the stack.  v_next=None means V = 0.  one_step=True (v_next a stack)
         appends the Q of V = 0, the expected one-step reward, as row P: the
         reward term itself, or on the potential route a zero row of the stack.
+
+        At an epoch whose schedule holds a 0 or 1 the expectation goes
+        through its distinct rows (_rows); elsewhere through _expect.
         """
-        p = self.schedule[t, acts]
-        mats = self._matrices(p)
+        sparse = t in self._distinct
+        mats = None if sparse and self.tabulated is None else self._matrices(self.schedule[t, acts])
+
+        def expect(v, phi=None):
+            return self._rows(t, acts, v, phi) if sparse else self._expect(mats, v, phi)
+
         if self.potential is not None:
             if one_step:
                 v_next = np.concatenate((v_next, np.zeros((1, self.num_states))))
-            return self._expect(mats, v_next, self.potential)
+            return expect(v_next, self.potential)
         if self.weights is not None:
             reward = self._linear_reward(t, acts)
         else:
@@ -370,9 +397,9 @@ class BellmanOperator:
         if v_next is None:
             return reward
         if not one_step:
-            return reward + self._expect(mats, v_next)
+            return reward + expect(v_next)
         q = np.empty((len(v_next) + 1,) + reward.shape)
-        np.add(reward, self._expect(mats, v_next), out=q[:-1])
+        np.add(reward, expect(v_next), out=q[:-1])
         q[-1] = reward
         return q
 
@@ -381,26 +408,33 @@ class BellmanOperator:
 
         A BLAS matrix product can round a row differently depending on how
         many rows it computes (seen from 4 types up), so each row comes from
-        the product of its fixed block of _REWARD_BLOCK activities.
-        A Q's bits then do not depend on which activities share its call: a
-        chunk, a policy's own choices, or the union of several policies'.
+        the product of its fixed block of _REWARD_BLOCK activities: one
+        batched matmul over the full blocks that acts touch, and one product
+        for a last, shorter block.  A Q's bits then do not depend on which
+        activities share its call: a chunk, a policy's own choices, or the
+        union of several policies'.
         """
         B = _REWARD_BLOCK
         lo = int(acts[0]) // B * B
-        # One block, as on every table of up to 8 activities, skips the loop's
+        # One block, as on every table of up to 8 activities, skips the
         # search and gather: 5% of the exact-ladder largest rung's certify time.
         if int(acts[-1]) < lo + B:
             block = (self.schedule[t, lo:lo + B] * self.weights[t]) @ self._counts
             return block if len(block) == len(acts) else block[acts - lo]
-        out = np.empty((len(acts), self.num_states))
-        i = 0
-        while i < len(acts):  # acts ascend, so each block's activities are a run
-            lo = int(acts[i]) // B * B
-            j = int(np.searchsorted(acts, lo + B))
-            block = (self.schedule[t, lo:lo + B] * self.weights[t]) @ self._counts
-            np.take(block, acts[i:j] - lo, axis=0, out=out[i:j])
-            i = j
-        return out
+        scaled = self.schedule[t] * self.weights[t]
+        (A, M), S = scaled.shape, self.num_states
+        end = A // B * B  # where a short last block starts
+        blocks = np.flatnonzero(np.bincount(acts // B))  # the blocks acts touch, ascending
+        full = blocks[:len(blocks) - (blocks[-1] * B == end)]
+        out = np.empty((len(full) * B + (A - end if len(full) < len(blocks) else 0), S))
+        if len(full):
+            lhs = scaled[:end].reshape(-1, B, M)[full]
+            np.matmul(lhs, self._counts, out=out[:len(full) * B].reshape(-1, B, S))
+        if len(full) < len(blocks):
+            np.matmul(scaled[end:], self._counts, out=out[len(full) * B:])
+        if len(out) == len(acts):  # every activity of its blocks
+            return out
+        return out[np.searchsorted(blocks, acts // B) * B + acts % B]
 
     def _matrices(self, p: np.ndarray) -> list[np.ndarray]:
         """Per type m, B_m[a, x, y] = P(y of x left) = C(x, x - y) p^(x - y) (1 - p)^y.
@@ -447,6 +481,91 @@ class BellmanOperator:
             w = w.swapaxes(-1, -2).reshape(lead + (-1, S))
         return w
 
+    def _rows(self, t: int, acts: np.ndarray, v, phi=None) -> np.ndarray:
+        """_expect at an epoch whose schedule holds a 0 or 1, one distinct row at a time.
+
+        Identical schedule rows give identical expectations, so each row
+        that acts use is computed once and gathered back to its activities.
+        A call over every activity uses the epoch's matrices kept on the
+        operator (_row_data, built on the first such call and kept while
+        they fit _MATRIX_BUDGET); other calls build those of their rows.
+        """
+        row, first = self._distinct[t]
+        if len(acts) == len(row):  # every activity: each of the epoch's rows
+            data = self._kept.get(t)
+            if data is None:
+                data = self._row_data(t, first)
+                nbytes = sum(mat.nbytes for *_, mat in data[1])
+                if self._kept_bytes + nbytes <= _MATRIX_BUDGET:
+                    self._kept[t] = data
+                    self._kept_bytes += nbytes
+            w = self._expect_rows(data, v, phi)
+            return w if len(first) == len(row) else np.take(w, row, axis=-2)
+        row = row[acts]
+        used = np.flatnonzero(np.bincount(row))
+        w = self._expect_rows(self._row_data(t, first[used]), v, phi)
+        return np.take(w, np.searchsorted(used, row), axis=-2)
+
+    def _row_data(self, t: int, first: np.ndarray) -> tuple:
+        """The schedule rows of activities first at epoch t: their number, and
+        per type the rows with 0 < p < 1, the rows with p = 1 and the
+        binomial matrices of the former."""
+        p = self.schedule[t, first]
+        cut = (p > 0) & (p < 1)
+        return len(p), [(np.flatnonzero(c), np.flatnonzero(p1), mat[c])
+                        for c, p1, mat in zip(cut.T, (p == 1).T, self._matrices(p))]
+
+    def _expect_rows(self, data: tuple, v, phi=None) -> np.ndarray:
+        """_expect for the rows of _row_data: contract only the types with
+        0 < p < 1, take the x_m = 0 slice where p = 1, and skip p = 0.
+
+        B_m is exactly the identity where p = 0 (0**0 == 1) and exactly the
+        gather of x_m = 0 where p = 1, so for finite values skipping and
+        copying give the bits the contraction gives.  A contracted type
+        runs the same (S / n, n) products on the same layout as in _expect,
+        so each row has the bits of an activity there.  Each type still
+        moves its axis to the front, so the layout stays the one _expect
+        has.  Until a type touches some row, all rows are still v and share
+        one copy.  v=None is V = 0 (the potential route); the result is
+        (rows, S) or (P, rows, S).
+        """
+        S = self.num_states
+        if v is None:
+            v = np.zeros(S)
+        lead = v.shape[:-1]
+        U, types = data
+        if not any(len(c) + len(o) for c, o, _ in types):  # every type has p = 0
+            return np.repeat(v[..., None, :], U, axis=-2)
+
+        def rows(w, sel):  # rows sel of w: all of them, or the one every row still shares
+            return w if w.shape[-3] in (1, len(sel)) else w[..., sel, :, :]
+
+        w = v[..., None, :]
+        for (c, o, mat), n in zip(types, self.dims):
+            wr = w.reshape(lead + (-1, S // n, n))
+            if phi is not None:
+                f = phi.reshape(S // n, n)
+                phi = f.T.reshape(S)
+            if not len(c) + len(o):
+                w = wr.swapaxes(-1, -2).reshape(lead + (-1, S))
+                continue
+            if len(c):
+                r = np.matmul(rows(wr, c), mat.transpose(0, 2, 1))
+                if phi is not None:
+                    r += np.einsum("kxy,ixy->kix", mat, f[:, None, :] - f[:, :, None])
+            if len(c) == U:
+                w = r.swapaxes(-1, -2).reshape(lead + (U, S))
+                continue
+            nxt = np.empty(lead + (U, n, S // n))
+            nxt[...] = wr.swapaxes(-1, -2)
+            if len(c):
+                nxt[..., c, :, :] = r.swapaxes(-1, -2)
+            if len(o):
+                y = rows(wr, o)[..., :1]  # the x_m = 0 slice
+                nxt[..., o, :, :] = (y if phi is None else y + (f[:, :1] - f)).swapaxes(-1, -2)
+            w = nxt.reshape(lead + (U, S))
+        return w
+
     def chunk_width(self, q_entries: int) -> int:
         """Activities per q call, for q_entries Q entries per activity (P * S).
 
@@ -475,6 +594,32 @@ def _binomial_layout(n: int):
         [[float(math.comb(i, i - j)) if j <= i else 0.0 for j in range(n)] for i in range(n)]
     )
     return coef, np.maximum(x - y, 0), y
+
+
+def _distinct_rows(schedule: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """{t: (row, first)} for each epoch t whose schedule holds a 0 or a 1.
+
+    row[a] numbers activity a's schedule row among the epoch's distinct
+    rows, in order of first appearance, and first[u] is the lowest activity
+    whose row is u.  Epochs with no 0 and no 1 are left out: no type can be
+    skipped there, so they take the dense route, and a schedule without any
+    costs two reductions.  Rows are told apart by their bytes in a dict:
+    numpy's sorts would fault in several hundred KB of their code, which
+    peak RSS counts.
+    """
+    if schedule.min() > 0 and schedule.max() < 1:
+        return {}
+    M = schedule.shape[2]
+    out = {}
+    for t in np.flatnonzero(((schedule == 0) | (schedule == 1)).any(axis=(1, 2))).tolist():
+        keys = schedule[t].view(np.dtype((np.void, 8 * M)))[:, 0].tolist()
+        number, first = {}, []
+        for a, key in enumerate(keys):
+            if key not in number:
+                number[key] = len(first)
+                first.append(a)
+        out[t] = (np.array([number[key] for key in keys]), np.array(first))
+    return out
 
 
 def _kron(mats: list[np.ndarray]) -> np.ndarray:
@@ -806,7 +951,9 @@ def audit_table(
             epoch = op.epoch(t, v_next)
             target = epoch.best()
             attained = epoch.at(stored_a)
-            wrong_activity = ~(target - attained <= np.maximum(tol, tie_slack(target)))
+            # The floor the solve ties by (lowest_tied): best - q can round above
+            # the slack where q >= best - slack holds, e.g. q = 1 against 1 + 1e-12.
+            wrong_activity = ~(attained >= target - np.maximum(tol, tie_slack(target)))
         else:
             choice = decisions[:, t]
             target = op.epoch(t, v_next, op.used(choice)).at(choice)

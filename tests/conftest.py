@@ -1,8 +1,9 @@
 import math
+import os
 
 import numpy as np
 import pytest
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 import stodep
 from stodep import (
@@ -15,6 +16,11 @@ from stodep import (
     SubmodularReward,
 )
 from stodep.apps import build_worst_case_instance
+
+# HYPOTHESIS_PROFILE=ci: the same examples on every run, and a failing one
+# printed as a blob that @reproduce_failure replays on another machine.
+settings.register_profile("ci", derandomize=True, print_blob=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def make_instance(
@@ -61,13 +67,17 @@ def single_type_instance():
 
 @st.composite
 def small_instances(draw):
-    """Random instances on every reward route, with 0/1 probabilities and windows."""
+    """Random instances on every reward route, with 0/1 probabilities, windows,
+    and schedule rows repeated within an epoch."""
     M = draw(st.integers(1, 3))
     caps = tuple(draw(st.integers(1, 2)) for _ in range(M))
     T = draw(st.integers(1, 3))
     A = draw(st.integers(1, 3))
     prob = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
     schedule = np.array([draw(prob) for _ in range(T * A * M)]).reshape(T, A, M)
+    for _ in range(draw(st.integers(0, 2))):  # a copy ties with its row's lowest activity
+        t, i, j = (draw(st.integers(0, n - 1)) for n in (T, A, A))
+        schedule[t, j] = schedule[t, i]
     windows = {}
     if draw(st.booleans()):
         arrivals = tuple(draw(st.integers(0, T)) for _ in range(M))

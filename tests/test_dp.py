@@ -175,6 +175,19 @@ def test_horizon_extension_preserves_values():
     assert v2 == pytest.approx(v1, abs=1e-12)
 
 
+def test_audit_accepts_the_solves_choice_on_the_tie_floor():
+    """Q = 1 and Q = 1 + 1e-12 tie: 1 lies on the floor best - tie_slack(best)
+    of the solve's tie rule, though best - 1 rounds just above the slack."""
+    schedule = np.zeros((2, 10, 2))
+    schedule[1, 7] = [1.0, 0.0]
+    schedule[1, 9] = [1.0, 1.0]
+    inst = make_instance(capacities=(1, 1), horizon=2, schedule=schedule,
+                         reward=LinearReward((1.0, 1e-12)))
+    table = solve_clairvoyant(inst)
+    assert table.best_activity[3, 1] == 7
+    assert audit_table(inst, table).passed
+
+
 def test_fingerprint_mismatch_detected(worst_case_tenth):
     table = solve_clairvoyant(worst_case_tenth)
     other = build_worst_case_instance(0.2)
@@ -237,6 +250,18 @@ def test_table_of_the_wrong_shape_is_refused(field, data, worst_case_tenth):
     table = dict(solve_clairvoyant(worst_case_tenth).to_dict(), **{field: data})
     with pytest.raises(stodep.ConfigError):
         ValueTable.from_dict({k: v for k, v in table.items() if v is not _MISSING})
+
+
+@pytest.mark.parametrize("entry, text", [(None, "null"), (float("nan"), "NaN"),
+                                         (float("inf"), "Infinity")])
+def test_a_table_value_that_is_not_finite_is_refused(entry, text, worst_case_tenth):
+    import json
+
+    data = solve_clairvoyant(worst_case_tenth).to_dict()
+    data["values"][1] = [data["values"][1][0], entry, entry]
+    data["values"][2][0] = entry
+    with pytest.raises(stodep.ConfigError, match=rf"\(row 1, column 1\) is {text}:"):
+        ValueTable.from_dict(json.loads(json.dumps(data)))
 
 
 def test_a_table_that_is_not_an_object_is_refused():
@@ -692,6 +717,139 @@ def test_q_rows_do_not_depend_on_the_activities_sharing_the_call(reward_kind):
     for name, got in zip(names, stacked):
         alone = evaluate_policy_exact(inst, stodep.policy_from_name(name, table=table))
         assert got.values.tobytes() == alone.values.tobytes()
+
+
+# ------------------------------- schedules with 0/1 entries and repeated rows
+
+
+def _dense_operator(inst):
+    """inst's operator with the schedule's structure switched off: every
+    epoch contracts every type of every activity, as on a dense schedule."""
+    op = stodep.dp.BellmanOperator(inst)
+    op._distinct = {}
+    return op
+
+
+def _same_bits(got, want):
+    np.testing.assert_array_equal(got, want, strict=True)
+    assert got.tobytes() == want.tobytes()
+
+
+def _assert_q_matches_dense(inst, rng):
+    op, dense = stodep.dp.bellman_operator(inst), _dense_operator(inst)
+    S, A = op.num_states, inst.num_activities
+    v = 4.0 * rng.random((3, S))
+    states = rng.choice(S, size=min(S, 6), replace=False)
+    for t in range(inst.horizon):
+        for acts in (np.arange(A), np.array([A - 1]), np.arange(0, A, 2)):
+            for v_next, one_step in ((None, False), (v[0], False), (v, False), (v, True)):
+                _same_bits(op.q(t, v_next, acts, one_step), dense.q(t, v_next, acts, one_step))
+        for a in range(A):  # one-activity reads of the operator
+            want = dense.q(t, None, np.array([a]))[0, states]
+            got = [stodep.expected_one_step_reward(State(tuple(op.items[i].tolist()), t), a, inst)
+                   for i in states]
+            _same_bits(np.array(got), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=st.one_of(small_instances(), multi_chunk_instances()), seed=st.integers(0, 2**32 - 1))
+def test_distinct_rows_give_the_dense_routes_bits(inst, seed):
+    """Skipping p = 0 types, copying p = 1 types and computing each distinct
+    schedule row once leave every Q bit as contracting every type gives."""
+    _assert_q_matches_dense(inst, np.random.default_rng(seed))
+
+
+def _sparse_instance(route, rng):
+    """Five types of capacity 3 (three small types on the tabulated route),
+    with 0 and 1 entries and repeated rows at epochs 0 and 2, neither at 1."""
+    caps, A = ((2, 1, 2), 12) if route == "tabulated" else ((3,) * 5, 20)
+    T, M = 3, len(caps)
+    schedule = rng.random((T, A, M))
+    draw = rng.random((T, A, M))
+    schedule[draw < 0.5] = 0.0
+    schedule[draw > 0.85] = 1.0
+    schedule[1] = 0.05 + 0.9 * rng.random((A, M))
+    schedule[0, 1::3] = schedule[0, 0]
+    schedule[2, A // 2:] = schedule[2, :A - A // 2]
+    if route == "linear":
+        reward = LinearReward(tuple(rng.random(M).tolist()))
+    elif route == "linear_decaying":
+        reward = LinearDecayingReward(
+            tuple(tuple(sorted(rng.random(T).tolist(), reverse=True)) for _ in range(M))
+        )
+    else:
+        covers = tuple(frozenset(e for e in range(M + 2) if rng.random() < 0.5) for _ in range(M))
+        cover = CoverageFunction(M + 2, covers, tuple(rng.random(M + 2)))
+        reward = (SubmodularReward(cover) if route == "coverage"
+                  else stodep.GeneralTabulatedReward.from_potential(cover, caps, T))
+    return make_instance(capacities=caps, horizon=T, schedule=schedule, reward=reward)
+
+
+@pytest.mark.parametrize("route", ["linear", "linear_decaying", "coverage", "tabulated"])
+def test_sparse_schedules_give_the_dense_routes_bits(route):
+    """On tables large enough (1024 states) that a BLAS product's rounding
+    depends on its shape, the distinct-row route gives the dense route's Q,
+    and so its solve and policy values, bit for bit."""
+    inst = _sparse_instance(route, np.random.default_rng(11))
+    assert sorted(stodep.dp.bellman_operator(inst)._distinct) == [0, 2]
+    _assert_q_matches_dense(inst, np.random.default_rng(12))
+    twin = _sparse_instance(route, np.random.default_rng(11))
+    vars(twin)["_bellman_operator"] = _dense_operator(twin)
+    (solved, evaluated), (want, expected) = (
+        solve_and_evaluate(i, [myopic_policy(), stodep.approx_myopic_policy(2.0), OPTIMAL])
+        for i in (inst, twin)
+    )
+    for got, table in zip([solved, *evaluated], [want, *expected]):
+        _same_bits(got.values, table.values)
+        _same_bits(got.best_activity, table.best_activity)
+
+
+def test_kept_matrices_stay_within_their_budget(monkeypatch):
+    """Past _MATRIX_BUDGET an epoch's matrices are rebuilt on each call,
+    with the same Q bits."""
+    rng = np.random.default_rng(8)
+    caps, T, A = (2, 3, 1), 4, 60
+    schedule = rng.random((T, A, 3))
+    schedule[rng.random(schedule.shape) < 0.3] = 0.0
+    reward = LinearDecayingReward(
+        tuple(tuple(sorted(rng.random(T).tolist(), reverse=True)) for _ in caps)
+    )
+    inst = make_instance(capacities=caps, horizon=T, schedule=schedule, reward=reward)
+    op = stodep.dp.bellman_operator(inst)
+    sizes = [sum(mat.nbytes for *_, mat in op._row_data(t, op._distinct[t][1])[1])
+             for t in range(T)]
+    budget = 3 * max(sizes) // 2
+    monkeypatch.setattr(stodep.dp, "_MATRIX_BUDGET", budget)
+    dense = _dense_operator(inst)
+    v = rng.random((2, op.num_states))
+    for _ in range(2):
+        for t in range(T - 1, -1, -1):
+            _same_bits(op.q(t, v, np.arange(A)), dense.q(t, v, np.arange(A)))
+            kept = sum(mat.nbytes for _, types in op._kept.values() for *_, mat in types)
+            assert kept == op._kept_bytes <= budget
+    assert len(op._kept) == 1
+
+
+def test_solve_and_audit_build_each_epochs_matrices_once(monkeypatch):
+    params = {"num_buffers": 2, "num_servers": 2, "horizon": 3,
+              "service_means": [[1.5, 2.0], [3.0, 1.2]],
+              "rewards": [[1.0, 0.8, 0.5], [0.9, 0.6, 0.2]],
+              "arrival_trace": [[1, 1, 0], [1, 0, 1]]}
+    inst = stodep.apps.build_queueing_instance(stodep.apps.queueing_params_from_dict(params))
+    calls = []
+    real = stodep.dp.BellmanOperator._matrices
+
+    def matrices(self, p):
+        calls.append(len(p))
+        return real(self, p)
+
+    monkeypatch.setattr(stodep.dp.BellmanOperator, "_matrices", matrices)
+    op = stodep.dp.bellman_operator(inst)
+    assert sorted(op._distinct) == [0, 1, 2]
+    table = solve_clairvoyant(inst)
+    assert audit_table(inst, table).passed
+    assert calls == [len(op._distinct[t][1]) for t in (2, 1, 0)]
+    assert all(len(op._distinct[t][1]) < inst.num_activities for t in (0, 1))
 
 
 @settings(max_examples=30, deadline=None)
