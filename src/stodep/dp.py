@@ -16,11 +16,13 @@ per-type binomials, so the expectation E[V(x - X)] factorizes over types: for
 each type m a batch of (c_m + 1) x (c_m + 1) binomial transition matrices
 B_m(p[t, a, m]), one per activity, is contracted with the value tensor along
 that type's axis.  An epoch costs S * A * sum_m (c_m + 1) for S states and A
-activities, where enumerating outcomes costs S * A * prod_m (x_m + 1).  At an
-epoch whose schedule holds a 0 or 1, each distinct schedule row u is computed
-once and only its types with 0 < p < 1 are contracted (p = 0 is the
-identity, p = 1 a copy of the x_m = 0 slice), so the epoch costs
-S * sum_u sum_{m : 0 < p_um < 1} (c_m + 1), with the same bits.
+activities, where enumerating outcomes costs S * A * prod_m (x_m + 1).  One
+kernel (BellmanOperator._expect) does every contraction.  At an epoch whose
+schedule holds a 0 or 1 it takes each distinct schedule row u once and
+contracts only its types with 0 < p < 1 (p = 0 is the identity, p = 1 a copy
+of the x_m = 0 slice), so the epoch costs
+S * sum_u sum_{m : 0 < p_um < 1} (c_m + 1), with the bits that contracting
+every type gives.
 
 The operator takes a stack of P value vectors and returns Q for every
 (row, activity) pair, with the expected one-step reward (Q with V = 0) as an
@@ -79,7 +81,8 @@ _REWARD_BLOCK = 8
 # Bytes of binomial matrices an operator keeps for its epochs with a 0 or 1
 # probability (BellmanOperator._rows), one epoch's distinct rows at a time:
 # an epoch is kept while it fits with those kept before it, and past the
-# budget its matrices are rebuilt on each call.
+# budget its matrices are rebuilt on each call, as they are at every epoch
+# with no 0 and no 1.
 _MATRIX_BUDGET = 2**24
 
 # Bytes of Q an Epoch keeps for its later passes: chunk k is kept while
@@ -298,7 +301,9 @@ class BellmanOperator:
     sum_m w_m[t] p_m x_m for linear and linear-decaying rewards; the
     telescoping potential Phi(x) = w(cap - x) for submodular rewards, where
     g = Phi(x') - Phi(x); and a dense g[t, x, x'] array scattered once from
-    the key and value arrays of a tabulated reward.
+    the key and value arrays of a tabulated reward.  ConfigError names the
+    first of those weights, potential values or tabulated values that is not
+    finite.
     """
 
     def __init__(self, instance: Instance):
@@ -315,15 +320,14 @@ class BellmanOperator:
         ]
         self.weights = self.potential = self.tabulated = None
         rew = instance.reward
-        if isinstance(rew, LinearReward):
-            self.weights = np.tile(np.asarray(rew.weights, dtype=np.float64), (instance.horizon, 1))
-        elif isinstance(rew, LinearDecayingReward):
-            self.weights = np.asarray(rew.weights, dtype=np.float64).T
+        if isinstance(rew, (LinearReward, LinearDecayingReward)):
+            weights = np.asarray(rew.weights, dtype=np.float64)  # (M,) or (M, horizon)
+            _require_finite(weights, lambda i: f"reward.weights{list(i)}")
+            self.weights = weights.T if weights.ndim == 2 else np.tile(weights, (self.horizon, 1))
         elif isinstance(rew, SubmodularReward):
-            caps = np.array(instance.capacities)
-            self.potential = np.array(
-                [rew.w(y) for y in map(tuple, (caps - self.items).tolist())], dtype=np.float64
-            )
+            y = (np.array(instance.capacities) - self.items).tolist()
+            self.potential = np.array([rew.w(tuple(v)) for v in y], dtype=np.float64)
+            _require_finite(self.potential, lambda i: f"reward potential w({tuple(y[i[0]])})")
         else:  # GeneralTabulatedReward; Instance admits no other kind
             self.tabulated = self._dense_rewards(rew, instance.capacities, radices)
         if self.weights is not None:  # (horizon, M) weights times (M, S) item counts
@@ -340,10 +344,16 @@ class BellmanOperator:
         T, S = self.horizon, self.num_states
         M = len(self.dims)
         keep = rew.keys[:, 2 * M] < T
-        keys = rew.keys[keep]
+        keys, values = rew.keys[keep], rew.values[keep]
+
+        def entry(i):
+            k = keys[i[0]].tolist()
+            return f"tabulated reward entry {(tuple(k[:M]), tuple(k[M:2 * M]), k[2 * M])}"
+
+        _require_finite(values, entry)
         at = (keys[:, 2 * M], keys[:, :M] @ radices, keys[:, M:2 * M] @ radices)
         g = np.zeros((T, S, S))
-        g[at] = rew.values[keep]
+        g[at] = values
         present = np.zeros((T, S, S), dtype=bool)
         present[at] = True
         below = (self.items[None, :, :] <= self.items[:, None, :]).all(axis=2)
@@ -376,30 +386,21 @@ class BellmanOperator:
         the stack.  v_next=None means V = 0.  one_step=True (v_next a stack)
         appends the Q of V = 0, the expected one-step reward, as row P: the
         reward term itself, or on the potential route a zero row of the stack.
-
-        At an epoch whose schedule holds a 0 or 1 the expectation goes
-        through its distinct rows (_rows); elsewhere through _expect.
         """
-        sparse = t in self._distinct
-        mats = None if sparse and self.tabulated is None else self._matrices(self.schedule[t, acts])
-
-        def expect(v, phi=None):
-            return self._rows(t, acts, v, phi) if sparse else self._expect(mats, v, phi)
-
         if self.potential is not None:
             if one_step:
                 v_next = np.concatenate((v_next, np.zeros((1, self.num_states))))
-            return expect(v_next, self.potential)
+            return self._rows(t, acts, v_next, self.potential)
         if self.weights is not None:
             reward = self._linear_reward(t, acts)
         else:
-            reward = (_kron(mats) * self.tabulated[t]).sum(axis=2)
+            reward = (_kron(self._matrices(self.schedule[t, acts])) * self.tabulated[t]).sum(axis=2)
         if v_next is None:
             return reward
         if not one_step:
-            return reward + expect(v_next)
+            return reward + self._rows(t, acts, v_next)
         q = np.empty((len(v_next) + 1,) + reward.shape)
-        np.add(reward, expect(v_next), out=q[:-1])
+        np.add(reward, self._rows(t, acts, v_next), out=q[:-1])
         q[-1] = reward
         return q
 
@@ -450,46 +451,21 @@ class BellmanOperator:
                 mats[m] = mat
         return mats
 
-    def _expect(self, mats: list[np.ndarray], v, phi=None) -> np.ndarray:
-        """(K_a v)(x) = E[v(x - X)] for every activity of the batch and vector of v.
-
-        v is (S,) or (P, S); the result is (k, S) or (P, k, S).
-
-        K = K_{M-1} ... K_0, where K_m takes the expectation over type m's
-        depletion.  Each step contracts the last axis of the C-order tensor
-        (type m) and moves it to the front, so the next type's axis comes
-        last and the axes are back in their original order after M steps.
-
-        With a potential phi the result also holds E[phi(x - X)] - phi(x),
-        telescoped one type at a time: step m adds
-        D_m phi(x) = sum_y B_m[x_m, y] (phi(x with x_m = y) - phi(x)), so
-        the total is sum_m K_{M-1} ... K_{m+1} D_m phi.  Built from
-        differences, the expected reward is exactly zero wherever phi is flat
-        below x, where K(v + phi) - phi would leave a rounding residue.
-        """
-        S = self.num_states
-        lead = () if v is None else v.shape[:-1]  # (P,) for a stack
-        w = v
-        for mat, n in zip(mats, self.dims):
-            if w is not None:  # the activity axis, -1, is 1 before the first step
-                w = np.matmul(w.reshape(lead + (-1, S // n, n)), mat.transpose(0, 2, 1))
-            if phi is not None:
-                f = phi.reshape(S // n, n)
-                gain = np.einsum("kxy,ixy->kix", mat, f[:, None, :] - f[:, :, None])
-                w = gain if w is None else w + gain
-                phi = f.T.reshape(S)
-            w = w.swapaxes(-1, -2).reshape(lead + (-1, S))
-        return w
-
     def _rows(self, t: int, acts: np.ndarray, v, phi=None) -> np.ndarray:
-        """_expect at an epoch whose schedule holds a 0 or 1, one distinct row at a time.
+        """_expect over the activities acts at epoch t: (len(acts), S) or (P, len(acts), S).
 
-        Identical schedule rows give identical expectations, so each row
-        that acts use is computed once and gathered back to its activities.
-        A call over every activity uses the epoch's matrices kept on the
-        operator (_row_data, built on the first such call and kept while
-        they fit _MATRIX_BUDGET); other calls build those of their rows.
+        At an epoch whose schedule holds no 0 and no 1 every type of every
+        activity is contracted.  Elsewhere identical schedule rows give
+        identical expectations, so each row that acts use is computed once
+        and gathered back to its activities.  A call over every activity
+        there uses the epoch's matrices kept on the operator (_row_data,
+        built on the first such call and kept while they fit
+        _MATRIX_BUDGET); other calls build those of their rows.
         """
+        if t not in self._distinct:
+            every = range(len(acts))
+            mats = self._matrices(self.schedule[t, acts])
+            return self._expect((len(acts), [(every, (), mat) for mat in mats]), v, phi)
         row, first = self._distinct[t]
         if len(acts) == len(row):  # every activity: each of the epoch's rows
             data = self._kept.get(t)
@@ -499,11 +475,11 @@ class BellmanOperator:
                 if self._kept_bytes + nbytes <= _MATRIX_BUDGET:
                     self._kept[t] = data
                     self._kept_bytes += nbytes
-            w = self._expect_rows(data, v, phi)
+            w = self._expect(data, v, phi)
             return w if len(first) == len(row) else np.take(w, row, axis=-2)
         row = row[acts]
         used = np.flatnonzero(np.bincount(row))
-        w = self._expect_rows(self._row_data(t, first[used]), v, phi)
+        w = self._expect(self._row_data(t, first[used]), v, phi)
         return np.take(w, np.searchsorted(used, row), axis=-2)
 
     def _row_data(self, t: int, first: np.ndarray) -> tuple:
@@ -515,56 +491,64 @@ class BellmanOperator:
         return len(p), [(np.flatnonzero(c), np.flatnonzero(p1), mat[c])
                         for c, p1, mat in zip(cut.T, (p == 1).T, self._matrices(p))]
 
-    def _expect_rows(self, data: tuple, v, phi=None) -> np.ndarray:
-        """_expect for the rows of _row_data: contract only the types with
-        0 < p < 1, take the x_m = 0 slice where p = 1, and skip p = 0.
+    def _expect(self, data: tuple, v, phi=None) -> np.ndarray:
+        """(K_u v)(x) = E[v(x - X)] for every schedule row u of data and vector of v.
 
-        B_m is exactly the identity where p = 0 (0**0 == 1) and exactly the
-        gather of x_m = 0 where p = 1, so for finite values skipping and
-        copying give the bits the contraction gives.  A contracted type
-        runs the same (S / n, n) products on the same layout as in _expect,
-        so each row has the bits of an activity there.  Each type still
-        moves its axis to the front, so the layout stays the one _expect
-        has.  Until a type touches some row, all rows are still v and share
-        one copy.  v=None is V = 0 (the potential route); the result is
-        (rows, S) or (P, rows, S).
+        data is (U, types): U rows and, per type, the rows with 0 < p < 1,
+        the rows with p = 1 and the binomial matrices of the former
+        (_row_data).  v is (S,) or (P, S), or None for V = 0; the result is
+        (U, S) or (P, U, S), a new array.
+
+        K = K_{M-1} ... K_0, where K_m takes the expectation over type m's
+        depletion.  Each step contracts the last axis of the C-order tensor
+        (type m) and moves it to the front, so the next type's axis comes
+        last and the axes are back in their original order after M steps.
+        Only the rows with 0 < p < 1 are contracted: B_m is exactly the
+        identity where p = 0 (0**0 == 1) and exactly the gather of x_m = 0
+        where p = 1, so for finite values skipping and copying give the bits
+        the contraction gives, and a row has the same bits whichever rows
+        share its call.  Every type still moves its axis.  Until a type
+        touches some row, all rows are still v and share one copy.
+
+        With a potential phi the result also holds E[phi(x - X)] - phi(x),
+        telescoped one type at a time: step m adds
+        D_m phi(x) = sum_y B_m[x_m, y] (phi(x with x_m = y) - phi(x)), so
+        the total is sum_m K_{M-1} ... K_{m+1} D_m phi.  Built from
+        differences, the expected reward is exactly zero wherever phi is flat
+        below x, where K(v + phi) - phi would leave a rounding residue.
         """
         S = self.num_states
         if v is None:
             v = np.zeros(S)
         lead = v.shape[:-1]
         U, types = data
-        if not any(len(c) + len(o) for c, o, _ in types):  # every type has p = 0
-            return np.repeat(v[..., None, :], U, axis=-2)
-
-        def rows(w, sel):  # rows sel of w: all of them, or the one every row still shares
-            return w if w.shape[-3] in (1, len(sel)) else w[..., sel, :, :]
-
-        w = v[..., None, :]
+        w, shared = v[..., None, :], True
         for (c, o, mat), n in zip(types, self.dims):
             wr = w.reshape(lead + (-1, S // n, n))
             if phi is not None:
                 f = phi.reshape(S // n, n)
                 phi = f.T.reshape(S)
-            if not len(c) + len(o):
+            if not len(c) + len(o):  # p = 0 in every row: B_m is the identity
                 w = wr.swapaxes(-1, -2).reshape(lead + (-1, S))
                 continue
             if len(c):
-                r = np.matmul(rows(wr, c), mat.transpose(0, 2, 1))
+                r = np.matmul(wr if shared or len(c) == U else wr[..., c, :, :],
+                              mat.transpose(0, 2, 1))
                 if phi is not None:
                     r += np.einsum("kxy,ixy->kix", mat, f[:, None, :] - f[:, :, None])
             if len(c) == U:
                 w = r.swapaxes(-1, -2).reshape(lead + (U, S))
-                continue
-            nxt = np.empty(lead + (U, n, S // n))
-            nxt[...] = wr.swapaxes(-1, -2)
-            if len(c):
-                nxt[..., c, :, :] = r.swapaxes(-1, -2)
-            if len(o):
-                y = rows(wr, o)[..., :1]  # the x_m = 0 slice
-                nxt[..., o, :, :] = (y if phi is None else y + (f[:, :1] - f)).swapaxes(-1, -2)
-            w = nxt.reshape(lead + (U, S))
-        return w
+            else:
+                nxt = np.empty(lead + (U, n, S // n))
+                nxt[...] = wr.swapaxes(-1, -2)
+                if len(c):
+                    nxt[..., c, :, :] = r.swapaxes(-1, -2)
+                if len(o):
+                    y = (wr if shared else wr[..., o, :, :])[..., :1]  # the x_m = 0 slice
+                    nxt[..., o, :, :] = (y if phi is None else y + (f[:, :1] - f)).swapaxes(-1, -2)
+                w = nxt.reshape(lead + (U, S))
+            shared = False
+        return np.repeat(w, U, axis=-2) if shared else w  # p = 0 throughout: U copies of v
 
     def chunk_width(self, q_entries: int) -> int:
         """Activities per q call, for q_entries Q entries per activity (P * S).
@@ -586,6 +570,14 @@ class BellmanOperator:
         return np.flatnonzero(np.bincount(choice.ravel(), minlength=self.num_activities))
 
 
+def _require_finite(values: np.ndarray, name: Callable[[tuple], str]) -> None:
+    """ConfigError naming the first entry of values that is not finite, by name(index)."""
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        i = tuple(int(k) for k in bad[0])
+        raise ConfigError(f"{name(i)} is {float(values[i])!r}: the reward data must be finite")
+
+
 def _binomial_layout(n: int):
     """Coefficient, depleted-count and remaining-count grids of an n x n binomial matrix."""
     x = np.arange(n)[:, None]
@@ -602,10 +594,10 @@ def _distinct_rows(schedule: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarr
     row[a] numbers activity a's schedule row among the epoch's distinct
     rows, in order of first appearance, and first[u] is the lowest activity
     whose row is u.  Epochs with no 0 and no 1 are left out: no type can be
-    skipped there, so they take the dense route, and a schedule without any
-    costs two reductions.  Rows are told apart by their bytes in a dict:
-    numpy's sorts would fault in several hundred KB of their code, which
-    peak RSS counts.
+    skipped there, so _rows contracts every type of every activity, and a
+    schedule without any costs two reductions.  Rows are told apart by their
+    bytes in a dict: numpy's sorts would fault in several hundred KB of their
+    code, which peak RSS counts.
     """
     if schedule.min() > 0 and schedule.max() < 1:
         return {}

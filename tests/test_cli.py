@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -266,6 +268,21 @@ def _hostile_inputs():
     }
     for name, fields in value_faults.items():
         cases[name] = (dict(base, **fields), [], 2, "ConfigError")
+    # Non-finite reward data: validation refuses it on loading, and check,
+    # which leaves the reward value rules to assumption1, meets the Bellman
+    # operator's refusal.  A null budget is uncapped, so the value reaches the potential.
+    first, *rest = table["entries"]
+    non_finite = {
+        "linear-weight-infinite": {"kind": "linear", "weights": [math.inf, 0.9]},
+        "linear-weight-nan": {"kind": "linear", "weights": [math.nan, 0.9]},
+        "coverage-weight-infinite": {"kind": "submodular_coverage", "num_elements": 2,
+                                     "covers": [[0], [1]], "element_weights": [math.inf, 1.0]},
+        "budgeted-value-infinite": {"kind": "submodular_budgeted", "budgets": [None],
+                                    "values": [math.inf, 1.0], "groups": [0, 0]},
+        "tabulated-value-infinite": dict(table, entries=[first[:3] + [math.inf], *rest]),
+    }
+    for name, spec in non_finite.items():
+        cases[name] = (dict(base, reward=spec), [], 2, "ConfigError")
     cases["activities-over-cap"] = (base, ["--cap-activities", "1"], 3, "ActivityCapExceeded")
     # Eight types of capacity 64 and a one-entry table: the reward rules'
     # (x, x', t) grid would take petabytes, and is refused before it is built.
@@ -300,7 +317,10 @@ def test_hostile_input_ends_in_one_json_error(case, command, tmp_path, capsys):
     data, flags, code, error = HOSTILE[case]
     path = tmp_path / "hostile.json"
     path.write_text(json.dumps(data))
-    assert main(COMMANDS[command] + ["--instance", str(path)] + flags) == code
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main(COMMANDS[command] + ["--instance", str(path)] + flags) == code
+    assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
     lines = capsys.readouterr().out.strip().splitlines()
     assert not any(line.endswith(": pass") for line in lines)
     err = json.loads(lines[-1])

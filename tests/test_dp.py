@@ -2,6 +2,8 @@ import argparse
 import gc
 import io
 import itertools
+import math
+import re
 import weakref
 from collections import Counter
 
@@ -11,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 import stodep
 from stodep import (
+    BudgetedLinearFunction,
+    ConfigError,
     FingerprintMismatch,
     LinearDecayingReward,
     LinearReward,
@@ -36,6 +40,7 @@ from stodep.dp import (
     mixed_radix_radices,
     solve_and_evaluate,
     state_index,
+    tie_slack,
 )
 from stodep import cli
 from stodep.cli import _sweep_policy
@@ -602,6 +607,21 @@ def test_optimal_policy_evaluates_to_the_solved_values_bit_for_bit():
             assert evaluated.values.tobytes() == table.values.tobytes()
 
 
+@pytest.mark.parametrize("route", ["linear", "linear_decaying", "coverage", "tabulated"])
+def test_optimal_policy_value_is_j_star_within_the_tie_slack(route):
+    """J* is the maximum Q, while the optimal policy takes the lowest
+    activity within tie_slack of it, whose Q can lie an ulp lower.  So
+    J^optimal matches J* only to horizon * tie_slack(J*), and the audit of
+    J^optimal against the policy's own choices passes."""
+    for seed in range(6):
+        inst = _sparse_instance(route, np.random.default_rng(seed))
+        table = solve_clairvoyant(inst)
+        policy = optimal_policy_from_table(table)
+        got = evaluate_policy_exact(inst, policy)
+        assert audit_table(inst, got, policy=policy).passed
+        assert (np.abs(got.values - table.values) <= inst.horizon * tie_slack(table.values)).all()
+
+
 def test_no_policies_make_no_tables(worst_case_tenth):
     assert evaluate_policies_exact(worst_case_tenth, []) == []
     config = {"app": "random-linear-decaying", "seeds": [1], "policies": [],
@@ -684,22 +704,43 @@ def test_one_sweep_matches_the_separate_solve_tables_and_evaluation(inst, data):
             assert policy.decisions(inst).tobytes() == chosen.tobytes()
 
 
-@pytest.mark.parametrize("reward_kind", ["linear_decaying", "coverage"])
-def test_q_rows_do_not_depend_on_the_activities_sharing_the_call(reward_kind):
-    """On a table large enough (5 types, 1024 states) that a BLAS product's
-    rounding depends on its row count, Q and the evaluations are bit for bit
-    the same whichever activities and value vectors share an operator call."""
-    rng = np.random.default_rng(1)
-    M, c, T, A = 5, 3, 3, 12
-    if reward_kind == "coverage":
-        covers = tuple(frozenset(e for e in range(M + 2) if rng.random() < 0.5) for _ in range(M))
-        reward = SubmodularReward(CoverageFunction(M + 2, covers, tuple(rng.random(M + 2))))
-    else:
+def _sharing_instance(case, rng):
+    """Five types of capacity 3 (three small types on the tabulated route)
+    and 12 activities with a dense schedule, or a _sparse_instance."""
+    if case.startswith("sparse-"):
+        return _sparse_instance(case[len("sparse-"):], rng)
+    caps, T, A = ((2, 1, 2) if case == "tabulated" else (3,) * 5), 3, 12
+    M = len(caps)
+    if case == "linear_decaying":
         reward = LinearDecayingReward(
             tuple(tuple(sorted(rng.random(T).tolist(), reverse=True)) for _ in range(M))
         )
-    inst = make_instance(capacities=(c,) * M, horizon=T, schedule=rng.random((T, A, M)),
-                         reward=reward)
+    elif case == "budgeted":
+        reward = SubmodularReward(BudgetedLinearFunction(
+            tuple(3.0 * rng.random(2)), tuple(2.0 * rng.random(M)), tuple(rng.integers(0, 2, M))
+        ))
+    else:
+        covers = tuple(frozenset(e for e in range(M + 2) if rng.random() < 0.5) for _ in range(M))
+        cover = CoverageFunction(M + 2, covers, tuple(rng.random(M + 2)))
+        reward = (SubmodularReward(cover) if case == "coverage"
+                  else stodep.GeneralTabulatedReward.from_potential(cover, caps, T))
+    return make_instance(capacities=caps, horizon=T, schedule=rng.random((T, A, M)), reward=reward)
+
+
+@pytest.mark.parametrize("case", [
+    "linear_decaying", "coverage", "budgeted", "tabulated",
+    "sparse-linear", "sparse-linear_decaying", "sparse-coverage", "sparse-tabulated",
+])
+def test_q_rows_do_not_depend_on_the_activities_sharing_the_call(case):
+    """On tables large enough (5 types, 1024 states; 18 states on the
+    tabulated route) that a BLAS product's rounding depends on its row count,
+    Q and the evaluations are bit for bit the same whichever activities and
+    value vectors share an operator call: on schedules with no 0 and no 1,
+    and on schedules with 0 and 1 entries and repeated rows, where a call
+    goes through the distinct rows."""
+    rng = np.random.default_rng(1)
+    inst = _sharing_instance(case, rng)
+    T, A = inst.horizon, inst.num_activities
     op = stodep.dp.bellman_operator(inst)
     v = rng.random((3, op.num_states))
     for t in range(T):
@@ -717,6 +758,32 @@ def test_q_rows_do_not_depend_on_the_activities_sharing_the_call(reward_kind):
     for name, got in zip(names, stacked):
         alone = evaluate_policy_exact(inst, stodep.policy_from_name(name, table=table))
         assert got.values.tobytes() == alone.values.tobytes()
+
+
+# Every (x, x', t) entry of a table over capacities (1, 1) and horizon 2.
+_TABLE_ENTRIES = stodep.GeneralTabulatedReward.from_potential(
+    lambda y: float(sum(y)), (1, 1), 2).spec_dict()["entries"]
+
+
+@pytest.mark.parametrize("reward, entry", [
+    (LinearReward((1.0, math.inf)), "reward.weights[1] is inf"),
+    (LinearDecayingReward(((1.0, 0.5), (0.9, math.nan))), "reward.weights[1, 1] is nan"),
+    (SubmodularReward(CoverageFunction(2, (frozenset({0}), frozenset({1})), (math.inf, 1.0))),
+     "reward potential w((1, 1)) is inf"),
+    (SubmodularReward(BudgetedLinearFunction((math.nan,), (1.0, 1.0), (0, 0))),
+     "reward potential w((1, 1)) is nan"),
+    (stodep.GeneralTabulatedReward.from_entries(
+        [[x, y, t, math.inf if (x, y, t) == ([1, 1], [1, 0], 1) else 1.0]
+         for x, y, t, _ in _TABLE_ENTRIES]),
+     "tabulated reward entry ((1, 1), (1, 0), 1) is inf"),
+], ids=["linear", "linear_decaying", "coverage", "budgeted", "tabulated"])
+def test_operator_refuses_non_finite_reward_data(reward, entry):
+    """The operator names the first reward weight, potential value or
+    tabulated value that is not finite, before computing with any of them."""
+    inst = make_instance(capacities=(1, 1), horizon=2, schedule=np.full((2, 2, 2), 0.5),
+                         reward=reward)
+    with pytest.raises(ConfigError, match=re.escape(entry)):  # RuntimeWarnings are errors here
+        solve_clairvoyant(inst)
 
 
 # ------------------------------- schedules with 0/1 entries and repeated rows
@@ -788,8 +855,8 @@ def _sparse_instance(route, rng):
 @pytest.mark.parametrize("route", ["linear", "linear_decaying", "coverage", "tabulated"])
 def test_sparse_schedules_give_the_dense_routes_bits(route):
     """On tables large enough (1024 states) that a BLAS product's rounding
-    depends on its shape, the distinct-row route gives the dense route's Q,
-    and so its solve and policy values, bit for bit."""
+    depends on its shape, the distinct rows give the Q of contracting every
+    type (_dense_operator), and so its solve and policy values, bit for bit."""
     inst = _sparse_instance(route, np.random.default_rng(11))
     assert sorted(stodep.dp.bellman_operator(inst)._distinct) == [0, 2]
     _assert_q_matches_dense(inst, np.random.default_rng(12))

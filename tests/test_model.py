@@ -91,6 +91,7 @@ def test_infinite_budget_means_uncapped():
     rew = SubmodularReward(BudgetedLinearFunction((math.inf,), (1.0,), (0,)))
     inst = make_instance(capacities=(1,), horizon=1, schedule=[[[0.5]]], reward=rew)
     assert validate_instance(inst).passed
+    assert stodep.solve_clairvoyant(inst).values.tolist() == [[0.0, 0.0], [0.5, 0.0]]
 
 
 def test_schedule_is_read_only():
