@@ -21,7 +21,7 @@ from .model import (
     Instance,
     validate_instance,
 )
-from .dp import OPTIMAL, solve_and_evaluate, solve_clairvoyant
+from .dp import OPTIMAL, bellman_operator, solve_and_evaluate, solve_clairvoyant
 from .policies import optimal_policy_from_table, policy_from_name
 from .properties import (
     DEFAULT_TOL,
@@ -34,7 +34,7 @@ from .properties import (
 )
 from .rewards import SubmodularReward
 from .serialize import instance_fingerprint, instance_to_dict, load_instance, save_instance
-from .simulate import mix64, simulate_episode, summarize_totals
+from .simulate import _episodes, mix64, summarize_totals
 from . import apps
 
 
@@ -154,11 +154,12 @@ def cmd_solve(args) -> int:
 def cmd_simulate(args) -> int:
     instance = _load(args)
     policy = _make_policy(args.policy, instance, args.cap_states)
+    op = bellman_operator(instance, args.cap_states)
+    seeds = (mix64(args.seed, k) for k in range(args.reps))
     totals = []
     out_fh = open(args.out, "w", encoding="utf-8") if args.out else None
     try:
-        for k in range(args.reps):
-            trace = simulate_episode(instance, policy, mix64(args.seed, k))
+        for trace in _episodes(instance, policy, seeds, op):
             totals.append(trace.total_reward)
             if out_fh:
                 out_fh.write(json.dumps(trace.to_dict()) + "\n")

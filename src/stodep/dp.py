@@ -364,18 +364,22 @@ class BellmanOperator:
             raise DomainError(f"tabulated reward has no entry for {key}")
         return g
 
-    def rewards(self, x: np.ndarray, x_next: np.ndarray) -> np.ndarray:
-        """g(x, x', t) at pairs of state indices for every t < horizon, shape (horizon, n)."""
+    def rewards(self, x, x_next, t) -> np.ndarray:
+        """g(x, x', t) at state indices x, x' and epochs t < horizon, broadcast together.
+
+        The linear routes add type by type from 0.0: a sum of zeros is +0.0.
+        """
         if self.weights is not None:
             depleted = self.items[x] - self.items[x_next]
-            g = 0.0  # summed type by type, as the scalar reward is
-            for m in range(depleted.shape[1]):
-                g = g + self.weights[:, m, None] * depleted[:, m]
+            w = self.weights[t]
+            g = 0.0
+            for m in range(depleted.shape[-1]):
+                g = g + w[..., m] * depleted[..., m]
             return g
         if self.potential is not None:
             g = self.potential[x_next] - self.potential[x]
-            return np.broadcast_to(g, (self.horizon, len(g)))
-        return self.tabulated[:, x, x_next]
+            return np.broadcast_to(g, np.broadcast_shapes(np.shape(g), np.shape(t)))
+        return self.tabulated[t, x, x_next]
 
     def q(self, t: int, v_next: np.ndarray | None, acts: np.ndarray, one_step: bool = False):
         """Q_t(., a) for each a in acts and each value vector of v_next.
@@ -391,16 +395,18 @@ class BellmanOperator:
             if one_step:
                 v_next = np.concatenate((v_next, np.zeros((1, self.num_states))))
             return self._rows(t, acts, v_next, self.potential)
+        mats = None
         if self.weights is not None:
             reward = self._linear_reward(t, acts)
         else:
-            reward = (_kron(self._matrices(self.schedule[t, acts])) * self.tabulated[t]).sum(axis=2)
+            mats = self._matrices(self.schedule[t, acts])
+            reward = (_kron(mats) * self.tabulated[t]).sum(axis=2)
         if v_next is None:
             return reward
         if not one_step:
-            return reward + self._rows(t, acts, v_next)
+            return reward + self._rows(t, acts, v_next, mats=mats)
         q = np.empty((len(v_next) + 1,) + reward.shape)
-        np.add(reward, self._rows(t, acts, v_next), out=q[:-1])
+        np.add(reward, self._rows(t, acts, v_next, mats=mats), out=q[:-1])
         q[-1] = reward
         return q
 
@@ -451,20 +457,21 @@ class BellmanOperator:
                 mats[m] = mat
         return mats
 
-    def _rows(self, t: int, acts: np.ndarray, v, phi=None) -> np.ndarray:
+    def _rows(self, t: int, acts: np.ndarray, v, phi=None, mats=None) -> np.ndarray:
         """_expect over the activities acts at epoch t: (len(acts), S) or (P, len(acts), S).
 
         At an epoch whose schedule holds no 0 and no 1 every type of every
-        activity is contracted.  Elsewhere identical schedule rows give
-        identical expectations, so each row that acts use is computed once
-        and gathered back to its activities.  A call over every activity
+        activity is contracted, with mats if the caller built them.  Elsewhere
+        identical schedule rows give identical expectations, so each row that
+        acts use is computed once and gathered back to its activities.  A call over every activity
         there uses the epoch's matrices kept on the operator (_row_data,
         built on the first such call and kept while they fit
         _MATRIX_BUDGET); other calls build those of their rows.
         """
         if t not in self._distinct:
             every = range(len(acts))
-            mats = self._matrices(self.schedule[t, acts])
+            if mats is None:
+                mats = self._matrices(self.schedule[t, acts])
             return self._expect((len(acts), [(every, (), mat) for mat in mats]), v, phi)
         row, first = self._distinct[t]
         if len(acts) == len(row):  # every activity: each of the epoch's rows

@@ -1,12 +1,13 @@
-"""Core problem representation: instances, states, validation and the scalar step.
+"""Core problem representation: instances, states, validation and one-transition reads.
 
 An instance fixes a realized (clairvoyant) probability schedule: schedule[t][a][m]
 is the per-item success probability for depleting type m when activity a runs at
 epoch t.  Given the remaining counts x and an activity, the number of items
 depleted per type is an independent Binomial(x_m, p_m) draw; outcomes across
 types are independent, so the joint law is the product of binomial pmfs.  The
-expectation over that law is the Bellman operator's (stodep.dp); this module
-samples one outcome and scores one transition, as a simulated episode does.
+expectation over that law and every evaluation of the reward g are the Bellman
+operator's (stodep.dp); this module samples one outcome and reads g and Q with
+V = 0 at one state, each behind one range check (_require_state).
 
 All operations here are pure functions of their inputs; random sampling takes
 an explicit numpy Generator.  Instances are immutable, so data derived from
@@ -141,7 +142,7 @@ class Instance:
 
     @functools.cached_property
     def _rows(self) -> tuple[tuple[tuple[float, ...], ...], ...]:
-        """Plain-float schedule rows [t][activity] for the scalar simulation step.
+        """Plain-float schedule rows [t][activity] for the binomial draws of the simulator.
 
         Built on first read and kept in the instance's __dict__, so building
         an instance that is only solved costs nothing for them.
@@ -422,37 +423,48 @@ def _table_rules(rew: GeneralTabulatedReward, caps: tuple[int, ...], T: int):
     return lhs[applies], rhs[applies], describe
 
 
+def _require_state(instance: Instance, x, t: int, activity=None, x_next=None) -> None:
+    """DomainError unless x (one count per type within [0, capacity]) at epoch
+    t >= 0 is a state, activity (if given) is chosen at a decision epoch and
+    x_next (if given) lies within [0, x] componentwise."""
+    if t < 0:
+        raise DomainError(f"epoch {t} is negative")
+    if activity is not None and not t < instance.horizon:
+        raise DomainError(f"epoch {t} has no decision (horizon {instance.horizon})")
+    if activity is not None and not 0 <= activity < instance.num_activities:
+        raise DomainError(f"activity index {activity} out of range")
+    if len(x) != instance.num_types or not all(0 <= v <= c for v, c in zip(x, instance.capacities)):
+        raise DomainError(f"items {tuple(x)} outside capacities {instance.capacities}")
+    if x_next is not None and not (len(x_next) == len(x)
+                                   and all(0 <= n <= v for n, v in zip(x_next, x))):
+        raise DomainError(f"x_next {tuple(x_next)} not componentwise within [0, x] for x {tuple(x)}")
+
+
+def _draw(items: Sequence[int], p_row: Sequence[float], rng: np.random.Generator) -> tuple[int, ...]:
+    """Per-type binomial draws in type order, none where no item is left; unchecked."""
+    return tuple(int(rng.binomial(v, p)) if v > 0 else 0 for v, p in zip(items, p_row))
+
+
 def sample_depletion(
     state: State, activity: int, instance: Instance, rng: np.random.Generator
 ) -> tuple[int, ...]:
     """Draw one outcome vector; per-type binomial draws in type order."""
-    x, t = state.items, state.epoch
-    if not 0 <= t < instance.horizon:
-        raise DomainError(f"epoch {t} has no decision (horizon {instance.horizon})")
-    rows = instance._rows[t]
-    if not 0 <= activity < len(rows):
-        raise DomainError(f"activity index {activity} out of range")
-    p_row = rows[activity]
-    return tuple(
-        int(rng.binomial(x[m], p_row[m])) if x[m] > 0 else 0 for m in range(instance.num_types)
-    )
+    _require_state(instance, state.items, state.epoch, activity)
+    return _draw(state.items, instance._rows[state.epoch][activity], rng)
 
 
 def reward(
     x: Sequence[int], x_next: Sequence[int], t: int, instance: Instance
 ) -> float:
-    """g(x, x', t) for this instance's reward spec; zero at the terminal epoch."""
-    x = tuple(x)
-    x_next = tuple(x_next)
-    if t < 0:
-        raise DomainError(f"epoch {t} is negative")
-    if any(n < 0 or n > v for n, v in zip(x_next, x)):
-        raise DomainError(f"x_next {x_next} not componentwise within [0, x] for x {x}")
-    if any(v > c for v, c in zip(x, instance.capacities)):
-        raise DomainError(f"x {x} exceeds capacities {instance.capacities}")
-    return instance.reward.amount(
-        x, x_next, t, horizon=instance.horizon, capacities=instance.capacities
-    )
+    """g(x, x', t), 0.0 for t >= horizon: a read of the instance's Bellman operator,
+    built on first use, which raises StateSpaceCapExceeded above the default state cap."""
+    from .dp import bellman_operator, mixed_radix_radices, state_index  # dp builds on this module
+
+    _require_state(instance, x, t, x_next=x_next)
+    if t >= instance.horizon:
+        return 0.0
+    i, j = (state_index(v, mixed_radix_radices(instance.capacities)) for v in (x, x_next))
+    return float(bellman_operator(instance).rewards(i, j, t))
 
 
 def expected_one_step_reward(state: State, activity: int, instance: Instance) -> float:
@@ -464,15 +476,9 @@ def expected_one_step_reward(state: State, activity: int, instance: Instance) ->
     """
     from .dp import bellman_operator, mixed_radix_radices, state_index  # dp builds on this module
 
-    x, t = state.items, state.epoch
-    if not 0 <= t < instance.horizon:
-        raise DomainError(f"epoch {t} has no decision (horizon {instance.horizon})")
-    if not 0 <= activity < instance.num_activities:
-        raise DomainError(f"activity index {activity} out of range")
-    if len(x) != instance.num_types or not all(0 <= v <= c for v, c in zip(x, instance.capacities)):
-        raise DomainError(f"items {x} outside capacities {instance.capacities}")
-    q = bellman_operator(instance).q(t, None, np.array([activity]))
-    return float(q[0, state_index(x, mixed_radix_radices(instance.capacities))])
+    _require_state(instance, state.items, state.epoch, activity)
+    q = bellman_operator(instance).q(state.epoch, None, np.array([activity]))
+    return float(q[0, state_index(state.items, mixed_radix_radices(instance.capacities))])
 
 
 def apply_depletion_with_step(state: State, alpha: Sequence[int]) -> State:

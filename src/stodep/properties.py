@@ -209,7 +209,7 @@ def check_ir(
             x, x_next = np.nonzero(below)
             x += lo
             rhs = values[x_next]  # J(x', t), shape (len(x), T + 1)
-            rhs[:, :T] += op.rewards(x, x_next).T
+            rhs[:, :T] += op.rewards(x[:, None], x_next[:, None], np.arange(T))
 
             def witness(i, x=x, x_next=x_next):
                 k, t = divmod(i, T + 1)

@@ -1,10 +1,11 @@
 """Reward specifications: the three reward families and their built-in evaluators.
 
-A reward spec computes g(x, x', t), the reward earned during epoch t when the
-vector of remaining items moves from x to x'.  Every variant returns 0 at the
-terminal epoch (t == horizon), and is non-negative and non-increasing in t on
-valid data; `stodep.model.validate_instance` and the property checkers verify
-those facts rather than assuming them.
+A reward spec holds the data of g(x, x', t), the reward earned during epoch t
+when the vector of remaining items moves from x to x'; stodep.dp.BellmanOperator
+is the one place g is evaluated.  g is 0 at the terminal epoch (t == horizon),
+and is non-negative and non-increasing in t on valid data;
+`stodep.model.validate_instance` and the property checkers verify those facts
+rather than assuming them.
 
 The reward specs and the coverage and budgeted evaluators are frozen: an
 instance's fingerprint and solver data are computed once, so the data they
@@ -14,30 +15,17 @@ are computed from cannot change.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 
 
 class RewardSpec:
     """Base class for the tagged union of reward families."""
 
     kind: str = "abstract"
-
-    def amount(
-        self,
-        x: Sequence[int],
-        x_next: Sequence[int],
-        t: int,
-        *,
-        horizon: int,
-        capacities: Sequence[int],
-    ) -> float:
-        raise NotImplementedError
 
     def spec_dict(self) -> dict:
         """JSON-serializable descriptor. Raises ConfigError if not representable."""
@@ -60,12 +48,6 @@ class LinearReward(RewardSpec):
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(float(v) for v in self.weights))
 
-    def amount(self, x, x_next, t, *, horizon, capacities) -> float:
-        if t >= horizon:
-            return 0.0
-        w = self.weights
-        return sum(w[m] * (x[m] - x_next[m]) for m in range(len(w)))
-
     def spec_dict(self) -> dict:
         return {"kind": self.kind, "weights": list(self.weights)}
 
@@ -85,12 +67,6 @@ class LinearDecayingReward(RewardSpec):
     def __post_init__(self):
         weights = tuple(tuple(float(v) for v in row) for row in self.weights)
         object.__setattr__(self, "weights", weights)
-
-    def amount(self, x, x_next, t, *, horizon, capacities) -> float:
-        if t >= horizon:
-            return 0.0
-        w = self.weights
-        return sum(w[m][t] * (x[m] - x_next[m]) for m in range(len(w)))
 
     def spec_dict(self) -> dict:
         return {"kind": self.kind, "weights": [list(row) for row in self.weights]}
@@ -233,13 +209,6 @@ class SubmodularReward(RewardSpec):
             self._cache[y] = cached
         return cached
 
-    def amount(self, x, x_next, t, *, horizon, capacities) -> float:
-        if t >= horizon:
-            return 0.0
-        before = tuple(capacities[m] - x[m] for m in range(len(capacities)))
-        after = tuple(capacities[m] - x_next[m] for m in range(len(capacities)))
-        return self.w(after) - self.w(before)
-
     def spec_dict(self) -> dict:
         spec = getattr(self.evaluator, "spec_dict", None)
         if spec is None:
@@ -256,13 +225,12 @@ class GeneralTabulatedReward(RewardSpec):
     Keys are (x, x', t) with x' <= x <= capacities componentwise and
     0 <= t <= horizon, which the Instance constructor checks.  Entries at
     t == horizon may be omitted and default to 0; a missing entry below the
-    horizon is a domain error (and is reported as a violation by
-    validate_instance).
+    horizon is reported as a violation by validate_instance, and the
+    Bellman operator refuses it with DomainError.
 
     The table is held as two read-only arrays: keys, int64 of shape
     (n, 2M + 1) with rows (x, x', t) in lexicographic order, and values,
-    float64 of shape (n,).  table is a read-only mapping
-    {(x, x', t): value} built from them when first read.
+    float64 of shape (n,).
     """
 
     keys: np.ndarray
@@ -308,24 +276,6 @@ class GeneralTabulatedReward(RewardSpec):
                 w_next = float(potential(tuple(c - v for c, v in zip(caps, x_next))))
                 entries += [(x, x_next, t, w_next - w_x) for t in range(horizon)]
         return cls.from_entries(entries)
-
-    @cached_property
-    def table(self) -> Mapping[tuple[tuple[int, ...], tuple[int, ...], int], float]:
-        """Read-only mapping {(x, x', t): value}, built from the arrays on first read."""
-        m = self.keys.shape[1] // 2
-        return MappingProxyType({
-            (tuple(key[:m]), tuple(key[m:2 * m]), key[-1]): value
-            for key, value in zip(self.keys.tolist(), self.values.tolist())
-        })
-
-    def amount(self, x, x_next, t, *, horizon, capacities) -> float:
-        key = (tuple(x), tuple(x_next), t)
-        value = self.table.get(key)
-        if value is None:
-            if t >= horizon:
-                return 0.0
-            raise DomainError(f"tabulated reward has no entry for {key}")
-        return value
 
     def spec_dict(self) -> dict:
         m = self.keys.shape[1] // 2

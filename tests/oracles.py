@@ -9,7 +9,41 @@ import itertools
 import math
 from functools import lru_cache
 
-from stodep import State, reward as instance_reward
+from stodep import (
+    GeneralTabulatedReward,
+    LinearDecayingReward,
+    LinearReward,
+    State,
+    SubmodularReward,
+)
+
+
+@lru_cache(maxsize=16)
+def _entries(rew):
+    """A tabulated reward's {(x, x', t): value}, from its JSON entries."""
+    return {(tuple(x), tuple(x_next), t): value for x, x_next, t, value in rew.spec_dict()["entries"]}
+
+
+def reward_oracle(instance, x, x_next, t):
+    """g(x, x', t) from each family's formula; 0 at t >= horizon.
+
+    Linear families sum w_m (x_m - x'_m) in type order from 0, submodular
+    rewards difference the evaluator, w(cap - x') - w(cap - x), and a
+    tabulated reward looks its entry up (KeyError if there is none).
+    """
+    rew = instance.reward
+    if t >= instance.horizon:
+        return 0.0
+    if isinstance(rew, LinearReward):
+        return sum(w * (v - n) for w, v, n in zip(rew.weights, x, x_next))
+    if isinstance(rew, LinearDecayingReward):
+        return sum(row[t] * (v - n) for row, v, n in zip(rew.weights, x, x_next))
+    if isinstance(rew, SubmodularReward):
+        caps = instance.capacities
+        after = float(rew.evaluator(tuple(c - n for c, n in zip(caps, x_next))))
+        return after - float(rew.evaluator(tuple(c - v for c, v in zip(caps, x))))
+    assert isinstance(rew, GeneralTabulatedReward)
+    return _entries(rew)[tuple(x), tuple(x_next), t]
 
 
 def binomial_pmf_oracle(x, p):
@@ -30,7 +64,7 @@ def q_oracle(instance, x, t, a, value=None):
     for alpha, prob in binomial_pmf_oracle(x, instance.probability_row(t, a)).items():
         x_next = tuple(v - d for v, d in zip(x, alpha))
         later = 0.0 if value is None else value(x_next, t + 1)
-        total += prob * (instance_reward(x, x_next, t, instance) + later)
+        total += prob * (reward_oracle(instance, x, x_next, t) + later)
     return total
 
 
@@ -121,7 +155,7 @@ def table_rules_oracle(instance):
             previous = None
             for t in range(T + 1):
                 key = (x, x_next, t)
-                value = rew.table.get(key)
+                value = _entries(rew).get(key)
                 if value is None:
                     if t < T:
                         yield "reward.table", key, "missing entry", math.inf, 0.0
@@ -177,7 +211,7 @@ def ir_oracle(instance, values, tol):
             for x in states:
                 for alpha in itertools.product(*(range(v + 1) for v in x)):
                     x_next = tuple(v - a for v, a in zip(x, alpha))
-                    g = instance_reward(x, x_next, t, instance) if t < T else 0.0
+                    g = reward_oracle(instance, x, x_next, t)
                     witness = {"x": list(x), "alpha": list(alpha), "t": t}
                     yield witness, values[index[x], t], g + values[index[x_next], t]
 

@@ -218,6 +218,15 @@ def test_simulate_zero_reps_exits_2(worst_case_file, capsys):
     assert _error_line(capsys)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("policy", ["myopic", "fixed:0", "round_robin", "random:3"])
+def test_simulate_reads_rewards_under_the_state_cap(policy, worst_case_file, capsys):
+    # 12 table entries: every policy's rollout reads g from the operator.
+    argv = ["simulate", "--instance", str(worst_case_file), "--policy", policy, "--reps", "2"]
+    assert main(argv + ["--cap-states", "11"]) == 3
+    assert _error_line(capsys)["error"] == "StateSpaceCapExceeded"
+    assert main(argv + ["--cap-states", "12"]) == 0
+
+
 def test_non_object_instance_json_exits_2(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]")

@@ -48,7 +48,7 @@ from stodep.apps import build_worst_case_instance, random_linear_decaying_instan
 from stodep.policies import decision_tables
 
 from conftest import make_instance, small_instances
-from oracles import dp_value_oracle, q_oracle, value_function_oracle
+from oracles import dp_value_oracle, q_oracle, reward_oracle, value_function_oracle
 
 
 def test_worst_case_optimal_value(worst_case_tenth):
@@ -760,6 +760,42 @@ def test_q_rows_do_not_depend_on_the_activities_sharing_the_call(case):
         assert got.values.tobytes() == alone.values.tobytes()
 
 
+def _assert_rewards_match_the_oracle(inst):
+    """BellmanOperator.rewards gives the oracle's g bit for bit at every
+    (x, x' <= x, t < horizon): in check_ir's broadcast form, in a rollout's
+    one epoch per pair and through stodep.reward one transition at a time."""
+    op, T = stodep.dp.bellman_operator(inst), inst.horizon
+    states = [tuple(x) for x in op.items.tolist()]
+    pairs = [(i, j) for i, x in enumerate(states) for j, y in enumerate(states)
+             if all(b <= a for a, b in zip(x, y))]
+    x, x_next = (np.array(column) for column in zip(*pairs))
+    want = np.array([[reward_oracle(inst, states[i], states[j], t) for t in range(T)]
+                     for i, j in pairs])
+    _same_bits(op.rewards(x[:, None], x_next[:, None], np.arange(T)), want)
+    t = np.arange(len(pairs)) % T
+    _same_bits(np.asarray(op.rewards(x, x_next, t), dtype=np.float64), want[np.arange(len(pairs)), t])
+    one_by_one = [[stodep.reward(states[i], states[j], t, inst) for t in range(T)] for i, j in pairs]
+    _same_bits(np.array(one_by_one), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=small_instances())
+def test_rewards_match_the_oracle(inst):
+    _assert_rewards_match_the_oracle(inst)
+
+
+@pytest.mark.parametrize("reward", [
+    LinearReward((-0.0, -0.0, -0.0)),
+    LinearDecayingReward(((0.5, -0.0), (0.25, -0.0), (1.0, -0.0))),
+], ids=["linear", "linear_decaying"])
+def test_rewards_of_negative_zero_weights_are_positive_zero(reward):
+    """A sum of -0.0 terms is +0.0, as the oracle's sum from 0 gives."""
+    inst = make_instance(capacities=(1, 2, 1), horizon=2, schedule=np.full((2, 2, 3), 0.5),
+                         reward=reward)
+    _assert_rewards_match_the_oracle(inst)
+    assert not np.signbit(stodep.dp.bellman_operator(inst).rewards(3, 2, 1))
+
+
 # Every (x, x', t) entry of a table over capacities (1, 1) and horizon 2.
 _TABLE_ENTRIES = stodep.GeneralTabulatedReward.from_potential(
     lambda y: float(sum(y)), (1, 1), 2).spec_dict()["entries"]
@@ -919,6 +955,34 @@ def test_solve_and_audit_build_each_epochs_matrices_once(monkeypatch):
     assert all(len(op._distinct[t][1]) < inst.num_activities for t in (0, 1))
 
 
+def test_tabulated_q_builds_its_matrices_once(monkeypatch):
+    """At an epoch with no 0 and no 1, the expected reward and the
+    expectation of V share one set of binomial matrices per q call."""
+    rng = np.random.default_rng(4)
+    caps, T, A = (2, 1, 2), 2, 3
+    cover = CoverageFunction(3, (frozenset({0}), frozenset({1, 2}), frozenset({2})), (1.0, 0.5, 0.25))
+    inst = make_instance(capacities=caps, horizon=T, schedule=0.05 + 0.9 * rng.random((T, A, 3)),
+                         reward=stodep.GeneralTabulatedReward.from_potential(cover, caps, T))
+    op = stodep.dp.bellman_operator(inst)
+    assert not op._distinct
+    v = rng.random((2, op.num_states))
+    cases = [(acts, v_next, one_step) for acts in (np.arange(A), np.array([1]))
+             for v_next, one_step in ((None, False), (v[0], False), (v, False), (v, True))]
+    want = [op.q(1, v_next, acts, one_step) for acts, v_next, one_step in cases]
+    calls = []
+    real = stodep.dp.BellmanOperator._matrices
+
+    def matrices(self, p):
+        calls.append(len(p))
+        return real(self, p)
+
+    monkeypatch.setattr(stodep.dp.BellmanOperator, "_matrices", matrices)
+    for (acts, v_next, one_step), q in zip(cases, want):
+        calls.clear()
+        _same_bits(op.q(1, v_next, acts, one_step), q)
+        assert calls == [len(acts)]
+
+
 @settings(max_examples=30, deadline=None)
 @given(inst=st.one_of(small_instances(), multi_chunk_instances()), data=st.data())
 def test_shared_one_step_sweep_gives_each_policy_its_own_table(inst, data):
@@ -979,7 +1043,7 @@ def test_tabulated_rewards_are_read_without_the_table_mapping(monkeypatch):
     def no_table(self):
         raise AssertionError("table mapping read")
 
-    monkeypatch.setattr(stodep.GeneralTabulatedReward, "table", property(no_table))
+    monkeypatch.setattr(stodep.GeneralTabulatedReward, "table", property(no_table), raising=False)
     saved.seek(0)
     loaded = stodep.load_instance(saved)  # parses and validates
     assert stodep.check_assumption1(loaded).passed

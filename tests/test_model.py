@@ -184,15 +184,13 @@ def test_reward_specs_are_frozen():
     source = {((1,), (0,), 0): 1.0, ((1,), (1,), 0): 0.0, ((0,), (0,), 0): 0.0}
     tab = GeneralTabulatedReward(source)
     source[((1,), (0,), 0)] = 5.0
-    assert tab.table[((1,), (0,), 0)] == 1.0
-    with pytest.raises(TypeError):
-        tab.table[((1,), (0,), 0)] = 5.0
+    assert [[1], [0], 0, 1.0] in tab.spec_dict()["entries"]
     for array in (tab.keys, tab.values):
         with pytest.raises(ValueError):
             array[0] = 5
     specs = {
         "weights": LinearReward((1.0,)),
-        "table": tab,
+        "keys": tab,
         "evaluator": SubmodularReward(lambda y: 0.0),
         "covers": CoverageFunction(1, (frozenset({0}),), (1.0,)),
         "budgets": BudgetedLinearFunction((1.0,), (1.0,), (0,)),
@@ -363,6 +361,13 @@ def test_sample_outside_the_epochs_or_activities_raises(single_type_instance, ep
         sample_depletion(State((2,), epoch), activity, single_type_instance, rng)
 
 
+@pytest.mark.parametrize("items", [(5, 1), (-1, 1), (2, 1), (1,), (1, 1, 1)])
+def test_sample_outside_the_capacities_raises(worst_case_tenth, items):
+    rng = np.random.default_rng(0)
+    with pytest.raises(DomainError):
+        sample_depletion(State(items, 0), 0, worst_case_tenth, rng)
+
+
 def test_sampling_reproducible(single_type_instance):
     a = sample_depletion(State((2,), 0), 0, single_type_instance, np.random.default_rng(7))
     b = sample_depletion(State((2,), 0), 0, single_type_instance, np.random.default_rng(7))
@@ -386,6 +391,20 @@ def test_reward_domain_error(worst_case_tenth):
 
 @pytest.mark.parametrize("x, x_next, t", [((1, 1), (0, 1), -1), ((1, 1), (-1, 1), 0)])
 def test_reward_at_a_negative_index_raises(worst_case_tenth, x, x_next, t):
+    with pytest.raises(DomainError):
+        reward(x, x_next, t, worst_case_tenth)
+
+
+@pytest.mark.parametrize("x, x_next, t", [
+    ((1,), (0,), 0),  # too few types
+    ((1, 1, 1), (0, 0, 0), 0),  # too many types
+    ((1, 1), (0,), 0),  # x_next with too few types
+    ((1, 1), (0, 0, 0), 0),  # x_next with too many types
+    ((2, 1), (0, 0), 0),  # items above the capacities
+    ((-1, 1), (-1, 0), 0),  # negative items
+    ((1,), (0,), 2),  # a malformed state at the terminal epoch
+])
+def test_reward_outside_the_domain_raises(worst_case_tenth, x, x_next, t):
     with pytest.raises(DomainError):
         reward(x, x_next, t, worst_case_tenth)
 
@@ -475,8 +494,8 @@ def faulty_tables(draw):
                 table[(x, x_next, T)] = 0.0
     for fault in draw(st.lists(st.sampled_from(TABLE_FAULTS), max_size=4)):
         keys = sorted(k for k in table if (k[2] == T) == (fault == "missing-terminal"))
-        if not keys:
-            continue
+        if not keys or (fault.startswith("missing") and len(table) == 1):
+            continue  # the constructor refuses a table with no entries
         x, x_next, t = key = keys[draw(st.integers(0, len(keys) - 1))]
         if fault.startswith("missing"):
             del table[key]
