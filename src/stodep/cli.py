@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 
@@ -178,6 +179,8 @@ def _parse_property(spec: str) -> tuple[str, str, float | None]:
         if not arg:
             raise ConfigError("ratio property needs a bound, e.g. ratio:2")
         bound = float(arg)
+        if not math.isfinite(bound):
+            raise ConfigError(f"ratio bound {arg!r} is not a finite number")
         return f"ratio:{bound:g}", "ratio", bound
     if spec in ("vfm", "ir", "submodular", "assumption1"):
         return spec, spec, None

@@ -133,7 +133,7 @@ class ApproxMyopicPolicy(_OneStepPolicy):
     """
 
     def __init__(self, alpha: float):
-        if alpha < 1.0:
+        if not alpha >= 1.0:  # NaN too
             raise ConfigError("alpha must be >= 1")
         super().__init__()
         self.alpha = float(alpha)

@@ -2,9 +2,29 @@
 
 Numbers are serialized as shortest round-trip decimals (Python's default JSON
 float formatting), so a save/load cycle reproduces the in-memory floats
-bit-exactly.  The fingerprint is the SHA-256 of the canonical serialization
-(sorted keys, no whitespace) and binds solver outputs to their instance.
-Instances are immutable, so it is computed once per instance and kept on it.
+bit-exactly.
+
+The fingerprint binds solver outputs to their instance.  It is the SHA-256
+of a head followed by the raw bytes of the instance's bulk arrays:
+
+* The head is the instance's JSON form (sorted keys, no whitespace, UTF-8)
+  with every bulk array replaced by its ``[dtype, shape]``: ``schedule``
+  becomes ``["<f8", [T, A, M]]``.  The reward keeps its ``kind`` and
+  its small fields (coverage ``num_elements``, ``covers`` and
+  ``element_weights``; budgeted ``budgets``, ``values`` and ``groups``).
+  A linear or linear-decaying reward's ``weights`` become
+  ``["<f8", [M]]`` or ``["<f8", [M, T]]``.  A tabulated reward's
+  ``entries`` become ``keys`` ``["<i8", [n, 2M + 1]]`` (rows (x, x', t)
+  in lexicographic order) and ``values`` ``["<f8", [n]]``.  A custom
+  evaluator, which has no JSON form, gives ``label`` and ``values``
+  ``["<f8", [c_0 + 1, ..., c_{M-1} + 1]]``: its potential on the capacity
+  box.
+* The arrays follow in this order: the schedule, then the reward's
+  ``weights``, or ``keys`` then ``values``, or ``values``.  Each is hashed
+  as little-endian bytes in C order.
+
+Instances are immutable, so the digest is computed once per instance and
+kept on it.
 """
 
 from __future__ import annotations
@@ -13,24 +33,26 @@ import hashlib
 import json
 from typing import IO, Mapping
 
+import numpy as np
+
 from .errors import ConfigError
 from .model import Instance, _iter_box, thaw, validate_instance
-from .rewards import reward_from_dict
+from .rewards import GeneralTabulatedReward, LinearDecayingReward, LinearReward, reward_from_dict
 
 
 def instance_to_dict(instance: Instance) -> dict:
     """Canonical on-disk form of an instance."""
-    return _canonical(instance, instance.reward.spec_dict())
+    return _canonical(instance, instance.schedule.tolist(), instance.reward.spec_dict())
 
 
-def _canonical(instance: Instance, reward: dict) -> dict:
+def _canonical(instance: Instance, schedule: list, reward: dict) -> dict:
     out = {
         "num_types": instance.num_types,
         "capacities": list(instance.capacities),
         "initial_items": list(instance.initial_items),
         "horizon": instance.horizon,
         "activities": list(instance.activities),
-        "schedule": instance.schedule.tolist(),
+        "schedule": schedule,
         "reward": reward,
         "metadata": thaw(instance.metadata),
     }
@@ -91,24 +113,36 @@ def load_instance(path_or_file, *, validate: bool = True, rewards: bool = True) 
     return instance
 
 
-def _fingerprint_payload(instance: Instance) -> dict:
+def _fingerprint_layout(instance: Instance) -> tuple[bytes, list[np.ndarray]]:
+    """The fingerprint's canonical JSON head and its arrays, in hashing order."""
     rew = instance.reward
-    try:
-        reward = rew.spec_dict()
-    except ConfigError:
-        # Custom evaluators are not serializable, so their values on the
-        # capacity box stand in for them: two evaluators that share a label
-        # but differ anywhere a table can reach get different fingerprints.
-        reward = {
-            "kind": "submodular_custom",
-            "label": rew.label,
-            "values": [rew.w(y) for y in _iter_box(instance.capacities)],
-        }
-    return _canonical(instance, reward)
+    reward, arrays = {"kind": rew.kind}, {}
+    if isinstance(rew, (LinearReward, LinearDecayingReward)):
+        arrays["weights"] = np.array(rew.weights, dtype="<f8")
+    elif isinstance(rew, GeneralTabulatedReward):
+        arrays["keys"] = np.ascontiguousarray(rew.keys, dtype="<i8")
+        arrays["values"] = np.ascontiguousarray(rew.values, dtype="<f8")
+    else:
+        try:
+            reward = rew.spec_dict()
+        except ConfigError:
+            # Custom evaluators are not serializable, so their values on the
+            # capacity box stand in for them: two evaluators that share a label
+            # but differ anywhere a table can reach get different fingerprints.
+            reward = {"kind": "submodular_custom", "label": rew.label}
+            values = [rew.w(y) for y in _iter_box(instance.capacities)]
+            box = [c + 1 for c in instance.capacities]
+            arrays["values"] = np.array(values, dtype="<f8").reshape(box)
+    schedule = np.ascontiguousarray(instance.schedule, dtype="<f8")
+    for name, array in arrays.items():
+        reward[name] = [array.dtype.str, list(array.shape)]
+    head = _canonical(instance, [schedule.dtype.str, list(schedule.shape)], reward)
+    encoded = json.dumps(head, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return encoded, [schedule, *arrays.values()]
 
 
 def instance_fingerprint(instance: Instance) -> str:
-    """SHA-256 hex digest of the canonical serialization.
+    """SHA-256 hex digest of the head and the arrays' bytes (see the module docstring).
 
     The digest is computed on the first call and kept on the instance, in
     the way functools.cached_property keeps a value.
@@ -116,7 +150,9 @@ def instance_fingerprint(instance: Instance) -> str:
     cache = vars(instance)
     digest = cache.get("_fingerprint")
     if digest is None:
-        payload = _fingerprint_payload(instance)
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        digest = cache["_fingerprint"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        head, arrays = _fingerprint_layout(instance)
+        sha = hashlib.sha256(head)
+        for array in arrays:
+            sha.update(array)
+        digest = cache["_fingerprint"] = sha.hexdigest()
     return digest

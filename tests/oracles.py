@@ -5,11 +5,17 @@ plain recursion, exhaustive subset enumeration) rather than reusing the
 production solver paths it cross-checks.
 """
 
+import hashlib
 import itertools
+import json
 import math
+import struct
+from collections.abc import Mapping
 from functools import lru_cache
 
 from stodep import (
+    BudgetedLinearFunction,
+    CoverageFunction,
     GeneralTabulatedReward,
     LinearDecayingReward,
     LinearReward,
@@ -258,3 +264,66 @@ def submodular_oracle(reward, bound, tol):
                     yield witness, w(up(y, m)) - w(y), w(up(y_lo, m)) - w(y_lo)
 
     return _certificate(pairs(), tol)
+
+
+def _plain(value):
+    """JSON-ready copy of frozen metadata: mappings become dicts, tuples lists."""
+    if isinstance(value, Mapping):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def fingerprint_oracle(instance):
+    """SHA-256 of the layout the stodep.serialize docstring documents.
+
+    The head is the instance's JSON form with each bulk array replaced by
+    ["<f8" or "<i8", shape]; then the schedule and the reward's arrays
+    follow as little-endian float64 ("<d") or int64 ("<q") values in C order.
+    """
+    rew, caps = instance.reward, list(instance.capacities)
+    T, A, M = instance.horizon, len(instance.activities), instance.num_types
+    schedule = [p for rows in instance.schedule.tolist() for row in rows for p in row]
+    arrays = [("d", schedule)]
+    if isinstance(rew, LinearReward):
+        reward = {"kind": "linear", "weights": ["<f8", [M]]}
+        arrays.append(("d", list(rew.weights)))
+    elif isinstance(rew, LinearDecayingReward):
+        reward = {"kind": "linear_decaying", "weights": ["<f8", [M, T]]}
+        arrays.append(("d", [w for row in rew.weights for w in row]))
+    elif isinstance(rew, GeneralTabulatedReward):
+        entries = rew.spec_dict()["entries"]  # in key order
+        n = len(entries)
+        reward = {"kind": "general_tabulated", "keys": ["<i8", [n, 2 * M + 1]],
+                  "values": ["<f8", [n]]}
+        arrays.append(("q", [k for x, x_next, t, _ in entries for k in (*x, *x_next, t)]))
+        arrays.append(("d", [value for *_, value in entries]))
+    elif isinstance(rew.evaluator, CoverageFunction):
+        ev = rew.evaluator
+        reward = {"kind": "submodular_coverage", "num_elements": ev.num_elements,
+                  "covers": [sorted(c) for c in ev.covers],
+                  "element_weights": list(ev.element_weights)}
+    elif isinstance(rew.evaluator, BudgetedLinearFunction):
+        ev = rew.evaluator
+        reward = {"kind": "submodular_budgeted",
+                  "budgets": [None if b == math.inf else b for b in ev.budgets],
+                  "values": list(ev.values), "groups": list(ev.groups)}
+    else:
+        box = itertools.product(*(range(c + 1) for c in caps))
+        reward = {"kind": "submodular_custom", "label": rew.label,
+                  "values": ["<f8", [c + 1 for c in caps]]}
+        arrays.append(("d", [float(rew.evaluator(y)) for y in box]))
+    head = {
+        "num_types": M, "capacities": caps, "initial_items": list(instance.initial_items),
+        "horizon": T, "activities": list(instance.activities),
+        "schedule": ["<f8", [T, A, M]], "reward": reward, "metadata": _plain(instance.metadata),
+    }
+    if instance.arrivals is not None:
+        head["arrivals"] = list(instance.arrivals)
+    if instance.deadlines is not None:
+        head["deadlines"] = list(instance.deadlines)
+    sha = hashlib.sha256(json.dumps(head, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+    for code, values in arrays:
+        sha.update(struct.pack(f"<{len(values)}{code}", *values))
+    return sha.hexdigest()

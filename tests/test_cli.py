@@ -235,8 +235,10 @@ def test_non_object_instance_json_exits_2(tmp_path, capsys):
 
 
 def _hostile_inputs():
-    """(instance JSON, extra flags, exit code, error) per hostile case.
+    """(file JSON, extra flags, exit code, error, commands) per hostile case.
 
+    The file is the --instance of solve, simulate and check, and the
+    --config of batch; commands are the COMMANDS the case runs under.
     error None: it depends on the command (a ConfigError from validation on
     loading, or the DomainError that check meets first: check leaves the
     reward value rules to its assumption1 property; for the huge tabulated
@@ -309,26 +311,41 @@ def _hostile_inputs():
              schedule=[[[0.5] * 8] * 2] * 2, reward=small_entry),
         [], 3, None,
     )
+    cases = {name: case + (("check", "simulate", "solve"),) for name, case in cases.items()}
+    # A ratio bound or an alpha that is not a number is a configuration
+    # error (exit 2), not a property failure (exit 1).
+    for bound in ("nan", "inf"):
+        cases[f"ratio-{bound}"] = (
+            base, ["--properties", f"ratio:{bound}", "--strict"], 2, "ConfigError", ("check",),
+        )
+        config = {"app": "worstcase", "params": {"epsilon": 0.1}, "seed_count": 1,
+                  "properties": ["vfm", f"ratio:{bound}"]}
+        cases[f"batch-ratio-{bound}"] = (config, ["--strict"], 2, "ConfigError", ("batch",))
+    cases["approx-nan"] = (
+        base, ["--policy", "approx:nan"], 2, "ConfigError", ("check", "simulate"),
+    )
     return cases
 
 
 HOSTILE = _hostile_inputs()
 COMMANDS = {
-    "solve": ["solve"],
-    "simulate": ["simulate", "--reps", "2"],
-    "check": ["check", "--properties", "vfm,ir,ratio:2,assumption1"],
+    "solve": ["solve", "--instance"],
+    "simulate": ["simulate", "--reps", "2", "--instance"],
+    "check": ["check", "--properties", "vfm,ir,ratio:2,assumption1", "--instance"],
+    "batch": ["batch", "--config"],
 }
+HOSTILE_RUNS = [(case, command) for case in sorted(HOSTILE) for command in HOSTILE[case][4]]
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-@pytest.mark.parametrize("case", sorted(HOSTILE))
-def test_hostile_input_ends_in_one_json_error(case, command, tmp_path, capsys):
-    data, flags, code, error = HOSTILE[case]
+@pytest.mark.parametrize("case, command", HOSTILE_RUNS, ids=[f"{c}-{m}" for c, m in HOSTILE_RUNS])
+def test_hostile_input_ends_in_one_json_error(case, command, tmp_path, capsys, monkeypatch):
+    data, flags, code, error, _ = HOSTILE[case]
     path = tmp_path / "hostile.json"
     path.write_text(json.dumps(data))
+    monkeypatch.chdir(tmp_path)  # where batch would write its report
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        assert main(COMMANDS[command] + ["--instance", str(path)] + flags) == code
+        assert main(COMMANDS[command] + [str(path)] + flags) == code
     assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
     lines = capsys.readouterr().out.strip().splitlines()
     assert not any(line.endswith(": pass") for line in lines)
@@ -340,7 +357,7 @@ def test_hostile_input_ends_in_one_json_error(case, command, tmp_path, capsys):
 
 
 def test_check_refuses_a_dense_tabulated_reward_over_the_state_cap(tmp_path, capsys):
-    data, _, _, _ = HOSTILE["tabulated-huge-dense-reward"]
+    data = HOSTILE["tabulated-huge-dense-reward"][0]
     path = tmp_path / "hostile.json"
     path.write_text(json.dumps(data))
     assert main(["check", "--instance", str(path), "--properties", "vfm"]) == 3
@@ -350,7 +367,7 @@ def test_check_refuses_a_dense_tabulated_reward_over_the_state_cap(tmp_path, cap
 @pytest.mark.parametrize("prop", ["vfm", "ir", "ratio:2", "assumption1"])
 @pytest.mark.parametrize("case", sorted(SHAPE_FAULTS))
 def test_check_rejects_shape_faults_for_any_property(case, prop, tmp_path, capsys):
-    data, _, _, _ = HOSTILE[case]
+    data = HOSTILE[case][0]
     path = tmp_path / "hostile.json"
     path.write_text(json.dumps(data))
     assert main(["check", "--instance", str(path), "--properties", prop]) == 2

@@ -1059,18 +1059,18 @@ def test_tabulated_rewards_are_read_without_the_table_mapping(monkeypatch):
 def test_one_instance_builds_one_operator_and_one_fingerprint(monkeypatch):
     built, hashed = [], []
     real_operator = stodep.dp.BellmanOperator
-    real_payload = stodep.serialize._fingerprint_payload
+    real_layout = stodep.serialize._fingerprint_layout
 
     def operator(instance):
         built.append(instance)
         return real_operator(instance)
 
-    def payload(instance):
+    def layout(instance):
         hashed.append(instance)
-        return real_payload(instance)
+        return real_layout(instance)
 
     monkeypatch.setattr(stodep.dp, "BellmanOperator", operator)
-    monkeypatch.setattr(stodep.serialize, "_fingerprint_payload", payload)
+    monkeypatch.setattr(stodep.serialize, "_fingerprint_layout", layout)
     inst = random_linear_decaying_instance(10)
     table = solve_clairvoyant(inst)
     for policy in (myopic_policy(), stodep.approx_myopic_policy(2.0), stodep.RoundRobinPolicy()):

@@ -111,6 +111,9 @@ def test_approx_one_step_guarantee():
 def test_approx_alpha_below_one_rejected():
     with pytest.raises(ConfigError):
         approx_myopic_policy(0.5)
+    for name in ("approx:nan", "approx:-inf", "approx:0.5"):
+        with pytest.raises(ConfigError, match="alpha must be >= 1"):
+            policy_from_name(name)
 
 
 def test_baselines(worst_case_tenth):

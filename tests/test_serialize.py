@@ -1,15 +1,22 @@
+import dataclasses
+import io
 import json
 import math
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stodep
 from stodep import (
+    BudgetedLinearFunction,
     ConfigError,
+    CoverageFunction,
     FingerprintMismatch,
     GeneralTabulatedReward,
+    LinearDecayingReward,
+    LinearReward,
     SetFunctionEvaluator,
     SubmodularReward,
     instance_fingerprint,
@@ -27,7 +34,8 @@ from stodep.apps import (
     random_submodular_instance,
 )
 
-from conftest import make_instance
+from conftest import make_instance, small_instances
+from oracles import fingerprint_oracle
 
 
 def roundtrip(instance):
@@ -152,11 +160,133 @@ def test_fingerprints_are_pinned():
         capacities=(1,), horizon=1, schedule=[[[0.5]]],
         reward=GeneralTabulatedReward.from_potential(lambda y: float(y[0]), (1,), 1),
     )
-    digests = [instance_fingerprint(i)[:16] for i in
-               (build_worst_case_instance(0.1), custom, windowed, tabulated)]
+    instances = (build_worst_case_instance(0.1), custom, windowed, tabulated)
+    digests = [instance_fingerprint(i)[:16] for i in instances]
+    assert digests == [fingerprint_oracle(i)[:16] for i in instances]
     assert digests == [
-        "f420e613016b815d", "7a2ddba3be664c57", "7eff14d12cf8daeb", "0aea97a50c5e9971",
+        "233fcfd479261a64", "017b1718fab7dd4d", "8b1cf7fc71d6611f", "98ee425583a26937",
     ]
+
+
+def _every_reward_kind():
+    """One instance per reward kind, plus one with windows and one with nested metadata."""
+    adwords = build_adwords_instance(
+        AdwordsParams(
+            num_advertisers=2,
+            num_keywords=1,
+            budgets=(1.0, math.inf),
+            valuations=((1.0,), (2.0,)),
+            keyword_sequence=(0,),
+            slot_cap=1,
+            click_probs=[[0.5], [0.25]],
+        )
+    )
+    schedule = [[[0.5, 0.0], [0.25, 1.0]], [[-0.0, 0.75], [0.125, 0.5]]]
+
+    def build(reward, **kwargs):
+        return make_instance(capacities=(2, 1), horizon=2, schedule=schedule, reward=reward,
+                             **kwargs)
+
+    coverage = CoverageFunction(3, (frozenset({0, 2}), frozenset({1})), (1.0, 0.5, 0.1))
+    return {
+        "linear": build(LinearReward((1.0, -0.0))),
+        "linear_decaying": build(LinearDecayingReward(((1.0, 0.5), (0.3, 0.1)))),
+        "coverage": build(SubmodularReward(coverage)),
+        "budgeted": adwords,
+        "custom": build(SubmodularReward(lambda y: float(len(y)) + 0.5 * y[0], label="adhoc")),
+        "tabulated": build(GeneralTabulatedReward.from_potential(coverage, (2, 1), 2)),
+        "windowed": build(LinearReward((1.0, 2.0)), arrivals=(0, 1), deadlines=(2, 1)),
+        "nested-metadata": build(LinearReward((1.0, 2.0)), metadata={
+            "app": "test", "trace": [[1, 2], [3]], "nested": {"k": 1, "z": [0.5, None]},
+        }),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_every_reward_kind()))
+def test_fingerprint_matches_the_oracle(name):
+    inst = _every_reward_kind()[name]
+    assert instance_fingerprint(inst) == fingerprint_oracle(inst)
+
+
+@settings(max_examples=40, deadline=None)
+@given(inst=small_instances())
+def test_fingerprint_of_random_instances_matches_the_oracle(inst):
+    assert instance_fingerprint(inst) == fingerprint_oracle(inst)
+
+
+def _nudged(reward, step):
+    """The reward with one float changed by step(value)."""
+    if isinstance(reward, LinearReward):
+        return LinearReward((step(reward.weights[0]), *reward.weights[1:]))
+    if isinstance(reward, LinearDecayingReward):
+        first, *rest = reward.weights
+        return LinearDecayingReward(((step(first[0]), *first[1:]), *rest))
+    if isinstance(reward, GeneralTabulatedReward):
+        (*key, value), *rest = reward.spec_dict()["entries"]
+        return GeneralTabulatedReward.from_entries([[*key, step(value)], *rest])
+    ev = reward.evaluator
+    if isinstance(ev, CoverageFunction):
+        weights = (step(ev.element_weights[0]), *ev.element_weights[1:])
+        return SubmodularReward(CoverageFunction(ev.num_elements, ev.covers, weights))
+    values = (step(ev.values[0]), *ev.values[1:])
+    return SubmodularReward(BudgetedLinearFunction(ev.budgets, values, ev.groups))
+
+
+def _tuples(value):
+    """JSON data with every list turned into a tuple."""
+    if isinstance(value, dict):
+        return {k: _tuples(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return tuple(_tuples(v) for v in value)
+    return value
+
+
+@settings(max_examples=80, deadline=None)
+@given(inst=small_instances(), data=st.data())
+def test_fingerprint_tells_instances_apart(inst, data):
+    base = dataclasses.replace(inst, metadata={"app": "test", "k": [1, 2]})
+    T, A, M = base.schedule.shape
+    cell = tuple(data.draw(st.integers(0, n - 1)) for n in (T, A, M))
+    zero = base.schedule.copy()
+    zero[cell] = 0.0
+    base = dataclasses.replace(base, schedule=zero)
+    up = math.nextafter  # one ulp
+
+    def schedule_with(value):
+        schedule = base.schedule.copy()
+        schedule[cell] = value
+        return dataclasses.replace(base, schedule=schedule)
+
+    windows = {"arrivals": (0,) * M, "deadlines": (T,) * M}
+    if base.arrivals is not None:
+        windows = {"arrivals": base.arrivals, "deadlines": (T + 1,) + base.deadlines[1:]}
+    changes = {
+        "schedule-ulp": lambda: schedule_with(up(0.0, 1.0)),
+        "reward-ulp": lambda: dataclasses.replace(
+            base, reward=_nudged(base.reward, lambda v: up(v, math.inf))),
+        "negative-zero": lambda: schedule_with(-0.0),
+        "metadata": lambda: dataclasses.replace(base, metadata={"app": "test", "k": [1, 3]}),
+        "windows": lambda: dataclasses.replace(base, **windows),
+    }
+    if A > 1:
+        names = list(base.activities)
+        names[0], names[1] = names[1], names[0]
+        changes["swapped-names"] = lambda: dataclasses.replace(base, activities=names)
+    if isinstance(base.reward, GeneralTabulatedReward):
+        changes["tabulated-value"] = lambda: dataclasses.replace(
+            base, reward=_nudged(base.reward, lambda v: v + 1.0))
+    change = data.draw(st.sampled_from(sorted(changes)))
+    assert instance_fingerprint(changes[change]()) != instance_fingerprint(base)
+
+    saved = io.StringIO()
+    save_instance(base, saved)
+    saved.seek(0)
+    assert instance_fingerprint(load_instance(saved)) == instance_fingerprint(base)
+    plain = instance_to_dict(base)
+    if isinstance(base.reward, GeneralTabulatedReward):
+        plain["reward"]["entries"].reverse()
+    for rebuilt in (instance_from_dict(plain), instance_from_dict(_tuples(plain))):
+        assert instance_fingerprint(rebuilt) == instance_fingerprint(base)
 
 
 def test_missing_field_reported():
