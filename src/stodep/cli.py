@@ -203,13 +203,14 @@ class _Certifier:
     def __init__(self, instance: Instance, tol: float, state_cap: int, ratio_policy: str,
                  specs, *, j_star=None, policy_table=None):
         self.instance, self.tol, self.state_cap = instance, tol, state_cap
-        self.ratio_policy = ratio_policy
+        # Parsed whatever is checked, so a bad name is refused even with no ratio asked for.
+        self.ratio_policy = _sweep_policy(ratio_policy)
         self._ratio = any(name == "ratio" for _, name, _ in specs)
         self._j_star, self._policy_table = j_star, policy_table
 
     def j_star(self):
         if self._j_star is None:
-            policies = [_sweep_policy(self.ratio_policy)] if self._ratio else []
+            policies = [self.ratio_policy] if self._ratio else []
             self._j_star, evaluated = solve_and_evaluate(
                 self.instance, policies, state_cap=self.state_cap
             )
@@ -229,7 +230,9 @@ class _Certifier:
             return check_vfm(instance, self.j_star(), tol)
         if name == "ir":
             return check_ir(instance, self.j_star(), tol)
-        policy = policy_from_name(self.ratio_policy, table=self.j_star())
+        policy = self.ratio_policy
+        if policy == OPTIMAL:
+            policy = optimal_policy_from_table(self.j_star())
         return check_ratio(
             instance, policy, bound, tol, j_star=self.j_star(), j_policy=self._policy_table
         )
@@ -263,6 +266,9 @@ def _batch_rows(config: dict, args):
     policies = config.get("policies", ["myopic"])
     prop_specs = [_parse_property(s) for s in config.get("properties", [])]
     ratio = any(name == "ratio" for _, name, _ in prop_specs)
+    # Ratio bounds in batch are the myopic guarantee's; myopic joins the row's sweep.
+    names = policies + ["myopic"] * (ratio and "myopic" not in policies)
+    sweep = [_sweep_policy(name) for name in names]  # a bad name refuses the config
     tol = float(config.get("tol", args.tol))
     if "seeds" in config:
         seeds = [int(s) for s in config["seeds"]]
@@ -286,11 +292,7 @@ def _batch_rows(config: dict, args):
             row["num_types"] = instance.num_types
             row["horizon"] = instance.horizon
             row["num_activities"] = instance.num_activities
-            # Ratio bounds in batch are the myopic guarantee's; myopic joins the row's sweep.
-            names = policies + ["myopic"] * (ratio and "myopic" not in policies)
-            table, evaluated = solve_and_evaluate(
-                instance, [_sweep_policy(name) for name in names], state_cap=args.cap_states
-            )
+            table, evaluated = solve_and_evaluate(instance, sweep, state_cap=args.cap_states)
             si0 = table.state_index(instance.initial_items)
             j_star = float(table.values[si0, 0])
             row["j_star"] = j_star

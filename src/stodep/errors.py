@@ -18,8 +18,9 @@ class CapExceeded(StodepError):
 
 
 class EnumerationCapExceeded(CapExceeded):
-    """An enumeration would exceed its cap: check_ir's (x, alpha) pairs or the
-    (x, x', t) grid of a tabulated reward's value rules."""
+    """An enumeration would exceed its cap: check_ir's (x, alpha) pairs,
+    check_submodular's (y, y') pairs or the (x, x', t) grid of a tabulated
+    reward's value rules."""
 
 
 class StateSpaceCapExceeded(CapExceeded):

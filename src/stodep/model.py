@@ -142,12 +142,23 @@ class Instance:
 
     @functools.cached_property
     def _rows(self) -> tuple[tuple[tuple[float, ...], ...], ...]:
-        """Plain-float schedule rows [t][activity] for the binomial draws of the simulator.
+        """Plain-float schedule rows [t][activity], for probability_row and _draws.
 
         Built on first read and kept in the instance's __dict__, so building
         an instance that is only solved costs nothing for them.
         """
         return tuple(tuple(map(tuple, rows)) for rows in self.schedule.tolist())
+
+    @functools.cached_property
+    def _draws(self) -> tuple[tuple[tuple[tuple[int, float], ...], ...], ...]:
+        """The (type, probability) pairs [t][activity] a sample draws for, in type order.
+
+        A type with probability exactly 0 is left out: numpy's binomial
+        returns 0 there without drawing, so skipping the call leaves the
+        stream as it was.  Built on first read, as _rows is.
+        """
+        return tuple(tuple(tuple((m, p) for m, p in enumerate(row) if p != 0.0) for row in rows)
+                     for rows in self._rows)
 
     def __reduce__(self):
         # Pickled as its constructor arguments, so derived data stays behind.
@@ -440,17 +451,22 @@ def _require_state(instance: Instance, x, t: int, activity=None, x_next=None) ->
         raise DomainError(f"x_next {tuple(x_next)} not componentwise within [0, x] for x {tuple(x)}")
 
 
-def _draw(items: Sequence[int], p_row: Sequence[float], rng: np.random.Generator) -> tuple[int, ...]:
-    """Per-type binomial draws in type order, none where no item is left; unchecked."""
-    return tuple(int(rng.binomial(v, p)) if v > 0 else 0 for v, p in zip(items, p_row))
-
-
 def sample_depletion(
     state: State, activity: int, instance: Instance, rng: np.random.Generator
 ) -> tuple[int, ...]:
-    """Draw one outcome vector; per-type binomial draws in type order."""
+    """Draw one outcome vector: per-type binomial draws in type order.
+
+    A type draws only with items left and a nonzero probability
+    (Instance._draws); numpy draws nothing for the others either, so this is
+    the stream of one binomial call per type.  stodep.simulate's rollouts
+    draw the same way.
+    """
     _require_state(instance, state.items, state.epoch, activity)
-    return _draw(state.items, instance._rows[state.epoch][activity], rng)
+    alpha = [0] * instance.num_types
+    for m, p in instance._draws[state.epoch][activity]:
+        if state.items[m]:
+            alpha[m] = int(rng.binomial(state.items[m], p))
+    return tuple(alpha)
 
 
 def reward(

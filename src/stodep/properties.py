@@ -222,7 +222,11 @@ def check_ir(
 
 
 def check_submodular(
-    reward: SubmodularReward, domain_bound, tol: float = DEFAULT_TOL
+    reward: SubmodularReward,
+    domain_bound,
+    tol: float = DEFAULT_TOL,
+    *,
+    pair_cap: int = DEFAULT_PAIR_CAP,
 ) -> PropertyReport:
     """Monotonicity and diminishing returns of the potential on a bounded box.
 
@@ -232,11 +236,16 @@ def check_submodular(
     increment one coordinate at a time.  w is read once at each point of the
     box and one unit step above it along each axis; the pairs are compared as
     arrays, a block of y at a time.  Violations are listed by y, then y'
-    (both lexicographically), then m, monotonicity first.
+    (both lexicographically), then m, monotonicity first.  Before w is read
+    anywhere, more than pair_cap pairs (y, y'), y = y' included, raise
+    EnumerationCapExceeded.
     """
     if not isinstance(reward, SubmodularReward):
         raise ConfigError("check_submodular applies to the submodular reward variant")
     bound = tuple(int(b) for b in domain_bound)
+    pairs = math.prod((b + 1) * (b + 2) // 2 for b in bound)
+    if pairs > pair_cap:
+        raise EnumerationCapExceeded(f"(y, y') enumeration {pairs} exceeds cap {pair_cap}")
     M = len(bound)
     points = list(_iter_box(bound))
     w = reward.w

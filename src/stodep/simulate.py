@@ -1,8 +1,13 @@
 """Monte Carlo episode simulation and statistical policy evaluation.
 
 An episode draws from np.random.default_rng(seed): per epoch the policy's
-choice, then one binomial draw per type with items left, in type order.  A
-block of _BLOCK episodes reads its rewards with one Bellman operator call.
+choice, then one binomial draw per type with items left and a nonzero
+probability, in type order.  That is the stream of one draw per type with
+items left, because numpy's binomial draws nothing at p = 0.  The policy is
+asked once per distinct (state, epoch) of a call and its choice reused, so
+select must be a pure function of (state, instance), as the Policy contract
+says.  A block of _BLOCK episodes reads its rewards with one Bellman
+operator call.
 
 Reproducibility contract: replication k of a Monte Carlo run uses the seed
 mix64(master_seed, k), where mix64 is a splitmix64-style avalanche of
@@ -20,9 +25,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .dp import BellmanOperator, bellman_operator, mixed_radix_radices
+from .dp import BellmanOperator, bellman_operator, mixed_radix_radices, state_index
 from .errors import DomainError
-from .model import Instance, State, _draw, _require_state
+from .model import Instance, State, _require_state
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -85,44 +90,54 @@ class EvalSummary:
         return asdict(self)
 
 
-def _rollout(instance: Instance, policy, seeds: list[int], op: BellmanOperator):
+def _rollout(instance: Instance, policy, seeds: list[int], op: BellmanOperator, choices):
     """Roll out one episode per seed from the initial items; op is the instance's operator.
 
-    Returns the item vectors, (seeds, T + 1, types), the activities in one
-    list, the rewards, (seeds, T), and the totals.  Only the initial items are
-    range-checked: from them a rollout reaches no state outside the capacities.
+    choices holds one dict per epoch, state index -> (activity, draws), that
+    the caller keeps across calls: the policy is asked once per distinct
+    (state, epoch), and its choice range-checked then.  Returns the state
+    indices, (seeds, T + 1), the activities in one list, the rewards,
+    (seeds, T), and the totals.  Only the initial items are range-checked:
+    from them a rollout reaches no state outside the capacities.
     """
-    T, A, x0 = instance.horizon, instance.num_activities, instance.initial_items
+    T, x0, draws = instance.horizon, instance.initial_items, instance._draws
     _require_state(instance, x0, 0)
-    rows, visited, chosen = instance._rows, [], []
+    radices = mixed_radix_radices(instance.capacities)
+    i0, visited, chosen = state_index(x0, radices), [], []
     for seed in seeds:
-        rng = np.random.default_rng(seed)
-        items = x0
-        visited += items
-        for t in range(T):
-            activity = policy.select(State(items, t), instance)
-            if not 0 <= activity < A:
-                raise DomainError(f"activity index {activity} out of range")
-            alpha = _draw(items, rows[t][activity], rng)
-            items = tuple(v - d for v, d in zip(items, alpha))
-            visited += items
-            chosen.append(activity)
-    paths = np.array(visited).reshape(len(seeds), T + 1, -1)
-    index = paths @ np.array(mixed_radix_radices(instance.capacities))
+        binomial = np.random.default_rng(seed).binomial
+        items, i = list(x0), i0
+        visited.append(i)
+        for t, memo in enumerate(choices):
+            step = memo.get(i)
+            if step is None:
+                activity = policy.select(State(tuple(items), t), instance)
+                if not 0 <= activity < instance.num_activities:
+                    raise DomainError(f"activity index {activity} out of range")
+                step = memo[i] = (activity, draws[t][activity])
+            for m, p in step[1]:  # as model.sample_depletion draws
+                if v := items[m]:
+                    d = int(binomial(v, p))
+                    items[m] = v - d
+                    i -= d * radices[m]
+            visited.append(i)
+            chosen.append(step[0])
+    index = np.array(visited).reshape(len(seeds), T + 1)
     g = op.rewards(index[:, :-1], index[:, 1:], np.arange(T))
     totals = np.zeros(len(seeds))
     for t in range(T):  # epoch by epoch from 0.0, as a running sum adds them
         totals += g[:, t]
-    return paths, chosen, g, totals.tolist()
+    return index, chosen, g, totals.tolist()
 
 
 def _episodes(instance: Instance, policy, seeds: Iterable[int],
               op: BellmanOperator) -> Iterator[EpisodeTrace]:
     """The trace of each seed's episode, in seed order, rolled out _BLOCK at a time."""
     T, seeds = instance.horizon, iter(seeds)
+    choices = [{} for _ in range(T)]
     while block := list(itertools.islice(seeds, _BLOCK)):
-        paths, chosen, g, totals = _rollout(instance, policy, block, op)
-        for k, (path, earned) in enumerate(zip(paths.tolist(), g.tolist())):
+        index, chosen, g, totals = _rollout(instance, policy, block, op, choices)
+        for k, (path, earned) in enumerate(zip(op.items[index].tolist(), g.tolist())):
             steps = [EpisodeStep(State(tuple(x), t), chosen[k * T + t],
                                  tuple(u - v for u, v in zip(x, path[t + 1])), earned[t])
                      for t, x in enumerate(path[:-1])]
@@ -166,7 +181,8 @@ def monte_carlo_value(
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
     op, totals = bellman_operator(instance), []
+    choices = [{} for _ in range(instance.horizon)]
     for lo in range(0, n_reps, _BLOCK):
         seeds = [mix64(master_seed, k) for k in range(lo, min(lo + _BLOCK, n_reps))]
-        totals += _rollout(instance, policy, seeds, op)[3]
+        totals += _rollout(instance, policy, seeds, op, choices)[3]
     return summarize_totals(totals, master_seed, getattr(policy, "name", str(policy)))

@@ -324,6 +324,24 @@ def _hostile_inputs():
     cases["approx-nan"] = (
         base, ["--policy", "approx:nan"], 2, "ConfigError", ("check", "simulate"),
     )
+    # A bad policy is refused whether or not a ratio property would use it,
+    # and a batch config's policies before any row is built.
+    for policy in ("bogus", "approx:nan"):
+        cases[f"policy-{policy}-without-ratio"] = (
+            base, ["--properties", "vfm", "--policy", policy, "--strict"], 2, "ConfigError",
+            ("check",),
+        )
+        config = {"app": "worstcase", "params": {"epsilon": 0.1}, "seed_count": 1,
+                  "policies": [policy]}
+        cases[f"batch-policy-{policy}"] = (config, ["--strict"], 2, "ConfigError", ("batch",))
+    # Four types of capacity 20: 231^4 pairs (y, y'), refused before w is read.
+    coverage = {"kind": "submodular_coverage", "num_elements": 4, "covers": [[0], [1], [2], [3]],
+                "element_weights": [1.0, 1.0, 1.0, 1.0]}
+    cases["submodular-over-pair-cap"] = (
+        dict(base, num_types=4, capacities=[20] * 4, initial_items=[20] * 4,
+             schedule=[[[0.5] * 4] * 2] * 2, reward=coverage),
+        ["--properties", "submodular"], 3, "EnumerationCapExceeded", ("check",),
+    )
     return cases
 
 

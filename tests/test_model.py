@@ -118,9 +118,9 @@ def test_schedule_rows_are_built_on_first_read():
         "arrival_trace": [[1, 1, 1, 1], [1, 1, 1, 1]],
     }), 0)
     for inst in (linear, queueing):
-        assert "_rows" not in vars(inst)
+        assert "_rows" not in vars(inst) and "_draws" not in vars(inst)
         stodep.solve_clairvoyant(inst)
-        assert "_rows" not in vars(inst)
+        assert "_rows" not in vars(inst) and "_draws" not in vars(inst)
         T, A, M = inst.schedule.shape
         expected = tuple(
             tuple(tuple(float(p) for p in inst.schedule[t, a]) for a in range(A)) for t in range(T)
@@ -128,6 +128,11 @@ def test_schedule_rows_are_built_on_first_read():
         assert inst.probability_row(T - 1, A - 1) == expected[T - 1][A - 1]
         assert "_rows" in vars(inst) and inst._rows == expected
         assert all(type(p) is float for rows in inst._rows for row in rows for p in row)
+        # The draws skip exactly the zero probabilities, in type order.
+        assert inst._draws == tuple(
+            tuple(tuple((m, p) for m, p in enumerate(row) if p != 0.0) for row in rows)
+            for rows in expected
+        )
 
 
 def test_instance_fields_cannot_be_assigned(worst_case_tenth):

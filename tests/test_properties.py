@@ -83,6 +83,21 @@ def test_ir_cap():
         check_ir(inst, table, pair_cap=2)
 
 
+def test_check_submodular_cap():
+    # Bound (2, 1): 6 * 3 = 18 pairs (y, y') with y' <= y, y = y' included.
+    calls = []
+
+    def reward():  # a fresh one each time: w's values are memoized
+        return SubmodularReward(lambda y: calls.append(y) or float(min(sum(y), 2)), label="capped")
+
+    assert check_submodular(reward(), (2, 1), pair_cap=18).passed
+    assert calls
+    calls.clear()
+    with pytest.raises(stodep.EnumerationCapExceeded, match="18 exceeds cap 17"):
+        check_submodular(reward(), (2, 1), pair_cap=17)
+    assert not calls  # refused before w is read anywhere
+
+
 def test_check_submodular_builtins_pass():
     coverage = SubmodularReward(
         CoverageFunction(3, (frozenset({0, 1}), frozenset({2})), (1.0, 2.0, 0.5))

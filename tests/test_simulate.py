@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import math
@@ -10,6 +11,7 @@ from stodep import (
     BudgetedLinearFunction,
     CoverageFunction,
     GeneralTabulatedReward,
+    LinearDecayingReward,
     LinearReward,
     SubmodularReward,
     apply_depletion_with_step,
@@ -174,3 +176,100 @@ def test_simulation_streams_are_pinned():
             summary = monte_carlo_value(inst, policy, 300, master_seed=11)
             got[name, policy_name] = (digest, repr(summary.mean), repr(summary.stddev))
     assert got == PINNED_STREAMS
+
+
+@pytest.mark.parametrize("n, p, draws", [
+    (3, 0.0, False), (0, 0.5, False), (0, 1.0, False), (3, -0.0, False), (3, 1.0, True),
+])
+def test_binomial_draws_nothing_at_p_zero_or_n_zero(n, p, draws):
+    # Rollouts skip the binomial call of a type with no items left or p = 0:
+    # the same stream only because numpy draws nothing there either.
+    rng = np.random.default_rng(7)
+    before = rng.bit_generator.state
+    assert rng.binomial(n, p) == (n if p == 1.0 else 0)
+    assert (rng.bit_generator.state != before) == draws
+
+
+def _zero_one_instance():
+    """Exact 0s and 1s in the schedule, and types that run empty mid-episode."""
+    schedule = 0.5 * np.random.default_rng(5).random((6, 3, 4))
+    schedule[schedule < 0.2] = 0.0
+    schedule[0, 2] = (1.0, 0.0, 1.0, 0.0)
+    schedule[3, 1, :2] = 1.0
+    schedule[1, :, 3] = 1.0  # type 3 runs empty at epoch 1 whatever the choice
+    schedule[2:, :, 3] = 0.5  # and is asked for again once it is empty
+    weights = ((1.0, 0.9, 0.8, 0.5, 0.4, 0.1), (0.5, 0.5, 0.4, 0.4, 0.2, 0.2),
+               (0.75, 0.75, 0.6, 0.6, 0.3, 0.3), (2.0, 1.5, 1.0, 1.0, 0.5, 0.25))
+    return make_instance(capacities=(3, 2, 4, 1), horizon=6, schedule=schedule,
+                         reward=LinearDecayingReward(weights), initial_items=(3, 1, 4, 1))
+
+
+# As PINNED_STREAMS, on _zero_one_instance; recorded when each type drew once
+# per step with items left, 0s and 1s alike.
+PINNED_ZERO_ONE_STREAMS = {
+    "myopic": ("0b407939fa0f2f66", "7.947", "0.04999331058930697"),
+    "optimal": ("0b407939fa0f2f66", "7.947", "0.04999331058930697"),
+    "round_robin": ("d0560f0d91b3edeb", "5.1515", "0.9771756875888367"),
+    "random:3": ("2ddee3525a932d03", "6.137666666666666", "0.8698486522464346"),
+}
+
+
+def test_zero_one_schedule_streams_are_pinned():
+    inst = _zero_one_instance()
+    assert stodep.validate_instance(inst).passed
+    got = {}
+    for policy_name in PINNED_ZERO_ONE_STREAMS:
+        table = solve_clairvoyant(inst) if policy_name == "optimal" else None
+        policy = stodep.policy_from_name(policy_name, table=table)
+        traces = [simulate_episode(inst, policy, seed).to_dict() for seed in (0, 1, 17)]
+        digest = hashlib.sha256(json.dumps(traces).encode()).hexdigest()[:16]
+        summary = monte_carlo_value(inst, policy, 300, master_seed=11)
+        got[policy_name] = (digest, repr(summary.mean), repr(summary.stddev))
+    assert got == PINNED_ZERO_ONE_STREAMS
+
+
+@pytest.mark.parametrize("name", ["zero-one", "queueing", "coverage"])
+def test_sample_depletion_draws_as_the_rollout_does(name):
+    # Replaying an episode's choices through sample_depletion on the
+    # episode's generator gives its outcomes, step after step: one draw more
+    # or less would shift every later one.
+    inst = _zero_one_instance() if name == "zero-one" else _stream_instances()[name]
+    policy = stodep.policy_from_name("random:3")
+    for seed in range(20):
+        trace = simulate_episode(inst, policy, seed)
+        rng = np.random.default_rng(seed)
+        for step in trace.steps:
+            assert stodep.sample_depletion(step.state, step.activity, inst, rng) == step.outcome
+
+
+class _Counting:
+    """Wraps a policy and counts its select calls per (state, epoch)."""
+
+    def __init__(self, policy):
+        self.policy, self.name, self.calls = policy, policy.name, collections.Counter()
+
+    def select(self, state, instance):
+        self.calls[state] += 1
+        return self.policy.select(state, instance)
+
+
+def test_policy_is_asked_once_per_state_and_epoch():
+    inst = _stream_instances()["queueing"]
+    counting = _Counting(myopic_policy())
+    plain = monte_carlo_value(inst, myopic_policy(), 300, master_seed=11)
+    assert monte_carlo_value(inst, counting, 300, master_seed=11) == plain
+    assert counting.calls and set(counting.calls.values()) == {1}
+    assert sum(counting.calls.values()) < 300 * inst.horizon
+    for seed in (0, 1, 17):
+        assert simulate_episode(inst, counting, seed) == simulate_episode(inst, myopic_policy(), seed)
+
+
+def test_out_of_range_choice_raises():
+    class Stray:
+        name = "stray"
+
+        def select(self, state, instance):
+            return instance.num_activities
+
+    with pytest.raises(stodep.DomainError, match="out of range"):
+        monte_carlo_value(_zero_one_instance(), Stray(), 5, master_seed=0)
