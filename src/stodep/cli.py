@@ -20,6 +20,7 @@ from .model import (
     DEFAULT_ACTIVITY_CAP,
     DEFAULT_STATE_CAP,
     Instance,
+    require_tolerance,
     validate_instance,
 )
 from .dp import OPTIMAL, bellman_operator, solve_and_evaluate, solve_clairvoyant
@@ -34,7 +35,7 @@ from .properties import (
     value_ratio,
 )
 from .rewards import SubmodularReward
-from .serialize import instance_fingerprint, instance_to_dict, load_instance, save_instance
+from .serialize import instance_fingerprint, load_instance, save_instance
 from .simulate import _episodes, mix64, summarize_totals
 from . import apps
 
@@ -122,11 +123,7 @@ def cmd_generate(args) -> int:
     report = validate_instance(instance)
     if not report.passed:
         raise ConfigError(f"generated instance failed validation: {report.to_dict()}")
-    if args.out:
-        save_instance(instance, args.out)
-    else:
-        json.dump(instance_to_dict(instance), sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+    save_instance(instance, args.out or sys.stdout)
     print(
         f"generated app={args.app} types={instance.num_types} horizon={instance.horizon} "
         f"activities={instance.num_activities} fingerprint={instance_fingerprint(instance)[:12]}",
@@ -202,7 +199,7 @@ class _Certifier:
 
     def __init__(self, instance: Instance, tol: float, state_cap: int, ratio_policy: str,
                  specs, *, j_star=None, policy_table=None):
-        self.instance, self.tol, self.state_cap = instance, tol, state_cap
+        self.instance, self.tol, self.state_cap = instance, require_tolerance(tol), state_cap
         # Parsed whatever is checked, so a bad name is refused even with no ratio asked for.
         self.ratio_policy = _sweep_policy(ratio_policy)
         self._ratio = any(name == "ratio" for _, name, _ in specs)
@@ -260,21 +257,44 @@ def cmd_check(args) -> int:
     return 0
 
 
+def _is(kind: type, value) -> bool:
+    """Is value a kind?  A bool is not an int here."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _config_list(config: dict, field: str, default: list, kind: type) -> list:
+    """config[field], or default, refused unless it is a list of kind values."""
+    value = config.get(field, default)
+    if not (isinstance(value, list) and all(_is(kind, v) for v in value)):
+        raise ConfigError(f"batch config {field!r} must be a list of {kind.__name__} values, "
+                          f"not {value!r}")
+    return value
+
+
+def _config_int(config: dict, field: str, default: int, low: int | None = None) -> int:
+    """config[field], or default, refused unless it is an integer, at least low if given."""
+    value = config.get(field, default)
+    if not _is(int, value) or (low is not None and value < low):
+        at_least = "" if low is None else f" >= {low}"
+        raise ConfigError(f"batch config {field!r} must be an integer{at_least}, not {value!r}")
+    return value
+
+
 def _batch_rows(config: dict, args):
     app = config["app"]
     params = config.get("params", {})
-    policies = config.get("policies", ["myopic"])
-    prop_specs = [_parse_property(s) for s in config.get("properties", [])]
+    policies = _config_list(config, "policies", ["myopic"], str)
+    prop_specs = [_parse_property(s) for s in _config_list(config, "properties", [], str)]
     ratio = any(name == "ratio" for _, name, _ in prop_specs)
     # Ratio bounds in batch are the myopic guarantee's; myopic joins the row's sweep.
     names = policies + ["myopic"] * (ratio and "myopic" not in policies)
     sweep = [_sweep_policy(name) for name in names]  # a bad name refuses the config
-    tol = float(config.get("tol", args.tol))
+    tol = require_tolerance(config.get("tol", args.tol), "batch config 'tol'")
     if "seeds" in config:
-        seeds = [int(s) for s in config["seeds"]]
+        seeds = _config_list(config, "seeds", [], int)
     else:
-        start = int(config.get("seed_start", 0))
-        seeds = list(range(start, start + int(config.get("seed_count", 0))))
+        start = _config_int(config, "seed_start", 0)
+        seeds = list(range(start, start + _config_int(config, "seed_count", 0, low=0)))
     columns = ["seed", "fingerprint", "family", "num_types", "horizon", "num_activities", "j_star"]
     for pol in policies:
         columns += [f"j[{pol}]", f"ratio[{pol}]"]

@@ -57,7 +57,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, FingerprintMismatch, StateSpaceCapExceeded
-from .model import DEFAULT_STATE_CAP, Instance, State, state_space_size
+from .model import DEFAULT_STATE_CAP, Instance, State, require_tolerance, state_space_size
 from .rewards import GeneralTabulatedReward, LinearDecayingReward, LinearReward, SubmodularReward
 from .serialize import instance_fingerprint
 
@@ -936,6 +936,7 @@ def audit_table(
     including that best_activity attains the maximum within
     max(tol, tie_slack(maximum)); otherwise against the policy's fixed choice.
     """
+    tol = require_tolerance(tol)
     table.require_match(instance)
     op = bellman_operator(instance, state_cap=2**62)  # the table already holds every state
     T = instance.horizon

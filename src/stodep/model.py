@@ -316,6 +316,18 @@ def exceeds(lhs, rhs, tol):
         return ~(np.isfinite(lhs) & np.isfinite(rhs)) | (lhs > rhs + slack)
 
 
+def require_tolerance(tol, name: str = "tolerance") -> float:
+    """tol as a float; ConfigError unless it is finite and >= 0.
+
+    A NaN or infinite tolerance would make exceeds false on every finite
+    pair, and a negative one fail equal sides, so neither certifies anything.
+    """
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ConfigError(f"{name} {tol!r} is not a finite number >= 0")
+    return tol
+
+
 def _non_negative(field: str, indices: tuple, value: float, noun: str):
     rule = f"negative {noun}" if math.isfinite(value) else f"{noun} not finite"
     return field, indices, rule, 0.0, value

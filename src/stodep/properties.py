@@ -8,8 +8,11 @@ monotonicity/submodularity, and the myopic approximation-ratio bounds.
 
 Tolerance semantics: a pair (lhs, rhs) that must satisfy lhs <= rhs is a
 violation iff either side is not finite or lhs > rhs + max(tol, tol * |rhs|)
-(stodep.model.exceeds).  The value-table certifiers compare whole arrays of
-such pairs; each docstring gives the order its violations are listed in.
+(stodep.model.exceeds).  A tolerance that is not finite and >= 0 certifies
+nothing, and every certifier refuses it with ConfigError
+(stodep.model.require_tolerance), as stodep.dp.audit_table does.  The
+value-table certifiers compare whole arrays of such pairs; each docstring
+gives the order its violations are listed in.
 """
 
 from __future__ import annotations
@@ -22,18 +25,13 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigError, EnumerationCapExceeded
-from .model import DEFAULT_STATE_CAP, Instance, _iter_box, exceeds, reward_rules
-from .rewards import SubmodularReward
+from .model import DEFAULT_STATE_CAP, Instance, _iter_box, exceeds, require_tolerance, reward_rules
+from .rewards import _BLOCK, SubmodularReward, _pairs_below
 from .dp import ValueTable, bellman_operator, decode_state, evaluate_policy_exact, solve_clairvoyant
 from .serialize import instance_fingerprint
 
 DEFAULT_TOL = 1e-9
 DEFAULT_PAIR_CAP = 10**7
-
-# Candidate (x, x', t) triples per block of check_ir, and candidate (y, y')
-# pairs per block of check_submodular: bounds their working sets at a few
-# such arrays whatever the size of the table or the box.
-_BLOCK = 2**16
 
 
 @dataclass
@@ -125,6 +123,7 @@ def _report(name: str, fingerprint: str, tol: float, chunks: Iterable[tuple]) ->
     and a function from the flat index of a violating pair to its witness.
     worst_gap is the largest lhs - rhs that is not NaN.
     """
+    tol = require_tolerance(tol)
     checked, worst, violations = 0, -math.inf, []
     for lhs, rhs, witness in chunks:
         # Views are read in place; flat indices follow C order of their shape.
@@ -200,14 +199,9 @@ def check_ir(
         raise EnumerationCapExceeded(f"(x, alpha) enumeration {pairs} exceeds cap {pair_cap}")
     op = bellman_operator(instance, state_cap=2**62)  # the table already holds every state
     items, values = op.items, table.values
-    S = len(items)
-    rows = max(1, _BLOCK // (S * (T + 1)))
 
     def chunks():
-        for lo in range(0, S, rows):
-            below = (items[lo:lo + rows, None, :] >= items[None, :, :]).all(axis=2)
-            x, x_next = np.nonzero(below)
-            x += lo
+        for x, x_next in _pairs_below(items, _BLOCK // (T + 1)):
             rhs = values[x_next]  # J(x', t), shape (len(x), T + 1)
             rhs[:, :T] += op.rewards(x[:, None], x_next[:, None], np.arange(T))
 
@@ -255,7 +249,6 @@ def check_submodular(
     ).reshape(len(points), M)
     gain = up - base[:, None]  # w(y + e_m) - w(y)
     box = np.array(points).reshape(len(points), M)
-    rows = max(1, _BLOCK // len(points))
 
     def chunks():
         yield (
@@ -263,10 +256,7 @@ def check_submodular(
             up,
             lambda i: {"kind": "monotonicity", "y": list(points[i // M]), "m": i % M},
         )
-        for lo in range(0, len(points), rows):
-            below = (box[lo:lo + rows, None, :] >= box[None, :, :]).all(axis=2)
-            y, y_lo = np.nonzero(below)
-            y += lo
+        for y, y_lo in _pairs_below(box, _BLOCK):
             keep = y != y_lo
             y, y_lo = y[keep], y_lo[keep]
 
@@ -333,6 +323,7 @@ def check_ratio(
     are listed, in (epoch, state index) order.  Precomputed tables may be
     supplied to avoid re-solving.
     """
+    tol = require_tolerance(tol)
     if j_star is None:
         j_star = solve_clairvoyant(instance, state_cap=state_cap)
     else:

@@ -21,6 +21,11 @@ import numpy as np
 
 from .errors import ConfigError
 
+# Candidate pairs per block of _pairs_below, for GeneralTabulatedReward.from_potential
+# and check_submodular, and candidate (x, x', t) triples per block of check_ir:
+# bounds their working sets at a few such arrays whatever the size of the box.
+_BLOCK = 2**16
+
 
 class RewardSpec:
     """Base class for the tagged union of reward families."""
@@ -240,23 +245,31 @@ class GeneralTabulatedReward(RewardSpec):
 
     def __init__(self, table: Mapping):
         """From a mapping {(x, x', t): value}."""
-        self._store([(*key, value) for key, value in table.items()])
+        self._store(*_normalise([(*key, value) for key, value in table.items()]))
 
     @classmethod
     def from_entries(cls, entries: Sequence) -> "GeneralTabulatedReward":
         """From a sequence of [x, x', t, value] entries, the JSON form."""
         rew = cls.__new__(cls)
-        rew._store(entries)
+        rew._store(*_normalise(list(entries)))
         return rew
 
-    def _store(self, entries) -> None:
-        keys, values = _normalise(list(entries))
+    @classmethod
+    def _from_sorted(cls, keys: np.ndarray, values: np.ndarray) -> "GeneralTabulatedReward":
+        """From int64 keys in strictly ascending lexicographic order and float64 values."""
+        if not _ascending(keys).all():
+            raise ConfigError("reward keys are not in ascending order, each given once")
+        rew = cls.__new__(cls)
+        rew._store(keys, values)
+        return rew
+
+    def _store(self, keys: np.ndarray, values: np.ndarray) -> None:
         keys.flags.writeable = values.flags.writeable = False
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "values", values)
 
     def __reduce__(self):
-        return GeneralTabulatedReward.from_entries, (self.spec_dict()["entries"],)
+        return GeneralTabulatedReward._from_sorted, (self.keys, self.values)
 
     @classmethod
     def from_potential(
@@ -265,22 +278,42 @@ class GeneralTabulatedReward(RewardSpec):
         capacities: Sequence[int],
         horizon: int,
     ) -> "GeneralTabulatedReward":
-        """Tabulate g from a depletion potential: g = w(cap - x') - w(cap - x)."""
+        """Tabulate g from a depletion potential: g = w(cap - x') - w(cap - x).
+
+        The potential is called once per point of the capacity box; the
+        pairs x' <= x are found a block of x at a time.
+        """
         from itertools import product
 
         caps = tuple(int(c) for c in capacities)
-        entries = []
-        for x in product(*(range(c + 1) for c in caps)):
-            w_x = float(potential(tuple(c - v for c, v in zip(caps, x))))
-            for x_next in product(*(range(v + 1) for v in x)):
-                w_next = float(potential(tuple(c - v for c, v in zip(caps, x_next))))
-                entries += [(x, x_next, t, w_next - w_x) for t in range(horizon)]
-        return cls.from_entries(entries)
+        points = list(product(*(range(c + 1) for c in caps)))  # lexicographic
+        w = np.array([potential(tuple(c - v for c, v in zip(caps, x))) for x in points],
+                     dtype=np.float64)
+        box = np.array(points, dtype=np.int64).reshape(len(points), len(caps))
+        t = np.arange(horizon)
+        keys, values = [], []
+        for x, x_next in _pairs_below(box, _BLOCK):
+            pairs = np.concatenate((box[x], box[x_next]), axis=1).repeat(horizon, axis=0)
+            keys.append(np.concatenate((pairs, np.tile(t, len(x))[:, None]), axis=1))
+            values.append((w[x_next] - w[x]).repeat(horizon))
+        return cls._from_sorted(np.concatenate(keys), np.concatenate(values))
 
     def spec_dict(self) -> dict:
         m = self.keys.shape[1] // 2
         columns = (self.keys[:, :m], self.keys[:, m:2 * m], self.keys[:, -1], self.values)
         return {"kind": self.kind, "entries": list(map(list, zip(*(c.tolist() for c in columns))))}
+
+
+def _pairs_below(items: np.ndarray, block: int):
+    """Index arrays (x, x') of the rows with items[x'] <= items[x], in C order.
+
+    One pair of arrays per block of x, each block comparing about block
+    candidate pairs (at least one row of x).
+    """
+    rows = max(1, block // len(items))
+    for lo in range(0, len(items), rows):
+        x, x_next = np.nonzero((items[lo:lo + rows, None, :] >= items[None, :, :]).all(axis=2))
+        yield x + lo, x_next
 
 
 def _columns(entries: list) -> tuple[np.ndarray, np.ndarray] | None:

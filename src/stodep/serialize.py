@@ -82,12 +82,23 @@ def instance_from_dict(data: Mapping) -> Instance:
 
 
 def save_instance(instance: Instance, path_or_file) -> None:
-    payload = json.dumps(instance_to_dict(instance), indent=2, sort_keys=True)
+    """Write the instance's JSON: one line per top-level field, keys sorted.
+
+    Each value is encoded on its own line by json's C encoder (which runs
+    only without indent); the loader reads any layout.
+    """
+    data = instance_to_dict(instance)
+    # instance_to_dict builds a tree, so the encoder need not look for cycles.
+    fields = ",\n".join(
+        f"  {json.dumps(k)}: {json.dumps(data[k], sort_keys=True, check_circular=False)}"
+        for k in sorted(data)
+    )
+    payload = "{\n" + fields + "\n}\n"
     if hasattr(path_or_file, "write"):
-        path_or_file.write(payload + "\n")
+        path_or_file.write(payload)
     else:
         with open(path_or_file, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+            fh.write(payload)
 
 
 def load_instance(path_or_file, *, validate: bool = True, rewards: bool = True) -> Instance:

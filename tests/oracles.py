@@ -52,6 +52,22 @@ def reward_oracle(instance, x, x_next, t):
     return _entries(rew)[tuple(x), tuple(x_next), t]
 
 
+def from_potential_oracle(potential, capacities, horizon):
+    """The [x, x', t, value] entries tabulating a depletion potential, in key order.
+
+    The scalar loop: x, then x' <= x, then t, each lexicographically, with
+    value w(cap - x') - w(cap - x) and the potential read again at every pair.
+    """
+    caps = tuple(int(c) for c in capacities)
+    entries = []
+    for x in itertools.product(*(range(c + 1) for c in caps)):
+        w_x = float(potential(tuple(c - v for c, v in zip(caps, x))))
+        for x_next in itertools.product(*(range(v + 1) for v in x)):
+            w_next = float(potential(tuple(c - v for c, v in zip(caps, x_next))))
+            entries += [(x, x_next, t, w_next - w_x) for t in range(horizon)]
+    return entries
+
+
 def binomial_pmf_oracle(x, p):
     """Joint pmf of independent Binomial(x_m, p_m) counts via the closed formula."""
     out = {}

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from stodep import GeneralTabulatedReward
+from stodep import GeneralTabulatedReward, LinearDecayingReward
 from stodep.cli import main
 from stodep.serialize import instance_to_dict, load_instance, save_instance
 from stodep.apps import build_worst_case_instance
@@ -234,6 +235,21 @@ def test_non_object_instance_json_exits_2(tmp_path, capsys):
     assert _error_line(capsys)["error"] == "TypeError"
 
 
+BAD_TOLERANCES = ("nan", "inf", "-1")
+BATCH_CONFIG = {"app": "worstcase", "params": {"epsilon": 0.1}, "seed_count": 1,
+                "properties": ["vfm"]}
+# Batch config values of the wrong shape: (the field named, the fields set).
+BAD_BATCH_CONFIGS = {
+    "seeds-string": ("seeds", {"seeds": "12"}),
+    "seeds-bool-and-float": ("seeds", {"seeds": [True, 1.9]}),
+    "seed-count-float": ("seed_count", {"seed_count": 2.7}),
+    "seed-count-negative": ("seed_count", {"seed_count": -1}),
+    "seed-start-string": ("seed_start", {"seed_start": "0"}),
+    "policies-string": ("policies", {"policies": "myopic"}),
+    "properties-string": ("properties", {"properties": "vfm"}),
+}
+
+
 def _hostile_inputs():
     """(file JSON, extra flags, exit code, error, commands) per hostile case.
 
@@ -334,6 +350,13 @@ def _hostile_inputs():
         config = {"app": "worstcase", "params": {"epsilon": 0.1}, "seed_count": 1,
                   "policies": [policy]}
         cases[f"batch-policy-{policy}"] = (config, ["--strict"], 2, "ConfigError", ("batch",))
+    # A tolerance that is not finite and >= 0 certifies nothing, so it is a
+    # configuration error even on weights that rise over time (assumption1 fails).
+    rising = {"kind": "linear_decaying", "weights": [[0.1, 0.9], [0.1, 0.9]]}
+    for tol in BAD_TOLERANCES:
+        cases[f"tol-{tol}"] = (
+            dict(base, reward=rising), ["--tol", tol, "--strict"], 2, "ConfigError", ("check",),
+        )
     # Four types of capacity 20: 231^4 pairs (y, y'), refused before w is read.
     coverage = {"kind": "submodular_coverage", "num_elements": 4, "covers": [[0], [1], [2], [3]],
                 "element_weights": [1.0, 1.0, 1.0, 1.0]}
@@ -453,6 +476,36 @@ def test_batch_tol_flag_applies_when_the_config_has_none(tmp_path, capsys):
     assert ratio_cell(dict(config, tol=1e-9), "--tol", "0.01") == "false"  # the config wins
 
 
+@pytest.mark.parametrize("case", sorted(BAD_BATCH_CONFIGS))
+def test_batch_config_of_the_wrong_shape_is_refused_by_field(case, tmp_path, capsys):
+    field, fields = BAD_BATCH_CONFIGS[case]
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps(dict(BATCH_CONFIG, **fields)))
+    out = tmp_path / "report"
+    assert main(["batch", "--config", str(path), "--out", str(out)]) == 2
+    err = _error_line(capsys)
+    assert err["error"] == "ConfigError" and f"'{field}'" in err["message"]
+    assert not list(tmp_path.glob("report*"))
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+def test_tolerance_that_certifies_nothing_is_refused(tol, tmp_path, capsys):
+    rising = LinearDecayingReward(((0.1, 0.9), (0.1, 0.9)))
+    inst = dataclasses.replace(build_worst_case_instance(0.1), reward=rising)
+    path = tmp_path / "rising.json"
+    save_instance(inst, path)
+    check = ["check", "--instance", str(path), "--properties", "assumption1", "--strict"]
+    assert main(check) == 1  # the default tolerance certifies the failure
+    capsys.readouterr()
+    assert main(check + ["--tol", tol]) == 2
+    assert repr(float(tol)) in _error_line(capsys)["message"]
+    config = tmp_path / "batch.json"
+    config.write_text(json.dumps(dict(BATCH_CONFIG, tol=float(tol))))
+    assert main(["batch", "--config", str(config), "--out", str(tmp_path / "report")]) == 2
+    assert "'tol'" in _error_line(capsys)["message"]
+    assert not list(tmp_path.glob("report*"))
+
+
 MINIMAL_PARAMS = {
     "worstcase": {"epsilon": 0.5},
     "setcover": {"ground_set": ["a", "b"], "cover_sets": [["a"], ["a", "b"]], "k": 1},
@@ -527,6 +580,17 @@ def test_generate_every_app(app, tmp_path):
     inst = load_instance(out)  # loader re-validates
     assert inst.num_types >= 1
     assert main(["solve", "--instance", str(out)]) == 0
+
+
+def test_generate_prints_the_bytes_it_saves(tmp_path, capsysbinary):
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps(MINIMAL_PARAMS["queueing"]))
+    out = tmp_path / "inst.json"
+    args = ["generate", "--app", "queueing", "--params", str(params), "--seed", "3"]
+    assert main(args + ["--out", str(out)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert main(args) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
 
 
 def test_check_submodular_property_via_cli(tmp_path, capsys):

@@ -31,7 +31,14 @@ from stodep import (
 )
 
 from conftest import SHAPE_FAULTS, make_instance, small_instances
-from oracles import _breaks, _certificate, binomial_pmf_oracle, q_oracle, table_rules_oracle
+from oracles import (
+    _breaks,
+    _certificate,
+    binomial_pmf_oracle,
+    from_potential_oracle,
+    q_oracle,
+    table_rules_oracle,
+)
 
 
 # ---------------------------------------------------------------- validation
@@ -601,6 +608,37 @@ def test_tabulated_keys_outside_the_domain_raise_when_the_instance_is_built(entr
     rew = GeneralTabulatedReward.from_entries(entries)
     with pytest.raises(stodep.ConfigError):
         dataclasses.replace(worst_case_tenth, reward=rew)
+
+
+@settings(max_examples=80, deadline=None)
+@given(caps=st.lists(st.integers(0, 3), min_size=1, max_size=3), horizon=st.integers(1, 3),
+       data=st.data())
+def test_from_potential_matches_the_scalar_oracle_bit_for_bit(caps, horizon, data):
+    box = list(itertools.product(*(range(c + 1) for c in caps)))
+    # A few repeated values make the potential tie; -0.0 and 0.0 both occur.
+    value = st.one_of(st.sampled_from([0.0, -0.0, 0.1, 1.0 / 3.0, 2.5]), st.floats(-1e300, 1e300))
+    table = {y: data.draw(value) for y in box}
+    calls = []
+
+    def potential(y):
+        calls.append(y)
+        return table[y]
+
+    rew = GeneralTabulatedReward.from_potential(potential, caps, horizon)
+    assert sorted(calls) == box  # once per point of the capacity box
+    assert all(type(v) is int for y in calls for v in y)
+    entries = from_potential_oracle(table.__getitem__, caps, horizon)
+    keys = np.array([[*x, *x_next, t] for x, x_next, t, _ in entries], dtype=np.int64)
+    assert rew.keys.dtype == np.int64 and np.array_equal(rew.keys, keys)
+    assert rew.values.tobytes() == np.array([v for *_, v in entries]).tobytes()
+    assert not (rew.keys.flags.writeable or rew.values.flags.writeable)
+
+
+def test_tabulated_arrays_must_come_sorted_and_once_each():
+    rew = GeneralTabulatedReward.from_potential(lambda y: float(sum(y)), (1,), 2)
+    for rows in ([1, 0, 2, 3, 4, 5], [0, 0, 1, 2, 3, 4]):  # out of order; a key twice
+        with pytest.raises(stodep.ConfigError, match="ascending order"):
+            GeneralTabulatedReward._from_sorted(rew.keys[rows], rew.values[rows])
 
 
 # ------------------------------------------------------ expected step reward

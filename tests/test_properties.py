@@ -315,3 +315,26 @@ def test_submodular_matches_scalar_oracle(case):
         assert [v.witness for v in check_submodular(reward, bound).violations] == [
             w for w, *_ in violations
         ]
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_every_certifier_refuses_a_tolerance_that_certifies_nothing(tol):
+    # Weights rising over time break assumption1 under any finite tolerance >= 0.
+    inst = make_instance(
+        capacities=(1,), horizon=2, schedule=[[[0.5]], [[0.5]]],
+        reward=LinearDecayingReward(((0.1, 0.9),)),
+    )
+    assert not check_assumption1(inst).passed
+    table = solve_clairvoyant(inst)
+    potential = SubmodularReward(CoverageFunction(1, (frozenset({0}),), (1.0,)))
+    certifiers = {
+        "assumption1": lambda: check_assumption1(inst, tol),
+        "vfm": lambda: check_vfm(inst, table, tol),
+        "ir": lambda: check_ir(inst, table, tol),
+        "submodular": lambda: check_submodular(potential, (1,), tol),
+        "ratio": lambda: check_ratio(inst, myopic_policy, 2.0, tol, j_star=table),
+        "audit": lambda: stodep.audit_table(inst, table, tol=tol),
+    }
+    for name, certify in certifiers.items():
+        with pytest.raises(ConfigError, match=f"tolerance {tol!r}"):
+            certify()

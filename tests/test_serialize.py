@@ -301,10 +301,35 @@ def test_save_load_save_is_byte_identical(tmp_path):
     save_instance(inst, first)
     save_instance(load_instance(first), second)
     assert first.read_bytes() == second.read_bytes()
-    # The same bytes as from the plain dict form, whose metadata holds lists.
-    plain = json.dumps(instance_to_dict(inst), indent=2, sort_keys=True) + "\n"
-    assert first.read_text() == plain
+    # One line per top-level field of the plain dict form (whose metadata
+    # holds lists), keys sorted, each value in compact JSON.
+    plain = instance_to_dict(inst)
+    lines = [f"  {json.dumps(k)}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(plain.items())]
+    assert first.read_text() == "{\n" + ",\n".join(lines) + "\n}\n"
     assert instance_fingerprint(load_instance(first)) == instance_fingerprint(inst)
+
+
+SERIALIZABLE = sorted(set(_every_reward_kind()) - {"custom"})
+
+
+@pytest.mark.parametrize("name", SERIALIZABLE)
+def test_every_kind_saves_loads_and_saves_the_same_bytes(name):
+    inst = _every_reward_kind()[name]
+    first, second = io.StringIO(), io.StringIO()
+    save_instance(inst, first)
+    first.seek(0)
+    loaded = load_instance(first, validate=False)  # the layout, not the data, is under test
+    save_instance(loaded, second)
+    assert first.getvalue() == second.getvalue()
+    assert first.getvalue().count("\n") == len(instance_to_dict(inst)) + 2
+    assert instance_fingerprint(loaded) == instance_fingerprint(inst)
+
+
+@pytest.mark.parametrize("name", SERIALIZABLE)
+def test_files_in_the_indented_layout_still_load(name):
+    inst = _every_reward_kind()[name]
+    old = io.StringIO(json.dumps(instance_to_dict(inst), indent=2, sort_keys=True) + "\n")
+    assert instance_fingerprint(load_instance(old, validate=False)) == instance_fingerprint(inst)
 
 
 def test_instances_pickle_without_their_derived_data():
