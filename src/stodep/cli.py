@@ -51,48 +51,49 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _family_seed(seed: int | None) -> int:
+    """The seed a random family is built from, refused when there is none."""
+    if seed is None:
+        raise ConfigError("random families require a seed")
+    return seed
+
+
+# Application name -> builder(params, seed, activity_cap).  Each looks its
+# apps function up when called, so a wrapper put on stodep.apps sees the call.
+_APPS = {
+    "worstcase": lambda p, seed, cap: apps.build_worst_case_instance(float(p["epsilon"])),
+    "setcover": lambda p, seed, cap: apps.build_set_cover_instance(
+        p["ground_set"], p["cover_sets"], int(p["k"]), activity_cap=cap),
+    "queueing": lambda p, seed, cap: apps.build_queueing_instance(
+        apps.queueing_params_from_dict(p), seed, activity_cap=cap),
+    "broadcast": lambda p, seed, cap: apps.build_broadcast_instance(
+        apps.broadcast_params_from_dict(p), seed, activity_cap=cap),
+    "productline": lambda p, seed, cap: apps.build_product_line_instance(
+        apps.product_line_params_from_dict(p), activity_cap=cap),
+    "adwords": lambda p, seed, cap: apps.build_adwords_instance(
+        apps.adwords_params_from_dict(p), activity_cap=cap),
+    "matroid-card": lambda p, seed, cap: apps.build_cardinality_matroid_instance(
+        apps.matroid_params_from_dict(p), activity_cap=cap),
+    "matroid-part": lambda p, seed, cap: apps.build_partition_matroid_instance(
+        apps.matroid_params_from_dict(p), activity_cap=cap),
+    "random-submodular": lambda p, seed, cap: apps.random_submodular_instance(
+        _family_seed(seed), **p),
+    "random-linear-decaying": lambda p, seed, cap: apps.random_linear_decaying_instance(
+        _family_seed(seed), **p),
+}
+
+
+def _app_builder(app):
+    """The builder _APPS holds for app, refused (ConfigError) unless app names one."""
+    builder = _APPS.get(app) if isinstance(app, str) else None
+    if builder is None:
+        raise ConfigError(f"unknown application {app!r}")
+    return builder
+
+
 def build_from_app(app: str, params: dict, seed: int | None, activity_cap: int) -> Instance:
     """Dispatch a generator spec to the matching application builder."""
-    if app == "worstcase":
-        return apps.build_worst_case_instance(float(params["epsilon"]))
-    if app == "setcover":
-        return apps.build_set_cover_instance(
-            params["ground_set"], params["cover_sets"], int(params["k"]),
-            activity_cap=activity_cap,
-        )
-    if app == "queueing":
-        return apps.build_queueing_instance(
-            apps.queueing_params_from_dict(params), seed, activity_cap=activity_cap
-        )
-    if app == "broadcast":
-        return apps.build_broadcast_instance(
-            apps.broadcast_params_from_dict(params), seed, activity_cap=activity_cap
-        )
-    if app == "productline":
-        return apps.build_product_line_instance(
-            apps.product_line_params_from_dict(params), activity_cap=activity_cap
-        )
-    if app == "adwords":
-        return apps.build_adwords_instance(
-            apps.adwords_params_from_dict(params), activity_cap=activity_cap
-        )
-    if app == "matroid-card":
-        return apps.build_cardinality_matroid_instance(
-            apps.matroid_params_from_dict(params), activity_cap=activity_cap
-        )
-    if app == "matroid-part":
-        return apps.build_partition_matroid_instance(
-            apps.matroid_params_from_dict(params), activity_cap=activity_cap
-        )
-    if app == "random-submodular":
-        if seed is None:
-            raise ConfigError("random families require a seed")
-        return apps.random_submodular_instance(seed, **params)
-    if app == "random-linear-decaying":
-        if seed is None:
-            raise ConfigError("random families require a seed")
-        return apps.random_linear_decaying_instance(seed, **params)
-    raise ConfigError(f"unknown application {app!r}")
+    return _app_builder(app)(params, seed, activity_cap)
 
 
 def _load_params(path: str | None) -> dict:
@@ -281,7 +282,7 @@ def _config_int(config: dict, field: str, default: int, low: int | None = None) 
 
 
 def _batch_rows(config: dict, args):
-    app = config["app"]
+    build = _app_builder(config["app"])  # an unknown app refuses the config
     params = config.get("params", {})
     policies = _config_list(config, "policies", ["myopic"], str)
     prop_specs = [_parse_property(s) for s in _config_list(config, "properties", [], str)]
@@ -306,7 +307,7 @@ def _batch_rows(config: dict, args):
         row["seed"] = seed
         started = time.perf_counter()
         try:
-            instance = build_from_app(app, params, seed, args.cap_activities)
+            instance = build(params, seed, args.cap_activities)
             row["fingerprint"] = instance_fingerprint(instance)
             row["family"] = instance.reward.kind
             row["num_types"] = instance.num_types

@@ -13,6 +13,8 @@ import struct
 from collections.abc import Mapping
 from functools import lru_cache
 
+import numpy as np
+
 from stodep import (
     BudgetedLinearFunction,
     CoverageFunction,
@@ -21,6 +23,8 @@ from stodep import (
     LinearReward,
     State,
     SubmodularReward,
+    mix64,
+    sample_depletion,
 )
 
 
@@ -50,6 +54,31 @@ def reward_oracle(instance, x, x_next, t):
         return after - float(rew.evaluator(tuple(c - v for c, v in zip(caps, x))))
     assert isinstance(rew, GeneralTabulatedReward)
     return _entries(rew)[tuple(x), tuple(x_next), t]
+
+
+def monte_carlo_oracle(instance, policy, n_reps, master_seed):
+    """(mean, stddev) of n_reps episodes, one step at a time.
+
+    Episode k draws from default_rng(mix64(master_seed, k)) through
+    sample_depletion, earns reward_oracle per step, added in epoch order from
+    0.0; the summary is monte_carlo_value's: math.fsum over the totals in
+    replication order, sample stddev, 0.0 for one replication.
+    """
+    totals = []
+    for k in range(n_reps):
+        rng = np.random.default_rng(mix64(master_seed, k))
+        x, total = instance.initial_items, 0.0
+        for t in range(instance.horizon):
+            state = State(x, t)
+            outcome = sample_depletion(state, policy.select(state, instance), instance, rng)
+            x_next = tuple(v - d for v, d in zip(x, outcome))
+            total += reward_oracle(instance, x, x_next, t)
+            x = x_next
+        totals.append(total)
+    mean = math.fsum(totals) / n_reps
+    if n_reps == 1:
+        return mean, 0.0
+    return mean, math.sqrt(math.fsum((v - mean) ** 2 for v in totals) / (n_reps - 1))
 
 
 def from_potential_oracle(potential, capacities, horizon):

@@ -350,6 +350,10 @@ def _hostile_inputs():
         config = {"app": "worstcase", "params": {"epsilon": 0.1}, "seed_count": 1,
                   "policies": [policy]}
         cases[f"batch-policy-{policy}"] = (config, ["--strict"], 2, "ConfigError", ("batch",))
+    # So is an unknown app: it used to fill every row's error cell and exit 0.
+    cases["batch-app-bogus"] = (
+        {"app": "bogus", "seed_count": 2}, ["--strict"], 2, "ConfigError", ("batch",),
+    )
     # A tolerance that is not finite and >= 0 certifies nothing, so it is a
     # configuration error even on weights that rise over time (assumption1 fails).
     rising = {"kind": "linear_decaying", "weights": [[0.1, 0.9], [0.1, 0.9]]}
@@ -485,6 +489,24 @@ def test_batch_config_of_the_wrong_shape_is_refused_by_field(case, tmp_path, cap
     assert main(["batch", "--config", str(path), "--out", str(out)]) == 2
     err = _error_line(capsys)
     assert err["error"] == "ConfigError" and f"'{field}'" in err["message"]
+    assert not list(tmp_path.glob("report*"))
+
+
+@pytest.mark.parametrize("fields, error, named", [
+    ({"app": "bogus", "seed_count": 2}, "ConfigError", "'bogus'"),
+    ({"app": ["worstcase"]}, "ConfigError", "['worstcase']"),
+    ({"params": {"epsilon": "x"}, "seed_count": 2}, "ValueError", "'x'"),
+])
+def test_batch_config_that_builds_no_instance_writes_no_report(fields, error, named,
+                                                               tmp_path, capsys):
+    # An unknown app is refused before the first row; malformed params
+    # escape the first row's build, and the run ends before the report too.
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps(dict(BATCH_CONFIG, **fields)))
+    out = tmp_path / "report"
+    assert main(["batch", "--config", str(path), "--out", str(out)]) == 2
+    err = _error_line(capsys)
+    assert err["error"] == error and named in err["message"]
     assert not list(tmp_path.glob("report*"))
 
 

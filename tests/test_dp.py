@@ -507,7 +507,7 @@ def test_batch_row_makes_one_q_call_per_chunk_in_one_sweep(stacked, monkeypatch)
     # (row, activity) pair in one chunk, or 8 activities of one row per chunk.
     chunk = 5 * inst.num_activities if stacked else _CHUNK
     monkeypatch.setattr(stodep.dp, "_CHUNK_ENTRIES", chunk * 3 * 2 * 3)
-    monkeypatch.setattr(cli, "build_from_app", lambda *args: inst)
+    monkeypatch.setitem(cli._APPS, "wide", lambda *args: inst)
     calls = _counting_q(monkeypatch)
     config = {"app": "wide", "seeds": [0], "policies": ["myopic", "approx:2", "optimal"],
               "properties": ["vfm", "ir", "ratio:2", "assumption1"]}

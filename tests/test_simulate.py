@@ -2,9 +2,13 @@ import collections
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import stodep
 from stodep import (
@@ -30,7 +34,11 @@ from stodep.apps import (
     random_submodular_instance,
 )
 
+from stodep import simulate
+from stodep.simulate import _generator_parts, _seed_words
+
 from conftest import make_instance
+from oracles import monte_carlo_oracle
 
 
 def test_worst_case_episode_totals(worst_case_tenth):
@@ -273,3 +281,70 @@ def test_out_of_range_choice_raises():
 
     with pytest.raises(stodep.DomainError, match="out of range"):
         monte_carlo_value(_zero_one_instance(), Stray(), 5, master_seed=0)
+
+
+SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+def _seed_sequence_words(seed):
+    return np.random.SeedSequence(seed).generate_state(4, np.uint64)
+
+
+def test_seed_words_are_seed_sequence_words_at_the_edges():
+    seeds = SEED_EDGES + [mix64(5, k) for k in range(20)]
+    words = _seed_words(seeds)
+    assert words.dtype == np.uint64 and words.shape == (26, 4) and words.flags.c_contiguous
+    for seed, row in zip(seeds, words):
+        assert row.dtype == np.uint64 and row.flags.c_contiguous
+        assert np.array_equal(row, _seed_sequence_words(seed))
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+def test_seed_words_are_seed_sequence_words(seeds):
+    words = _seed_words(seeds)
+    assert np.array_equal(words, np.stack([_seed_sequence_words(s) for s in seeds]))
+
+
+@pytest.mark.parametrize("seed", SEED_EDGES + [12345])
+def test_generator_from_seed_words_is_default_rngs(seed):
+    Generator, PCG64, SeedWords = _generator_parts()
+    built = Generator(PCG64(SeedWords(_seed_words([seed])[0])))
+    rng = np.random.default_rng(seed)
+    assert built.bit_generator.state == rng.bit_generator.state
+    assert np.array_equal(built.binomial(7, 0.3, size=50), rng.binomial(7, 0.3, size=50))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+def test_episode_seed_outside_64_bits_is_refused(seed, worst_case_tenth):
+    with pytest.raises((ValueError, TypeError)):
+        simulate_episode(worst_case_tenth, myopic_policy(), seed)
+
+
+@pytest.mark.parametrize("at_once", [None, 100])
+@pytest.mark.parametrize("name", ["zero-one", "queueing", "coverage"])
+def test_monte_carlo_value_is_the_step_by_step_oracles(name, at_once, monkeypatch):
+    # Whole blocks, a short last block, and (at_once=100) seed words
+    # computed in chunks that do not end on a block's edge.
+    if at_once is not None:
+        monkeypatch.setattr(simulate, "_WORDS_AT_ONCE", at_once)
+    inst = _zero_one_instance() if name == "zero-one" else _stream_instances()[name]
+    for policy_name in ("myopic", "random:3"):
+        policy = stodep.policy_from_name(policy_name)
+        for n_reps in (1, 63, 64, 65, 250):
+            summary = monte_carlo_value(inst, policy, n_reps, master_seed=9)
+            assert (summary.mean, summary.stddev) == monte_carlo_oracle(inst, policy, n_reps, 9)
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # Loading numpy.random takes about 17 ms; stodep defers it to the first rollout.
+    src = os.path.dirname(os.path.dirname(stodep.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    def loads(module):
+        code = f"import sys, {module}; print('numpy.random' in sys.modules)"
+        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True).stdout.strip() == "True"
+
+    if loads("numpy"):
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    assert not loads("stodep")
