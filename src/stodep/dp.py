@@ -58,7 +58,8 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, FingerprintMismatch, StateSpaceCapExceeded
 from .model import DEFAULT_STATE_CAP, Instance, State, require_tolerance, state_space_size
-from .rewards import GeneralTabulatedReward, LinearDecayingReward, LinearReward, SubmodularReward
+from .rewards import (GeneralTabulatedReward, LinearDecayingReward, LinearReward, SubmodularReward,
+                      potential_on_box)
 from .serialize import instance_fingerprint
 
 # Activities within TIE_TOL * max(1, |best|) of the best Q are tied; the
@@ -325,9 +326,10 @@ class BellmanOperator:
             _require_finite(weights, lambda i: f"reward.weights{list(i)}")
             self.weights = weights.T if weights.ndim == 2 else np.tile(weights, (self.horizon, 1))
         elif isinstance(rew, SubmodularReward):
-            y = (np.array(instance.capacities) - self.items).tolist()
-            self.potential = np.array([rew.w(tuple(v)) for v in y], dtype=np.float64)
-            _require_finite(self.potential, lambda i: f"reward potential w({tuple(y[i[0]])})")
+            caps = np.array(instance.capacities)  # w(cap - x) at each state x, type 0 fastest
+            self.potential = np.flip(potential_on_box(rew.evaluator, caps)).ravel(order="F")
+            _require_finite(self.potential, lambda i: "reward potential "
+                            f"w({tuple((caps - self.items[i[0]]).tolist())})")
         else:  # GeneralTabulatedReward; Instance admits no other kind
             self.tabulated = self._dense_rewards(rew, instance.capacities, radices)
         if self.weights is not None:  # (horizon, M) weights times (M, S) item counts

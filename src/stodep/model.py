@@ -17,7 +17,6 @@ one (its fingerprint, its Bellman operator) is computed once and kept on it.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field, fields
 from types import MappingProxyType
@@ -253,11 +252,6 @@ class ValidationReport:
         return {"passed": self.passed, "violations": [v.to_dict() for v in self.violations]}
 
 
-def _iter_box(bounds: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All integer vectors 0 <= v <= bounds, lexicographically ascending."""
-    return itertools.product(*(range(b + 1) for b in bounds))
-
-
 def validate_instance(instance: Instance, *, rewards: bool = True) -> ValidationReport:
     """Check every value-level invariant; violations are data, not failures.
 
@@ -388,8 +382,8 @@ def _suffix_products(radices: np.ndarray) -> np.ndarray:
 def _table_rules(rew: GeneralTabulatedReward, caps: tuple[int, ...], T: int):
     """reward_rules of a tabulated reward, on a (pair, t, rule) grid.
 
-    Pairs (x, x') with x' <= x are numbered as _iter_box lists them: x over
-    the capacity box, then x' over the box of x.  Each (pair, t) has up to
+    Pairs (x, x') with x' <= x are numbered lexicographically: x over the
+    capacity box, then x' over the box of x.  Each (pair, t) has up to
     three rules, in this order: the entry is present (t < T) or else
     non-negative; zero at t = T; and no larger than at t - 1 when both
     entries are present.  A missing entry at t = T counts as 0.  The rules
@@ -406,7 +400,7 @@ def _table_rules(rew: GeneralTabulatedReward, caps: tuple[int, ...], T: int):
             f"tabulated reward grid of {cells} (x, x', t) cells exceeds cap {_TABLE_GRID_CAP}"
         )
     M = len(caps)
-    box = np.indices([c + 1 for c in caps]).reshape(M, -1).T  # x in _iter_box order
+    box = np.indices([c + 1 for c in caps]).reshape(M, -1).T  # x, lexicographically
     sizes = np.prod(box + 1, axis=1)  # pairs per x
     starts = np.cumsum(sizes) - sizes
     x, x_next, t = rew.keys[:, :M], rew.keys[:, M:2 * M], rew.keys[:, 2 * M]

@@ -19,14 +19,15 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .errors import ConfigError, EnumerationCapExceeded
-from .model import DEFAULT_STATE_CAP, Instance, _iter_box, exceeds, require_tolerance, reward_rules
-from .rewards import _BLOCK, SubmodularReward, _pairs_below
+from .model import DEFAULT_STATE_CAP, Instance, exceeds, require_tolerance, reward_rules
+from .rewards import _BLOCK, SubmodularReward, _pairs_below, potential_on_box
 from .dp import ValueTable, bellman_operator, decode_state, evaluate_policy_exact, solve_clairvoyant
 from .serialize import instance_fingerprint
 
@@ -215,6 +216,19 @@ def check_ir(
     return _report("ir", table.fingerprint, tol, chunks())
 
 
+def _unit_steps(w: np.ndarray, lower) -> tuple[np.ndarray, ...]:
+    """w(y) and w(y + e_m) of each unit step inside w's box from a y <= lower.
+
+    Also returns the points y <= lower, lexicographically, and per step the
+    index k of its y among them and its m; the steps come by y, then m.
+    """
+    points = np.indices([b + 1 for b in lower]).reshape(w.ndim, -1).T
+    k, m = np.nonzero(points < np.array(w.shape) - 1)
+    unit = np.cumprod((1,) + w.shape[:0:-1])[::-1]  # C-order offset of each e_m
+    at = (points @ unit)[k]
+    return w.ravel()[at], w.ravel()[at + unit[m]], points, k, m
+
+
 def check_submodular(
     reward: SubmodularReward,
     domain_bound,
@@ -228,42 +242,42 @@ def check_submodular(
     w(y + e_m) - w(y) <= w(y' + e_m) - w(y').  On the integer lattice the
     unit-increment form implies the general vector form by telescoping the
     increment one coordinate at a time.  w is read once at each point of the
-    box and one unit step above it along each axis; the pairs are compared as
-    arrays, a block of y at a time.  Violations are listed by y, then y'
-    (both lexicographically), then m, monotonicity first.  Before w is read
+    box [0, bound + 1], corners included; the pairs are compared as arrays,
+    a block of y at a time.  Violations are listed by y, then y' (both
+    lexicographically), then m, monotonicity first.  Before w is read
     anywhere, more than pair_cap pairs (y, y'), y = y' included, raise
-    EnumerationCapExceeded.
+    EnumerationCapExceeded; a domain_bound that is not one integer >= 0
+    per type, ConfigError.
     """
     if not isinstance(reward, SubmodularReward):
         raise ConfigError("check_submodular applies to the submodular reward variant")
-    bound = tuple(int(b) for b in domain_bound)
+    try:
+        bound = tuple(domain_bound)
+    except TypeError:
+        bound = ()
+    if not bound or any(isinstance(b, bool) or not isinstance(b, numbers.Integral) or b < 0
+                        for b in bound):
+        raise ConfigError(f"domain_bound {domain_bound!r}: need one integer >= 0 per type")
+    bound = tuple(map(int, bound))
     pairs = math.prod((b + 1) * (b + 2) // 2 for b in bound)
     if pairs > pair_cap:
         raise EnumerationCapExceeded(f"(y, y') enumeration {pairs} exceeds cap {pair_cap}")
     M = len(bound)
-    points = list(_iter_box(bound))
-    w = reward.w
-    base = np.array([w(y) for y in points], dtype=np.float64)
-    up = np.array(
-        [w(y[:m] + (y[m] + 1,) + y[m + 1:]) for y in points for m in range(M)], dtype=np.float64
-    ).reshape(len(points), M)
-    gain = up - base[:, None]  # w(y + e_m) - w(y)
-    box = np.array(points).reshape(len(points), M)
+    w = potential_on_box(reward.evaluator, [b + 1 for b in bound])
+    base, up, box, step_y, step_m = _unit_steps(w, bound)  # every y <= bound has M steps
+    gain = (up - base).reshape(-1, M)  # w(y + e_m) - w(y), y lexicographic
 
     def chunks():
-        yield (
-            np.broadcast_to(base[:, None], up.shape),
-            up,
-            lambda i: {"kind": "monotonicity", "y": list(points[i // M]), "m": i % M},
-        )
+        yield base, up, lambda i: {"kind": "monotonicity", "y": box[step_y[i]].tolist(),
+                                   "m": int(step_m[i])}
         for y, y_lo in _pairs_below(box, _BLOCK):
             keep = y != y_lo
             y, y_lo = y[keep], y_lo[keep]
 
             def witness(i, y=y, y_lo=y_lo):
                 k, m = divmod(i, M)
-                return {"kind": "diminishing_returns", "y": list(points[y[k]]),
-                        "y_prime": list(points[y_lo[k]]), "m": m}
+                return {"kind": "diminishing_returns", "y": box[y[k]].tolist(),
+                        "y_prime": box[y_lo[k]].tolist(), "m": m}
 
             yield gain[y], gain[y_lo], witness
 
@@ -288,13 +302,11 @@ def check_assumption1(instance: Instance, tol: float = DEFAULT_TOL) -> PropertyR
     rew = instance.reward
     if isinstance(rew, SubmodularReward):
         caps = instance.capacities
-        probes = [(y, m) for y in _iter_box(caps) for m in range(len(caps)) if y[m] < caps[m]]
-        chunks.append((
-            [rew.w(y) for y, m in probes],
-            [rew.w(y[:m] + (y[m] + 1,) + y[m + 1:]) for y, m in probes],
-            lambda i: {"field": "reward.potential", "indices": list(probes[i]),
-                       "rule": "potential not monotone"},
-        ))
+        lhs, rhs, points, step_y, step_m = _unit_steps(potential_on_box(rew.evaluator, caps), caps)
+        chunks.append((lhs, rhs, lambda i: {"field": "reward.potential",
+                                            "indices": [tuple(points[step_y[i]].tolist()),
+                                                        int(step_m[i])],
+                                            "rule": "potential not monotone"}))
     return _report("assumption1", instance_fingerprint(instance), tol, chunks)
 
 

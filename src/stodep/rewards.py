@@ -14,7 +14,8 @@ are computed from cannot change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -152,7 +153,10 @@ class BudgetedLinearFunction:
         for m, g in enumerate(self.groups):
             if y[m]:
                 sums[g] += self.values[m] * y[m]
-        return sum(min(b, s) for b, s in zip(self.budgets, sums))
+        total = 0.0  # left to right: from Python 3.12 on, sum() of floats rounds otherwise
+        for b, s in zip(self.budgets, sums):
+            total += min(b, s)
+        return total
 
     def spec_dict(self) -> dict:
         return {
@@ -190,13 +194,13 @@ class SubmodularReward(RewardSpec):
     per type) to a value; it should be monotone and submodular (checkable with
     stodep.properties.check_submodular).  Built-in evaluators: CoverageFunction,
     BudgetedLinearFunction, SetFunctionEvaluator; any callable works in memory
-    but only built-in forms serialize.  The potential is memoized, so a custom
-    evaluator must be a pure function.
+    but only built-in forms serialize.  stodep reads the evaluator through
+    potential_on_box, once per point of a box for each operator, fingerprint
+    or certificate, so a custom evaluator must be a pure function.
     """
 
     evaluator: Callable[[Sequence[int]], float]
     label: str | None = None
-    _cache: dict[tuple[int, ...], float] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.label is None:
@@ -207,12 +211,8 @@ class SubmodularReward(RewardSpec):
         return getattr(self.evaluator, "kind", "submodular_custom")
 
     def w(self, y: tuple[int, ...]) -> float:
-        """Memoized potential evaluation."""
-        cached = self._cache.get(y)
-        if cached is None:
-            cached = float(self.evaluator(y))
-            self._cache[y] = cached
-        return cached
+        """The potential at one point, uncached."""
+        return float(self.evaluator(y))
 
     def spec_dict(self) -> dict:
         spec = getattr(self.evaluator, "spec_dict", None)
@@ -280,16 +280,12 @@ class GeneralTabulatedReward(RewardSpec):
     ) -> "GeneralTabulatedReward":
         """Tabulate g from a depletion potential: g = w(cap - x') - w(cap - x).
 
-        The potential is called once per point of the capacity box; the
+        The potential is read by potential_on_box on the capacity box; the
         pairs x' <= x are found a block of x at a time.
         """
-        from itertools import product
-
         caps = tuple(int(c) for c in capacities)
-        points = list(product(*(range(c + 1) for c in caps)))  # lexicographic
-        w = np.array([potential(tuple(c - v for c, v in zip(caps, x))) for x in points],
-                     dtype=np.float64)
-        box = np.array(points, dtype=np.int64).reshape(len(points), len(caps))
+        w = np.flip(potential_on_box(potential, caps)).ravel()  # w(cap - x), x lexicographic
+        box = np.indices([c + 1 for c in caps], dtype=np.int64).reshape(len(caps), -1).T
         t = np.arange(horizon)
         keys, values = [], []
         for x, x_next in _pairs_below(box, _BLOCK):
@@ -302,6 +298,18 @@ class GeneralTabulatedReward(RewardSpec):
         m = self.keys.shape[1] // 2
         columns = (self.keys[:, :m], self.keys[:, m:2 * m], self.keys[:, -1], self.values)
         return {"kind": self.kind, "entries": list(map(list, zip(*(c.tolist() for c in columns))))}
+
+
+def potential_on_box(evaluator: Callable, bound: Sequence[int]) -> np.ndarray:
+    """evaluator(y) at every integer y with 0 <= y <= bound, an array of the box's shape.
+
+    The one place a potential is evaluated: once per point, in C order, on a
+    tuple of ints.  float() makes a value that is not a number a TypeError,
+    where an array would take None as NaN.
+    """
+    shape = tuple(int(b) + 1 for b in bound)
+    values = (float(evaluator(y)) for y in itertools.product(*map(range, shape)))
+    return np.fromiter(values, np.float64).reshape(shape)
 
 
 def _pairs_below(items: np.ndarray, block: int):

@@ -36,8 +36,9 @@ from typing import IO, Mapping
 import numpy as np
 
 from .errors import ConfigError
-from .model import Instance, _iter_box, thaw, validate_instance
-from .rewards import GeneralTabulatedReward, LinearDecayingReward, LinearReward, reward_from_dict
+from .model import Instance, thaw, validate_instance
+from .rewards import (GeneralTabulatedReward, LinearDecayingReward, LinearReward, potential_on_box,
+                      reward_from_dict)
 
 
 def instance_to_dict(instance: Instance) -> dict:
@@ -141,9 +142,7 @@ def _fingerprint_layout(instance: Instance) -> tuple[bytes, list[np.ndarray]]:
             # capacity box stand in for them: two evaluators that share a label
             # but differ anywhere a table can reach get different fingerprints.
             reward = {"kind": "submodular_custom", "label": rew.label}
-            values = [rew.w(y) for y in _iter_box(instance.capacities)]
-            box = [c + 1 for c in instance.capacities]
-            arrays["values"] = np.array(values, dtype="<f8").reshape(box)
+            arrays["values"] = potential_on_box(rew.evaluator, instance.capacities).astype("<f8")
     schedule = np.ascontiguousarray(instance.schedule, dtype="<f8")
     for name, array in arrays.items():
         reward[name] = [array.dtype.str, list(array.shape)]

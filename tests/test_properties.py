@@ -87,7 +87,7 @@ def test_check_submodular_cap():
     # Bound (2, 1): 6 * 3 = 18 pairs (y, y') with y' <= y, y = y' included.
     calls = []
 
-    def reward():  # a fresh one each time: w's values are memoized
+    def reward():
         return SubmodularReward(lambda y: calls.append(y) or float(min(sum(y), 2)), label="capped")
 
     assert check_submodular(reward(), (2, 1), pair_cap=18).passed
@@ -125,6 +125,65 @@ def test_check_submodular_flags_supermodular():
 def test_check_submodular_rejects_other_variants():
     with pytest.raises(ConfigError):
         check_submodular(LinearReward((1.0,)), (1,))
+
+
+@pytest.mark.parametrize(
+    "bound", [(-1,), (1, -2), (2.7,), (True,), (1, np.bool_(True)), ("2",), (), 3], ids=repr
+)
+def test_check_submodular_refuses_a_bound_that_is_not_integers_at_least_zero(bound):
+    calls = []
+    reward = SubmodularReward(lambda y: calls.append(y) or float(sum(y)), label="sum")
+    with pytest.raises(ConfigError, match="domain_bound"):
+        check_submodular(reward, bound)
+    assert not calls
+    assert check_submodular(reward, (np.int64(1), 2)).passed  # numpy integers are integers
+
+
+def test_budgeted_potential_adds_its_groups_left_to_right():
+    # Compensated summation (sum() from Python 3.12 on) would give 1e16 + 2.
+    budgeted = BudgetedLinearFunction(budgets=(math.inf,) * 3, values=(1e16, 1.0, 1.0),
+                                      groups=(0, 1, 2))
+    assert budgeted((1, 1, 1)) == (1e16 + 1.0) + 1.0 == 1e16
+
+
+def _counted(caps, evaluator):
+    """An instance over caps with a custom potential, and the points it was called at."""
+    calls = []
+    reward = SubmodularReward(lambda y: calls.append(y) or evaluator(y), label="counted")
+    schedule = np.full((2, 2, len(caps)), 0.5)
+    return make_instance(capacities=caps, horizon=2, schedule=schedule, reward=reward), calls
+
+
+@pytest.mark.parametrize("caps", [(1,), (2, 1), (1, 3, 2)])
+def test_each_consumer_reads_a_custom_potential_once_per_point(caps):
+    inst, calls = _counted(caps, lambda y: float(min(sum(y), 2)))
+    box = math.prod(c + 1 for c in caps)
+    stodep.dp.BellmanOperator(inst)
+    assert len(calls) == len(set(calls)) == box
+    assert all(type(v) is int for y in calls for v in y)
+    calls.clear()
+    stodep.instance_fingerprint(inst)
+    assert len(calls) == box
+    calls.clear()
+    assert check_assumption1(inst).passed  # the fingerprint is kept on the instance
+    assert len(calls) == box
+    calls.clear()
+    assert check_submodular(inst.reward, caps).passed
+    assert len(calls) == len(set(calls)) == math.prod(c + 2 for c in caps)
+
+
+@pytest.mark.parametrize("consume", [
+    stodep.dp.BellmanOperator,
+    stodep.instance_fingerprint,
+    check_assumption1,
+    lambda inst: check_submodular(inst.reward, inst.capacities),
+    lambda inst: GeneralTabulatedReward.from_potential(inst.reward.evaluator, inst.capacities, 2),
+], ids=["operator", "fingerprint", "assumption1", "submodular", "from_potential"])
+def test_a_potential_value_that_is_not_a_number_raises_type_error(consume):
+    # float(None) raises; an array built from the values would hold NaN instead.
+    inst, _ = _counted((1, 1), lambda y: None if y == (1, 1) else float(sum(y)))
+    with pytest.raises(TypeError, match="float"):
+        consume(inst)
 
 
 def test_assumption1_linear_decaying():

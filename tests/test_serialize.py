@@ -332,6 +332,15 @@ def test_files_in_the_indented_layout_still_load(name):
     assert instance_fingerprint(load_instance(old, validate=False)) == instance_fingerprint(inst)
 
 
+def test_a_submodular_instance_pickles_to_the_same_bytes_after_use():
+    inst = random_submodular_instance(3)
+    fresh = pickle.dumps(inst)
+    stodep.solve_clairvoyant(inst)
+    assert stodep.check_assumption1(inst).passed
+    assert stodep.check_submodular(inst.reward, inst.capacities).passed
+    assert pickle.dumps(inst) == fresh
+
+
 def test_instances_pickle_without_their_derived_data():
     inst = build_set_cover_instance(["a", "b", "c"], [["a", "b"], ["b", "c"]], 2)
     tab = make_instance(
