@@ -24,7 +24,7 @@ from .model import (
     validate_instance,
 )
 from .dp import OPTIMAL, bellman_operator, solve_and_evaluate, solve_clairvoyant
-from .policies import optimal_policy_from_table, policy_from_name
+from .policies import ApproxMyopicPolicy, MyopicPolicy, optimal_policy_from_table, policy_from_name
 from .properties import (
     DEFAULT_TOL,
     check_assumption1,
@@ -113,9 +113,13 @@ def _load(args, *, rewards: bool = True) -> Instance:
 
 
 def _make_policy(name: str, instance: Instance, state_cap: int):
+    """The policy name stands for, with any decision table it reads built under state_cap."""
     if name == "optimal":
         return optimal_policy_from_table(solve_clairvoyant(instance, state_cap=state_cap))
-    return policy_from_name(name)
+    policy = policy_from_name(name)
+    if isinstance(policy, (MyopicPolicy, ApproxMyopicPolicy)):
+        policy.decisions(instance, state_cap)  # kept for select; it would use the default cap
+    return policy
 
 
 def cmd_generate(args) -> int:

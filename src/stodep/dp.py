@@ -173,11 +173,12 @@ class ValueTable:
     @classmethod
     def from_dict(cls, data: dict) -> "ValueTable":
         """The table to_dict wrote; ConfigError unless its header is well formed,
-        its arrays cover every (x, t) and every value is a finite number."""
+        its arrays cover every (x, t), every value is a finite number and every
+        best_activity an integer in [0, num_activities)."""
         _check_header(data)
         try:
             values = np.asarray(data["values"], dtype=np.float64)
-            best = np.asarray(data["best_activity"], dtype=np.int32)
+            best = np.asarray(data["best_activity"])  # int64 unless an entry is not an integer
         except (TypeError, ValueError) as exc:  # ragged rows, entries that are not numbers
             raise ConfigError(f"table arrays: {exc}") from None
         table = cls(
@@ -195,13 +196,18 @@ class ValueTable:
                 f"table arrays of shapes {table.values.shape} and {table.best_activity.shape}; "
                 f"capacities {table.capacities} and horizon {T} need ({S}, {T + 1}) and ({S}, {T})"
             )
-        finite = np.isfinite(values)
-        if not finite.all():  # JSON null loads as NaN, and NaN and Infinity load as themselves
-            i, j = (int(k) for k in np.argwhere(~finite)[0])
-            raise ConfigError(
-                f"table value at (row {i}, column {j}) is {json.dumps(data['values'][i][j])}: "
-                "every value must be a finite number"
-            )
+        # JSON null loads as NaN, and NaN and Infinity load as themselves.
+        _refuse_first(~np.isfinite(values), data["values"], "value",
+                      "every value must be a finite number")
+        A = table.num_activities
+        if best.dtype.kind in "iu":
+            bad = (best < 0) | (best >= A)
+        else:  # a float, string, bool or huge entry set the dtype: find it among the entries
+            entries = np.asarray(data["best_activity"], dtype=object)
+            bad = np.frompyfunc(lambda a: type(a) is not int or not 0 <= a < A, 1, 1)(entries)
+        _refuse_first(bad, data["best_activity"], "best_activity",
+                      f"every entry must be an integer in [0, {A})")
+        table.best_activity = best.astype(np.int32)
         return table
 
     def save_json(self, path) -> None:
@@ -219,6 +225,15 @@ class ValueTable:
                     fh.write(json.dumps(array[lo:lo + _DUMP_ROWS].tolist())[1:-1])
                 fh.write("]")
             fh.write("}")
+
+
+def _refuse_first(bad: np.ndarray, rows, name: str, rule: str) -> None:
+    """ConfigError naming the first (row, column) of a table array where bad holds."""
+    if bad.any():
+        i, j = (int(k) for k in np.argwhere(bad)[0])
+        raise ConfigError(
+            f"table {name} at (row {i}, column {j}) is {json.dumps(rows[i][j])}: {rule}"
+        )
 
 
 def _check_header(data) -> None:

@@ -111,13 +111,13 @@ class Instance:
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
         if not self.activities:
-            raise ConfigError("at least one activity is required")
+            raise ConfigError("activities must name at least one activity")
         if len(self.capacities) != self.num_types:
             raise ConfigError("capacities must have one entry per type")
         if len(self.initial_items) != self.num_types:
             raise ConfigError("initial_items must have one entry per type")
         if any(c > MAX_CAPACITY for c in self.capacities):
-            raise ConfigError(f"per-type capacity is capped at {MAX_CAPACITY}")
+            raise ConfigError(f"capacities are capped at {MAX_CAPACITY} per type")
         if any(c < 0 for c in self.capacities):
             raise ConfigError("capacities must be non-negative")
         schedule = np.array(self.schedule, dtype=np.float64)

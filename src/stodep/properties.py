@@ -148,9 +148,10 @@ def _report(name: str, fingerprint: str, tol: float, chunks: Iterable[tuple]) ->
 def check_vfm(instance: Instance, table: ValueTable, tol: float = DEFAULT_TOL) -> PropertyReport:
     """Value-function monotonicity: J(x - e_m, t) <= J(x, t) for all x, m, t.
 
-    Single-coordinate decrements suffice: the full componentwise order follows
-    by chaining them.  Violations are listed by type m, then epoch, then
-    state index.
+    Single-coordinate decrements suffice at tol = 0: the full componentwise
+    order follows by chaining them.  With tol > 0 it holds only up to the
+    slacks: a chain of k decrements may lose up to k of them.  Violations are
+    listed by type m, then epoch, then state index.
     """
     table.require_match(instance)
     # V[x_0, ..., x_{M-1}, t]: the state index is the Fortran-order offset.
@@ -230,24 +231,22 @@ def _unit_steps(w: np.ndarray, lower) -> tuple[np.ndarray, ...]:
 
 
 def check_submodular(
-    reward: SubmodularReward,
-    domain_bound,
-    tol: float = DEFAULT_TOL,
-    *,
-    pair_cap: int = DEFAULT_PAIR_CAP,
+    reward: SubmodularReward, domain_bound, tol: float = DEFAULT_TOL
 ) -> PropertyReport:
     """Monotonicity and diminishing returns of the potential on a bounded box.
 
-    Checks w(y + e_m) >= w(y) and, for every comparable pair y' <= y,
-    w(y + e_m) - w(y) <= w(y' + e_m) - w(y').  On the integer lattice the
-    unit-increment form implies the general vector form by telescoping the
-    increment one coordinate at a time.  w is read once at each point of the
-    box [0, bound + 1], corners included; the pairs are compared as arrays,
-    a block of y at a time.  Violations are listed by y, then y' (both
-    lexicographically), then m, monotonicity first.  Before w is read
-    anywhere, more than pair_cap pairs (y, y'), y = y' included, raise
-    EnumerationCapExceeded; a domain_bound that is not one integer >= 0
-    per type, ConfigError.
+    With gain_m(y) = w(y + e_m) - w(y), checks gain_m(y) >= 0 at every
+    y <= bound, and gain_m(y) <= gain_m(y') for every y' < y <= bound
+    (componentwise): diminishing returns on the integer lattice (Soma and
+    Yoshida, NeurIPS 2015).  A pair's slack depends on y' alone, so one
+    comparison per (y', m) with the largest gain_m(y) over y > y' decides
+    all its pairs; a gain that is not finite enters that maximum as NaN.
+    w is read once at each point of the box [0, bound + 1].  Violations:
+    monotonicity by y, then m; then one per failing (y', m), by y', then m
+    (lexicographic), witnessed by the first y > y' with a gain that is not
+    finite, else the first that attains the maximum.  Before w is read, a
+    box of more than DEFAULT_STATE_CAP points raises EnumerationCapExceeded;
+    a domain_bound that is not one integer >= 0 per type, ConfigError.
     """
     if not isinstance(reward, SubmodularReward):
         raise ConfigError("check_submodular applies to the submodular reward variant")
@@ -259,29 +258,38 @@ def check_submodular(
                         for b in bound):
         raise ConfigError(f"domain_bound {domain_bound!r}: need one integer >= 0 per type")
     bound = tuple(map(int, bound))
-    pairs = math.prod((b + 1) * (b + 2) // 2 for b in bound)
-    if pairs > pair_cap:
-        raise EnumerationCapExceeded(f"(y, y') enumeration {pairs} exceeds cap {pair_cap}")
-    M = len(bound)
-    w = potential_on_box(reward.evaluator, [b + 1 for b in bound])
+    points = math.prod(b + 2 for b in bound)
+    if points > DEFAULT_STATE_CAP:
+        raise EnumerationCapExceeded(
+            f"box [0, bound + 1] of {points} points exceeds cap {DEFAULT_STATE_CAP}"
+        )
+    M, dims = len(bound), [b + 1 for b in bound]
+    w = potential_on_box(reward.evaluator, dims)
     base, up, box, step_y, step_m = _unit_steps(w, bound)  # every y <= bound has M steps
-    gain = (up - base).reshape(-1, M)  # w(y + e_m) - w(y), y lexicographic
+    with np.errstate(invalid="ignore"):  # inf - inf: a gain that is not finite
+        gain = (up - base).reshape(-1, M)  # gain_m(y), y lexicographic
+    above = np.where(np.isfinite(gain), gain, np.nan).reshape(dims + [M])
+    for j in range(M):  # above[y', m]: max of gain_m(y) over y >= y'
+        above = np.flip(np.maximum.accumulate(np.flip(above, j), axis=j), j)
+    beyond = np.full_like(above, -np.inf)  # over y > y': the largest of above at y' + e_j
+    for j in range(M):
+        lo, hi = (slice(None),) * j + (slice(-1),), (slice(None),) * j + (slice(1, None),)
+        beyond[lo] = np.maximum(beyond[lo], above[hi])
+    beyond = beyond.reshape(-1, M)[:-1]  # the top corner has no y > y'
 
-    def chunks():
-        yield base, up, lambda i: {"kind": "monotonicity", "y": box[step_y[i]].tolist(),
-                                   "m": int(step_m[i])}
-        for y, y_lo in _pairs_below(box, _BLOCK):
-            keep = y != y_lo
-            y, y_lo = y[keep], y_lo[keep]
+    def witness(i):
+        k, m = divmod(i, M)
+        cone = gain.reshape(dims + [M])[tuple(slice(v, None) for v in box[k])][..., m]  # y >= y'
+        first = np.argmax(np.where(np.isfinite(cone), cone, np.inf).ravel()[1:])  # not finite first
+        y = box[k] + np.unravel_index(1 + first, cone.shape)  # y > y', lexicographic
+        return {"kind": "diminishing_returns", "y": y.tolist(), "y_prime": box[k].tolist(), "m": m}
 
-            def witness(i, y=y, y_lo=y_lo):
-                k, m = divmod(i, M)
-                return {"kind": "diminishing_returns", "y": box[y[k]].tolist(),
-                        "y_prime": box[y_lo[k]].tolist(), "m": m}
-
-            yield gain[y], gain[y_lo], witness
-
-    return _report("submodular", f"reward:{reward.label}", tol, chunks())
+    chunks = [
+        (base, up, lambda i: {"kind": "monotonicity", "y": box[step_y[i]].tolist(),
+                              "m": int(step_m[i])}),
+        (beyond, gain[:-1], witness),
+    ]
+    return _report("submodular", f"reward:{reward.label}", tol, chunks)
 
 
 def check_assumption1(instance: Instance, tol: float = DEFAULT_TOL) -> PropertyReport:

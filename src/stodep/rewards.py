@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import ConfigError
 
-# Candidate pairs per block of _pairs_below, for GeneralTabulatedReward.from_potential
-# and check_submodular, and candidate (x, x', t) triples per block of check_ir:
+# Candidate pairs per block of _pairs_below, for GeneralTabulatedReward.from_potential,
+# and candidate (x, x', t) triples per block of check_ir:
 # bounds their working sets at a few such arrays whatever the size of the box.
 _BLOCK = 2**16
 
@@ -146,7 +146,7 @@ class BudgetedLinearFunction:
         if len(self.values) != len(self.groups):
             raise ConfigError("values and groups must have one entry per type")
         if any(g < 0 or g >= len(self.budgets) for g in self.groups):
-            raise ConfigError("group index out of range")
+            raise ConfigError(f"groups {list(self.groups)} index past the budgets")
 
     def __call__(self, y: Sequence[int]) -> float:
         sums = [0.0] * len(self.budgets)

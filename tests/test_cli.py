@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import stodep
 from stodep import GeneralTabulatedReward, LinearDecayingReward
 from stodep.cli import main
 from stodep.serialize import instance_to_dict, load_instance, save_instance
@@ -228,6 +229,23 @@ def test_simulate_reads_rewards_under_the_state_cap(policy, worst_case_file, cap
     assert main(argv + ["--cap-states", "12"]) == 0
 
 
+@pytest.mark.parametrize("policy", ["myopic", "approx:2", "optimal"])
+def test_simulate_builds_every_table_under_cap_states(policy, worst_case_file, monkeypatch, capsys):
+    # Every module that binds bellman_operator records the cap it is called with.
+    build, caps = stodep.dp.bellman_operator, []
+
+    def recording(instance, state_cap=stodep.DEFAULT_STATE_CAP):
+        caps.append(state_cap)
+        return build(instance, state_cap)
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "stodep"]:
+        if getattr(module, "bellman_operator", None) is build:
+            monkeypatch.setattr(module, "bellman_operator", recording)
+    argv = ["simulate", "--instance", str(worst_case_file), "--policy", policy, "--reps", "2"]
+    assert main(argv + ["--cap-states", "13"]) == 0
+    assert caps and set(caps) == {13}
+
+
 def test_non_object_instance_json_exits_2(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]")
@@ -361,11 +379,12 @@ def _hostile_inputs():
         cases[f"tol-{tol}"] = (
             dict(base, reward=rising), ["--tol", tol, "--strict"], 2, "ConfigError", ("check",),
         )
-    # Four types of capacity 20: 231^4 pairs (y, y'), refused before w is read.
+    # Four types of capacity 55: 56^4 states fit the state cap, but w would be
+    # read at 57^4 > 1e7 points of the box [0, capacities + 1]; refused first.
     coverage = {"kind": "submodular_coverage", "num_elements": 4, "covers": [[0], [1], [2], [3]],
                 "element_weights": [1.0, 1.0, 1.0, 1.0]}
-    cases["submodular-over-pair-cap"] = (
-        dict(base, num_types=4, capacities=[20] * 4, initial_items=[20] * 4,
+    cases["submodular-over-box-cap"] = (
+        dict(base, num_types=4, capacities=[55] * 4, initial_items=[55] * 4,
              schedule=[[[0.5] * 4] * 2] * 2, reward=coverage),
         ["--properties", "submodular"], 3, "EnumerationCapExceeded", ("check",),
     )

@@ -269,6 +269,33 @@ def test_a_table_value_that_is_not_finite_is_refused(entry, text, worst_case_ten
         ValueTable.from_dict(json.loads(json.dumps(data)))
 
 
+@pytest.mark.parametrize("entry, text", [(1.7, "1.7"), ("1", '"1"'), (1.0, "1.0"), (99, "99"),
+                                         (-5, "-5"), (2**40, "1099511627776")])
+def test_a_best_activity_that_is_not_an_activity_is_refused(entry, text, worst_case_tenth):
+    import json
+
+    data = solve_clairvoyant(worst_case_tenth).to_dict()  # 2 activities
+    data["best_activity"][2][1] = entry
+    with pytest.raises(stodep.ConfigError, match=rf"best_activity at \(row 2, column 1\) is "
+                                                 rf"{re.escape(text)}: .* integer in \[0, 2\)"):
+        ValueTable.from_dict(json.loads(json.dumps(data)))
+
+
+@pytest.mark.parametrize("field, state, lookup", [
+    ("state", State((1,), 0), stodep.optimal_value),
+    ("items", State((2, 0), 0), stodep.optimal_value),
+    ("items", State((0, -1), 0), stodep.best_activity),
+    ("epoch", State((1, 1), 3), stodep.optimal_value),
+    ("epoch", State((1, 1), -1), stodep.best_activity),
+    ("epoch", State((1, 1), 2), stodep.best_activity),  # the terminal epoch has no choice
+])
+def test_a_lookup_outside_the_table_raises_domain_error_by_name(field, state, lookup,
+                                                                worst_case_tenth):
+    table = solve_clairvoyant(worst_case_tenth)  # capacities (1, 1), horizon 2
+    with pytest.raises(stodep.DomainError, match=field):
+        lookup(table, state)
+
+
 def test_a_table_that_is_not_an_object_is_refused():
     with pytest.raises(stodep.ConfigError):
         ValueTable.from_dict([1, 2])

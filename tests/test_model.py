@@ -101,6 +101,42 @@ def test_infinite_budget_means_uncapped():
     assert stodep.solve_clairvoyant(inst).values.tolist() == [[0.0, 0.0], [0.5, 0.0]]
 
 
+_FIELDS = dict(num_types=2, capacities=(1, 1), initial_items=(1, 1), horizon=2,
+               activities=("a", "b"), schedule=np.full((2, 2, 2), 0.5),
+               reward=LinearReward((1.0, 1.0)))
+
+
+@pytest.mark.parametrize("field, changes", [
+    ("num_types", {"num_types": 0}),
+    ("horizon", {"horizon": 0}),
+    ("activities", {"activities": ()}),
+    ("capacities", {"capacities": (1,)}),
+    ("initial_items", {"initial_items": (1, 1, 1)}),
+    ("capacities", {"capacities": (65, 1)}),
+    ("capacities", {"capacities": (-1, 1)}),
+    ("schedule", {"schedule": np.full((2, 2, 3), 0.5)}),
+    ("arrivals", {"arrivals": (0,)}),
+    ("deadlines", {"deadlines": (2, 2, 2)}),
+])
+def test_instance_refuses_a_malformed_field_by_name(field, changes):
+    with pytest.raises(stodep.ConfigError, match=field):
+        stodep.Instance(**dict(_FIELDS, **changes))
+    stodep.Instance(**_FIELDS)
+
+
+@pytest.mark.parametrize("field, build", [
+    ("element_weights", lambda: CoverageFunction(2, (frozenset({0}),), (1.0,))),
+    ("covers", lambda: CoverageFunction(2, (frozenset({0}), frozenset({2})), (1.0, 1.0))),
+    ("covers", lambda: CoverageFunction(2, (frozenset({-1}),), (1.0, 1.0))),
+    ("groups", lambda: BudgetedLinearFunction((1.0,), (1.0, 2.0), (0,))),
+    ("groups", lambda: BudgetedLinearFunction((1.0,), (1.0,), (1,))),
+    ("groups", lambda: BudgetedLinearFunction((1.0,), (1.0,), (-1,))),
+])
+def test_builtin_potentials_refuse_a_malformed_field_by_name(field, build):
+    with pytest.raises(stodep.ConfigError, match=field):
+        build()
+
+
 def test_schedule_is_read_only():
     source = np.full((1, 1, 1), 0.5)
     inst = make_instance(capacities=(1,), horizon=1, schedule=source, reward=LinearReward((1.0,)))

@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -84,18 +86,58 @@ def test_ir_cap():
 
 
 def test_check_submodular_cap():
-    # Bound (2, 1): 6 * 3 = 18 pairs (y, y') with y' <= y, y = y' included.
+    # Bound (2, 1): w is read on the box [0, (3, 2)], 4 * 3 = 12 points.
     calls = []
 
     def reward():
         return SubmodularReward(lambda y: calls.append(y) or float(min(sum(y), 2)), label="capped")
 
-    assert check_submodular(reward(), (2, 1), pair_cap=18).passed
-    assert calls
+    with mock.patch.object(stodep.properties, "DEFAULT_STATE_CAP", 12):
+        assert check_submodular(reward(), (2, 1)).passed
+    assert len(calls) == 12
     calls.clear()
-    with pytest.raises(stodep.EnumerationCapExceeded, match="18 exceeds cap 17"):
-        check_submodular(reward(), (2, 1), pair_cap=17)
+    with mock.patch.object(stodep.properties, "DEFAULT_STATE_CAP", 11):
+        with pytest.raises(stodep.EnumerationCapExceeded, match="12 points exceeds cap 11"):
+            check_submodular(reward(), (2, 1))
     assert not calls  # refused before w is read anywhere
+
+
+def test_check_submodular_certifies_a_box_the_pair_count_refused():
+    # 7^5 points below the bound: 4.1e9 comparable pairs, 8^5 points read.
+    coverage = CoverageFunction(6, tuple(frozenset({m, m + 1}) for m in range(5)),
+                                (1.0, 2.0, 0.5, 0.25, 0.75, 1.5))
+    report = check_submodular(SubmodularReward(coverage), (6,) * 5)
+    S = 7**5
+    assert report.passed and report.checked == 5 * S + 5 * (S - 1)
+
+
+def test_check_submodular_lists_each_failing_point_and_type_once():
+    # Gains of (y + 1)^2 - y^2 = 2y + 1 rise: every y' < 2 fails against y = 2.
+    report = check_submodular(SubmodularReward(lambda y: float(y[0]) ** 2, label="sq"), (2,))
+    assert report.checked == 3 + 2
+    assert [(v.witness, v.lhs, v.rhs) for v in report.violations] == [
+        ({"kind": "diminishing_returns", "y": [2], "y_prime": [0], "m": 0}, 5.0, 1.0),
+        ({"kind": "diminishing_returns", "y": [2], "y_prime": [1], "m": 0}, 5.0, 3.0),
+    ]
+    assert report.worst_gap == 4.0
+
+
+def test_check_submodular_fails_a_pair_whose_unit_steps_each_pass():
+    # Gains 1, 1 + 0.9e-9, 1 + 1.1e-9: each unit step rises within tol = 1e-9,
+    # but the pair (y' = 0, y = 2) rises by 1.1e-9.
+    w = np.cumsum([0.0, 1.0, 1.0 + 0.9e-9, 1.0 + 1.1e-9])
+    report = check_submodular(SubmodularReward(lambda y: float(w[y[0]]), label="steps"), (2,))
+    assert [(v.witness["y_prime"], v.witness["y"]) for v in report.violations] == [([0], [2])]
+
+
+def test_check_submodular_takes_a_gain_that_is_not_finite_as_a_witness():
+    # w(1) = w(2) = inf: gain_0(1) = inf - inf is NaN, and must raise no warning.
+    reward = SubmodularReward(lambda y: math.inf if y[0] >= 1 else 0.0, label="inf")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_submodular(reward, (1,))
+    dr = [v for v in report.violations if v.witness["kind"] == "diminishing_returns"]
+    assert [v.witness["y"] for v in dr] == [[1]] and math.isnan(dr[0].lhs)
 
 
 def test_check_submodular_builtins_pass():
@@ -119,7 +161,7 @@ def test_check_submodular_flags_supermodular():
         (tuple(v.witness["y_prime"]), tuple(v.witness["y"]), v.witness["m"])
         for v in report.violations
     }
-    assert ((0, 0), (1, 0), 1) in witnessed
+    assert ((0, 0), (1, 1), 1) in witnessed  # the partner with the largest gain
 
 
 def test_check_submodular_rejects_other_variants():
@@ -349,7 +391,7 @@ def potentials(draw):
         return SubmodularReward(evaluator), bound
     # One point of the box or just above it takes another value.
     at = tuple(draw(st.integers(0, b + 1)) for b in bound)
-    delta = draw(st.sampled_from([-0.5, -1e-6, 1e-6, 0.5, math.nan]))
+    delta = draw(st.sampled_from([-0.5, -1e-6, 1e-6, 0.5, math.nan, math.inf, -math.inf]))
 
     def moved(y):
         return evaluator(y) + (delta if tuple(y) == at else 0.0)
@@ -361,19 +403,33 @@ def potentials(draw):
 @given(case=potentials())
 def test_submodular_matches_scalar_oracle(case):
     reward, bound = case
-    checked, worst, violations = submodular_oracle(reward, bound, 1e-9)
+    _, worst, violations = submodular_oracle(reward, bound, 1e-9)
     report = check_submodular(reward, bound)
-    assert report.checked == checked
-    assert report.worst_gap == worst
-    got = [(v.witness, v.lhs, v.rhs) for v in report.violations]
-    assert len(got) == len(violations)
-    for (witness, lhs, rhs), (o_witness, o_lhs, o_rhs, _) in zip(got, violations):
-        assert witness == o_witness
-        assert np.array_equal([lhs, rhs], [o_lhs, o_rhs], equal_nan=True)
-    with mock.patch.object(stodep.properties, "_BLOCK", 1):  # one y per block
-        assert [v.witness for v in check_submodular(reward, bound).violations] == [
-            w for w, *_ in violations
-        ]
+    S = math.prod(b + 1 for b in bound)
+    assert report.checked == len(bound) * (2 * S - 1)
+    assert report.passed == (not violations)
+    # Monotonicity is listed pair by pair as the oracle lists it.
+    mono = [v for v in report.violations if v.witness["kind"] == "monotonicity"]
+    o_mono = [o for o in violations if o[0]["kind"] == "monotonicity"]
+    assert len(mono) == len(o_mono)
+    for v, (o_witness, o_lhs, o_rhs, _) in zip(mono, o_mono):
+        assert v.witness == o_witness
+        assert np.array_equal([v.lhs, v.rhs], [o_lhs, o_rhs], equal_nan=True)
+    # Diminishing returns: one violation per failing (y', m), in the oracle's order.
+    partners = {}
+    for o_witness, o_lhs, _, _ in violations:
+        if o_witness["kind"] == "diminishing_returns":
+            key = (tuple(o_witness["y_prime"]), o_witness["m"])
+            partners.setdefault(key, []).append((tuple(o_witness["y"]), o_lhs))
+    dr = [v for v in report.violations if v.witness["kind"] == "diminishing_returns"]
+    assert [(tuple(v.witness["y_prime"]), v.witness["m"]) for v in dr] == sorted(partners)
+    w = np.array([reward.w(y) for y in itertools.product(*(range(b + 2) for b in bound))])
+    if np.isfinite(w).all():
+        assert report.worst_gap == worst
+        for v in dr:  # the witness is a violating partner with the largest gain
+            pairs = partners[tuple(v.witness["y_prime"]), v.witness["m"]]
+            assert (tuple(v.witness["y"]), v.lhs) in pairs
+            assert v.lhs == max(gain for _, gain in pairs)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
