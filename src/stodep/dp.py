@@ -40,7 +40,21 @@ BellmanOperator._linear_reward), so stacked and single evaluations agree bit
 for bit.  An Epoch computes each chunk's Q once and keeps it for later
 passes over the epoch while the kept chunks fit a fixed byte budget
 (_Q_BUDGET); chunks past it are recomputed on each pass, so memory stays
-bounded whatever A and P are.
+bounded whatever A and P are.  A one-chunk epoch, as on every small table,
+is read as one array: each maximum, lowest qualifying activity or value at
+a choice is one numpy reduction or gather.
+
+What q reads at an epoch besides V depends only on the schedule and the
+reward: the binomial matrices of its distinct rows, the linear reward rows
+and, on the potential route, each type's D_m phi term.  The operator keeps
+it for one block of consecutive epochs (BellmanOperator._data).  The first
+q over every activity at an epoch builds the epoch's block in one pass, one
+numpy evaluation per type size, within _EPOCH_BUDGET bytes, and drops the
+block kept before; a sweep then spends a handful of numpy calls per epoch.
+Where one epoch alone exceeds the budget, and on calls over some of the
+activities, each call builds what it reads, as the per-epoch kernel did;
+rewards, which Monte Carlo rollouts read, builds nothing.  Every array kept
+is read-only, and every Q has the bits of building it per call.
 
 Each instance gets one operator (bellman_operator), built on first use and
 kept on the instance, so a solve, the policy evaluations and the certifiers
@@ -49,6 +63,8 @@ of one instance share its state decoding and reward data.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -79,12 +95,11 @@ _CHUNK_ENTRIES = 6_600_000
 # BellmanOperator._linear_reward).
 _REWARD_BLOCK = 8
 
-# Bytes of binomial matrices an operator keeps for its epochs with a 0 or 1
-# probability (BellmanOperator._rows), one epoch's distinct rows at a time:
-# an epoch is kept while it fits with those kept before it, and past the
-# budget its matrices are rebuilt on each call, as they are at every epoch
-# with no 0 and no 1.
-_MATRIX_BUDGET = 2**24
+# Bytes of per-epoch operator data (BellmanOperator._data: binomial
+# matrices, reward rows, potential terms) an operator keeps, for one block of
+# consecutive epochs at a time.  Where one epoch's data alone exceeds it, each
+# q call builds the data of its own activities.
+_EPOCH_BUDGET = 2**24
 
 # Bytes of Q an Epoch keeps for its later passes: chunk k is kept while
 # (k + 1) chunks of doubles fit.  The first chunk is always kept, since it is
@@ -174,7 +189,8 @@ class ValueTable:
     def from_dict(cls, data: dict) -> "ValueTable":
         """The table to_dict wrote; ConfigError unless its header is well formed,
         its arrays cover every (x, t), every value is a finite number and every
-        best_activity an integer in [0, num_activities)."""
+        best_activity an integer in [0, num_activities).  A JSON string or
+        boolean is not a number, even where numpy would read it as one."""
         _check_header(data)
         try:
             values = np.asarray(data["values"], dtype=np.float64)
@@ -196,13 +212,17 @@ class ValueTable:
                 f"table arrays of shapes {table.values.shape} and {table.best_activity.shape}; "
                 f"capacities {table.capacities} and horizon {T} need ({S}, {T + 1}) and ({S}, {T})"
             )
-        # JSON null loads as NaN, and NaN and Infinity load as themselves.
-        _refuse_first(~np.isfinite(values), data["values"], "value",
-                      "every value must be a finite number")
+        # JSON null loads as NaN, "0.25" as 0.25 and true as 1.0: find them
+        # among the entries.  NaN and Infinity load as themselves.
+        bad = ~np.isfinite(values)
+        if not _entry_types(data["values"]) <= {float, int}:
+            entries = np.asarray(data["values"], dtype=object)
+            bad |= np.frompyfunc(lambda v: type(v) not in (float, int), 1, 1)(entries).astype(bool)
+        _refuse_first(bad, data["values"], "value", "every value must be a finite number")
         A = table.num_activities
-        if best.dtype.kind in "iu":
+        if best.dtype.kind in "iu" and _entry_types(data["best_activity"]) <= {int}:
             bad = (best < 0) | (best >= A)
-        else:  # a float, string, bool or huge entry set the dtype: find it among the entries
+        else:  # a float, string, bool or huge entry: find it among the entries
             entries = np.asarray(data["best_activity"], dtype=object)
             bad = np.frompyfunc(lambda a: type(a) is not int or not 0 <= a < A, 1, 1)(entries)
         _refuse_first(bad, data["best_activity"], "best_activity",
@@ -234,6 +254,11 @@ def _refuse_first(bad: np.ndarray, rows, name: str, rule: str) -> None:
         raise ConfigError(
             f"table {name} at (row {i}, column {j}) is {json.dumps(rows[i][j])}: {rule}"
         )
+
+
+def _entry_types(rows) -> set[type]:
+    """The types of the entries of a table array, a list of rows."""
+    return set(map(type, itertools.chain.from_iterable(rows)))
 
 
 def _check_header(data) -> None:
@@ -326,20 +351,19 @@ class BellmanOperator:
         self.schedule = instance.schedule
         self.horizon, self.num_activities = instance.horizon, instance.num_activities
         self.dims = tuple(c + 1 for c in instance.capacities)
-        self.num_states = state_space_size(instance) // (instance.horizon + 1)
+        self.num_states = S = state_space_size(instance) // (instance.horizon + 1)
         radices = mixed_radix_radices(instance.capacities)
-        self.items = np.arange(self.num_states)[:, None] // np.array(radices) % np.array(self.dims)
-        # Per distinct type size n: the binomial grids and the types of that size.
-        self._layouts = [
-            (*_binomial_layout(n), [m for m, d in enumerate(self.dims) if d == n])
-            for n in sorted(set(self.dims))
-        ]
+        self.items = np.arange(S)[:, None] // np.array(radices) % np.array(self.dims)
+        # Per distinct type size n: the types of that size.
+        self._sizes = [(n, [m for m, d in enumerate(self.dims) if d == n])
+                       for n in sorted(set(self.dims))]
         self.weights = self.potential = self.tabulated = None
         rew = instance.reward
         if isinstance(rew, (LinearReward, LinearDecayingReward)):
             weights = np.asarray(rew.weights, dtype=np.float64)  # (M,) or (M, horizon)
             _require_finite(weights, lambda i: f"reward.weights{list(i)}")
             self.weights = weights.T if weights.ndim == 2 else np.tile(weights, (self.horizon, 1))
+            self._counts = self.items.T.astype(np.float64)  # (M, S), against (horizon, M) weights
         elif isinstance(rew, SubmodularReward):
             caps = np.array(instance.capacities)  # w(cap - x) at each state x, type 0 fastest
             self.potential = np.flip(potential_on_box(rew.evaluator, caps)).ravel(order="F")
@@ -347,11 +371,12 @@ class BellmanOperator:
                             f"w({tuple((caps - self.items[i[0]]).tolist())})")
         else:  # GeneralTabulatedReward; Instance admits no other kind
             self.tabulated = self._dense_rewards(rew, instance.capacities, radices)
-        if self.weights is not None:  # (horizon, M) weights times (M, S) item counts
-            self._counts = self.items.T.astype(np.float64)
         self._distinct = _distinct_rows(self.schedule)
-        self._kept: dict[int, tuple] = {}  # epoch -> _row_data of all its distinct rows
-        self._kept_bytes = 0
+        # The most bytes one epoch keeps: every activity's matrices, and its
+        # reward row or, on the potential route, its D_m phi of every type.
+        per_row = S * (len(self.dims) if self.potential is not None else 1)
+        self._epoch_bytes = 8 * self.num_activities * (sum(n * n for n in self.dims) + per_row)
+        self._block: dict[int, tuple] = {}  # epoch -> _data of every activity, for one block
 
     def _dense_rewards(self, rew: GeneralTabulatedReward, caps, radices) -> np.ndarray:
         """g[t, index(x), index(x')] for t < horizon; every x' <= x needs an entry.
@@ -408,120 +433,209 @@ class BellmanOperator:
         appends the Q of V = 0, the expected one-step reward, as row P: the
         reward term itself, or on the potential route a zero row of the stack.
         """
-        if self.potential is not None:
+        data = self._data(t, acts)
+        reward = data[3]
+        if reward is None:  # the potential route: the reward is part of the expectation
             if one_step:
                 v_next = np.concatenate((v_next, np.zeros((1, self.num_states))))
-            return self._rows(t, acts, v_next, self.potential)
-        mats = None
-        if self.weights is not None:
-            reward = self._linear_reward(t, acts)
-        else:
-            mats = self._matrices(self.schedule[t, acts])
-            reward = (_kron(mats) * self.tabulated[t]).sum(axis=2)
+            return self._rows(data, v_next)
         if v_next is None:
             return reward
         if not one_step:
-            return reward + self._rows(t, acts, v_next, mats=mats)
+            return self._rows(data, v_next, reward)
         q = np.empty((len(v_next) + 1,) + reward.shape)
-        np.add(reward, self._rows(t, acts, v_next, mats=mats), out=q[:-1])
+        np.add(reward, self._rows(data, v_next), out=q[:-1])
         q[-1] = reward
         return q
 
-    def _linear_reward(self, t: int, acts: np.ndarray) -> np.ndarray:
-        """sum_m w_m[t] p[t, a, m] x_m for each a in acts, shape (len(acts), S).
+    def _data(self, t: int, acts: np.ndarray) -> tuple:
+        """What q reads at epoch t for the activities acts: (gather, U, types, reward).
+
+        U schedule rows are contracted, and gather[i] is the row of acts[i]
+        (None: row i is acts[i]).  types holds per type the rows with
+        0 < p < 1, the rows with p = 1 and then _per_type's entries of the
+        former.  reward is Q with V = 0 on the linear and tabulated routes,
+        (len(acts), S), and None on the potential route.
+
+        A call over every activity reads the data kept for its epoch.  The
+        first such call at an epoch builds, in one pass, the data of its
+        block of _EPOCH_BUDGET // _epoch_bytes consecutive epochs, in place
+        of the block kept before.  Other calls, and every call once one
+        epoch alone exceeds the budget, build data for themselves, whose
+        potential terms are made one type at a time as _expect reaches them.
+        """
+        if len(acts) == self.num_activities:
+            data = self._block.get(t)
+            if data is not None:
+                return data
+            span = _EPOCH_BUDGET // self._epoch_bytes
+            if span:
+                lo = t // span * span
+                self._block = {}  # frees the last block before the next is built
+                self._block = dict(enumerate(self._build(lo, min(lo + span, self.horizon)), lo))
+                return self._block[t]
+        return self._build(t, t + 1, acts)[0]
+
+    def _build(self, lo: int, hi: int, acts: np.ndarray | None = None) -> list[tuple]:
+        """_data of every activity at each epoch lo..hi - 1, or of acts at epoch lo.
+
+        At an epoch whose schedule holds a 0 or 1 (_distinct_rows) each
+        distinct row that the activities use is contracted once, and within
+        it only the types with 0 < p < 1; elsewhere every type of every
+        activity is.  The binomial matrices of all rows come from one numpy
+        evaluation per type size, the linear reward rows from one product
+        per block of activities, and D_m phi from one einsum per type.
+        Kept data (acts None) is read-only.
+        """
+        A, M = self.num_activities, len(self.dims)
+        epochs = range(lo, hi)
+        uniform = acts is None and self._distinct.keys().isdisjoint(epochs)
+        if uniform:  # every epoch contracts every type of its A activities
+            heads = [(None, A, False)] * len(epochs)  # (gather, rows, whether rows are distinct)
+            p = self.schedule[lo:hi].reshape(-1, M)
+        else:
+            heads, ps = [], []
+            for t in epochs:
+                distinct = self._distinct.get(t)
+                if distinct is None:
+                    gather, pt = None, self.schedule[t] if acts is None else self.schedule[t, acts]
+                else:
+                    row, first = distinct
+                    if acts is None:
+                        gather = row if len(first) < A else None
+                    else:
+                        row = row[acts]
+                        used = np.flatnonzero(np.bincount(row))
+                        first, gather = first[used], np.searchsorted(used, row)
+                    pt = self.schedule[t, first]
+                heads.append((gather, len(pt), distinct is not None))
+                ps.append(pt)
+            p = ps[0] if len(ps) == 1 else np.concatenate(ps)
+        sizes = [u for _, u, _ in heads]
+        starts = list(itertools.accumulate(sizes, initial=0))
+        sparse = np.repeat([d for *_, d in heads], sizes)[:, None]
+        cut = ((p > 0) & (p < 1)) | ~sparse  # every type of a row that is not distinct
+        one = (p == 1) & sparse
+        mats = self._matrices(p)
+        if self.weights is not None:
+            rewards, = _read_only(self._linear_reward(slice(lo, hi), np.arange(A) if acts is None else acts))
+        elif self.tabulated is not None:
+            rewards = _read_only(*(self._tabulated_reward(t, mats, np.arange(s, s + u) if g is None else s + g)
+                                   for t, s, (g, u, _) in zip(epochs, starts, heads)))
+        else:
+            rewards = [None] * len(heads)
+        types = self._per_type(mats, cut, one)
+        if acts is not None:
+            (gather, U, distinct), = heads
+            every = range(U)
+
+            def rows(m, entries):  # through map, which holds no type's entries once passed on
+                return (np.flatnonzero(cut[:, m]) if distinct else every,
+                        np.flatnonzero(one[:, m]) if distinct else (), *entries)
+
+            return [(gather, U, map(rows, itertools.count(), types), rewards[0])]
+        kept = []  # per type, an iterator over the epochs' entries
+        for m, (mat, dphi, lift) in enumerate(types):
+            if uniform:  # A rows at each epoch, every one contracted
+                c, o = itertools.repeat(range(A)), itertools.repeat(())
+                mat = mat.reshape((len(heads), A) + mat.shape[1:])
+                dphi = dphi.reshape((len(heads), A) + dphi.shape[1:]) if dphi is not None else None
+            else:
+                ends = np.concatenate(([0], np.cumsum(cut[:, m])))[starts].tolist()
+                c, o = zip(*(_read_only(np.flatnonzero(cut[s:s + u, m]), np.flatnonzero(one[s:s + u, m]))
+                             if distinct else (range(u), ()) for s, u, (*_, distinct) in zip(starts, sizes, heads)))
+                mat = [mat[a:b] for a, b in zip(ends, ends[1:])]
+                dphi = [dphi[a:b] for a, b in zip(ends, ends[1:])] if dphi is not None else None
+            kept.append(zip(c, o, mat, itertools.repeat(None) if dphi is None else dphi, itertools.repeat(lift)))
+        return list(zip([g for g, _, _ in heads], sizes, zip(*kept), rewards))
+
+    def _per_type(self, mats: list[np.ndarray], cut: np.ndarray, one: np.ndarray):
+        """Per type m, for rows of binomial matrices mats with 0 < p < 1 where cut:
+        (B_m of those rows transposed, their D_m phi, lift), made when reached.
+
+        On the potential route phi is rotated as _expect rotates the values,
+        D_m phi(x) = sum_y B_m[x_m, y] (phi(x with x_m = y) - phi(x)) and
+        lift = phi(x with x_m = 0) - phi(x), for the rows with p = 1 (None
+        if one has none); elsewhere both are None.  Arrays kept for the
+        block are made read-only before any view of them is taken.
+        """
+        S, phi = self.num_states, self.potential
+        for m, n in enumerate(self.dims):
+            mat = mats[m] if cut[:, m].all() else mats[m][cut[:, m]]
+            if phi is None:
+                yield _read_only(mat)[0].transpose(0, 2, 1), None, None
+                continue
+            f = phi.reshape(S // n, n)
+            phi = f.T.reshape(S)
+            # Yielded without a name here: a suspended generator would keep
+            # this type's D_m phi alive while the next type's is made.
+            yield (*_read_only(mat.transpose(0, 2, 1),
+                               np.einsum("kxy,ixy->kix", mat, f[:, None, :] - f[:, :, None])),
+                   _read_only(f[:, :1] - f)[0] if one[:, m].any() else None)
+
+    def _linear_reward(self, ts: slice, acts: np.ndarray) -> np.ndarray:
+        """sum_m w_m[t] p[t, a, m] x_m for t in ts and a in acts, shape (epochs, len(acts), S).
 
         A BLAS matrix product can round a row differently depending on how
         many rows it computes (seen from 4 types up), so each row comes from
-        the product of its fixed block of _REWARD_BLOCK activities: one
-        batched matmul over the full blocks that acts touch, and one product
-        for a last, shorter block.  A Q's bits then do not depend on which
-        activities share its call: a chunk, a policy's own choices, or the
-        union of several policies'.
+        the product of its fixed block of _REWARD_BLOCK activities (the last
+        block may be shorter), batched over the epochs and written in place.
+        A Q's bits then do not depend on which activities or epochs share
+        its call: a chunk, a policy's own choices, the union of several
+        policies', or a block of epochs.
         """
-        B = _REWARD_BLOCK
-        lo = int(acts[0]) // B * B
-        # One block, as on every table of up to 8 activities, skips the
-        # search and gather: 5% of the exact-ladder largest rung's certify time.
-        if int(acts[-1]) < lo + B:
-            block = (self.schedule[t, lo:lo + B] * self.weights[t]) @ self._counts
-            return block if len(block) == len(acts) else block[acts - lo]
-        scaled = self.schedule[t] * self.weights[t]
-        (A, M), S = scaled.shape, self.num_states
-        end = A // B * B  # where a short last block starts
+        B, A = _REWARD_BLOCK, self.num_activities
+        scaled = self.schedule[ts] * self.weights[ts, None, :]  # (epochs, A, M)
         blocks = np.flatnonzero(np.bincount(acts // B))  # the blocks acts touch, ascending
-        full = blocks[:len(blocks) - (blocks[-1] * B == end)]
-        out = np.empty((len(full) * B + (A - end if len(full) < len(blocks) else 0), S))
-        if len(full):
-            lhs = scaled[:end].reshape(-1, B, M)[full]
-            np.matmul(lhs, self._counts, out=out[:len(full) * B].reshape(-1, B, S))
-        if len(full) < len(blocks):
-            np.matmul(scaled[end:], self._counts, out=out[len(full) * B:])
-        if len(out) == len(acts):  # every activity of its blocks
+        rows = [range(j * B, min(j * B + B, A)) for j in blocks.tolist()]
+        out = np.empty((len(scaled), sum(map(len, rows)), self.num_states))
+        for k, r in enumerate(rows):  # block k's rows start at k * B of out
+            np.matmul(scaled[:, r.start:r.stop], self._counts, out=out[:, k * B:k * B + len(r)])
+        if out.shape[1] == len(acts):  # every activity of its blocks
             return out
-        return out[np.searchsorted(blocks, acts // B) * B + acts % B]
+        return out[:, np.searchsorted(blocks, acts // B) * B + acts % B]
+
+    def _tabulated_reward(self, t: int, mats: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
+        """E[g(x, x - X, t)] for the rows rows of the per-type matrices mats,
+        shape (len(rows), S), from (k, S, S) transition products of at most
+        chunk_width activities at a time."""
+        width = self.chunk_width(0)
+        parts = [(_kron([mat[rows[i:i + width]] for mat in mats]) * self.tabulated[t]).sum(axis=2)
+                 for i in range(0, len(rows), width)]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def _matrices(self, p: np.ndarray) -> list[np.ndarray]:
         """Per type m, B_m[a, x, y] = P(y of x left) = C(x, x - y) p^(x - y) (1 - p)^y.
 
-        p is (activities, types).  The matrices of all types of one size come
-        from one numpy evaluation, laid out (type, activity, x, y) so that
-        each type's batch is contiguous.
+        p is (rows, types).  The matrices of all types of one size come from
+        one numpy evaluation, laid out (type, row, x, y) so that each type's
+        batch is contiguous.
         """
         mats = [None] * len(self.dims)
-        for coef, depleted, remaining, types in self._layouts:
+        for n, types in self._sizes:
+            coef, depleted, remaining = _binomial_layout(n)
             pn = p[:, types].T[:, :, None, None]
             for m, mat in zip(types, coef * pn**depleted * (1.0 - pn) ** remaining):
                 mats[m] = mat
         return mats
 
-    def _rows(self, t: int, acts: np.ndarray, v, phi=None, mats=None) -> np.ndarray:
-        """_expect over the activities acts at epoch t: (len(acts), S) or (P, len(acts), S).
+    def _rows(self, data: tuple, v, reward=None) -> np.ndarray:
+        """_expect over data's rows, gathered back to its activities, plus reward if given."""
+        gather, U, types, _ = data
+        if gather is None:
+            return self._expect(U, types, v, reward)
+        w = np.take(self._expect(U, types, v), gather, axis=-2)
+        return w if reward is None else reward + w
 
-        At an epoch whose schedule holds no 0 and no 1 every type of every
-        activity is contracted, with mats if the caller built them.  Elsewhere
-        identical schedule rows give identical expectations, so each row that
-        acts use is computed once and gathered back to its activities.  A call over every activity
-        there uses the epoch's matrices kept on the operator (_row_data,
-        built on the first such call and kept while they fit
-        _MATRIX_BUDGET); other calls build those of their rows.
-        """
-        if t not in self._distinct:
-            every = range(len(acts))
-            if mats is None:
-                mats = self._matrices(self.schedule[t, acts])
-            return self._expect((len(acts), [(every, (), mat) for mat in mats]), v, phi)
-        row, first = self._distinct[t]
-        if len(acts) == len(row):  # every activity: each of the epoch's rows
-            data = self._kept.get(t)
-            if data is None:
-                data = self._row_data(t, first)
-                nbytes = sum(mat.nbytes for *_, mat in data[1])
-                if self._kept_bytes + nbytes <= _MATRIX_BUDGET:
-                    self._kept[t] = data
-                    self._kept_bytes += nbytes
-            w = self._expect(data, v, phi)
-            return w if len(first) == len(row) else np.take(w, row, axis=-2)
-        row = row[acts]
-        used = np.flatnonzero(np.bincount(row))
-        w = self._expect(self._row_data(t, first[used]), v, phi)
-        return np.take(w, np.searchsorted(used, row), axis=-2)
+    def _expect(self, U: int, types, v, add=None) -> np.ndarray:
+        """(K_u v)(x) = E[v(x - X)] for each of U schedule rows u and each vector of v.
 
-    def _row_data(self, t: int, first: np.ndarray) -> tuple:
-        """The schedule rows of activities first at epoch t: their number, and
-        per type the rows with 0 < p < 1, the rows with p = 1 and the
-        binomial matrices of the former."""
-        p = self.schedule[t, first]
-        cut = (p > 0) & (p < 1)
-        return len(p), [(np.flatnonzero(c), np.flatnonzero(p1), mat[c])
-                        for c, p1, mat in zip(cut.T, (p == 1).T, self._matrices(p))]
-
-    def _expect(self, data: tuple, v, phi=None) -> np.ndarray:
-        """(K_u v)(x) = E[v(x - X)] for every schedule row u of data and vector of v.
-
-        data is (U, types): U rows and, per type, the rows with 0 < p < 1,
-        the rows with p = 1 and the binomial matrices of the former
-        (_row_data).  v is (S,) or (P, S), or None for V = 0; the result is
-        (U, S) or (P, U, S), a new array.
+        types is _data's: per type the rows with 0 < p < 1, the rows with
+        p = 1, and _per_type's entries of the former.  v is (S,) or (P, S),
+        or None for V = 0; the result is (U, S) or (P, U, S), a new array,
+        plus add (U, S) if given: add + K v, the bits q's reward + K v has,
+        added in the last type's rotation where that type contracts every
+        row, which saves a pass over Q.
 
         K = K_{M-1} ... K_0, where K_m takes the expectation over type m's
         depletion.  Each step contracts the last axis of the C-order tensor
@@ -534,10 +648,9 @@ class BellmanOperator:
         share its call.  Every type still moves its axis.  Until a type
         touches some row, all rows are still v and share one copy.
 
-        With a potential phi the result also holds E[phi(x - X)] - phi(x),
-        telescoped one type at a time: step m adds
-        D_m phi(x) = sum_y B_m[x_m, y] (phi(x with x_m = y) - phi(x)), so
-        the total is sum_m K_{M-1} ... K_{m+1} D_m phi.  Built from
+        With a potential the result also holds E[phi(x - X)] - phi(x),
+        telescoped one type at a time: step m adds D_m phi (p = 1 rows: the
+        lift), so the total is sum_m K_{M-1} ... K_{m+1} D_m phi.  Built from
         differences, the expected reward is exactly zero wherever phi is flat
         below x, where K(v + phi) - phi would leave a rounding residue.
         """
@@ -545,34 +658,44 @@ class BellmanOperator:
         if v is None:
             v = np.zeros(S)
         lead = v.shape[:-1]
-        U, types = data
         w, shared = v[..., None, :], True
-        for (c, o, mat), n in zip(types, self.dims):
+        last, types = len(self.dims) - 1, iter(types)
+        for m, n in enumerate(self.dims):
             wr = w.reshape(lead + (-1, S // n, n))
-            if phi is not None:
-                f = phi.reshape(S // n, n)
-                phi = f.T.reshape(S)
-            if not len(c) + len(o):  # p = 0 in every row: B_m is the identity
+            # After wr drops the last type's input, and by next() rather than
+            # zip, which would hold the last type's entries: _data may make
+            # this type's as they are reached.
+            c, o, mat, dphi, lift = next(types)
+            if len(c) == U:  # 0 < p < 1 in every row
+                r = np.matmul(wr, mat)
+                if dphi is not None:
+                    r += dphi
+                    dphi = None
+                if m == last and add is not None:
+                    w = np.add(add.reshape(U, n, S // n), r.swapaxes(-1, -2)).reshape(lead + (U, S))
+                    add = None
+                else:
+                    w = r.swapaxes(-1, -2).reshape(lead + (U, S))
+            elif not len(c) + len(o):  # p = 0 in every row: B_m is the identity
                 w = wr.swapaxes(-1, -2).reshape(lead + (-1, S))
                 continue
-            if len(c):
-                r = np.matmul(wr if shared or len(c) == U else wr[..., c, :, :],
-                              mat.transpose(0, 2, 1))
-                if phi is not None:
-                    r += np.einsum("kxy,ixy->kix", mat, f[:, None, :] - f[:, :, None])
-            if len(c) == U:
-                w = r.swapaxes(-1, -2).reshape(lead + (U, S))
             else:
                 nxt = np.empty(lead + (U, n, S // n))
                 nxt[...] = wr.swapaxes(-1, -2)
                 if len(c):
+                    r = np.matmul(wr if shared else wr[..., c, :, :], mat)
+                    if dphi is not None:
+                        r += dphi
+                        dphi = None
                     nxt[..., c, :, :] = r.swapaxes(-1, -2)
                 if len(o):
                     y = (wr if shared else wr[..., o, :, :])[..., :1]  # the x_m = 0 slice
-                    nxt[..., o, :, :] = (y if phi is None else y + (f[:, :1] - f)).swapaxes(-1, -2)
+                    nxt[..., o, :, :] = (y if lift is None else y + lift).swapaxes(-1, -2)
                 w = nxt.reshape(lead + (U, S))
             shared = False
-        return np.repeat(w, U, axis=-2) if shared else w  # p = 0 throughout: U copies of v
+            r = None  # frees this type's product before the next type's terms are made
+        w = np.repeat(w, U, axis=-2) if shared else w  # p = 0 throughout: U copies of v
+        return w if add is None else add + w
 
     def chunk_width(self, q_entries: int) -> int:
         """Activities per q call, for q_entries Q entries per activity (P * S).
@@ -602,14 +725,19 @@ def _require_finite(values: np.ndarray, name: Callable[[tuple], str]) -> None:
         raise ConfigError(f"{name(i)} is {float(values[i])!r}: the reward data must be finite")
 
 
-def _binomial_layout(n: int):
-    """Coefficient, depleted-count and remaining-count grids of an n x n binomial matrix."""
+@functools.cache
+def _binomial_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficient, depleted-count and remaining-count grids of an n x n binomial
+    matrix, read-only since every operator shares them."""
     x = np.arange(n)[:, None]
     y = np.arange(n)[None, :]
     coef = np.array(
         [[float(math.comb(i, i - j)) if j <= i else 0.0 for j in range(n)] for i in range(n)]
     )
-    return coef, np.maximum(x - y, 0), y
+    grids = coef, np.maximum(x - y, 0), y
+    for grid in grids:
+        grid.flags.writeable = False
+    return grids
 
 
 def _distinct_rows(schedule: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarray]]:
@@ -617,11 +745,11 @@ def _distinct_rows(schedule: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarr
 
     row[a] numbers activity a's schedule row among the epoch's distinct
     rows, in order of first appearance, and first[u] is the lowest activity
-    whose row is u.  Epochs with no 0 and no 1 are left out: no type can be
-    skipped there, so _rows contracts every type of every activity, and a
-    schedule without any costs two reductions.  Rows are told apart by their
-    bytes in a dict: numpy's sorts would fault in several hundred KB of their
-    code, which peak RSS counts.
+    whose row is u; both read-only.  Epochs with no 0 and no 1 are left out:
+    no type can be skipped there, so every type of every activity is
+    contracted, and a schedule without any costs two reductions.  Rows are
+    told apart by their bytes in a dict: numpy's sorts would fault in
+    several hundred KB of their code, which peak RSS counts.
     """
     if schedule.min() > 0 and schedule.max() < 1:
         return {}
@@ -634,8 +762,16 @@ def _distinct_rows(schedule: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarr
             if key not in number:
                 number[key] = len(first)
                 first.append(a)
-        out[t] = (np.array([number[key] for key in keys]), np.array(first))
+        row, first = np.array([number[key] for key in keys]), np.array(first)
+        row.flags.writeable = first.flags.writeable = False
+        out[t] = (row, first)
     return out
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 def _kron(mats: list[np.ndarray]) -> np.ndarray:
@@ -650,6 +786,12 @@ def _kron(mats: list[np.ndarray]) -> np.ndarray:
     return out
 
 
+def _pick(q: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """q[..., pos[..., s], s] for every state s: Q at the activity positions pos."""
+    lead = (np.arange(len(pos))[:, None],) if pos.ndim == 2 else ()
+    return q[lead + (pos, np.arange(pos.shape[-1]))]
+
+
 class Epoch:
     """Q at one epoch for a sorted array of activities, produced chunk by chunk.
 
@@ -658,24 +800,31 @@ class Epoch:
     per-state result has the shape of Q's rows, (S,) or (P[+1], S), and
     rows() gives a view of some of them.  Iterating yields (activities, q)
     pairs.  A chunk holds as many activities as keep its working set within
-    _CHUNK_ENTRIES entries (BellmanOperator.chunk_width), and at least one.
-    Each chunk's q is computed once and reused by every later pass, and by
-    every view, while the kept chunks fit _Q_BUDGET; a chunk past the
-    budget is recomputed on each pass.
+    _CHUNK_ENTRIES entries (BellmanOperator.chunk_width), and at least one;
+    on a small table one chunk holds every activity, and each read is then
+    one numpy reduction or gather over its q.  Each chunk's q is computed
+    once and reused by every later pass, and by every view, while the kept
+    chunks fit _Q_BUDGET; a chunk past the budget is recomputed on each pass.
     """
 
     def __init__(self, op: BellmanOperator, t: int, v_next, acts: np.ndarray,
                  one_step: bool = False):
-        self.op, self.t, self.v_next, self.one_step = op, t, v_next, one_step
-        S = op.num_states
-        self.shape = (S,) if v_next is None or v_next.ndim == 1 else (len(v_next) + one_step, S)
-        per_activity = math.prod(self.shape)  # Q entries
+        S = per_activity = op.num_states  # Q entries per activity
+        self.shape = (S,)
+        if v_next is not None and v_next.ndim == 2:
+            self.shape = (len(v_next) + one_step, S)
+            per_activity *= self.shape[0]
         width = op.chunk_width(per_activity)
-        self.chunks = [acts[i:i + width] for i in range(0, len(acts), width)]
-        fit = _Q_BUDGET // (8 * per_activity)  # activities whose Q fits the budget
-        self._keep = max(1, len(self.chunks) if len(acts) <= fit else fit // width)
-        self._kept: list[np.ndarray] = []
-        self._rows = None
+        chunks, keep = [acts], 1
+        if len(acts) > width:
+            chunks = [acts[i:i + width] for i in range(0, len(acts), width)]
+            fit = _Q_BUDGET // (8 * per_activity)  # activities whose Q fits the budget
+            keep = max(1, len(chunks) if len(acts) <= fit else fit // width)
+        # Shared by every view: what q needs, the chunks, and the kept q,
+        # which a single chunk computes at once: every epoch is read.
+        kept = [op.q(t, v_next, acts, one_step)] if len(chunks) == 1 else []
+        self._source = (op, t, v_next, one_step, chunks, keep, kept)
+        self._rows = self._best = None
 
     def rows(self, sel) -> "Epoch":
         """A view of Q's stack rows sel (an index or a slice) that shares this epoch's chunks."""
@@ -683,44 +832,57 @@ class Epoch:
         shape = self.shape[1:]
         if isinstance(sel, slice):
             shape = (len(range(self.shape[0])[sel]),) + shape
-        view.__dict__ = {**self.__dict__, "_rows": sel, "shape": shape}
+        view.shape, view._source, view._rows, view._best = shape, self._source, sel, None
         return view
 
     def __iter__(self):
-        kept = self._kept
-        for k, acts in enumerate(self.chunks):
+        op, t, v_next, one_step, chunks, keep, kept = self._source
+        if len(kept) == len(chunks):  # every q is kept already
+            return zip(chunks, kept if self._rows is None else [q[self._rows] for q in kept])
+        return self._chunks()
+
+    def _chunks(self):
+        op, t, v_next, one_step, chunks, keep, kept = self._source
+        for k, acts in enumerate(chunks):
             if k < len(kept):
                 q = kept[k]
             else:
-                q = self.op.q(self.t, self.v_next, acts, self.one_step)
-                if k < self._keep:
+                q = op.q(t, v_next, acts, one_step)
+                if k < keep:
                     kept.append(q)
             yield acts, q if self._rows is None else q[self._rows]
 
     def best(self, key: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
-        """Per-state maximum over activities of q, or of key(q)."""
+        """Per-state maximum over activities of q, or of key(q).
+
+        The maximum of q itself is computed once per epoch or view and
+        shared by its readers (the solve's tie floor, each one-step rule).
+        """
+        if key is None and self._best is not None:
+            return self._best
         best = None
         for _, q in self:
-            top = (q if key is None else key(q)).max(axis=-2)
+            top = np.maximum.reduce(q if key is None else key(q), axis=-2)
             best = top if best is None else np.maximum(best, top)
+        if key is None:
+            self._best = best
         return best
 
     def lowest(self, cond: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """Per-state lowest activity whose q satisfies cond; -1 where none does."""
-        choice = np.full(self.shape, -1, dtype=np.int32)
+        choice = None
         for acts, q in self:
             hit = cond(q)
-            take = (choice < 0) & hit.any(axis=-2)
-            choice[take] = acts[hit.argmax(axis=-2)[take]]
-        return choice
+            found = np.where(np.logical_or.reduce(hit, axis=-2), acts[hit.argmax(axis=-2)], -1)
+            choice = found if choice is None else np.where(choice < 0, found, choice)
+        return choice.astype(np.int32, copy=False)
 
     def at(self, choice: np.ndarray) -> np.ndarray:
         """Per-state q at the given activity; NaN where it is not in this epoch."""
-        out = np.full(choice.shape, np.nan)
+        out = np.nan
         for acts, q in self:
             pos = np.minimum(np.searchsorted(acts, choice), len(acts) - 1)
-            inside = np.nonzero(acts[pos] == choice)
-            out[inside] = q[inside[:-1] + (pos[inside],) + inside[-1:]]
+            out = np.where(acts[pos] == choice, _pick(q, pos), out)
         return out
 
 
@@ -784,18 +946,18 @@ def _sweep(op: BellmanOperator, solve: bool, sources: Sequence, rules: Sequence)
     chosen = [ruled[s] if isinstance(s, int) else solved if s is None else s.T for s in sources]
     every = np.arange(A)
     width = op.chunk_width(max(1, lead + P + bool(rules)) * S)
+    union = not (solve or rules) and P > 1  # the activities are those the tables choose
     for t in range(T - 1, -1, -1):
-        acts = every
-        if not (solve or rules) and P > 1:
-            acts = op.used(np.stack([c[t] for c in chosen]))
+        acts = op.used(np.stack([c[t] for c in chosen])) if union else every
         stacked = P > (0 if solve or rules else 1) and len(acts) <= width
         rows = lead + P if stacked else lead
-        if rows:
-            epoch = op.epoch(t, values[:rows, t + 1], acts, bool(rules))
+        if rows:  # the solve alone contracts one vector, not a stack of one
+            v = values[0, t + 1] if rows == 1 and not rules else values[:rows, t + 1]
+            epoch = op.epoch(t, v, acts, bool(rules))
         elif rules:
             epoch = op.epoch(t, None, acts)
         if solve:
-            values[0, t], solved[t] = lowest_tied(epoch.rows(0))
+            values[0, t], solved[t] = lowest_tied(epoch if v.ndim == 1 else epoch.rows(0))
         if rules:
             one_step = epoch.rows(-1) if rows else epoch
             for table, rule in zip(ruled, rules):
@@ -804,7 +966,7 @@ def _sweep(op: BellmanOperator, solve: bool, sources: Sequence, rules: Sequence)
             choice = np.stack([c[t] for c in chosen])
             values[lead:, t] = epoch.rows(slice(lead, rows)).at(choice)
         epoch = one_step = None  # frees the kept Q before the next operator call
-        if not stacked:
+        if P and not stacked:
             for v, c in zip(values[lead:], chosen):
                 v[t] = op.epoch(t, v[t + 1], op.used(c[t])).at(c[t])
     if (ruled < 0).any():

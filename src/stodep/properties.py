@@ -358,7 +358,8 @@ def check_ratio(
         {"x": list(decode_state(int(si), caps)), "t": int(t), "j_star": float(star[t, si])}
         for t, si in zip(*np.nonzero((pol == 0.0) & (star > 0.0)))
     ]
-    ratio = np.divide(star, pol, out=np.ones(star.shape), where=pol != 0.0)
+    with np.errstate(over="ignore"):  # J* / J^policy past the largest double is inf
+        ratio = np.divide(star, pol, out=np.ones(star.shape), where=pol != 0.0)
     t, si = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
     max_ratio = 1.0
     worst_state = None

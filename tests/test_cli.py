@@ -11,6 +11,7 @@ import pytest
 
 import stodep
 from stodep import GeneralTabulatedReward, LinearDecayingReward
+from stodep import cli
 from stodep.cli import main
 from stodep.serialize import instance_to_dict, load_instance, save_instance
 from stodep.apps import build_worst_case_instance
@@ -35,6 +36,21 @@ def test_generate_and_solve(tmp_path, capsys):
     assert main(["solve", "--instance", str(out)]) == 0
     captured = capsys.readouterr()
     assert "J*=1.9" in captured.out
+
+
+def test_one_parser_serves_every_main_call(worst_case_file, tmp_path, capsys):
+    """The parser is built once per process; later calls with other
+    subcommands, and a bad argument, still parse as a fresh parser would."""
+    assert main(["solve", "--instance", str(worst_case_file)]) == 0
+    assert "J*=1.9" in capsys.readouterr().out
+    assert main(["check", "--instance", str(worst_case_file), "--properties", "vfm"]) == 0
+    assert "vfm: pass" in capsys.readouterr().out
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--instance", str(worst_case_file), "--tol", "small"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: stodep solve") and "--tol: invalid float value: 'small'" in err
 
 
 def test_solve_dumps_table(worst_case_file, tmp_path, capsys):

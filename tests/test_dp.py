@@ -258,7 +258,8 @@ def test_table_of_the_wrong_shape_is_refused(field, data, worst_case_tenth):
 
 
 @pytest.mark.parametrize("entry, text", [(None, "null"), (float("nan"), "NaN"),
-                                         (float("inf"), "Infinity")])
+                                         (float("inf"), "Infinity"), ("0.25", '"0.25"'),
+                                         (True, "true")])
 def test_a_table_value_that_is_not_finite_is_refused(entry, text, worst_case_tenth):
     import json
 
@@ -270,7 +271,7 @@ def test_a_table_value_that_is_not_finite_is_refused(entry, text, worst_case_ten
 
 
 @pytest.mark.parametrize("entry, text", [(1.7, "1.7"), ("1", '"1"'), (1.0, "1.0"), (99, "99"),
-                                         (-5, "-5"), (2**40, "1099511627776")])
+                                         (-5, "-5"), (2**40, "1099511627776"), (True, "true")])
 def test_a_best_activity_that_is_not_an_activity_is_refused(entry, text, worst_case_tenth):
     import json
 
@@ -525,6 +526,85 @@ def test_q_budget_of_one_chunk_changes_no_output(reward_kind, monkeypatch):
             assert a == b
         else:
             assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _cache_instance(kind):
+    """A fresh instance of each kind the operator's epoch data must serve."""
+    if kind in ("random-submodular", "random-linear-decaying"):
+        return cli.build_from_app(kind, {}, 5, 10**5)
+    if kind == "queueing":  # a 0/1 schedule
+        params = {"num_buffers": 2, "num_servers": 2, "horizon": 4,
+                  "service_means": [[1.5, 2.0], [3.0, 1.2]],
+                  "rewards": [[1.0, 0.8, 0.5, 0.3], [0.9, 0.6, 0.2, 0.1]],
+                  "arrival_trace": [[1, 1, 0, 1], [1, 0, 1, 1]]}
+        return stodep.apps.build_queueing_instance(stodep.apps.queueing_params_from_dict(params))
+    return _sparse_instance(kind, np.random.default_rng(11))  # tabulated or coverage
+
+
+@pytest.mark.parametrize("kind", ["random-submodular", "random-linear-decaying", "queueing",
+                                  "tabulated", "coverage"])
+def test_epoch_data_budget_changes_no_output(kind, monkeypatch):
+    """Data built for each call (a budget below one epoch) gives every sweep
+    the bits that the data kept for a block of epochs gives."""
+    def outputs():
+        inst = _cache_instance(kind)
+        table, evaluated = solve_and_evaluate(
+            inst, [myopic_policy(), stodep.approx_myopic_policy(2.0), OPTIMAL])
+        out = [table.values, table.best_activity, audit_table(inst, table).to_dict()]
+        for ev in evaluated:
+            out += [ev.values, ev.best_activity]
+        out += stodep.dp.one_step_decisions(
+            inst, [myopic_policy()._rule, stodep.approx_myopic_policy(2.0)._rule])
+        alone = solve_clairvoyant(_cache_instance(kind))
+        out += [alone.values, alone.best_activity]
+        return out, stodep.dp.bellman_operator(inst)._block
+
+    kept, block = outputs()
+    assert block  # the default budget keeps the epochs of these small tables
+    monkeypatch.setattr(stodep.dp, "_EPOCH_BUDGET", 0)
+    built, block = outputs()
+    assert not block
+    for a, b in zip(kept, built, strict=True):
+        if isinstance(a, dict):
+            assert a == b
+        else:
+            _same_bits(a, b)
+
+
+def test_rollouts_and_rewards_build_no_epoch_data(monkeypatch):
+    """Only a q call builds epoch data: Monte Carlo and the reward reads do not."""
+    built = []
+    real = stodep.dp.BellmanOperator._build
+
+    def build(self, *args):
+        built.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(stodep.dp.BellmanOperator, "_build", build)
+    for kind in ("random-linear-decaying", "coverage", "tabulated"):
+        inst = _cache_instance(kind)
+        for name in ("round_robin", "random:3"):
+            monte_carlo_value(inst, stodep.policy_from_name(name), 200, 7)
+        op = stodep.dp.bellman_operator(inst)
+        x = np.arange(op.num_states)
+        op.rewards(x, np.zeros_like(x), 0)
+        assert not op._block
+    assert built == []
+
+
+@pytest.mark.parametrize("kind", ["random-linear-decaying", "queueing", "tabulated", "coverage"])
+def test_kept_epoch_data_is_read_only(kind):
+    inst = _cache_instance(kind)
+    op = stodep.dp.bellman_operator(inst)
+    op.q(0, None, np.arange(inst.num_activities))
+    arrays = [*stodep.dp._binomial_layout(3)]
+    for gather, _, types, reward in op._block.values():
+        arrays += [a for a in (gather, reward) if a is not None]
+        arrays += [a for entry in types for a in entry if isinstance(a, np.ndarray)]
+    assert len(arrays) > 3
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
 
 
 @pytest.mark.parametrize("stacked", [False, True])
@@ -934,9 +1014,16 @@ def test_sparse_schedules_give_the_dense_routes_bits(route):
         _same_bits(got.best_activity, table.best_activity)
 
 
+def _kept_bytes(op):
+    """Bytes of the binomial matrices and reward rows the operator keeps."""
+    return sum(mat.nbytes for _, _, types, _ in op._block.values() for _, _, mat, _, _ in types) + sum(
+        reward.nbytes for *_, reward in op._block.values())
+
+
 def test_kept_matrices_stay_within_their_budget(monkeypatch):
-    """Past _MATRIX_BUDGET an epoch's matrices are rebuilt on each call,
-    with the same Q bits."""
+    """The operator keeps one block of epochs' data within _EPOCH_BUDGET and
+    builds the next block as a sweep reaches it, with the same Q bits;
+    below one epoch's data it keeps none."""
     rng = np.random.default_rng(8)
     caps, T, A = (2, 3, 1), 4, 60
     schedule = rng.random((T, A, 3))
@@ -946,18 +1033,17 @@ def test_kept_matrices_stay_within_their_budget(monkeypatch):
     )
     inst = make_instance(capacities=caps, horizon=T, schedule=schedule, reward=reward)
     op = stodep.dp.bellman_operator(inst)
-    sizes = [sum(mat.nbytes for *_, mat in op._row_data(t, op._distinct[t][1])[1])
-             for t in range(T)]
-    budget = 3 * max(sizes) // 2
-    monkeypatch.setattr(stodep.dp, "_MATRIX_BUDGET", budget)
     dense = _dense_operator(inst)
     v = rng.random((2, op.num_states))
-    for _ in range(2):
-        for t in range(T - 1, -1, -1):
-            _same_bits(op.q(t, v, np.arange(A)), dense.q(t, v, np.arange(A)))
-            kept = sum(mat.nbytes for _, types in op._kept.values() for *_, mat in types)
-            assert kept == op._kept_bytes <= budget
-    assert len(op._kept) == 1
+    for budget in (2 * op._epoch_bytes + 1, op._epoch_bytes - 1):
+        monkeypatch.setattr(stodep.dp, "_EPOCH_BUDGET", budget)
+        op._block = {}
+        for _ in range(2):
+            for t in range(T - 1, -1, -1):
+                _same_bits(op.q(t, v, np.arange(A)), dense.q(t, v, np.arange(A)))
+                assert sorted(op._block) == ([t // 2 * 2, t // 2 * 2 + 1] if budget > op._epoch_bytes
+                                             else [])
+                assert _kept_bytes(op) <= budget
 
 
 def test_solve_and_audit_build_each_epochs_matrices_once(monkeypatch):
@@ -978,13 +1064,15 @@ def test_solve_and_audit_build_each_epochs_matrices_once(monkeypatch):
     assert sorted(op._distinct) == [0, 1, 2]
     table = solve_clairvoyant(inst)
     assert audit_table(inst, table).passed
-    assert calls == [len(op._distinct[t][1]) for t in (2, 1, 0)]
+    # One evaluation for the block of all three epochs, each epoch's distinct rows once.
+    assert calls == [sum(len(op._distinct[t][1]) for t in range(3))]
     assert all(len(op._distinct[t][1]) < inst.num_activities for t in (0, 1))
 
 
 def test_tabulated_q_builds_its_matrices_once(monkeypatch):
     """At an epoch with no 0 and no 1, the expected reward and the
-    expectation of V share one set of binomial matrices per q call."""
+    expectation of V share one set of binomial matrices: built per call over
+    some activities, and once per block of epochs for calls over all."""
     rng = np.random.default_rng(4)
     caps, T, A = (2, 1, 2), 2, 3
     cover = CoverageFunction(3, (frozenset({0}), frozenset({1, 2}), frozenset({2})), (1.0, 0.5, 0.25))
@@ -1007,7 +1095,11 @@ def test_tabulated_q_builds_its_matrices_once(monkeypatch):
     for (acts, v_next, one_step), q in zip(cases, want):
         calls.clear()
         _same_bits(op.q(1, v_next, acts, one_step), q)
-        assert calls == [len(acts)]
+        assert calls == ([] if len(acts) == A else [len(acts)])
+    fresh = stodep.dp.BellmanOperator(inst)
+    calls.clear()
+    _same_bits(fresh.q(1, v, np.arange(A)), want[2])
+    assert calls == [T * A]  # both epochs' matrices, from one evaluation
 
 
 @settings(max_examples=30, deadline=None)
