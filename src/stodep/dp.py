@@ -769,6 +769,7 @@ def _distinct_rows(schedule: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarr
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: they are kept and shared."""
     for array in arrays:
         array.flags.writeable = False
     return arrays
@@ -856,7 +857,8 @@ class Epoch:
         """Per-state maximum over activities of q, or of key(q).
 
         The maximum of q itself is computed once per epoch or view and
-        shared by its readers (the solve's tie floor, each one-step rule).
+        shared, read-only, by its readers (the solve's tie floor, each
+        one-step rule).
         """
         if key is None and self._best is not None:
             return self._best
@@ -865,7 +867,7 @@ class Epoch:
             top = np.maximum.reduce(q if key is None else key(q), axis=-2)
             best = top if best is None else np.maximum(best, top)
         if key is None:
-            self._best = best
+            self._best, = _read_only(best)
         return best
 
     def lowest(self, cond: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
