@@ -52,9 +52,10 @@ q over every activity at an epoch builds the epoch's block in one pass, one
 numpy evaluation per type size, within _EPOCH_BUDGET bytes, and drops the
 block kept before; a sweep then spends a handful of numpy calls per epoch.
 Where one epoch alone exceeds the budget, and on calls over some of the
-activities, each call builds what it reads, as the per-epoch kernel did;
-rewards, which Monte Carlo rollouts read, builds nothing.  Every array kept
-is read-only, and every Q has the bits of building it per call.
+activities, each call builds only what it reads, and the potential terms
+one type at a time; rewards, which Monte Carlo rollouts read, builds
+nothing.  Every array kept is read-only, and every Q has the bits of
+building it per call.
 
 Each instance gets one operator (bellman_operator), built on first use and
 kept on the instance, so a solve, the policy evaluations and the certifiers
@@ -518,22 +519,25 @@ class BellmanOperator:
         one = (p == 1) & sparse
         mats = self._matrices(p)
         if self.weights is not None:
-            rewards, = _read_only(self._linear_reward(slice(lo, hi), np.arange(A) if acts is None else acts))
+            every = np.arange(A) if acts is None else acts
+            rewards, = _read_only(self._linear_reward(slice(lo, hi), every))
         elif self.tabulated is not None:
-            rewards = _read_only(*(self._tabulated_reward(t, mats, np.arange(s, s + u) if g is None else s + g)
-                                   for t, s, (g, u, _) in zip(epochs, starts, heads)))
+            rows = [np.arange(s, s + u) if g is None else s + g
+                    for s, (g, u, _) in zip(starts, heads)]
+            rewards = _read_only(*map(self._tabulated_reward, epochs, [mats] * len(rows), rows))
         else:
             rewards = [None] * len(heads)
         types = self._per_type(mats, cut, one)
         if acts is not None:
             (gather, U, distinct), = heads
-            every = range(U)
 
-            def rows(m, entries):  # through map, which holds no type's entries once passed on
-                return (np.flatnonzero(cut[:, m]) if distinct else every,
-                        np.flatnonzero(one[:, m]) if distinct else (), *entries)
+            def entries(m, kept):  # through map, which holds no type's entries once passed on
+                if not distinct:
+                    return (range(U), (), *kept)
+                return (np.flatnonzero(cut[:, m]), np.flatnonzero(one[:, m]), *kept)
 
-            return [(gather, U, map(rows, itertools.count(), types), rewards[0])]
+            return [(gather, U, map(entries, itertools.count(), types), rewards[0])]
+        spans = [(s, s + u, distinct) for s, u, (*_, distinct) in zip(starts, sizes, heads)]
         kept = []  # per type, an iterator over the epochs' entries
         for m, (mat, dphi, lift) in enumerate(types):
             if uniform:  # A rows at each epoch, every one contracted
@@ -542,11 +546,12 @@ class BellmanOperator:
                 dphi = dphi.reshape((len(heads), A) + dphi.shape[1:]) if dphi is not None else None
             else:
                 ends = np.concatenate(([0], np.cumsum(cut[:, m])))[starts].tolist()
-                c, o = zip(*(_read_only(np.flatnonzero(cut[s:s + u, m]), np.flatnonzero(one[s:s + u, m]))
-                             if distinct else (range(u), ()) for s, u, (*_, distinct) in zip(starts, sizes, heads)))
+                c, o = zip(*(_read_only(np.flatnonzero(cut[a:b, m]), np.flatnonzero(one[a:b, m]))
+                             if distinct else (range(b - a), ()) for a, b, distinct in spans))
                 mat = [mat[a:b] for a, b in zip(ends, ends[1:])]
                 dphi = [dphi[a:b] for a, b in zip(ends, ends[1:])] if dphi is not None else None
-            kept.append(zip(c, o, mat, itertools.repeat(None) if dphi is None else dphi, itertools.repeat(lift)))
+            dphi = itertools.repeat(None) if dphi is None else dphi
+            kept.append(zip(c, o, mat, dphi, itertools.repeat(lift)))
         return list(zip([g for g, _, _ in heads], sizes, zip(*kept), rewards))
 
     def _per_type(self, mats: list[np.ndarray], cut: np.ndarray, one: np.ndarray):

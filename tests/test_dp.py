@@ -1016,8 +1016,9 @@ def test_sparse_schedules_give_the_dense_routes_bits(route):
 
 def _kept_bytes(op):
     """Bytes of the binomial matrices and reward rows the operator keeps."""
-    return sum(mat.nbytes for _, _, types, _ in op._block.values() for _, _, mat, _, _ in types) + sum(
-        reward.nbytes for *_, reward in op._block.values())
+    kept = op._block.values()
+    return (sum(mat.nbytes for _, _, types, _ in kept for _, _, mat, _, _ in types)
+            + sum(reward.nbytes for *_, reward in kept))
 
 
 def test_kept_matrices_stay_within_their_budget(monkeypatch):
