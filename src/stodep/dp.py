@@ -829,8 +829,8 @@ class Epoch:
         # Shared by every view: what q needs, the chunks, and the kept q,
         # which a single chunk computes at once: every epoch is read.
         kept = [op.q(t, v_next, acts, one_step)] if len(chunks) == 1 else []
-        self._source = (op, t, v_next, one_step, chunks, keep, kept)
-        self._rows = self._best = None
+        self._source = (op, t, v_next, one_step, chunks, keep, kept, [])  # [] takes the maximum
+        self._rows = None
 
     def rows(self, sel) -> "Epoch":
         """A view of Q's stack rows sel (an index or a slice) that shares this epoch's chunks."""
@@ -838,17 +838,21 @@ class Epoch:
         shape = self.shape[1:]
         if isinstance(sel, slice):
             shape = (len(range(self.shape[0])[sel]),) + shape
-        view.shape, view._source, view._rows, view._best = shape, self._source, sel, None
+        view.shape, view._source, view._rows = shape, self._source, sel
         return view
 
     def __iter__(self):
-        op, t, v_next, one_step, chunks, keep, kept = self._source
-        if len(kept) == len(chunks):  # every q is kept already
-            return zip(chunks, kept if self._rows is None else [q[self._rows] for q in kept])
-        return self._chunks()
+        return self._chunks(self._rows)
 
-    def _chunks(self):
-        op, t, v_next, one_step, chunks, keep, kept = self._source
+    def _chunks(self, sel):
+        """(activities, q[sel]) per chunk; q of every row of the stack if sel is None."""
+        op, t, v_next, one_step, chunks, keep, kept, _ = self._source
+        if len(kept) == len(chunks):  # every q is kept already
+            return zip(chunks, kept if sel is None else [q[sel] for q in kept])
+        return self._computed(sel)
+
+    def _computed(self, sel):
+        op, t, v_next, one_step, chunks, keep, kept, _ = self._source
         for k, acts in enumerate(chunks):
             if k < len(kept):
                 q = kept[k]
@@ -856,24 +860,23 @@ class Epoch:
                 q = op.q(t, v_next, acts, one_step)
                 if k < keep:
                     kept.append(q)
-            yield acts, q if self._rows is None else q[self._rows]
+            yield acts, q if sel is None else q[sel]
 
     def best(self, key: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
         """Per-state maximum over activities of q, or of key(q).
 
-        The maximum of q itself is computed once per epoch or view and
-        shared, read-only, by its readers (the solve's tie floor, each
-        one-step rule).
+        The maximum of q itself is computed once per epoch, over every row
+        of the stack, and its rows are shared, read-only, by every view:
+        the solve's tie floor and each one-step rule read one reduction.
         """
-        if key is None and self._best is not None:
-            return self._best
-        best = None
-        for _, q in self:
-            top = np.maximum.reduce(q if key is None else key(q), axis=-2)
-            best = top if best is None else np.maximum(best, top)
-        if key is None:
-            self._best, = _read_only(best)
-        return best
+        if key is not None:
+            return functools.reduce(np.maximum, (np.maximum.reduce(key(q), axis=-2)
+                                                 for _, q in self))
+        shared = self._source[-1]
+        if not shared:
+            shared += _read_only(functools.reduce(
+                np.maximum, (np.maximum.reduce(q, axis=-2) for _, q in self._chunks(None))))
+        return shared[0] if self._rows is None else shared[0][self._rows]
 
     def lowest(self, cond: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """Per-state lowest activity whose q satisfies cond; -1 where none does."""
@@ -888,7 +891,7 @@ class Epoch:
         """Per-state q at the given activity; NaN where it is not in this epoch."""
         out = np.nan
         for acts, q in self:
-            pos = np.minimum(np.searchsorted(acts, choice), len(acts) - 1)
+            pos = np.minimum(acts.searchsorted(choice), len(acts) - 1)
             out = np.where(acts[pos] == choice, _pick(q, pos), out)
         return out
 
@@ -954,8 +957,15 @@ def _sweep(op: BellmanOperator, solve: bool, sources: Sequence, rules: Sequence)
     every = np.arange(A)
     width = op.chunk_width(max(1, lead + P + bool(rules)) * S)
     union = not (solve or rules) and P > 1  # the activities are those the tables choose
+    choice = np.empty((P, S), dtype=np.int32)
+
+    def choices(t):  # each policy's choices at epoch t, one row per policy
+        for row, c in zip(choice, chosen):
+            row[...] = c[t]
+        return choice
+
     for t in range(T - 1, -1, -1):
-        acts = op.used(np.stack([c[t] for c in chosen])) if union else every
+        acts = op.used(choices(t)) if union else every
         stacked = P > (0 if solve or rules else 1) and len(acts) <= width
         rows = lead + P if stacked else lead
         if rows:  # the solve alone contracts one vector, not a stack of one
@@ -970,8 +980,7 @@ def _sweep(op: BellmanOperator, solve: bool, sources: Sequence, rules: Sequence)
             for table, rule in zip(ruled, rules):
                 table[t] = rule(one_step)
         if stacked:
-            choice = np.stack([c[t] for c in chosen])
-            values[lead:, t] = epoch.rows(slice(lead, rows)).at(choice)
+            values[lead:, t] = epoch.rows(slice(lead, rows)).at(choices(t))
         epoch = one_step = None  # frees the kept Q before the next operator call
         if P and not stacked:
             for v, c in zip(values[lead:], chosen):
