@@ -869,14 +869,17 @@ class Epoch:
         of the stack, and its rows are shared, read-only, by every view:
         the solve's tie floor and each one-step rule read one reduction.
         """
-        if key is not None:
-            return functools.reduce(np.maximum, (np.maximum.reduce(key(q), axis=-2)
-                                                 for _, q in self))
         shared = self._source[-1]
-        if not shared:
-            shared += _read_only(functools.reduce(
-                np.maximum, (np.maximum.reduce(q, axis=-2) for _, q in self._chunks(None))))
-        return shared[0] if self._rows is None else shared[0][self._rows]
+        if key is None and shared:
+            return shared[0] if self._rows is None else shared[0][self._rows]
+        best = None
+        for _, q in self if key is not None else self._chunks(None):
+            top = np.maximum.reduce(q if key is None else key(q), axis=-2)
+            best = top if best is None else np.maximum(best, top)
+        if key is not None:
+            return best
+        shared += _read_only(best)
+        return best if self._rows is None else best[self._rows]
 
     def lowest(self, cond: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """Per-state lowest activity whose q satisfies cond; -1 where none does."""
