@@ -375,10 +375,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser: built on the first main call, then reused by every
-    later one in the process (building it takes about a millisecond).  Each
-    cmd_* function looks its callees up when it runs, so a wrapper or patch
-    put on them later still applies."""
+    """The CLI's parser: built on the first main call, not at import, then
+    reused by every later call in the process.  Each cmd_* function looks its
+    callees up when it runs, so a wrapper or patch put on them later still
+    applies."""
     parser = argparse.ArgumentParser(prog="stodep", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
