@@ -50,12 +50,13 @@ and, on the potential route, each type's D_m phi term.  The operator keeps
 it for one block of consecutive epochs (BellmanOperator._data).  The first
 q over every activity at an epoch builds the epoch's block in one pass, one
 numpy evaluation per type size, within _EPOCH_BUDGET bytes, and drops the
-block kept before; a sweep then spends a handful of numpy calls per epoch.
-Where one epoch alone exceeds the budget, and on calls over some of the
-activities, each call builds only what it reads, and the potential terms
-one type at a time; rewards, which Monte Carlo rollouts read, builds
-nothing.  Every array kept is read-only, and every Q has the bits of
-building it per call.
+block kept before; a sweep then spends about 25 numpy calls per epoch.
+Each sweep and audit drops the last block when it ends, so no block
+outlives the loop that read it.  Where one epoch alone exceeds the budget,
+and on calls over some of the activities, each call builds only what it
+reads, and the potential terms one type at a time; rewards, which Monte
+Carlo rollouts read, builds nothing.  Every array kept is read-only, and
+every Q has the bits of building it per call.
 
 Each instance gets one operator (bellman_operator), built on first use and
 kept on the instance, so a solve, the policy evaluations and the certifiers
@@ -99,8 +100,10 @@ _REWARD_BLOCK = 8
 # Bytes of per-epoch operator data (BellmanOperator._data: binomial
 # matrices, reward rows, potential terms) an operator keeps, for one block of
 # consecutive epochs at a time.  Where one epoch's data alone exceeds it, each
-# q call builds the data of its own activities.
-_EPOCH_BUDGET = 2**24
+# q call builds the data of its own activities.  A block of a few hundred
+# epochs at S = 16 already spreads its build thin; a larger one only raises
+# the peak memory of a sweep.
+_EPOCH_BUDGET = 2**18
 
 # Bytes of Q an Epoch keeps for its later passes: chunk k is kept while
 # (k + 1) chunks of doubles fit.  The first chunk is always kept, since it is
@@ -190,8 +193,9 @@ class ValueTable:
     def from_dict(cls, data: dict) -> "ValueTable":
         """The table to_dict wrote; ConfigError unless its header is well formed,
         its arrays cover every (x, t), every value is a finite number and every
-        best_activity an integer in [0, num_activities).  A JSON string or
-        boolean is not a number, even where numpy would read it as one."""
+        best_activity an integer in [0, num_activities).  A string or a
+        boolean is not a number, even where numpy would read it as one;
+        numpy numbers and arrays load as their values."""
         _check_header(data)
         try:
             values = np.asarray(data["values"], dtype=np.float64)
@@ -216,16 +220,19 @@ class ValueTable:
         # JSON null loads as NaN, "0.25" as 0.25 and true as 1.0: find them
         # among the entries.  NaN and Infinity load as themselves.
         bad = ~np.isfinite(values)
-        if not _entry_types(data["values"]) <= {float, int}:
+        if _entry_types(data["values"]) & _NOT_NUMBERS:
             entries = np.asarray(data["values"], dtype=object)
-            bad |= np.frompyfunc(lambda v: type(v) not in (float, int), 1, 1)(entries).astype(bool)
+            bad |= np.frompyfunc(lambda v: type(v) in _NOT_NUMBERS, 1, 1)(entries).astype(bool)
         _refuse_first(bad, data["values"], "value", "every value must be a finite number")
         A = table.num_activities
-        if best.dtype.kind in "iu" and _entry_types(data["best_activity"]) <= {int}:
+        if best.dtype.kind in "iu" and not _entry_types(data["best_activity"]) & _NOT_NUMBERS:
             bad = (best < 0) | (best >= A)
         else:  # a float, string, bool or huge entry: find it among the entries
-            entries = np.asarray(data["best_activity"], dtype=object)
-            bad = np.frompyfunc(lambda a: type(a) is not int or not 0 <= a < A, 1, 1)(entries)
+            def stray(a):
+                integer = isinstance(a, (int, np.integer)) and type(a) not in _NOT_NUMBERS
+                return not (integer and 0 <= a < A)
+
+            bad = np.frompyfunc(stray, 1, 1)(np.asarray(data["best_activity"], dtype=object))
         _refuse_first(bad, data["best_activity"], "best_activity",
                       f"every entry must be an integer in [0, {A})")
         table.best_activity = best.astype(np.int32)
@@ -253,12 +260,19 @@ def _refuse_first(bad: np.ndarray, rows, name: str, rule: str) -> None:
     if bad.any():
         i, j = (int(k) for k in np.argwhere(bad)[0])
         raise ConfigError(
-            f"table {name} at (row {i}, column {j}) is {json.dumps(rows[i][j])}: {rule}"
+            f"table {name} at (row {i}, column {j}) is "
+            f"{json.dumps(rows[i][j], default=lambda v: v.item())}: {rule}"
         )
 
 
+# Entry types that numpy reads as numbers but a table refuses.
+_NOT_NUMBERS = frozenset({str, bool, np.str_, np.bool_})
+
+
 def _entry_types(rows) -> set[type]:
-    """The types of the entries of a table array, a list of rows."""
+    """The types of the entries of a table array: a list of rows, or an array."""
+    if isinstance(rows, np.ndarray) and rows.dtype != object:
+        return {rows.dtype.type}
     return set(map(type, itertools.chain.from_iterable(rows)))
 
 
@@ -443,7 +457,7 @@ class BellmanOperator:
         if v_next is None:
             return reward
         if not one_step:
-            return self._rows(data, v_next, reward)
+            return reward + self._rows(data, v_next)
         q = np.empty((len(v_next) + 1,) + reward.shape)
         np.add(reward, self._rows(data, v_next), out=q[:-1])
         q[-1] = reward
@@ -461,9 +475,10 @@ class BellmanOperator:
         A call over every activity reads the data kept for its epoch.  The
         first such call at an epoch builds, in one pass, the data of its
         block of _EPOCH_BUDGET // _epoch_bytes consecutive epochs, in place
-        of the block kept before.  Other calls, and every call once one
-        epoch alone exceeds the budget, build data for themselves, whose
-        potential terms are made one type at a time as _expect reaches them.
+        of the block kept before; drop_block lets the last one go.  Other
+        calls, and every call once one epoch alone exceeds the budget,
+        build data for themselves, whose potential terms are made one type
+        at a time as _expect reaches them.
         """
         if len(acts) == self.num_activities:
             data = self._block.get(t)
@@ -477,6 +492,15 @@ class BellmanOperator:
                 return self._block[t]
         return self._build(t, t + 1, acts)[0]
 
+    def drop_block(self) -> None:
+        """Let the kept block go, at the end of a sweep.
+
+        Kept past its loop, the block's many small objects can pin an arena
+        of Python's allocator (1 MiB) while the caller allocates around
+        them, writing a table's JSON or a report.
+        """
+        self._block = {}
+
     def _build(self, lo: int, hi: int, acts: np.ndarray | None = None) -> list[tuple]:
         """_data of every activity at each epoch lo..hi - 1, or of acts at epoch lo.
 
@@ -488,30 +512,25 @@ class BellmanOperator:
         per block of activities, and D_m phi from one einsum per type.
         Kept data (acts None) is read-only.
         """
-        A, M = self.num_activities, len(self.dims)
+        A = self.num_activities
         epochs = range(lo, hi)
-        uniform = acts is None and self._distinct.keys().isdisjoint(epochs)
-        if uniform:  # every epoch contracts every type of its A activities
-            heads = [(None, A, False)] * len(epochs)  # (gather, rows, whether rows are distinct)
-            p = self.schedule[lo:hi].reshape(-1, M)
-        else:
-            heads, ps = [], []
-            for t in epochs:
-                distinct = self._distinct.get(t)
-                if distinct is None:
-                    gather, pt = None, self.schedule[t] if acts is None else self.schedule[t, acts]
+        heads, ps = [], []  # per epoch (gather, rows, whether rows are distinct) and rows' p
+        for t in epochs:
+            distinct = self._distinct.get(t)
+            if distinct is None:
+                gather, pt = None, self.schedule[t] if acts is None else self.schedule[t, acts]
+            else:
+                row, first = distinct
+                if acts is None:
+                    gather = row if len(first) < A else None
                 else:
-                    row, first = distinct
-                    if acts is None:
-                        gather = row if len(first) < A else None
-                    else:
-                        row = row[acts]
-                        used = np.flatnonzero(np.bincount(row))
-                        first, gather = first[used], np.searchsorted(used, row)
-                    pt = self.schedule[t, first]
-                heads.append((gather, len(pt), distinct is not None))
-                ps.append(pt)
-            p = ps[0] if len(ps) == 1 else np.concatenate(ps)
+                    row = row[acts]
+                    used = np.flatnonzero(np.bincount(row))
+                    first, gather = first[used], np.searchsorted(used, row)
+                pt = self.schedule[t, first]
+            heads.append((gather, len(pt), distinct is not None))
+            ps.append(pt)
+        p = ps[0] if len(ps) == 1 else np.concatenate(ps)
         sizes = [u for _, u, _ in heads]
         starts = list(itertools.accumulate(sizes, initial=0))
         sparse = np.repeat([d for *_, d in heads], sizes)[:, None]
@@ -540,17 +559,12 @@ class BellmanOperator:
         spans = [(s, s + u, distinct) for s, u, (*_, distinct) in zip(starts, sizes, heads)]
         kept = []  # per type, an iterator over the epochs' entries
         for m, (mat, dphi, lift) in enumerate(types):
-            if uniform:  # A rows at each epoch, every one contracted
-                c, o = itertools.repeat(range(A)), itertools.repeat(())
-                mat = mat.reshape((len(heads), A) + mat.shape[1:])
-                dphi = dphi.reshape((len(heads), A) + dphi.shape[1:]) if dphi is not None else None
-            else:
-                ends = np.concatenate(([0], np.cumsum(cut[:, m])))[starts].tolist()
-                c, o = zip(*(_read_only(np.flatnonzero(cut[a:b, m]), np.flatnonzero(one[a:b, m]))
-                             if distinct else (range(b - a), ()) for a, b, distinct in spans))
-                mat = [mat[a:b] for a, b in zip(ends, ends[1:])]
-                dphi = [dphi[a:b] for a, b in zip(ends, ends[1:])] if dphi is not None else None
-            dphi = itertools.repeat(None) if dphi is None else dphi
+            ends = np.concatenate(([0], np.cumsum(cut[:, m])))[starts].tolist()
+            c, o = zip(*(_read_only(np.flatnonzero(cut[a:b, m]), np.flatnonzero(one[a:b, m]))
+                         if distinct else (range(b - a), ()) for a, b, distinct in spans))
+            cuts = list(zip(ends, ends[1:]))
+            mat = [mat[a:b] for a, b in cuts]
+            dphi = itertools.repeat(None) if dphi is None else [dphi[a:b] for a, b in cuts]
             kept.append(zip(c, o, mat, dphi, itertools.repeat(lift)))
         return list(zip([g for g, _, _ in heads], sizes, zip(*kept), rewards))
 
@@ -624,23 +638,18 @@ class BellmanOperator:
                 mats[m] = mat
         return mats
 
-    def _rows(self, data: tuple, v, reward=None) -> np.ndarray:
-        """_expect over data's rows, gathered back to its activities, plus reward if given."""
+    def _rows(self, data: tuple, v) -> np.ndarray:
+        """_expect over data's rows, gathered back to its activities."""
         gather, U, types, _ = data
-        if gather is None:
-            return self._expect(U, types, v, reward)
-        w = np.take(self._expect(U, types, v), gather, axis=-2)
-        return w if reward is None else reward + w
+        w = self._expect(U, types, v)
+        return w if gather is None else np.take(w, gather, axis=-2)
 
-    def _expect(self, U: int, types, v, add=None) -> np.ndarray:
+    def _expect(self, U: int, types, v) -> np.ndarray:
         """(K_u v)(x) = E[v(x - X)] for each of U schedule rows u and each vector of v.
 
         types is _data's: per type the rows with 0 < p < 1, the rows with
         p = 1, and _per_type's entries of the former.  v is (S,) or (P, S),
-        or None for V = 0; the result is (U, S) or (P, U, S), a new array,
-        plus add (U, S) if given: add + K v, the bits q's reward + K v has,
-        added in the last type's rotation where that type contracts every
-        row, which saves a pass over Q.
+        or None for V = 0; the result is (U, S) or (P, U, S), a new array.
 
         K = K_{M-1} ... K_0, where K_m takes the expectation over type m's
         depletion.  Each step contracts the last axis of the C-order tensor
@@ -664,8 +673,8 @@ class BellmanOperator:
             v = np.zeros(S)
         lead = v.shape[:-1]
         w, shared = v[..., None, :], True
-        last, types = len(self.dims) - 1, iter(types)
-        for m, n in enumerate(self.dims):
+        types = iter(types)
+        for n in self.dims:
             wr = w.reshape(lead + (-1, S // n, n))
             # After wr drops the last type's input, and by next() rather than
             # zip, which would hold the last type's entries: _data may make
@@ -676,11 +685,7 @@ class BellmanOperator:
                 if dphi is not None:
                     r += dphi
                     dphi = None
-                if m == last and add is not None:
-                    w = np.add(add.reshape(U, n, S // n), r.swapaxes(-1, -2)).reshape(lead + (U, S))
-                    add = None
-                else:
-                    w = r.swapaxes(-1, -2).reshape(lead + (U, S))
+                w = r.swapaxes(-1, -2).reshape(lead + (U, S))
             elif not len(c) + len(o):  # p = 0 in every row: B_m is the identity
                 w = wr.swapaxes(-1, -2).reshape(lead + (-1, S))
                 continue
@@ -699,8 +704,7 @@ class BellmanOperator:
                 w = nxt.reshape(lead + (U, S))
             shared = False
             r = None  # frees this type's product before the next type's terms are made
-        w = np.repeat(w, U, axis=-2) if shared else w  # p = 0 throughout: U copies of v
-        return w if add is None else add + w
+        return np.repeat(w, U, axis=-2) if shared else w  # p = 0 throughout: U copies of v
 
     def chunk_width(self, q_entries: int) -> int:
         """Activities per q call, for q_entries Q entries per activity (P * S).
@@ -815,22 +819,16 @@ class Epoch:
 
     def __init__(self, op: BellmanOperator, t: int, v_next, acts: np.ndarray,
                  one_step: bool = False):
-        S = per_activity = op.num_states  # Q entries per activity
-        self.shape = (S,)
-        if v_next is not None and v_next.ndim == 2:
-            self.shape = (len(v_next) + one_step, S)
-            per_activity *= self.shape[0]
+        S = op.num_states
+        self.shape = (S,) if v_next is None or v_next.ndim == 1 else (len(v_next) + one_step, S)
+        per_activity = math.prod(self.shape)  # Q entries
         width = op.chunk_width(per_activity)
-        chunks, keep = [acts], 1
-        if len(acts) > width:
-            chunks = [acts[i:i + width] for i in range(0, len(acts), width)]
-            fit = _Q_BUDGET // (8 * per_activity)  # activities whose Q fits the budget
-            keep = max(1, len(chunks) if len(acts) <= fit else fit // width)
-        # Shared by every view: what q needs, the chunks, and the kept q,
-        # which a single chunk computes at once: every epoch is read.
-        kept = [op.q(t, v_next, acts, one_step)] if len(chunks) == 1 else []
-        self._source = (op, t, v_next, one_step, chunks, keep, kept, [])  # [] takes the maximum
-        self._rows = None
+        chunks = [acts[i:i + width] for i in range(0, len(acts), width)]
+        fit = _Q_BUDGET // (8 * per_activity)  # activities whose Q fits the budget
+        keep = max(1, len(chunks) if len(acts) <= fit else fit // width)
+        # Shared by every view: what q needs, the chunks, and the q kept so far.
+        self._source = (op, t, v_next, one_step, chunks, keep, [])
+        self._rows = self._best = None
 
     def rows(self, sel) -> "Epoch":
         """A view of Q's stack rows sel (an index or a slice) that shares this epoch's chunks."""
@@ -838,21 +836,11 @@ class Epoch:
         shape = self.shape[1:]
         if isinstance(sel, slice):
             shape = (len(range(self.shape[0])[sel]),) + shape
-        view.shape, view._source, view._rows = shape, self._source, sel
+        view.shape, view._source, view._rows, view._best = shape, self._source, sel, None
         return view
 
     def __iter__(self):
-        return self._chunks(self._rows)
-
-    def _chunks(self, sel):
-        """(activities, q[sel]) per chunk; q of every row of the stack if sel is None."""
-        op, t, v_next, one_step, chunks, keep, kept, _ = self._source
-        if len(kept) == len(chunks):  # every q is kept already
-            return zip(chunks, kept if sel is None else [q[sel] for q in kept])
-        return self._computed(sel)
-
-    def _computed(self, sel):
-        op, t, v_next, one_step, chunks, keep, kept, _ = self._source
+        op, t, v_next, one_step, chunks, keep, kept = self._source
         for k, acts in enumerate(chunks):
             if k < len(kept):
                 q = kept[k]
@@ -860,26 +848,24 @@ class Epoch:
                 q = op.q(t, v_next, acts, one_step)
                 if k < keep:
                     kept.append(q)
-            yield acts, q if sel is None else q[sel]
+            yield acts, q if self._rows is None else q[self._rows]
 
     def best(self, key: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
         """Per-state maximum over activities of q, or of key(q).
 
-        The maximum of q itself is computed once per epoch, over every row
-        of the stack, and its rows are shared, read-only, by every view:
-        the solve's tie floor and each one-step rule read one reduction.
+        The maximum of q itself is kept, read-only, so the one-step rules
+        that read one view (myopic, approx) reduce its Q once.
         """
-        shared = self._source[-1]
-        if key is None and shared:
-            return shared[0] if self._rows is None else shared[0][self._rows]
+        if key is None and self._best is not None:
+            return self._best
         best = None
-        for _, q in self if key is not None else self._chunks(None):
+        for _, q in self:
             top = np.maximum.reduce(q if key is None else key(q), axis=-2)
             best = top if best is None else np.maximum(best, top)
-        if key is not None:
-            return best
-        shared += _read_only(best)
-        return best if self._rows is None else best[self._rows]
+        if key is None:
+            best.flags.writeable = False
+            self._best = best
+        return best
 
     def lowest(self, cond: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """Per-state lowest activity whose q satisfies cond; -1 where none does."""
@@ -959,35 +945,30 @@ def _sweep(op: BellmanOperator, solve: bool, sources: Sequence, rules: Sequence)
     chosen = [ruled[s] if isinstance(s, int) else solved if s is None else s.T for s in sources]
     every = np.arange(A)
     width = op.chunk_width(max(1, lead + P + bool(rules)) * S)
-    union = not (solve or rules) and P > 1  # the activities are those the tables choose
-    choice = np.empty((P, S), dtype=np.int32)
-
-    def choices(t):  # each policy's choices at epoch t, one row per policy
-        for row, c in zip(choice, chosen):
-            row[...] = c[t]
-        return choice
-
     for t in range(T - 1, -1, -1):
-        acts = op.used(choices(t)) if union else every
+        acts = every
+        if not (solve or rules) and P > 1:
+            acts = op.used(np.stack([c[t] for c in chosen]))
         stacked = P > (0 if solve or rules else 1) and len(acts) <= width
         rows = lead + P if stacked else lead
-        if rows:  # the solve alone contracts one vector, not a stack of one
-            v = values[0, t + 1] if rows == 1 and not rules else values[:rows, t + 1]
-            epoch = op.epoch(t, v, acts, bool(rules))
+        if rows:
+            epoch = op.epoch(t, values[:rows, t + 1], acts, bool(rules))
         elif rules:
             epoch = op.epoch(t, None, acts)
         if solve:
-            values[0, t], solved[t] = lowest_tied(epoch if v.ndim == 1 else epoch.rows(0))
+            values[0, t], solved[t] = lowest_tied(epoch.rows(0))
         if rules:
             one_step = epoch.rows(-1) if rows else epoch
             for table, rule in zip(ruled, rules):
                 table[t] = rule(one_step)
         if stacked:
-            values[lead:, t] = epoch.rows(slice(lead, rows)).at(choices(t))
+            choice = np.stack([c[t] for c in chosen])
+            values[lead:, t] = epoch.rows(slice(lead, rows)).at(choice)
         epoch = one_step = None  # frees the kept Q before the next operator call
-        if P and not stacked:
+        if not stacked:
             for v, c in zip(values[lead:], chosen):
                 v[t] = op.epoch(t, v[t + 1], op.used(c[t])).at(c[t])
+    op.drop_block()
     if (ruled < 0).any():
         raise DomainError("the decision rule selects no activity at some state")
     return values, [solved] * solve + chosen, ruled
@@ -1168,6 +1149,7 @@ def audit_table(
                     "residual": float(residual[si]),
                 }
             )
+    op.drop_block()
     # Terminal boundary: J(x, horizon) must be exactly zero.
     for si in np.flatnonzero(table.values[:, T] != 0.0):
         stored = float(table.values[si, T])

@@ -282,6 +282,33 @@ def test_a_best_activity_that_is_not_an_activity_is_refused(entry, text, worst_c
         ValueTable.from_dict(json.loads(json.dumps(data)))
 
 
+def test_a_table_of_numpy_numbers_loads(worst_case_tenth):
+    """Arrays, and lists of numpy floats and integers, load as their values."""
+    table = solve_clairvoyant(worst_case_tenth)
+    header = table.to_dict()
+    for values, best in [
+        (table.values, table.best_activity),
+        (table.values.copy(), table.best_activity.astype(np.int64)),
+        ([list(row) for row in table.values], [list(row) for row in table.best_activity]),
+    ]:
+        got = ValueTable.from_dict({**header, "values": values, "best_activity": best})
+        _same_bits(got.values, table.values)
+        assert got.best_activity.dtype == np.int32
+        assert np.array_equal(got.best_activity, table.best_activity)
+
+
+def test_a_numpy_entry_out_of_range_is_refused(worst_case_tenth):
+    data = solve_clairvoyant(worst_case_tenth).to_dict()
+    best = np.array(data["best_activity"], dtype=np.int64)
+    best[2, 1] = 99
+    with pytest.raises(stodep.ConfigError, match=r"\(row 2, column 1\) is 99: "):
+        ValueTable.from_dict({**data, "best_activity": best})
+    with pytest.raises(stodep.ConfigError, match=r"\(row 2, column 1\) is true: "):
+        rows = [list(r) for r in best]
+        rows[2][1] = np.True_
+        ValueTable.from_dict({**data, "best_activity": rows})
+
+
 @pytest.mark.parametrize("field, state, lookup", [
     ("state", State((1,), 0), stodep.optimal_value),
     ("items", State((2, 0), 0), stodep.optimal_value),
@@ -545,9 +572,19 @@ def _cache_instance(kind):
                                   "tabulated", "coverage"])
 def test_epoch_data_budget_changes_no_output(kind, monkeypatch):
     """Data built for each call (a budget below one epoch) gives every sweep
-    the bits that the data kept for a block of epochs gives."""
+    the bits that the data kept for a block of epochs gives, and no sweep or
+    audit leaves its block behind."""
+    blocks = []  # per _build call: whether it built a block of epochs
+    real = stodep.dp.BellmanOperator._build
+
+    def build(self, lo, hi, acts=None):
+        blocks.append(acts is None)
+        return real(self, lo, hi, acts)
+
+    monkeypatch.setattr(stodep.dp.BellmanOperator, "_build", build)
+
     def outputs():
-        inst = _cache_instance(kind)
+        inst, other = _cache_instance(kind), _cache_instance(kind)
         table, evaluated = solve_and_evaluate(
             inst, [myopic_policy(), stodep.approx_myopic_policy(2.0), OPTIMAL])
         out = [table.values, table.best_activity, audit_table(inst, table).to_dict()]
@@ -555,20 +592,26 @@ def test_epoch_data_budget_changes_no_output(kind, monkeypatch):
             out += [ev.values, ev.best_activity]
         out += stodep.dp.one_step_decisions(
             inst, [myopic_policy()._rule, stodep.approx_myopic_policy(2.0)._rule])
-        alone = solve_clairvoyant(_cache_instance(kind))
+        alone = solve_clairvoyant(other)
         out += [alone.values, alone.best_activity]
-        return out, stodep.dp.bellman_operator(inst)._block
+        assert not stodep.dp.bellman_operator(inst)._block
+        assert not stodep.dp.bellman_operator(other)._block
+        return out
 
-    kept, block = outputs()
-    assert block  # the default budget keeps the epochs of these small tables
+    kept = outputs()  # the default budget
+    monkeypatch.setattr(stodep.dp, "_EPOCH_BUDGET", 2**24)  # every epoch of these small tables
+    whole = outputs()
+    assert any(blocks)
+    blocks.clear()
     monkeypatch.setattr(stodep.dp, "_EPOCH_BUDGET", 0)
-    built, block = outputs()
-    assert not block
-    for a, b in zip(kept, built, strict=True):
+    built = outputs()
+    assert blocks and not any(blocks)
+    for a, b, c in zip(kept, whole, built, strict=True):
         if isinstance(a, dict):
-            assert a == b
+            assert a == b == c
         else:
             _same_bits(a, b)
+            _same_bits(a, c)
 
 
 def test_rollouts_and_rewards_build_no_epoch_data(monkeypatch):
@@ -593,7 +636,8 @@ def test_rollouts_and_rewards_build_no_epoch_data(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["random-linear-decaying", "queueing", "tabulated", "coverage"])
-def test_kept_epoch_data_is_read_only(kind):
+def test_kept_epoch_data_is_read_only(kind, monkeypatch):
+    monkeypatch.setattr(stodep.dp, "_EPOCH_BUDGET", 2**24)  # a block even at S = 1024
     inst = _cache_instance(kind)
     op = stodep.dp.bellman_operator(inst)
     op.q(0, None, np.arange(inst.num_activities))
@@ -1065,8 +1109,9 @@ def test_solve_and_audit_build_each_epochs_matrices_once(monkeypatch):
     assert sorted(op._distinct) == [0, 1, 2]
     table = solve_clairvoyant(inst)
     assert audit_table(inst, table).passed
-    # One evaluation for the block of all three epochs, each epoch's distinct rows once.
-    assert calls == [sum(len(op._distinct[t][1]) for t in range(3))]
+    # Per sweep, one evaluation for the block of all three epochs, each
+    # epoch's distinct rows once; the audit builds its own block.
+    assert calls == [sum(len(op._distinct[t][1]) for t in range(3))] * 2
     assert all(len(op._distinct[t][1]) < inst.num_activities for t in (0, 1))
 
 
