@@ -51,12 +51,11 @@ it for one block of consecutive epochs (BellmanOperator._data).  The first
 q over every activity at an epoch builds the epoch's block in one pass, one
 numpy evaluation per type size, within _EPOCH_BUDGET bytes, and drops the
 block kept before; a sweep then spends about 25 numpy calls per epoch.
-Each sweep and audit drops the last block when it ends, so no block
-outlives the loop that read it.  Where one epoch alone exceeds the budget,
-and on calls over some of the activities, each call builds only what it
-reads, and the potential terms one type at a time; rewards, which Monte
-Carlo rollouts read, builds nothing.  Every array kept is read-only, and
-every Q has the bits of building it per call.
+Where one epoch alone exceeds the budget, and on calls over some of the
+activities, each call builds only what it reads, and the potential terms
+one type at a time; rewards, which Monte Carlo rollouts read, builds
+nothing.  Every array kept is read-only, and every Q has the bits of
+building it per call.
 
 Each instance gets one operator (bellman_operator), built on first use and
 kept on the instance, so a solve, the policy evaluations and the certifiers
@@ -100,10 +99,11 @@ _REWARD_BLOCK = 8
 # Bytes of per-epoch operator data (BellmanOperator._data: binomial
 # matrices, reward rows, potential terms) an operator keeps, for one block of
 # consecutive epochs at a time.  Where one epoch's data alone exceeds it, each
-# q call builds the data of its own activities.  A block of a few hundred
-# epochs at S = 16 already spreads its build thin; a larger one only raises
-# the peak memory of a sweep.
-_EPOCH_BUDGET = 2**18
+# q call builds the data of its own activities.  Blocks of several hundred
+# epochs at S = 16 already spread their build thin, and the queueing
+# instance's four epochs (168 KB each) fit one; a larger budget only holds
+# more memory for the life of the instance.
+_EPOCH_BUDGET = 2**20
 
 # Bytes of Q an Epoch keeps for its later passes: chunk k is kept while
 # (k + 1) chunks of doubles fit.  The first chunk is always kept, since it is
@@ -475,10 +475,9 @@ class BellmanOperator:
         A call over every activity reads the data kept for its epoch.  The
         first such call at an epoch builds, in one pass, the data of its
         block of _EPOCH_BUDGET // _epoch_bytes consecutive epochs, in place
-        of the block kept before; drop_block lets the last one go.  Other
-        calls, and every call once one epoch alone exceeds the budget,
-        build data for themselves, whose potential terms are made one type
-        at a time as _expect reaches them.
+        of the block kept before.  Other calls, and every call once one
+        epoch alone exceeds the budget, build data for themselves, whose
+        potential terms are made one type at a time as _expect reaches them.
         """
         if len(acts) == self.num_activities:
             data = self._block.get(t)
@@ -491,15 +490,6 @@ class BellmanOperator:
                 self._block = dict(enumerate(self._build(lo, min(lo + span, self.horizon)), lo))
                 return self._block[t]
         return self._build(t, t + 1, acts)[0]
-
-    def drop_block(self) -> None:
-        """Let the kept block go, at the end of a sweep.
-
-        Kept past its loop, the block's many small objects can pin an arena
-        of Python's allocator (1 MiB) while the caller allocates around
-        them, writing a table's JSON or a report.
-        """
-        self._block = {}
 
     def _build(self, lo: int, hi: int, acts: np.ndarray | None = None) -> list[tuple]:
         """_data of every activity at each epoch lo..hi - 1, or of acts at epoch lo.
@@ -553,16 +543,17 @@ class BellmanOperator:
             def entries(m, kept):  # through map, which holds no type's entries once passed on
                 if not distinct:
                     return (range(U), (), *kept)
-                return (np.flatnonzero(cut[:, m]), np.flatnonzero(one[:, m]), *kept)
+                return (cut[:, m].nonzero()[0], one[:, m].nonzero()[0], *kept)
 
             return [(gather, U, map(entries, itertools.count(), types), rewards[0])]
         spans = [(s, s + u, distinct) for s, u, (*_, distinct) in zip(starts, sizes, heads)]
+        # Per type, where each epoch's contracted rows start among that type's matrices.
+        ends = np.cumsum(np.concatenate((np.zeros((1, len(self.dims)), int), cut)), axis=0)
         kept = []  # per type, an iterator over the epochs' entries
         for m, (mat, dphi, lift) in enumerate(types):
-            ends = np.concatenate(([0], np.cumsum(cut[:, m])))[starts].tolist()
-            c, o = zip(*(_read_only(np.flatnonzero(cut[a:b, m]), np.flatnonzero(one[a:b, m]))
+            c, o = zip(*(_read_only(cut[a:b, m].nonzero()[0], one[a:b, m].nonzero()[0])
                          if distinct else (range(b - a), ()) for a, b, distinct in spans))
-            cuts = list(zip(ends, ends[1:]))
+            cuts = list(itertools.pairwise(ends[starts, m].tolist()))
             mat = [mat[a:b] for a, b in cuts]
             dphi = itertools.repeat(None) if dphi is None else [dphi[a:b] for a, b in cuts]
             kept.append(zip(c, o, mat, dphi, itertools.repeat(lift)))
@@ -968,7 +959,6 @@ def _sweep(op: BellmanOperator, solve: bool, sources: Sequence, rules: Sequence)
         if not stacked:
             for v, c in zip(values[lead:], chosen):
                 v[t] = op.epoch(t, v[t + 1], op.used(c[t])).at(c[t])
-    op.drop_block()
     if (ruled < 0).any():
         raise DomainError("the decision rule selects no activity at some state")
     return values, [solved] * solve + chosen, ruled
@@ -1149,7 +1139,6 @@ def audit_table(
                     "residual": float(residual[si]),
                 }
             )
-    op.drop_block()
     # Terminal boundary: J(x, horizon) must be exactly zero.
     for si in np.flatnonzero(table.values[:, T] != 0.0):
         stored = float(table.values[si, T])

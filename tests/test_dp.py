@@ -572,8 +572,7 @@ def _cache_instance(kind):
                                   "tabulated", "coverage"])
 def test_epoch_data_budget_changes_no_output(kind, monkeypatch):
     """Data built for each call (a budget below one epoch) gives every sweep
-    the bits that the data kept for a block of epochs gives, and no sweep or
-    audit leaves its block behind."""
+    the bits that the data kept for a block of epochs gives."""
     blocks = []  # per _build call: whether it built a block of epochs
     real = stodep.dp.BellmanOperator._build
 
@@ -594,8 +593,6 @@ def test_epoch_data_budget_changes_no_output(kind, monkeypatch):
             inst, [myopic_policy()._rule, stodep.approx_myopic_policy(2.0)._rule])
         alone = solve_clairvoyant(other)
         out += [alone.values, alone.best_activity]
-        assert not stodep.dp.bellman_operator(inst)._block
-        assert not stodep.dp.bellman_operator(other)._block
         return out
 
     kept = outputs()  # the default budget
@@ -636,8 +633,7 @@ def test_rollouts_and_rewards_build_no_epoch_data(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["random-linear-decaying", "queueing", "tabulated", "coverage"])
-def test_kept_epoch_data_is_read_only(kind, monkeypatch):
-    monkeypatch.setattr(stodep.dp, "_EPOCH_BUDGET", 2**24)  # a block even at S = 1024
+def test_kept_epoch_data_is_read_only(kind):
     inst = _cache_instance(kind)
     op = stodep.dp.bellman_operator(inst)
     op.q(0, None, np.arange(inst.num_activities))
@@ -1109,9 +1105,8 @@ def test_solve_and_audit_build_each_epochs_matrices_once(monkeypatch):
     assert sorted(op._distinct) == [0, 1, 2]
     table = solve_clairvoyant(inst)
     assert audit_table(inst, table).passed
-    # Per sweep, one evaluation for the block of all three epochs, each
-    # epoch's distinct rows once; the audit builds its own block.
-    assert calls == [sum(len(op._distinct[t][1]) for t in range(3))] * 2
+    # One evaluation for the block of all three epochs, each epoch's distinct rows once.
+    assert calls == [sum(len(op._distinct[t][1]) for t in range(3))]
     assert all(len(op._distinct[t][1]) < inst.num_activities for t in (0, 1))
 
 
