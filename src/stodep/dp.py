@@ -33,11 +33,11 @@ policies' values, and the solve, the one-step rules and each policy (at its
 choice) read their rows of that one call.  Policies leave the stack at the
 epochs where it does not fit one chunk, and go through alone over their own
 activities.  Activities go through the operator in chunks of at most
-_CHUNK_ENTRIES Q entries (rows * k * S for k activities; k * S * S on the
-tabulated route), so a small table takes every pair in one call.  No Q
-depends on which activities or vectors share its call (see
-BellmanOperator._linear_reward), so stacked and single evaluations agree bit
-for bit.  An Epoch computes each chunk's Q once and keeps it for later
+_CHUNK_ENTRIES Q entries (rows * k * S for k activities), so a small table
+takes every pair in one call.  No Q depends on which activities or vectors
+share its call (see BellmanOperator._linear_reward and _tabulated_reward),
+so stacked and single evaluations agree bit for bit.  An Epoch computes
+each chunk's Q once and keeps it for later
 passes over the epoch while the kept chunks fit a fixed byte budget
 (_Q_BUDGET); chunks past it are recomputed on each pass, so memory stays
 bounded whatever A and P are.  A one-chunk epoch, as on every small table,
@@ -45,9 +45,10 @@ is read as one array: each maximum, lowest qualifying activity or value at
 a choice is one numpy reduction or gather.
 
 What q reads at an epoch besides V depends only on the schedule and the
-reward: the binomial matrices of its distinct rows, the linear reward rows
-and, on the potential route, each type's D_m phi term.  The operator keeps
-it for one block of consecutive epochs (BellmanOperator._data).  The first
+reward: the binomial matrices of its distinct rows, the linear or
+tabulated reward rows and, on the potential route, each type's D_m phi
+term.  The operator keeps it for one block of consecutive epochs
+(BellmanOperator._data).  The first
 q over every activity at an epoch builds the epoch's block in one pass, one
 numpy evaluation per type size, within _EPOCH_BUDGET bytes, and drops the
 block kept before; a sweep then spends about 25 numpy calls per epoch.
@@ -59,7 +60,9 @@ building it per call.
 
 Each instance gets one operator (bellman_operator), built on first use and
 kept on the instance, so a solve, the policy evaluations and the certifiers
-of one instance share its state decoding and reward data.
+of one instance share its state decoding and reward data.  A tabulated
+reward is read as stored, by (x, x') pair (stodep.rewards.pair_index): its
+expected reward costs O(A * E * M) per epoch for E pairs.
 """
 
 from __future__ import annotations
@@ -74,9 +77,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, FingerprintMismatch, StateSpaceCapExceeded
-from .model import DEFAULT_STATE_CAP, Instance, State, require_tolerance, state_space_size
+from .model import (DEFAULT_STATE_CAP, Instance, State, _table_key, require_tolerance,
+                    state_space_size)
 from .rewards import (GeneralTabulatedReward, LinearDecayingReward, LinearReward, SubmodularReward,
-                      potential_on_box)
+                      pair_count, pair_index, pair_items, potential_on_box)
 from .serialize import instance_fingerprint
 
 # Activities within TIE_TOL * max(1, |best|) of the best Q are tied; the
@@ -85,11 +89,11 @@ from .serialize import instance_fingerprint
 TIE_TOL = 1e-12
 
 # Entries of the largest arrays of one operator application: Q's
-# (policies x activities x states), and for a tabulated reward the
-# (activities x states x states) transition and reward products.  Bounds the
-# working set at a few such arrays whatever the number of activities; a
-# 7**7-state table takes 8 activities of one policy per chunk.  A chunk holds
-# at least one activity (BellmanOperator.chunk_width).
+# (policies x activities x states) and a tabulated reward's (activities x
+# pairs) terms.  Bounds the working set at a few such arrays whatever the
+# number of activities; a 7**7-state table takes 8 activities of one policy
+# per chunk.  A chunk (BellmanOperator.chunk_width), and a block of the
+# tabulated reward's terms, holds at least one activity.
 _CHUNK_ENTRIES = 6_600_000
 
 # Activities per block of the linear reward's matrix product (see
@@ -331,18 +335,11 @@ def bellman_operator(instance: Instance, state_cap: int = DEFAULT_STATE_CAP) -> 
     It is stored in the instance's __dict__, as functools.cached_property
     stores a value, so it lives exactly as long as the instance; it holds no
     reference back to it.  The state cap is checked on every call, against
-    the dense table and, for a tabulated reward, against the horizon * S**2
-    entries of its dense reward array g[t, x, x'].
+    the dense table's entries.
     """
     n_entries = state_space_size(instance)
     if n_entries > state_cap:
         raise StateSpaceCapExceeded(f"state space {n_entries} exceeds cap {state_cap}")
-    if isinstance(instance.reward, GeneralTabulatedReward):
-        n_rewards = instance.horizon * (n_entries // (instance.horizon + 1)) ** 2
-        if n_rewards > state_cap:
-            raise StateSpaceCapExceeded(
-                f"dense tabulated reward of {n_rewards} entries exceeds cap {state_cap}"
-            )
     cache = vars(instance)
     op = cache.get("_bellman_operator")
     if op is None:
@@ -356,15 +353,20 @@ class BellmanOperator:
     The expected reward takes one of three routes: the closed form
     sum_m w_m[t] p_m x_m for linear and linear-decaying rewards; the
     telescoping potential Phi(x) = w(cap - x) for submodular rewards, where
-    g = Phi(x') - Phi(x); and a dense g[t, x, x'] array scattered once from
-    the key and value arrays of a tabulated reward.  ConfigError names the
-    first of those weights, potential values or tabulated values that is not
-    finite.
+    g = Phi(x') - Phi(x); and for a tabulated reward, the sum over its
+    (x, x') pairs of P(x -> x') g(x, x', t), with g read from the table's
+    values as they are stored (_pair_rewards).  ConfigError names the first
+    of those weights, potential values or tabulated values that is not
+    finite; DomainError, the first missing tabulated entry.
     """
 
     def __init__(self, instance: Instance):
+        rew = instance.reward  # a table with a missing entry is refused before any S-size array
+        self.tabulated = (_pair_rewards(rew, instance.capacities, instance.horizon)
+                          if isinstance(rew, GeneralTabulatedReward) else None)
         self.schedule = instance.schedule
         self.horizon, self.num_activities = instance.horizon, instance.num_activities
+        self.capacities = instance.capacities
         self.dims = tuple(c + 1 for c in instance.capacities)
         self.num_states = S = state_space_size(instance) // (instance.horizon + 1)
         radices = mixed_radix_radices(instance.capacities)
@@ -372,8 +374,7 @@ class BellmanOperator:
         # Per distinct type size n: the types of that size.
         self._sizes = [(n, [m for m, d in enumerate(self.dims) if d == n])
                        for n in sorted(set(self.dims))]
-        self.weights = self.potential = self.tabulated = None
-        rew = instance.reward
+        self.weights = self.potential = None
         if isinstance(rew, (LinearReward, LinearDecayingReward)):
             weights = np.asarray(rew.weights, dtype=np.float64)  # (M,) or (M, horizon)
             _require_finite(weights, lambda i: f"reward.weights{list(i)}")
@@ -384,8 +385,6 @@ class BellmanOperator:
             self.potential = np.flip(potential_on_box(rew.evaluator, caps)).ravel(order="F")
             _require_finite(self.potential, lambda i: "reward potential "
                             f"w({tuple((caps - self.items[i[0]]).tolist())})")
-        else:  # GeneralTabulatedReward; Instance admits no other kind
-            self.tabulated = self._dense_rewards(rew, instance.capacities, radices)
         self._distinct = _distinct_rows(self.schedule)
         # The most bytes one epoch keeps: every activity's matrices, and its
         # reward row or, on the potential route, its D_m phi of every type.
@@ -393,36 +392,8 @@ class BellmanOperator:
         self._epoch_bytes = 8 * self.num_activities * (sum(n * n for n in self.dims) + per_row)
         self._block: dict[int, tuple] = {}  # epoch -> _data of every activity, for one block
 
-    def _dense_rewards(self, rew: GeneralTabulatedReward, caps, radices) -> np.ndarray:
-        """g[t, index(x), index(x')] for t < horizon; every x' <= x needs an entry.
-
-        The Instance constructor has checked that every key lies in the domain.
-        """
-        T, S = self.horizon, self.num_states
-        M = len(self.dims)
-        keep = rew.keys[:, 2 * M] < T
-        keys, values = rew.keys[keep], rew.values[keep]
-
-        def entry(i):
-            k = keys[i[0]].tolist()
-            return f"tabulated reward entry {(tuple(k[:M]), tuple(k[M:2 * M]), k[2 * M])}"
-
-        _require_finite(values, entry)
-        at = (keys[:, 2 * M], keys[:, :M] @ radices, keys[:, M:2 * M] @ radices)
-        g = np.zeros((T, S, S))
-        g[at] = values
-        present = np.zeros((T, S, S), dtype=bool)
-        present[at] = True
-        below = (self.items[None, :, :] <= self.items[:, None, :]).all(axis=2)
-        missing = np.argwhere(below & ~present)
-        if len(missing):
-            t, i, j = (int(v) for v in missing[0])
-            key = (decode_state(i, caps), decode_state(j, caps), t)
-            raise DomainError(f"tabulated reward has no entry for {key}")
-        return g
-
     def rewards(self, x, x_next, t) -> np.ndarray:
-        """g(x, x', t) at state indices x, x' and epochs t < horizon, broadcast together.
+        """g(x, x', t) at state indices x, x' <= x and epochs t < horizon, broadcast together.
 
         The linear routes add type by type from 0.0: a sum of zeros is +0.0.
         """
@@ -436,7 +407,7 @@ class BellmanOperator:
         if self.potential is not None:
             g = self.potential[x_next] - self.potential[x]
             return np.broadcast_to(g, np.broadcast_shapes(np.shape(g), np.shape(t)))
-        return self.tabulated[t, x, x_next]
+        return self.tabulated[0][pair_index(self.items[x], self.items[x_next], self.capacities), t]
 
     def q(self, t: int, v_next: np.ndarray | None, acts: np.ndarray, one_step: bool = False):
         """Q_t(., a) for each a in acts and each value vector of v_next.
@@ -606,13 +577,22 @@ class BellmanOperator:
         return out[:, np.searchsorted(blocks, acts // B) * B + acts % B]
 
     def _tabulated_reward(self, t: int, mats: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
-        """E[g(x, x - X, t)] for the rows rows of the per-type matrices mats,
-        shape (len(rows), S), from (k, S, S) transition products of at most
-        chunk_width activities at a time."""
-        width = self.chunk_width(0)
-        parts = [(_kron([mat[rows[i:i + width]] for mat in mats]) * self.tabulated[t]).sum(axis=2)
-                 for i in range(0, len(rows), width)]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        """E[g(x, x - X, t)] for the rows rows of the per-type matrices mats, shape (len(rows), S):
+        g(x, x', t) * prod_m B_m[x_m, x'_m] per pair (x, x'), summed into x by one
+        bincount per block of at most _CHUNK_ENTRIES // E rows.  Each bin adds its
+        terms in pair order, so no row's bits depend on the rows sharing its call."""
+        g, x, x_next, start = self.tabulated
+        S, width = self.num_states, max(1, _CHUNK_ENTRIES // len(g))
+        out = np.empty((len(rows), S))
+        for lo in range(0, len(rows), width):
+            r = rows[lo:lo + width, None]
+            terms = np.repeat(g[None, :, t], len(r), axis=0)
+            for mat, y, y_next in zip(mats, x.T, x_next.T):
+                terms *= mat[r, y, y_next]
+            bins = start + S * np.arange(len(r))[:, None]
+            out[lo:lo + len(r)] = np.bincount(bins.ravel(), terms.ravel(),
+                                              minlength=len(r) * S).reshape(-1, S)
+        return out
 
     def _matrices(self, p: np.ndarray) -> list[np.ndarray]:
         """Per type m, B_m[a, x, y] = P(y of x left) = C(x, x - y) p^(x - y) (1 - p)^y.
@@ -698,12 +678,7 @@ class BellmanOperator:
         return np.repeat(w, U, axis=-2) if shared else w  # p = 0 throughout: U copies of v
 
     def chunk_width(self, q_entries: int) -> int:
-        """Activities per q call, for q_entries Q entries per activity (P * S).
-
-        The tabulated route also builds (S, S) arrays per activity.
-        """
-        if self.tabulated is not None:
-            q_entries = max(q_entries, self.num_states**2)
+        """Activities per q call, for q_entries Q entries per activity (P * S)."""
         return max(1, _CHUNK_ENTRIES // q_entries)
 
     def epoch(self, t: int, v_next: np.ndarray | None, acts=None, one_step=False) -> "Epoch":
@@ -715,6 +690,31 @@ class BellmanOperator:
         """The distinct activities in choice (of any shape), ascending."""
         # np.unique would import numpy.ma, a few MB of resident memory.
         return np.flatnonzero(np.bincount(choice.ravel(), minlength=self.num_activities))
+
+
+def _pair_rewards(rew: GeneralTabulatedReward, caps: tuple[int, ...], T: int) -> tuple:
+    """(g[pair, t] for t < T, x and x' of each pair, state index of each x).
+
+    The keys are unique, in the domain and sorted, so the rows with t < T
+    are complete exactly when there are T * E of them for E pairs, and then
+    their values are g as stored.  DomainError names the first missing
+    (x, x', t): the first row whose pair * T + t is not its position, or
+    the one after the last row; ConfigError the first value not finite.
+    """
+    M, E = len(caps), pair_count(caps)
+    keep = np.flatnonzero(rew.keys[:, 2 * M] < T)  # rows, not a copy of the keys
+    values = rew.values[keep]
+    _require_finite(values, lambda i: "tabulated reward entry "
+                    f"{_table_key(rew.keys[keep[i[0]]], M)}")
+    if len(keep) != T * E:
+        keys = rew.keys[keep]
+        at = pair_index(keys[:, :M], keys[:, M:2 * M], caps) * T + keys[:, 2 * M]
+        first = int(np.argmax(np.append(at, -1) != np.arange(len(at) + 1)))
+        x, x_next = (tuple(v.tolist()) for v in pair_items(first // T, caps))
+        raise DomainError(f"tabulated reward has no entry for {(x, x_next, first % T)}")
+    pairs = rew.keys[keep[::T]]
+    x = pairs[:, :M]
+    return values.reshape(E, T), x, pairs[:, M:2 * M], x @ mixed_radix_radices(caps)
 
 
 def _require_finite(values: np.ndarray, name: Callable[[tuple], str]) -> None:
@@ -773,18 +773,6 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for array in arrays:
         array.flags.writeable = False
     return arrays
-
-
-def _kron(mats: list[np.ndarray]) -> np.ndarray:
-    """Full transition matrices P[a, x, x'] = prod_m B_m[a, x_m, x'_m], type 0 least significant."""
-    k = len(mats[0])
-    out = np.ones((k, 1, 1))
-    for mat in reversed(mats):
-        n = mat.shape[1]
-        out = (out[:, :, None, :, None] * mat[:, None, :, None, :]).reshape(
-            k, out.shape[1] * n, out.shape[2] * n
-        )
-    return out
 
 
 def _pick(q: np.ndarray, pos: np.ndarray) -> np.ndarray:

@@ -33,6 +33,9 @@ from .rewards import (
     LinearReward,
     RewardSpec,
     SubmodularReward,
+    pair_count,
+    pair_index,
+    pair_items,
 )
 
 DEFAULT_STATE_CAP = 10**7
@@ -372,18 +375,11 @@ def _scalar_rules(rew: RewardSpec, T: int) -> Iterator[tuple[str, tuple, str, fl
                 yield _non_negative("reward.values", (m,), v, "value")
 
 
-def _suffix_products(radices: np.ndarray) -> np.ndarray:
-    """Per row, prod_{m' > m} radices[m']: mixed-radix weights, last axis least significant."""
-    weights = np.ones_like(radices)
-    weights[..., :-1] = np.cumprod(radices[..., :0:-1], axis=-1)[..., ::-1]
-    return weights
-
-
 def _table_rules(rew: GeneralTabulatedReward, caps: tuple[int, ...], T: int):
     """reward_rules of a tabulated reward, on a (pair, t, rule) grid.
 
-    Pairs (x, x') with x' <= x are numbered lexicographically: x over the
-    capacity box, then x' over the box of x.  Each (pair, t) has up to
+    Pairs (x, x') with x' <= x are numbered by the pair layout
+    (stodep.rewards.pair_index).  Each (pair, t) has up to
     three rules, in this order: the entry is present (t < T) or else
     non-negative; zero at t = T; and no larger than at t - 1 when both
     entries are present.  A missing entry at t = T counts as 0.  The rules
@@ -394,19 +390,14 @@ def _table_rules(rew: GeneralTabulatedReward, caps: tuple[int, ...], T: int):
     so more than _TABLE_GRID_CAP cells raise EnumerationCapExceeded
     before anything is allocated.
     """
-    cells = math.prod((c + 1) * (c + 2) // 2 for c in caps) * (T + 1)
+    cells = pair_count(caps) * (T + 1)
     if cells > _TABLE_GRID_CAP:
         raise EnumerationCapExceeded(
             f"tabulated reward grid of {cells} (x, x', t) cells exceeds cap {_TABLE_GRID_CAP}"
         )
     M = len(caps)
-    box = np.indices([c + 1 for c in caps]).reshape(M, -1).T  # x, lexicographically
-    sizes = np.prod(box + 1, axis=1)  # pairs per x
-    starts = np.cumsum(sizes) - sizes
-    x, x_next, t = rew.keys[:, :M], rew.keys[:, M:2 * M], rew.keys[:, 2 * M]
-    lex = x @ _suffix_products(np.array(caps) + 1)
-    pair = starts[lex] + (x_next * _suffix_products(x + 1)).sum(axis=1)
-    value = np.zeros((int(sizes.sum()), T + 1))
+    pair, t = pair_index(rew.keys[:, :M], rew.keys[:, M:2 * M], caps), rew.keys[:, 2 * M]
+    value = np.zeros((pair_count(caps), T + 1))
     value[pair, t] = rew.values
     have = np.zeros(value.shape, dtype=bool)
     have[pair, t] = True
@@ -425,10 +416,8 @@ def _table_rules(rew: GeneralTabulatedReward, caps: tuple[int, ...], T: int):
 
     def describe(k):
         p, t, rule = np.unravel_index(cells[k], applies.shape)
-        i = int(np.searchsorted(starts, p, side="right")) - 1
-        x = box[i]
-        digits = int(p - starts[i]) // _suffix_products(x + 1) % (x + 1)
-        key = (tuple(x.tolist()), tuple(digits.tolist()), int(t))
+        x, x_next = pair_items(p, caps)
+        key = (tuple(x.tolist()), tuple(x_next.tolist()), int(t))
         if rule == 1:
             return "reward.table", key, "terminal reward nonzero"
         if rule == 2:

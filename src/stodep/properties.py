@@ -27,12 +27,16 @@ import numpy as np
 
 from .errors import ConfigError, EnumerationCapExceeded
 from .model import DEFAULT_STATE_CAP, Instance, exceeds, require_tolerance, reward_rules
-from .rewards import _BLOCK, SubmodularReward, _pairs_below, potential_on_box
+from .rewards import SubmodularReward, pair_count, potential_on_box
 from .dp import ValueTable, bellman_operator, decode_state, evaluate_policy_exact, solve_clairvoyant
 from .serialize import instance_fingerprint
 
 DEFAULT_TOL = 1e-9
 DEFAULT_PAIR_CAP = 10**7
+
+# Candidate (x, x', t) triples per block of check_ir (_pairs_below): bounds
+# its working set at a few such arrays whatever the size of the box.
+_BLOCK = 2**16
 
 
 @dataclass
@@ -194,9 +198,7 @@ def check_ir(
     """
     table.require_match(instance)
     T = instance.horizon
-    pairs = T + 1
-    for c in instance.capacities:
-        pairs *= (c + 1) * (c + 2) // 2
+    pairs = (T + 1) * pair_count(instance.capacities)
     if pairs > pair_cap:
         raise EnumerationCapExceeded(f"(x, alpha) enumeration {pairs} exceeds cap {pair_cap}")
     op = bellman_operator(instance, state_cap=2**62)  # the table already holds every state
@@ -215,6 +217,18 @@ def check_ir(
             yield values[x], rhs, witness
 
     return _report("ir", table.fingerprint, tol, chunks())
+
+
+def _pairs_below(items: np.ndarray, block: int):
+    """Index arrays (x, x') of the rows with items[x'] <= items[x], in C order.
+
+    One pair of arrays per block of x, each block comparing about block
+    candidate pairs (at least one row of x).
+    """
+    rows = max(1, block // len(items))
+    for lo in range(0, len(items), rows):
+        x, x_next = np.nonzero((items[lo:lo + rows, None, :] >= items[None, :, :]).all(axis=2))
+        yield x + lo, x_next
 
 
 def _unit_steps(w: np.ndarray, lower) -> tuple[np.ndarray, ...]:

@@ -15,17 +15,13 @@ are computed from cannot change.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
-
-# Candidate pairs per block of _pairs_below, for GeneralTabulatedReward.from_potential,
-# and candidate (x, x', t) triples per block of check_ir:
-# bounds their working sets at a few such arrays whatever the size of the box.
-_BLOCK = 2**16
 
 
 class RewardSpec:
@@ -234,8 +230,9 @@ class GeneralTabulatedReward(RewardSpec):
     Bellman operator refuses it with DomainError.
 
     The table is held as two read-only arrays: keys, int64 of shape
-    (n, 2M + 1) with rows (x, x', t) in lexicographic order, and values,
-    float64 of shape (n,).
+    (n, 2M + 1) with rows (x, x', t) in lexicographic order, each given
+    once, and values, float64 of shape (n,): the pair layout (pair_index)
+    with t last, in which the Bellman operator reads the values as stored.
     """
 
     keys: np.ndarray
@@ -281,23 +278,52 @@ class GeneralTabulatedReward(RewardSpec):
         """Tabulate g from a depletion potential: g = w(cap - x') - w(cap - x).
 
         The potential is read by potential_on_box on the capacity box; the
-        pairs x' <= x are found a block of x at a time.
+        pairs x' <= x come from the pair layout (pair_items), in its order.
         """
         caps = tuple(int(c) for c in capacities)
-        w = np.flip(potential_on_box(potential, caps)).ravel()  # w(cap - x), x lexicographic
-        box = np.indices([c + 1 for c in caps], dtype=np.int64).reshape(len(caps), -1).T
-        t = np.arange(horizon)
-        keys, values = [], []
-        for x, x_next in _pairs_below(box, _BLOCK):
-            pairs = np.concatenate((box[x], box[x_next]), axis=1).repeat(horizon, axis=0)
-            keys.append(np.concatenate((pairs, np.tile(t, len(x))[:, None]), axis=1))
-            values.append((w[x_next] - w[x]).repeat(horizon))
-        return cls._from_sorted(np.concatenate(keys), np.concatenate(values))
+        w = potential_on_box(potential, caps)
+        x, x_next = pair_items(np.arange(pair_count(caps)), caps)
+        pairs = np.concatenate((x, x_next), axis=1).repeat(horizon, axis=0)
+        keys = np.concatenate((pairs, np.tile(np.arange(horizon), len(x))[:, None]), axis=1)
+        g = w[tuple((caps - x_next).T)] - w[tuple((caps - x).T)]
+        return cls._from_sorted(keys, g.repeat(horizon))
 
     def spec_dict(self) -> dict:
         m = self.keys.shape[1] // 2
         columns = (self.keys[:, :m], self.keys[:, m:2 * m], self.keys[:, -1], self.values)
         return {"kind": self.kind, "entries": list(map(list, zip(*(c.tolist() for c in columns))))}
+
+
+def pair_count(caps: Sequence[int]) -> int:
+    """Number of pairs (x, x') with x' <= x <= caps componentwise."""
+    return math.prod((c + 1) * (c + 2) // 2 for c in caps)
+
+
+def pair_index(x, x_next, caps: Sequence[int]) -> np.ndarray:
+    """Position of each pair (x, x') with x' <= x <= caps, x and x_next (..., M), in the
+    pair layout: lexicographic order of (x, x'), that of a tabulated reward's keys.
+    Before x come sum_m prod_{j < m} (x_j + 1) * x_m (x_m + 1) / 2 * pair_count(caps[m + 1:])
+    pairs; x' counts in mixed radix x + 1, the last type least significant."""
+    side = np.asarray(x, dtype=np.int64) + 1
+    after = np.array([pair_count(caps[m + 1:]) for m in range(len(caps))], dtype=np.int64)
+    before = np.cumprod(side, axis=-1) // side * (side - 1) * side // 2 * after
+    within = np.flip(np.cumprod(np.flip(side, -1), axis=-1), -1) // side
+    return (before + x_next * within).sum(axis=-1)
+
+
+def pair_items(index, caps: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (x, x') at positions index of the pair layout, each of
+    shape index.shape + (M,): the inverse of pair_index."""
+    rest = np.array(index, dtype=np.int64)
+    x = np.empty(rest.shape + (len(caps),), dtype=np.int64)
+    step = np.ones_like(rest)  # prod_{j < m} (x_j + 1)
+    for m, c in enumerate(caps):  # below[v]: the pairs before x_m = v, per step
+        below = np.arange(c + 1) * np.arange(1, c + 2) // 2 * pair_count(caps[m + 1:])
+        x[..., m] = v = np.searchsorted(below, rest // step, side="right") - 1
+        rest -= step * below[v]
+        step *= v + 1
+    within = np.flip(np.cumprod(np.flip(x + 1, -1), axis=-1), -1) // (x + 1)
+    return x, rest[..., None] // within % (x + 1)
 
 
 def potential_on_box(evaluator: Callable, bound: Sequence[int]) -> np.ndarray:
@@ -310,18 +336,6 @@ def potential_on_box(evaluator: Callable, bound: Sequence[int]) -> np.ndarray:
     shape = tuple(int(b) + 1 for b in bound)
     values = (float(evaluator(y)) for y in itertools.product(*map(range, shape)))
     return np.fromiter(values, np.float64).reshape(shape)
-
-
-def _pairs_below(items: np.ndarray, block: int):
-    """Index arrays (x, x') of the rows with items[x'] <= items[x], in C order.
-
-    One pair of arrays per block of x, each block comparing about block
-    candidate pairs (at least one row of x).
-    """
-    rows = max(1, block // len(items))
-    for lo in range(0, len(items), rows):
-        x, x_next = np.nonzero((items[lo:lo + rows, None, :] >= items[None, :, :]).all(axis=2))
-        yield x + lo, x_next
 
 
 def _columns(entries: list) -> tuple[np.ndarray, np.ndarray] | None:

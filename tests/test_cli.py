@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -288,12 +289,13 @@ def _hostile_inputs():
     """(file JSON, extra flags, exit code, error, commands) per hostile case.
 
     The file is the --instance of solve, simulate and check, and the
-    --config of batch; commands are the COMMANDS the case runs under.
+    --config of batch; commands are the COMMANDS the case runs under.  The
+    exit code is one for every command, or a mapping from command to code.
     error None: it depends on the command (a ConfigError from validation on
     loading, or the DomainError that check meets first: check leaves the
     reward value rules to its assumption1 property; for the huge tabulated
-    grid, the EnumerationCapExceeded of validation, or the state cap that
-    check's solve meets first).
+    grids, the EnumerationCapExceeded of validation, or what check's solve
+    meets first).
     """
     base = instance_to_dict(build_worst_case_instance(0.1))
     cases = {name: (dict(base, reward=spec), [], 2, "ConfigError")
@@ -353,13 +355,15 @@ def _hostile_inputs():
              schedule=[[[0.5] * 8] * 2] * 2, reward=one_entry),
         [], 3, None,
     )
-    # Eight types of capacity 5 (within the state cap): the dense reward
-    # g[t, x, x'] would take 41 TiB, and check's solve refuses it before it is built.
+    # Eight types of capacity 5 (within the state cap) and a one-entry
+    # table: solve and simulate refuse its reward rules' grid on loading
+    # (exit 3); check leaves those rules to assumption1, and its solve names
+    # the first missing entry (exit 2).
     small_entry = {"kind": "general_tabulated", "entries": [[[5] * 8, [0] * 8, 0, 1.0]]}
     cases["tabulated-huge-dense-reward"] = (
         dict(base, num_types=8, capacities=[5] * 8, initial_items=[5] * 8,
              schedule=[[[0.5] * 8] * 2] * 2, reward=small_entry),
-        [], 3, None,
+        [], {"check": 2, "simulate": 3, "solve": 3}, None,
     )
     cases = {name: case + (("check", "simulate", "solve"),) for name, case in cases.items()}
     # A ratio bound or an alpha that is not a number is a configuration
@@ -425,7 +429,9 @@ def test_hostile_input_ends_in_one_json_error(case, command, tmp_path, capsys, m
     monkeypatch.chdir(tmp_path)  # where batch would write its report
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        assert main(COMMANDS[command] + [str(path)] + flags) == code
+        assert main(COMMANDS[command] + [str(path)] + flags) == (
+            code[command] if isinstance(code, dict) else code
+        )
     assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
     lines = capsys.readouterr().out.strip().splitlines()
     assert not any(line.endswith(": pass") for line in lines)
@@ -436,12 +442,24 @@ def test_hostile_input_ends_in_one_json_error(case, command, tmp_path, capsys, m
     assert all(not line.startswith("{") for line in lines[:-1])
 
 
-def test_check_refuses_a_dense_tabulated_reward_over_the_state_cap(tmp_path, capsys):
+def test_check_names_the_first_missing_entry_of_a_huge_tabulated_reward(tmp_path, capsys):
+    """6**8 states and 7.6e10 (x, x', t) keys: the one entry present is
+    placed by its pair index, and the first missing key, lexicographically,
+    is named before any array of S entries, let alone S * S, is built."""
     data = HOSTILE["tabulated-huge-dense-reward"][0]
     path = tmp_path / "hostile.json"
     path.write_text(json.dumps(data))
-    assert main(["check", "--instance", str(path), "--properties", "vfm"]) == 3
-    assert _error_line(capsys)["error"] == "StateSpaceCapExceeded"
+    tracemalloc.start()
+    try:
+        assert main(["check", "--instance", str(path), "--properties", "vfm"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = _error_line(capsys)
+    assert err["error"] == "DomainError"
+    assert err["message"] == ("tabulated reward has no entry for "
+                              f"({(0,) * 8}, {(0,) * 8}, 0)")
+    assert peak < 8 * 6**8  # one array of S doubles
 
 
 @pytest.mark.parametrize("prop", ["vfm", "ir", "ratio:2", "assumption1"])

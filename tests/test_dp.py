@@ -400,16 +400,14 @@ def test_myopic_decisions_obey_one_step_inequalities(inst):
 # ------------------------------------------------ more activities than one chunk
 
 # Activities of one policy per chunk in the tests below: _eight_per_chunk
-# shrinks the chunk bound (dp._CHUNK_ENTRIES, in entries per activity: S, or
-# S * S on the tabulated route) to that many activities, so tables of a few
-# states still take several chunks.
+# shrinks the chunk bound (dp._CHUNK_ENTRIES, in entries per activity: S) to
+# that many activities, so tables of a few states still take several chunks.
 _CHUNK = 8
 
 
 def _eight_per_chunk(monkeypatch, instance):
     op = stodep.dp.bellman_operator(instance)
-    per_activity = op.num_states ** (1 if op.tabulated is None else 2)
-    monkeypatch.setattr(stodep.dp, "_CHUNK_ENTRIES", _CHUNK * per_activity)
+    monkeypatch.setattr(stodep.dp, "_CHUNK_ENTRIES", _CHUNK * op.num_states)
 
 
 @st.composite
@@ -705,33 +703,36 @@ def test_lowest_tied_reads_each_row_of_a_stack():
             assert np.array_equal(best[p], alone[0]) and np.array_equal(choice[p], alone[1])
 
 
-def test_tabulated_chunks_bound_their_transition_products(monkeypatch):
-    """The tabulated route builds (k, S, S) arrays, so its chunks hold
-    _CHUNK_ENTRIES // (S * S) activities, not _CHUNK_ENTRIES // S."""
+def test_tabulated_reward_blocks_change_no_q_bit(monkeypatch):
+    """A _CHUNK_ENTRIES small enough to split the expected reward into
+    blocks of two activities leaves every Q bit as one block gives: each
+    bin of the bincount adds its terms in pair order."""
     caps, T, A = (1, 2), 2, 25
-    S = 2 * 3
     rng = np.random.default_rng(3)
     rew = stodep.GeneralTabulatedReward.from_potential(
         CoverageFunction(3, (frozenset({0, 1}), frozenset({2})), (1.0, 0.5, 0.25)), caps, T,
     )
     inst = make_instance(capacities=caps, horizon=T, schedule=rng.random((T, A, 2)), reward=rew)
-    monkeypatch.setattr(stodep.dp, "_CHUNK_ENTRIES", 10 * S * S)
-    sizes = []
-    real_q = stodep.dp.BellmanOperator.q
+    v = rng.random((3, 6))
+    cases = [(t, v_next, acts, one_step) for t in range(T)
+             for acts in (np.arange(A), np.arange(1, A, 3))
+             for v_next, one_step in ((None, False), (v[0], False), (v, True))]
+    want = [stodep.dp.BellmanOperator(inst).q(*case) for case in cases]
+    pairs = stodep.rewards.pair_count(caps)
+    monkeypatch.setattr(stodep.dp, "_CHUNK_ENTRIES", 2 * pairs)
+    blocks = []
+    real_bincount = np.bincount
 
-    def q(self, t, v_next, acts, one_step=False):
-        sizes.append((t, len(acts)))
-        return real_q(self, t, v_next, acts, one_step)
+    def bincount(x, weights=None, minlength=0):
+        if weights is not None:
+            blocks.append(len(weights) // pairs)
+        return real_bincount(x, weights, minlength)
 
-    monkeypatch.setattr(stodep.dp.BellmanOperator, "q", q)
-    table = solve_clairvoyant(inst)
-    assert sorted(sizes) == sorted([(t, k) for t in range(T) for k in (10, 10, 5)])
-    sizes.clear()
-    myopic_policy().decisions(inst)
-    assert sorted(sizes) == sorted([(t, k) for t in range(T) for k in (10, 10, 5)])
-    sizes.clear()
-    evaluate_policies_exact(inst, [myopic_policy(), optimal_policy_from_table(table)])
-    assert max(k for _, k in sizes) <= 10
+    monkeypatch.setattr(np, "bincount", bincount)
+    blocked = stodep.dp.BellmanOperator(inst)
+    for case, q in zip(cases, want):
+        _same_bits(blocked.q(*case), q)
+    assert max(blocks) == 2 and len(blocks) > 2 * T
 
 
 def test_optimal_policy_evaluates_to_the_solved_values_bit_for_bit():
@@ -967,6 +968,78 @@ def test_operator_refuses_non_finite_reward_data(reward, entry):
                          reward=reward)
     with pytest.raises(ConfigError, match=re.escape(entry)):  # RuntimeWarnings are errors here
         solve_clairvoyant(inst)
+
+
+@st.composite
+def stored_tables(draw):
+    """(capacities, horizon, table) of a complete tabulated reward with
+    arbitrary values, zeros of both signs among them, and each pair's
+    terminal entry present or not."""
+    M, T = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    caps = tuple(draw(st.integers(0, 2)) for _ in range(M))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = {}
+    for x in itertools.product(*(range(c + 1) for c in caps)):
+        for x_next in itertools.product(*(range(v + 1) for v in x)):
+            for t in range(T + (rng.random() < 0.5)):
+                table[(x, x_next, t)] = rng.choice([0.0, -0.0, rng.normal()])
+    return caps, T, table
+
+
+def _table_instance(caps, T, table):
+    return make_instance(capacities=caps, horizon=T, schedule=np.full((T, 2, len(caps)), 0.5),
+                         reward=stodep.GeneralTabulatedReward(table))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=stored_tables())
+def test_tabulated_rewards_are_the_stored_entries(case):
+    """op.rewards reads each (x, x', t < horizon) entry as it is stored, bit
+    for bit, one pair at a time and broadcast over pairs and epochs."""
+    caps, T, table = case
+    inst = _table_instance(caps, T, table)
+    op = stodep.dp.bellman_operator(inst)
+    radices = mixed_radix_radices(caps)
+    keys = [k for k in sorted(table) if k[2] < T]
+    x, x_next = ([state_index(k[i], radices) for k in keys[::T]] for i in (0, 1))
+    want = np.array([table[k] for k in keys]).reshape(-1, T)
+    _same_bits(op.rewards(np.array(x)[:, None], np.array(x_next)[:, None], np.arange(T)), want)
+    for k in keys:
+        got = op.rewards(state_index(k[0], radices), state_index(k[1], radices), k[2])
+        assert np.float64(got).tobytes() == np.float64(table[k]).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=stored_tables(), data=st.data())
+def test_a_missing_tabulated_entry_is_named_lexicographically_first(case, data):
+    """The operator names the first missing (x, x', t < horizon) in
+    lexicographic order, whichever entries are missing."""
+    caps, T, table = case
+    keys = sorted(k for k in table if k[2] < T)
+    drop = data.draw(st.sets(st.sampled_from(keys), min_size=1, max_size=4))
+    kept = {k: v for k, v in table.items() if k not in drop}
+    if not kept:
+        return  # the constructor refuses a table with no entries
+    inst = _table_instance(caps, T, kept)
+    with pytest.raises(stodep.DomainError, match=re.escape(f"no entry for {min(drop)}")):
+        solve_clairvoyant(inst)
+
+
+def test_a_tabulated_reward_needs_only_the_state_cap():
+    """27 states and 3 epochs: the value table's 108 entries fit a cap of
+    200, and the solve and policy values match the oracle, though the
+    T * S * S = 2187 cells of a dense reward array would not."""
+    caps, T = (2, 2, 2), 3
+    rng = np.random.default_rng(6)
+    cover = CoverageFunction(4, (frozenset({0, 1}), frozenset({1, 2}), frozenset({3})),
+                             tuple(rng.random(4)))
+    inst = make_instance(capacities=caps, horizon=T, schedule=rng.random((T, 4, 3)),
+                         reward=stodep.GeneralTabulatedReward.from_potential(cover, caps, T))
+    table, (myopic,) = solve_and_evaluate(inst, [myopic_policy()], state_cap=200)
+    _assert_table_matches(table, inst, value_function_oracle(inst))
+    _assert_table_matches(myopic, inst, value_function_oracle(inst, myopic_policy()))
+    with pytest.raises(StateSpaceCapExceeded):
+        solve_clairvoyant(inst, state_cap=107)
 
 
 # ------------------------------- schedules with 0/1 entries and repeated rows

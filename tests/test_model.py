@@ -316,14 +316,15 @@ def test_window_violations_come_in_t_m_a_order():
 
 
 def _depletion_pmf(inst, x, t, a):
-    """P(X = alpha) of every alpha <= x with positive probability, read off the
-    Bellman operator's transition matrix for activity a at epoch t."""
-    op = stodep.dp.bellman_operator(inst)
-    radices = stodep.dp.mixed_radix_radices(inst.capacities)
-    row = stodep.dp._kron(op._matrices(inst.schedule[t, [a]]))[0, stodep.dp.state_index(x, radices)]
+    """P(X = alpha) of every alpha <= x with positive probability: the product
+    of the Bellman operator's per-type binomial matrices for activity a at
+    epoch t, from the last type to the first."""
+    mats = stodep.dp.bellman_operator(inst)._matrices(inst.schedule[t, [a]])
     pmf = {}
     for alpha in itertools.product(*(range(v + 1) for v in x)):
-        prob = row[stodep.dp.state_index([v - d for v, d in zip(x, alpha)], radices)]
+        prob = 1.0
+        for mat, v, d in reversed(list(zip(mats, x, alpha))):
+            prob = prob * mat[0, v, v - d]
         if prob != 0.0:
             pmf[alpha] = float(prob)
     return pmf
