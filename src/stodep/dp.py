@@ -80,7 +80,7 @@ from .errors import ConfigError, DomainError, FingerprintMismatch, StateSpaceCap
 from .model import (DEFAULT_STATE_CAP, Instance, State, _table_key, require_tolerance,
                     state_space_size)
 from .rewards import (GeneralTabulatedReward, LinearDecayingReward, LinearReward, SubmodularReward,
-                      pair_count, pair_index, pair_items, potential_on_box)
+                      pair_count, pair_index, potential_on_box)
 from .serialize import instance_fingerprint
 
 # Activities within TIE_TOL * max(1, |best|) of the best Q are tied; the
@@ -357,11 +357,11 @@ class BellmanOperator:
     (x, x') pairs of P(x -> x') g(x, x', t), with g read from the table's
     values as they are stored (_pair_rewards).  ConfigError names the first
     of those weights, potential values or tabulated values that is not
-    finite; DomainError, the first missing tabulated entry.
+    finite.
     """
 
     def __init__(self, instance: Instance):
-        rew = instance.reward  # a table with a missing entry is refused before any S-size array
+        rew = instance.reward  # a tabulated value not finite is refused before any S-size array
         self.tabulated = (_pair_rewards(rew, instance.capacities, instance.horizon)
                           if isinstance(rew, GeneralTabulatedReward) else None)
         self.schedule = instance.schedule
@@ -695,23 +695,15 @@ class BellmanOperator:
 def _pair_rewards(rew: GeneralTabulatedReward, caps: tuple[int, ...], T: int) -> tuple:
     """(g[pair, t] for t < T, x and x' of each pair, state index of each x).
 
-    The keys are unique, in the domain and sorted, so the rows with t < T
-    are complete exactly when there are T * E of them for E pairs, and then
-    their values are g as stored.  DomainError names the first missing
-    (x, x', t): the first row whose pair * T + t is not its position, or
-    the one after the last row; ConfigError the first value not finite.
+    The constructor has found the rows with t < T complete, so they are the
+    pair layout's T * E (pair, t) in order, and their values are g as
+    stored.  ConfigError names the first value not finite.
     """
     M, E = len(caps), pair_count(caps)
     keep = np.flatnonzero(rew.keys[:, 2 * M] < T)  # rows, not a copy of the keys
     values = rew.values[keep]
     _require_finite(values, lambda i: "tabulated reward entry "
                     f"{_table_key(rew.keys[keep[i[0]]], M)}")
-    if len(keep) != T * E:
-        keys = rew.keys[keep]
-        at = pair_index(keys[:, :M], keys[:, M:2 * M], caps) * T + keys[:, 2 * M]
-        first = int(np.argmax(np.append(at, -1) != np.arange(len(at) + 1)))
-        x, x_next = (tuple(v.tolist()) for v in pair_items(first // T, caps))
-        raise DomainError(f"tabulated reward has no entry for {(x, x_next, first % T)}")
     pairs = rew.keys[keep[::T]]
     x = pairs[:, :M]
     return values.reshape(E, T), x, pairs[:, M:2 * M], x @ mixed_radix_radices(caps)

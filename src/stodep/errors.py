@@ -18,9 +18,8 @@ class CapExceeded(StodepError):
 
 
 class EnumerationCapExceeded(CapExceeded):
-    """An enumeration would exceed its cap: check_ir's (x, alpha) pairs,
-    check_submodular's (y, y') pairs or the (x, x', t) grid of a tabulated
-    reward's value rules."""
+    """An enumeration would exceed its cap: check_ir's (x, alpha) pairs or
+    the points of check_submodular's box."""
 
 
 class StateSpaceCapExceeded(CapExceeded):

@@ -24,7 +24,7 @@ from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, EnumerationCapExceeded
+from .errors import ConfigError, DomainError
 from .rewards import (
     BudgetedLinearFunction,
     CoverageFunction,
@@ -43,9 +43,6 @@ DEFAULT_ACTIVITY_CAP = 10**5
 
 # The documented limit on any one type's capacity.
 MAX_CAPACITY = 64
-
-# Cells of the (x, x', t) grid _table_rules may build.
-_TABLE_GRID_CAP = 10**6
 
 
 class State(NamedTuple):
@@ -182,7 +179,8 @@ def _check_reward_shape(rew: RewardSpec, caps: tuple[int, ...], T: int) -> None:
     """Raise ConfigError unless the reward's data has one entry per type (and epoch).
 
     Every key of a tabulated reward must lie in the domain x' <= x <= caps,
-    0 <= t <= T.
+    0 <= t <= T, and every key with t < T must be present; a missing one is
+    named lexicographically first.
     """
     M = len(caps)
     if isinstance(rew, LinearReward):
@@ -213,6 +211,17 @@ def _check_reward_shape(rew: RewardSpec, caps: tuple[int, ...], T: int) -> None:
             key = _table_key(keys[np.argmin(inside)], M)
             raise ConfigError(f"reward.entries: key {key} outside the domain "
                               "x' <= x <= capacities, 0 <= t <= horizon")
+        # The keys are unique, in the domain and sorted, so the rows with t < T
+        # are complete exactly when there are T * E of them for E pairs; else the
+        # first missing key is the first row k that is not the k-th of the pair
+        # layout (pair_items(k // T), k % T), or the one after the last row.
+        below = t < T
+        n = int(np.count_nonzero(below))
+        if n != T * pair_count(caps):
+            k = np.arange(n + 1)
+            want = np.concatenate((*pair_items(k // T, caps), (k % T)[:, None]), axis=1)
+            first = np.argmax(np.append((keys[below] != want[:n]).any(axis=1), True))
+            raise ConfigError(f"reward.entries: no entry for {_table_key(want[first], M)}")
     else:
         raise ConfigError(f"unknown reward spec {type(rew).__name__}")
 
@@ -334,11 +343,10 @@ def reward_rules(instance: Instance) -> tuple[np.ndarray, np.ndarray, Callable[[
     """Every value rule on the reward data, as arrays lhs and rhs and describe.
 
     Rule k asks for lhs[k] <= rhs[k] with both sides finite (see exceeds);
-    describe(k) is its (field, indices, rule).  The data's shape and a
-    tabulated reward's domain are the constructor's to enforce, so the only
-    structural fault here is a missing table entry; the monotonicity of a
-    submodular potential is probed by stodep.properties.check_assumption1,
-    not here.
+    describe(k) is its (field, indices, rule).  The data's shape, and a
+    tabulated reward's domain and completeness, are the constructor's to
+    enforce; the monotonicity of a submodular potential is probed by
+    stodep.properties.check_assumption1, not here.
     """
     rew = instance.reward
     if isinstance(rew, GeneralTabulatedReward):
@@ -379,39 +387,27 @@ def _table_rules(rew: GeneralTabulatedReward, caps: tuple[int, ...], T: int):
     """reward_rules of a tabulated reward, on a (pair, t, rule) grid.
 
     Pairs (x, x') with x' <= x are numbered by the pair layout
-    (stodep.rewards.pair_index).  Each (pair, t) has up to
-    three rules, in this order: the entry is present (t < T) or else
-    non-negative; zero at t = T; and no larger than at t - 1 when both
-    entries are present.  A missing entry at t = T counts as 0.  The rules
-    that apply are read in C order of the grid, which is the order of the
-    scalar loop over x, x', t.
-
-    The grid takes about 100 bytes a cell however few entries the table has,
-    so more than _TABLE_GRID_CAP cells raise EnumerationCapExceeded
-    before anything is allocated.
+    (stodep.rewards.pair_index), in which the constructor has found every
+    entry below the horizon; a missing entry at t = T counts as 0.  Each
+    (pair, t) has up to three rules, in this order: non-negative; zero at
+    t = T; and no larger than at t - 1.  The rules that apply are read in C
+    order of the grid, which is the order of the scalar loop over x, x', t.
     """
-    cells = pair_count(caps) * (T + 1)
-    if cells > _TABLE_GRID_CAP:
-        raise EnumerationCapExceeded(
-            f"tabulated reward grid of {cells} (x, x', t) cells exceeds cap {_TABLE_GRID_CAP}"
-        )
     M = len(caps)
-    pair, t = pair_index(rew.keys[:, :M], rew.keys[:, M:2 * M], caps), rew.keys[:, 2 * M]
+    t = rew.keys[:, 2 * M]
     value = np.zeros((pair_count(caps), T + 1))
-    value[pair, t] = rew.values
-    have = np.zeros(value.shape, dtype=bool)
-    have[pair, t] = True
-    have[:, T] = True  # a terminal entry defaults to zero
+    value[:, :T] = rew.values[t < T].reshape(-1, T)
+    end = t == T
+    value[pair_index(rew.keys[end, :M], rew.keys[end, M:2 * M], caps), T] = rew.values[end]
 
     lhs, rhs = np.zeros(value.shape + (3,)), np.zeros(value.shape + (3,))
     applies = np.zeros(value.shape + (3,), dtype=bool)
-    lhs[:, :, 0] = np.where(have, 0.0, np.inf)  # missing: breaks under any tolerance
-    rhs[:, :, 0] = np.where(have, value, 0.0)
+    rhs[:, :, 0] = value
     applies[:, :, 0] = True
     lhs[:, T, 1] = np.abs(value[:, T])
     applies[:, T, 1] = True
     lhs[:, 1:, 2], rhs[:, 1:, 2] = value[:, 1:], value[:, :-1]
-    applies[:, 1:, 2] = have[:, 1:] & have[:, :-1]
+    applies[:, 1:, 2] = True
     cells = np.flatnonzero(applies)
 
     def describe(k):
@@ -422,8 +418,6 @@ def _table_rules(rew: GeneralTabulatedReward, caps: tuple[int, ...], T: int):
             return "reward.table", key, "terminal reward nonzero"
         if rule == 2:
             return "reward.table", key, "non-increasing in t"
-        if not have[p, t]:
-            return "reward.table", key, "missing entry"
         return _non_negative("reward.table", key, float(value[p, t]), "reward")[:3]
 
     return lhs[applies], rhs[applies], describe

@@ -27,15 +27,17 @@ import numpy as np
 
 from .errors import ConfigError, EnumerationCapExceeded
 from .model import DEFAULT_STATE_CAP, Instance, exceeds, require_tolerance, reward_rules
-from .rewards import SubmodularReward, pair_count, potential_on_box
-from .dp import ValueTable, bellman_operator, decode_state, evaluate_policy_exact, solve_clairvoyant
+from .rewards import SubmodularReward, pair_count, pair_items, potential_on_box
+from .dp import (ValueTable, bellman_operator, decode_state, evaluate_policy_exact,
+                 mixed_radix_radices, solve_clairvoyant)
 from .serialize import instance_fingerprint
 
 DEFAULT_TOL = 1e-9
 DEFAULT_PAIR_CAP = 10**7
 
-# Candidate (x, x', t) triples per block of check_ir (_pairs_below): bounds
-# its working set at a few such arrays whatever the size of the box.
+# Entries per block of check_ir: a block of pairs (at least one) spans at
+# most _BLOCK (pair, t, type) cells, which bounds its working set at a few
+# arrays of that size whatever the size of the box.
 _BLOCK = 2**16
 
 
@@ -193,19 +195,26 @@ def check_ir(
     The inequality is checked on every depletion vector, not just unit steps,
     because g need not be additive across alpha; g is zero at the horizon.
     The pairs (x, x' = x - alpha) are compared at every epoch at once, a
-    block of x at a time.  Violations are listed by the state index of x,
-    then that of x', then epoch.
+    block of pairs at a time, read from the pair layout over the types in
+    reverse (stodep.rewards.pair_items), which lists them by the state
+    index of x, then that of x'.  Violations are listed in that order, then
+    by epoch.
     """
     table.require_match(instance)
-    T = instance.horizon
-    pairs = (T + 1) * pair_count(instance.capacities)
+    T, M = instance.horizon, instance.num_types
+    E = pair_count(instance.capacities)
+    pairs = (T + 1) * E
     if pairs > pair_cap:
         raise EnumerationCapExceeded(f"(x, alpha) enumeration {pairs} exceeds cap {pair_cap}")
     op = bellman_operator(instance, state_cap=2**62)  # the table already holds every state
     items, values = op.items, table.values
+    radices = np.array(mixed_radix_radices(instance.capacities)[::-1])
+    block = max(1, _BLOCK // ((T + 1) * M))
 
     def chunks():
-        for x, x_next in _pairs_below(items, _BLOCK // (T + 1)):
+        for lo in range(0, E, block):
+            index = np.arange(lo, min(lo + block, E))
+            x, x_next = (v @ radices for v in pair_items(index, instance.capacities[::-1]))
             rhs = values[x_next]  # J(x', t), shape (len(x), T + 1)
             rhs[:, :T] += op.rewards(x[:, None], x_next[:, None], np.arange(T))
 
@@ -217,18 +226,6 @@ def check_ir(
             yield values[x], rhs, witness
 
     return _report("ir", table.fingerprint, tol, chunks())
-
-
-def _pairs_below(items: np.ndarray, block: int):
-    """Index arrays (x, x') of the rows with items[x'] <= items[x], in C order.
-
-    One pair of arrays per block of x, each block comparing about block
-    candidate pairs (at least one row of x).
-    """
-    rows = max(1, block // len(items))
-    for lo in range(0, len(items), rows):
-        x, x_next = np.nonzero((items[lo:lo + rows, None, :] >= items[None, :, :]).all(axis=2))
-        yield x + lo, x_next
 
 
 def _unit_steps(w: np.ndarray, lower) -> tuple[np.ndarray, ...]:

@@ -224,10 +224,9 @@ class GeneralTabulatedReward(RewardSpec):
     """Explicit table of g(x, x', t) over the finite reduced domain.
 
     Keys are (x, x', t) with x' <= x <= capacities componentwise and
-    0 <= t <= horizon, which the Instance constructor checks.  Entries at
-    t == horizon may be omitted and default to 0; a missing entry below the
-    horizon is reported as a violation by validate_instance, and the
-    Bellman operator refuses it with DomainError.
+    0 <= t <= horizon, and every key below the horizon is present, which
+    the Instance constructor checks.  Entries at t == horizon may be
+    omitted and default to 0.
 
     The table is held as two read-only arrays: keys, int64 of shape
     (n, 2M + 1) with rows (x, x', t) in lexicographic order, each given
@@ -313,17 +312,22 @@ def pair_index(x, x_next, caps: Sequence[int]) -> np.ndarray:
 
 def pair_items(index, caps: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """The pairs (x, x') at positions index of the pair layout, each of
-    shape index.shape + (M,): the inverse of pair_index."""
+    shape index.shape + (M,): the inverse of pair_index.  A suffix of types
+    counts at most one pair more than the largest index, which reads every
+    index as its full count would and keeps the arithmetic within int64."""
     rest = np.array(index, dtype=np.int64)
-    x = np.empty(rest.shape + (len(caps),), dtype=np.int64)
+    top = int(rest.max(initial=0)) + 1
+    x, x_next = (np.empty(rest.shape + (len(caps),), dtype=np.int64) for _ in range(2))
     step = np.ones_like(rest)  # prod_{j < m} (x_j + 1)
     for m, c in enumerate(caps):  # below[v]: the pairs before x_m = v, per step
-        below = np.arange(c + 1) * np.arange(1, c + 2) // 2 * pair_count(caps[m + 1:])
+        after = min(pair_count(caps[m + 1:]), top)
+        below = np.array([v * (v + 1) // 2 * after for v in range(c + 1)], dtype=np.int64)
         x[..., m] = v = np.searchsorted(below, rest // step, side="right") - 1
         rest -= step * below[v]
         step *= v + 1
-    within = np.flip(np.cumprod(np.flip(x + 1, -1), axis=-1), -1) // (x + 1)
-    return x, rest[..., None] // within % (x + 1)
+    for m in reversed(range(len(caps))):  # x' in mixed radix x + 1, the last type first
+        rest, x_next[..., m] = np.divmod(rest, x[..., m] + 1)
+    return x, x_next
 
 
 def potential_on_box(evaluator: Callable, bound: Sequence[int]) -> np.ndarray:

@@ -197,8 +197,8 @@ def table_rules_oracle(instance):
     """Value rules on a tabulated reward, as (field, key, rule, lhs, rhs), one loop step each.
 
     Walks x over the capacity box, x' over the box of x and t up to the
-    horizon.  A missing entry below the horizon breaks under any tolerance;
-    a missing terminal entry counts as 0.
+    horizon.  A missing terminal entry counts as 0; an instance has every
+    entry below the horizon.
     """
     rew, T = instance.reward, instance.horizon
     for x in itertools.product(*(range(c + 1) for c in instance.capacities)):
@@ -206,13 +206,7 @@ def table_rules_oracle(instance):
             previous = None
             for t in range(T + 1):
                 key = (x, x_next, t)
-                value = _entries(rew).get(key)
-                if value is None:
-                    if t < T:
-                        yield "reward.table", key, "missing entry", math.inf, 0.0
-                        previous = None
-                        continue
-                    value = 0.0
+                value = _entries(rew).get(key, 0.0)
                 rule = "negative reward" if math.isfinite(value) else "reward not finite"
                 yield "reward.table", key, rule, 0.0, value
                 if t == T:

@@ -289,19 +289,15 @@ def _hostile_inputs():
     """(file JSON, extra flags, exit code, error, commands) per hostile case.
 
     The file is the --instance of solve, simulate and check, and the
-    --config of batch; commands are the COMMANDS the case runs under.  The
-    exit code is one for every command, or a mapping from command to code.
-    error None: it depends on the command (a ConfigError from validation on
-    loading, or the DomainError that check meets first: check leaves the
-    reward value rules to its assumption1 property; for the huge tabulated
-    grids, the EnumerationCapExceeded of validation, or what check's solve
-    meets first).
+    --config of batch; commands are the COMMANDS the case runs under.
     """
     base = instance_to_dict(build_worst_case_instance(0.1))
     cases = {name: (dict(base, reward=spec), [], 2, "ConfigError")
              for name, spec in SHAPE_FAULTS.items()}
+    # A tabulated reward with a missing entry: every command refuses it when
+    # it builds the instance, whatever the size of its domain.
     missing = {"kind": "general_tabulated", "entries": [[[1, 1], [0, 0], 0, 1.0]]}
-    cases["tabulated-missing-entry"] = (dict(base, reward=missing), [], 2, None)
+    cases["tabulated-missing-entry"] = (dict(base, reward=missing), [], 2, "ConfigError")
     # Malformed tabulated entries: every command refuses them when it builds the instance.
     table = GeneralTabulatedReward.from_potential(lambda y: float(sum(y)), (1, 1), 2).spec_dict()
     malformed = {
@@ -347,24 +343,15 @@ def _hostile_inputs():
     for name, spec in non_finite.items():
         cases[name] = (dict(base, reward=spec), [], 2, "ConfigError")
     cases["activities-over-cap"] = (base, ["--cap-activities", "1"], 3, "ActivityCapExceeded")
-    # Eight types of capacity 64 and a one-entry table: the reward rules'
-    # (x, x', t) grid would take petabytes, and is refused before it is built.
-    one_entry = {"kind": "general_tabulated", "entries": [[[64] * 8, [0] * 8, 0, 1.0]]}
-    cases["tabulated-huge-grid"] = (
-        dict(base, num_types=8, capacities=[64] * 8, initial_items=[64] * 8,
-             schedule=[[[0.5] * 8] * 2] * 2, reward=one_entry),
-        [], 3, None,
-    )
-    # Eight types of capacity 5 (within the state cap) and a one-entry
-    # table: solve and simulate refuse its reward rules' grid on loading
-    # (exit 3); check leaves those rules to assumption1, and its solve names
-    # the first missing entry (exit 2).
-    small_entry = {"kind": "general_tabulated", "entries": [[[5] * 8, [0] * 8, 0, 1.0]]}
-    cases["tabulated-huge-dense-reward"] = (
-        dict(base, num_types=8, capacities=[5] * 8, initial_items=[5] * 8,
-             schedule=[[[0.5] * 8] * 2] * 2, reward=small_entry),
-        [], {"check": 2, "simulate": 3, "solve": 3}, None,
-    )
+    # Eight types of capacity 64, past the state cap, and of capacity 5,
+    # within it: a table of one entry has 4.5e26 and 7.6e10 missing ones.
+    for name, cap in (("tabulated-huge-grid", 64), ("tabulated-huge-dense-reward", 5)):
+        one_entry = {"kind": "general_tabulated", "entries": [[[cap] * 8, [0] * 8, 0, 1.0]]}
+        cases[name] = (
+            dict(base, num_types=8, capacities=[cap] * 8, initial_items=[cap] * 8,
+                 schedule=[[[0.5] * 8] * 2] * 2, reward=one_entry),
+            [], 2, "ConfigError",
+        )
     cases = {name: case + (("check", "simulate", "solve"),) for name, case in cases.items()}
     # A ratio bound or an alpha that is not a number is a configuration
     # error (exit 2), not a property failure (exit 1).
@@ -429,23 +416,20 @@ def test_hostile_input_ends_in_one_json_error(case, command, tmp_path, capsys, m
     monkeypatch.chdir(tmp_path)  # where batch would write its report
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        assert main(COMMANDS[command] + [str(path)] + flags) == (
-            code[command] if isinstance(code, dict) else code
-        )
+        assert main(COMMANDS[command] + [str(path)] + flags) == code
     assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
     lines = capsys.readouterr().out.strip().splitlines()
     assert not any(line.endswith(": pass") for line in lines)
     err = json.loads(lines[-1])
     assert set(err) == {"error", "message"} and "\n" not in err["message"]
-    if error is not None:
-        assert err["error"] == error
+    assert err["error"] == error
     assert all(not line.startswith("{") for line in lines[:-1])
 
 
 def test_check_names_the_first_missing_entry_of_a_huge_tabulated_reward(tmp_path, capsys):
-    """6**8 states and 7.6e10 (x, x', t) keys: the one entry present is
-    placed by its pair index, and the first missing key, lexicographically,
-    is named before any array of S entries, let alone S * S, is built."""
+    """6**8 states and 7.6e10 (x, x', t) keys: the first missing key,
+    lexicographically, is named before any array of S entries, let alone
+    S * S, is built."""
     data = HOSTILE["tabulated-huge-dense-reward"][0]
     path = tmp_path / "hostile.json"
     path.write_text(json.dumps(data))
@@ -456,9 +440,8 @@ def test_check_names_the_first_missing_entry_of_a_huge_tabulated_reward(tmp_path
     finally:
         tracemalloc.stop()
     err = _error_line(capsys)
-    assert err["error"] == "DomainError"
-    assert err["message"] == ("tabulated reward has no entry for "
-                              f"({(0,) * 8}, {(0,) * 8}, 0)")
+    assert err["error"] == "ConfigError"
+    assert err["message"] == f"reward.entries: no entry for ({(0,) * 8}, {(0,) * 8}, 0)"
     assert peak < 8 * 6**8  # one array of S doubles
 
 

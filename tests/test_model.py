@@ -3,6 +3,8 @@ import io
 import itertools
 import json
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from stodep import (
     BudgetedLinearFunction,
     CoverageFunction,
     DomainError,
-    EnumerationCapExceeded,
     GeneralTabulatedReward,
     LinearDecayingReward,
     LinearReward,
@@ -520,8 +521,7 @@ def test_tabulated_reward_lookup_and_terminal_default():
     assert validate_instance(inst).passed
 
 
-TABLE_FAULTS = ("missing", "missing-terminal", "negative", "nan", "inf", "-inf", "increase",
-                "terminal")
+TABLE_FAULTS = ("missing-terminal", "negative", "nan", "inf", "-inf", "increase", "terminal")
 
 
 @st.composite
@@ -543,10 +543,10 @@ def faulty_tables(draw):
                 table[(x, x_next, T)] = 0.0
     for fault in draw(st.lists(st.sampled_from(TABLE_FAULTS), max_size=4)):
         keys = sorted(k for k in table if (k[2] == T) == (fault == "missing-terminal"))
-        if not keys or (fault.startswith("missing") and len(table) == 1):
-            continue  # the constructor refuses a table with no entries
+        if not keys:
+            continue
         x, x_next, t = key = keys[draw(st.integers(0, len(keys) - 1))]
-        if fault.startswith("missing"):
+        if fault == "missing-terminal":
             del table[key]
         elif fault == "increase":
             table[(x, x_next, max(t, 1))] = table.get((x, x_next, max(t, 1) - 1), 0.0) + 0.5
@@ -584,19 +584,40 @@ def test_table_rules_match_the_scalar_oracle(case):
     ]
 
 
-def test_table_rules_grid_over_the_cap_is_refused_before_it_is_built(monkeypatch):
+@settings(max_examples=40, deadline=None)
+@given(faulty_tables(), st.data())
+def test_a_missing_entry_is_refused_at_build(case, data):
+    """ConfigError names the lexicographically first (x, x', t < horizon)
+    missing, whatever else the table holds."""
+    caps, T, table = case
+    keys = sorted(k for k in table if k[2] < T)
+    dropped = data.draw(st.sets(st.sampled_from(keys), min_size=1,
+                                max_size=min(4, len(keys) - 1)))  # keep an entry
+    kept = GeneralTabulatedReward({k: v for k, v in table.items() if k not in dropped})
+    with pytest.raises(stodep.ConfigError, match=re.escape(f"no entry for {min(dropped)}")):
+        _tabulated_instance(caps, T, kept)
+
+
+def test_a_missing_entry_of_a_huge_domain_is_named_in_little_memory():
+    """8 types of capacity 64: 4.5e26 pairs, past int64, and one entry."""
     one_entry = GeneralTabulatedReward({((64,) * 8, (0,) * 8, 0): 1.0})
-    huge = _tabulated_instance((64,) * 8, 2, one_entry)
-    for check in (validate_instance, stodep.check_assumption1):
-        with pytest.raises(EnumerationCapExceeded, match="grid of"):
-            check(huge)
-    # The cap bounds the cells of the grid: 6 * 3 pairs over T + 1 = 3 epochs.
-    small = _tabulated_instance((2, 1), 2, GeneralTabulatedReward({((1, 1), (0, 0), 0): 1.0}))
-    monkeypatch.setattr(stodep.model, "_TABLE_GRID_CAP", 6 * 3 * 3)
-    assert not validate_instance(small).passed  # missing entries, reported as data
-    monkeypatch.setattr(stodep.model, "_TABLE_GRID_CAP", 6 * 3 * 3 - 1)
-    with pytest.raises(EnumerationCapExceeded):
-        validate_instance(small)
+    tracemalloc.start()
+    try:
+        with pytest.raises(stodep.ConfigError) as refused:
+            _tabulated_instance((64,) * 8, 2, one_entry)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == f"reward.entries: no entry for ({(0,) * 8}, {(0,) * 8}, 0)"
+    assert peak < 2**20
+
+
+def test_pair_items_reads_small_indices_of_a_domain_past_int64():
+    """pair_count((64,) * 8) is 4.5e26: the first pairs vary the last type only."""
+    x, x_next = stodep.rewards.pair_items(np.arange(6), (64,) * 8)
+    one_x, one_next = stodep.rewards.pair_items(np.arange(6), (64,))
+    assert np.array_equal(x[:, -1:], one_x) and np.array_equal(x_next[:, -1:], one_next)
+    assert not x[:, :-1].any() and not x_next[:, :-1].any()
 
 
 @settings(max_examples=40, deadline=None)

@@ -322,6 +322,29 @@ def test_ir_flags_a_raised_entry(worst_case_tenth):
         assert v.witness["alpha"] != [0, 0] and v.gap > 0.4
 
 
+def test_ir_violations_come_by_state_index_of_x_then_x_next_then_epoch():
+    """Entries of J raised at some states and lowered at others break IR with
+    each as x and as x'; the violations are listed in state-index order,
+    which on these capacities is not the lexicographic order of (x, x')."""
+    caps, T = (2, 1, 2), 2
+    rng = np.random.default_rng(4)
+    inst = make_instance(capacities=caps, horizon=T, schedule=rng.random((T, 2, 3)),
+                         reward=LinearDecayingReward(((1.0, 0.5), (0.8, 0.8), (0.6, 0.1))))
+    table = solve_clairvoyant(inst)
+    for x, t, step in (((2, 0, 1), 0, 2.0), ((1, 1, 0), 1, 2.0), ((0, 1, 2), 0, 2.0),
+                       ((1, 0, 1), 0, -2.0), ((0, 0, 2), 1, -2.0)):
+        table.values[table.state_index(x), t] += step
+    report = check_ir(inst, table)
+    keys = [(tuple(v.witness["x"]),
+             tuple(a - b for a, b in zip(v.witness["x"], v.witness["alpha"])), v.witness["t"])
+            for v in report.violations]
+    by_index = [(table.state_index(x), table.state_index(x_next), t) for x, x_next, t in keys]
+    assert by_index == sorted(by_index)
+    assert keys != sorted(keys)
+    assert set(keys) == {(tuple(w["x"]), tuple(a - b for a, b in zip(w["x"], w["alpha"])), w["t"])
+                         for w, *_ in ir_oracle(inst, table.values, 1e-9)[2]}
+
+
 # ------------------------------------------ array certifiers vs scalar oracles
 
 
@@ -354,7 +377,7 @@ def test_vfm_and_ir_match_scalar_oracles(inst, data):
     _assert_matches_oracle(check_vfm(inst, table), vfm_oracle(inst, table.values, 1e-9))
     ir = ir_oracle(inst, table.values, 1e-9)
     _assert_matches_oracle(check_ir(inst, table), ir)
-    with mock.patch.object(stodep.properties, "_BLOCK", 1):  # one x per block
+    with mock.patch.object(stodep.properties, "_BLOCK", 1):  # one pair per block
         _assert_matches_oracle(check_ir(inst, table), ir)
 
 
