@@ -72,7 +72,6 @@ from .policies import (
     SeededRandomPolicy,
     TablePolicy,
     approx_myopic_policy,
-    baseline_policies,
     myopic_policy,
     optimal_policy_from_table,
     policy_from_name,

@@ -6,20 +6,22 @@ most slot_cap advertisers assigned to the arriving keyword; an assigned ad is
 clicked with the supplied probability and pays its valuation, truncated by the
 advertiser's remaining budget.  Budget truncation makes the reward the
 budgeted-linear potential sum_i min(B_i, earned_i), which telescopes.
+The subsets of sizes 0..slot_cap are counted against the activity cap before
+they are built (product_line.feasible_assortments).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from ..errors import ActivityCapExceeded, ConfigError
+from ..errors import ConfigError
 from ..model import DEFAULT_ACTIVITY_CAP, Instance
 from ..rewards import BudgetedLinearFunction, SubmodularReward
+from .product_line import feasible_assortments
 
 
 @dataclass
@@ -75,13 +77,9 @@ def build_adwords_instance(
     types = [(i, params.keyword_sequence[t], t) for t in range(T) for i in range(N)]
     M = len(types)
 
-    subsets = [
-        combo
-        for size in range(0, params.slot_cap + 1)
-        for combo in itertools.combinations(range(N), size)
-    ]
-    if len(subsets) > activity_cap:
-        raise ActivityCapExceeded(f"{len(subsets)} advertiser subsets exceed cap {activity_cap}")
+    subsets = feasible_assortments(
+        N, params.slot_cap, smallest=0, activity_cap=activity_cap, noun="advertiser subsets"
+    )
 
     schedule = np.zeros((T, len(subsets), M))
     for a, subset in enumerate(subsets):

@@ -5,20 +5,22 @@ activity transmits one page to a subset of at most k users; a live request is
 satisfied with the channel probability of its user whenever its page is
 transmitted to that user.  Rewards are per-request constants, so the reward is
 plain linear; urgency enters only through the deadline masking of the
-schedule.
+schedule.  The num_pages * (subsets of sizes 1..cap) activities are counted
+against the activity cap before they are built
+(product_line.feasible_assortments).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..errors import ActivityCapExceeded, ConfigError
+from ..errors import ConfigError
 from ..model import DEFAULT_ACTIVITY_CAP, Instance
 from ..rewards import LinearReward
+from .product_line import feasible_assortments
 
 
 @dataclass
@@ -106,15 +108,11 @@ def build_broadcast_instance(
         raise ConfigError("at least one request is required")
     T = params.horizon
 
-    users = list(range(params.num_users))
-    subsets = [
-        combo
-        for size in range(1, params.cap + 1)
-        for combo in itertools.combinations(users, size)
-    ]
+    subsets = feasible_assortments(
+        params.num_users, params.cap, activity_cap=activity_cap,
+        noun="(page, users) activities", copies=params.num_pages,
+    )
     activities = [(page, subset) for page in range(params.num_pages) for subset in subsets]
-    if len(activities) > activity_cap:
-        raise ActivityCapExceeded(f"{len(activities)} (page, users) activities exceed cap {activity_cap}")
 
     M = len(requests)
     schedule = np.zeros((T, len(activities), M))

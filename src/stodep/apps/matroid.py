@@ -2,10 +2,11 @@
 stochastic selection.
 
 Both reductions use one unit-capacity type per ground-set element and one
-activity per element.  Under the cardinality bound k the horizon is k and any
-element may be attempted in any epoch; under a partition the horizon is
-sum_i k_i and consecutive time blocks of length k_i admit only elements of
-block i (the myopic policy then coincides with the local-greedy heuristic).
+activity per element, and one builder (_matroid_instance): under a
+partition the horizon is sum_i k_i and consecutive time blocks of length k_i
+admit only elements of block i (the myopic policy then coincides with the
+local-greedy heuristic); the cardinality bound k is the partition of one
+block, every element, with k_1 = k.
 Selection is deterministic unless per-element success sequences are supplied,
 in which case attempting element e at epoch t succeeds with probability
 P_t^e (stochastic selection).
@@ -13,8 +14,8 @@ P_t^e (stochastic selection).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -71,6 +72,44 @@ def _success(params: MatroidParams, m: int, t: int) -> float:
     return float(seq[t])
 
 
+def _matroid_instance(params: MatroidParams, blocks, metadata: dict, activity_cap: int) -> Instance:
+    """The instance of (members, k_i) blocks: k_i consecutive epochs admit
+    only the members of block i."""
+    n = len(params.elements)
+    if n > activity_cap:
+        raise ActivityCapExceeded(f"{n} activities exceed cap {activity_cap}")
+    seen: set[int] = set()
+    for members, k_i in blocks:
+        members = set(members)
+        if members & seen:
+            raise InvalidPartition("partition blocks overlap")
+        if any(m < 0 or m >= n for m in members):
+            raise InvalidPartition("partition references an unknown element")
+        if int(k_i) < 0:
+            raise InvalidPartition("a partition block admits k_i >= 0 selections")
+        seen |= members
+    if seen != set(range(n)):
+        raise InvalidPartition("partition does not cover the ground set")
+    # the members selectable at each epoch
+    epochs = [frozenset(members) for members, k_i in blocks for _ in range(int(k_i))]
+    if not epochs:
+        raise ConfigError("partition must admit at least one selection")
+    schedule = np.zeros((len(epochs), n, n))
+    for t, members in enumerate(epochs):
+        for j in members:
+            schedule[t, j, j] = _success(params, j, t)
+    return Instance(
+        num_types=n,
+        capacities=(1,) * n,
+        initial_items=(1,) * n,
+        horizon=len(epochs),
+        activities=params.elements,
+        schedule=schedule,
+        reward=_reward_for(params),
+        metadata={**metadata, "stochastic": params.selection_probs is not None},
+    )
+
+
 def build_cardinality_matroid_instance(
     params: MatroidParams, *, activity_cap: int = DEFAULT_ACTIVITY_CAP
 ) -> Instance:
@@ -80,23 +119,7 @@ def build_cardinality_matroid_instance(
     k = int(params.cardinality)
     if not 1 <= k <= n:
         raise ConfigError("need 1 <= k <= |elements|")
-    if n > activity_cap:
-        raise ActivityCapExceeded(f"{n} activities exceed cap {activity_cap}")
-    schedule = np.zeros((k, n, n))
-    for t in range(k):
-        for j in range(n):
-            schedule[t, j, j] = _success(params, j, t)
-    return Instance(
-        num_types=n,
-        capacities=(1,) * n,
-        initial_items=(1,) * n,
-        horizon=k,
-        activities=params.elements,
-        schedule=schedule,
-        reward=_reward_for(params),
-        metadata={"app": "matroid-card", "k": k,
-                  "stochastic": params.selection_probs is not None},
-    )
+    return _matroid_instance(params, [(range(n), k)], {"app": "matroid-card", "k": k}, activity_cap)
 
 
 def build_partition_matroid_instance(
@@ -104,44 +127,9 @@ def build_partition_matroid_instance(
 ) -> Instance:
     if params.partition is None:
         raise ConfigError("partition blocks required")
-    n = len(params.elements)
-    if n > activity_cap:
-        raise ActivityCapExceeded(f"{n} activities exceed cap {activity_cap}")
-    seen: set[int] = set()
-    for members, _ in params.partition:
-        members = set(members)
-        if members & seen:
-            raise InvalidPartition("partition blocks overlap")
-        if any(m < 0 or m >= n for m in members):
-            raise InvalidPartition("partition references an unknown element")
-        seen |= members
-    if seen != set(range(n)):
-        raise InvalidPartition("partition does not cover the ground set")
-    horizon = sum(int(k_i) for _, k_i in params.partition)
-    if horizon < 1:
-        raise ConfigError("partition must admit at least one selection")
-    # block_of_epoch[t] = members selectable during epoch t
-    block_members: list[frozenset[int]] = []
-    for members, k_i in params.partition:
-        block_members.extend([frozenset(members)] * int(k_i))
-    schedule = np.zeros((horizon, n, n))
-    for t, members in enumerate(block_members):
-        for j in members:
-            schedule[t, j, j] = _success(params, j, t)
-    return Instance(
-        num_types=n,
-        capacities=(1,) * n,
-        initial_items=(1,) * n,
-        horizon=horizon,
-        activities=params.elements,
-        schedule=schedule,
-        reward=_reward_for(params),
-        metadata={
-            "app": "matroid-part",
-            "blocks": [[sorted(int(m) for m in members), int(k_i)] for members, k_i in params.partition],
-            "stochastic": params.selection_probs is not None,
-        },
-    )
+    listed = [[sorted(int(m) for m in members), int(k_i)] for members, k_i in params.partition]
+    metadata = {"app": "matroid-part", "blocks": listed}
+    return _matroid_instance(params, params.partition, metadata, activity_cap)
 
 
 def matroid_params_from_dict(data: Mapping) -> MatroidParams:

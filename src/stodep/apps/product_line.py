@@ -5,11 +5,15 @@ feasible assortment (non-empty product subset of size <= cap) is an activity.
 A segment-i customer present at epoch t buys from assortment A with the
 supplied probability P[t][A][i] and then leaves, paying the segment price, so
 the reward is linear-decaying with constant weights p_i.
+
+feasible_assortments is also the subset enumeration of adwords and broadcast:
+it counts the subsets against the activity cap before it builds one.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -52,20 +56,35 @@ class ProductLineParams:
             raise ConfigError("need 1 <= assortment_cap <= num_products")
 
 
-def feasible_assortments(num_products: int, cap: int) -> list[tuple[int, ...]]:
-    return [
-        combo
-        for size in range(1, cap + 1)
-        for combo in itertools.combinations(range(num_products), size)
-    ]
+def feasible_assortments(
+    num_products: int,
+    cap: int,
+    *,
+    smallest: int = 1,
+    activity_cap: int = DEFAULT_ACTIVITY_CAP,
+    noun: str = "assortments",
+    copies: int = 1,
+) -> list[tuple[int, ...]]:
+    """The subsets of range(num_products) of sizes smallest..cap, by size, then
+    lexicographically.
+
+    Their number, times copies, is counted with math.comb before any subset
+    is built: past activity_cap it raises ActivityCapExceeded naming that
+    count and noun.
+    """
+    sizes = range(smallest, cap + 1)
+    count = copies * sum(math.comb(num_products, k) for k in sizes)
+    if count > activity_cap:
+        raise ActivityCapExceeded(f"{count} {noun} exceed cap {activity_cap}")
+    return [combo for k in sizes for combo in itertools.combinations(range(num_products), k)]
 
 
 def build_product_line_instance(
     params: ProductLineParams, *, activity_cap: int = DEFAULT_ACTIVITY_CAP
 ) -> Instance:
-    assortments = feasible_assortments(params.num_products, params.assortment_cap)
-    if len(assortments) > activity_cap:
-        raise ActivityCapExceeded(f"{len(assortments)} assortments exceed cap {activity_cap}")
+    assortments = feasible_assortments(
+        params.num_products, params.assortment_cap, activity_cap=activity_cap
+    )
     I = len(params.segment_sizes)
     T = params.horizon
     schedule = np.zeros((T, len(assortments), I))

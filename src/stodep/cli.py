@@ -92,11 +92,6 @@ def _app_builder(app):
     return builder
 
 
-def build_from_app(app: str, params: dict, seed: int | None, activity_cap: int) -> Instance:
-    """Dispatch a generator spec to the matching application builder."""
-    return _app_builder(app)(params, seed, activity_cap)
-
-
 def _load_params(path: str | None) -> dict:
     if path is None:
         return {}
@@ -125,7 +120,7 @@ def _make_policy(name: str, instance: Instance, state_cap: int):
 
 def cmd_generate(args) -> int:
     params = _load_params(args.params)
-    instance = build_from_app(args.app, params, args.seed, args.cap_activities)
+    instance = _app_builder(args.app)(params, args.seed, args.cap_activities)
     report = validate_instance(instance)
     if not report.passed:
         raise ConfigError(f"generated instance failed validation: {report.to_dict()}")
@@ -428,19 +423,15 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
         return 3
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except (StodepError, OSError, LookupError, ValueError, TypeError) as exc:
+        # Besides bad data and I/O: input of the wrong shape, such as a
+        # parameter file missing a field or holding a list too short, an
+        # out-of-range argument such as --reps 0, or JSON that is not an
+        # object (or not JSON).
         message = str(exc)
         if isinstance(exc, FileNotFoundError):
             message = f"instance not found: {exc.filename}"
         print(json.dumps({"error": type(exc).__name__, "message": message}))
-        return 2
-    except (KeyError, ValueError, TypeError) as exc:
-        # Input of the wrong shape: a parameter file missing a field, an
-        # out-of-range argument such as --reps 0, or JSON that is not an object.
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
-        return 2
-    except StodepError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
         return 2
 
 

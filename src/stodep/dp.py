@@ -357,14 +357,22 @@ class BellmanOperator:
     (x, x') pairs of P(x -> x') g(x, x', t), with g read from the table's
     values as they are stored (_pair_rewards).  ConfigError names the first
     of those weights, potential values or tabulated values that is not
-    finite.
+    finite, and the first schedule entry outside [0, 1]; it also refuses
+    reward data whose largest total over one episode, which bounds every Q
+    and J, is not a finite double: sum_m c_m max_t |w_m(t)| on the linear
+    routes, max Phi - min Phi on the potential route, T max |g| for a table.
     """
 
     def __init__(self, instance: Instance):
         rew = instance.reward  # a tabulated value not finite is refused before any S-size array
         self.tabulated = (_pair_rewards(rew, instance.capacities, instance.horizon)
                           if isinstance(rew, GeneralTabulatedReward) else None)
-        self.schedule = instance.schedule
+        self.schedule = s = instance.schedule
+        low, high = s.min(), s.max()
+        if not (low >= 0 and high <= 1):  # NaN fails both
+            t, a, m = np.argwhere(~((s >= 0) & (s <= 1)))[0].tolist()
+            raise ConfigError(f"schedule[{t}][{a}][{m}] is {float(s[t, a, m])!r}: "
+                              "a probability must lie in [0, 1]")
         self.horizon, self.num_activities = instance.horizon, instance.num_activities
         self.capacities = instance.capacities
         self.dims = tuple(c + 1 for c in instance.capacities)
@@ -379,13 +387,22 @@ class BellmanOperator:
             weights = np.asarray(rew.weights, dtype=np.float64)  # (M,) or (M, horizon)
             _require_finite(weights, lambda i: f"reward.weights{list(i)}")
             self.weights = weights.T if weights.ndim == 2 else np.tile(weights, (self.horizon, 1))
+            peaks = np.abs(self.weights).max(axis=0).tolist()
+            total = sum(c * w for c, w in zip(instance.capacities, peaks))
             self._counts = self.items.T.astype(np.float64)  # (M, S), against (horizon, M) weights
         elif isinstance(rew, SubmodularReward):
             caps = np.array(instance.capacities)  # w(cap - x) at each state x, type 0 fastest
             self.potential = np.flip(potential_on_box(rew.evaluator, caps)).ravel(order="F")
             _require_finite(self.potential, lambda i: "reward potential "
                             f"w({tuple((caps - self.items[i[0]]).tolist())})")
-        self._distinct = _distinct_rows(self.schedule)
+            total = float(self.potential.max()) - float(self.potential.min())
+        else:
+            total = self.horizon * float(np.abs(self.tabulated[0]).max())
+        if not math.isfinite(total):
+            raise ConfigError(f"the largest reward total over one episode is {total!r}: "
+                              "the reward data must be finite")
+        # A schedule with no 0 and no 1 skips no type at any epoch.
+        self._distinct = _distinct_rows(s) if low == 0 or high == 1 else {}
         # The most bytes one epoch keeps: every activity's matrices, and its
         # reward row or, on the potential route, its D_m phi of every type.
         per_row = S * (len(self.dims) if self.potential is not None else 1)
@@ -739,12 +756,11 @@ def _distinct_rows(schedule: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarr
     rows, in order of first appearance, and first[u] is the lowest activity
     whose row is u; both read-only.  Epochs with no 0 and no 1 are left out:
     no type can be skipped there, so every type of every activity is
-    contracted, and a schedule without any costs two reductions.  Rows are
+    contracted (a schedule without any is not passed here: the operator's
+    probability check has its minimum and maximum already).  Rows are
     told apart by their bytes in a dict: numpy's sorts would fault in
     several hundred KB of their code, which peak RSS counts.
     """
-    if schedule.min() > 0 and schedule.max() < 1:
-        return {}
     M = schedule.shape[2]
     out = {}
     for t in np.flatnonzero(((schedule == 0) | (schedule == 1)).any(axis=(1, 2))).tolist():

@@ -6,8 +6,8 @@ evaluation and seeded simulation are reproducible.  Exact evaluation reads a
 policy through its decision table (Policy.decisions), which the myopic,
 approximate-myopic and optimal policies hold already; a one-step policy new
 to an instance instead chooses inside the evaluating sweep
-(decision_sources), and decision_tables builds the one-step policies' tables
-of one instance from a single sweep.
+(decision_sources), which evaluate_policies_exact and solve_and_evaluate
+share among all the policies they are given.
 """
 
 from __future__ import annotations
@@ -101,9 +101,9 @@ class _OneStepPolicy(_DecisionTable):
 
     The table comes from the instance's Bellman operator with V = 0 the
     first time an instance is seen: from the sweep that evaluates the policy
-    (decision_sources), or else from one sweep shared with the other
-    one-step policies that decision_tables is given.  Ties follow the
-    solver's rule (see stodep.dp.TIE_TOL).
+    (decision_sources), or else from a sweep of its own
+    (stodep.dp.one_step_decisions).  Ties follow the solver's rule (see
+    stodep.dp.TIE_TOL).
     """
 
     def _rule(self, epoch: Epoch) -> np.ndarray:
@@ -236,23 +236,6 @@ def decision_sources(
     return [source(p) for p in policies], [p._rule for p in fresh.values()], keep
 
 
-def decision_tables(
-    instance: Instance, policies: Sequence[Policy], state_cap: int = DEFAULT_STATE_CAP
-) -> list[np.ndarray]:
-    """Policy.decisions of each policy on instance.
-
-    The one-step policies that have not seen the instance get their tables
-    from one shared sweep with V = 0 (stodep.dp.one_step_decisions).
-    """
-    sources, rules, keep = decision_sources(instance, policies, state_cap)
-    if rules:
-        keep(one_step_decisions(instance, rules, state_cap))
-    return [
-        p.decisions(instance, state_cap) if isinstance(s, int) else s
-        for p, s in zip(policies, sources)
-    ]
-
-
 def myopic_policy() -> Policy:
     return MyopicPolicy()
 
@@ -263,15 +246,6 @@ def approx_myopic_policy(alpha: float) -> Policy:
 
 def optimal_policy_from_table(table) -> Policy:
     return TablePolicy(table)
-
-
-def baseline_policies() -> dict:
-    """Factories for the experimental-control policies."""
-    return {
-        "random": SeededRandomPolicy,
-        "fixed": FixedPolicy,
-        "round_robin": RoundRobinPolicy,
-    }
 
 
 def policy_from_name(name: str, *, table=None) -> Policy:

@@ -183,13 +183,7 @@ def check_vfm(instance: Instance, table: ValueTable, tol: float = DEFAULT_TOL) -
     return _report("vfm", table.fingerprint, tol, chunks())
 
 
-def check_ir(
-    instance: Instance,
-    table: ValueTable,
-    tol: float = DEFAULT_TOL,
-    *,
-    pair_cap: int = DEFAULT_PAIR_CAP,
-) -> PropertyReport:
+def check_ir(instance: Instance, table: ValueTable, tol: float = DEFAULT_TOL) -> PropertyReport:
     """Immediate rewards: J(x, t) <= g(x, x - alpha, t) + J(x - alpha, t), all alpha <= x.
 
     The inequality is checked on every depletion vector, not just unit steps,
@@ -198,14 +192,15 @@ def check_ir(
     block of pairs at a time, read from the pair layout over the types in
     reverse (stodep.rewards.pair_items), which lists them by the state
     index of x, then that of x'.  Violations are listed in that order, then
-    by epoch.
+    by epoch.  More than DEFAULT_PAIR_CAP (pair, epoch) entries raise
+    EnumerationCapExceeded before any is compared.
     """
     table.require_match(instance)
     T, M = instance.horizon, instance.num_types
     E = pair_count(instance.capacities)
     pairs = (T + 1) * E
-    if pairs > pair_cap:
-        raise EnumerationCapExceeded(f"(x, alpha) enumeration {pairs} exceeds cap {pair_cap}")
+    if pairs > DEFAULT_PAIR_CAP:
+        raise EnumerationCapExceeded(f"(x, alpha) enumeration {pairs} exceeds cap {DEFAULT_PAIR_CAP}")
     op = bellman_operator(instance, state_cap=2**62)  # the table already holds every state
     items, values = op.items, table.values
     radices = np.array(mixed_radix_radices(instance.capacities)[::-1])

@@ -102,11 +102,12 @@ def save_instance(instance: Instance, path_or_file) -> None:
             fh.write(payload)
 
 
-def load_instance(path_or_file, *, validate: bool = True, rewards: bool = True) -> Instance:
-    """Load and (by default) validate an instance, raising ConfigError on bad data.
+def load_instance(path_or_file, *, rewards: bool = True) -> Instance:
+    """Load and validate an instance, raising ConfigError on bad data.
 
     rewards=False validates everything but the reward value rules (see
-    stodep.model.validate_instance).
+    stodep.model.validate_instance).  Data that is to be read unvalidated
+    goes through instance_from_dict.
     """
     if hasattr(path_or_file, "read"):
         data = json.load(path_or_file)
@@ -114,14 +115,13 @@ def load_instance(path_or_file, *, validate: bool = True, rewards: bool = True) 
         with open(path_or_file, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     instance = instance_from_dict(data)
-    if validate:
-        report = validate_instance(instance, rewards=rewards)
-        if not report.passed:
-            first = report.violations[0]
-            raise ConfigError(
-                f"instance failed validation with {len(report.violations)} violation(s); "
-                f"first: {first.field}{list(first.indices)}: {first.rule}"
-            )
+    report = validate_instance(instance, rewards=rewards)
+    if not report.passed:
+        first = report.violations[0]
+        raise ConfigError(
+            f"instance failed validation with {len(report.violations)} violation(s); "
+            f"first: {first.field}{list(first.indices)}: {first.rule}"
+        )
     return instance
 
 

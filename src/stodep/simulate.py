@@ -31,7 +31,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .dp import BellmanOperator, bellman_operator, mixed_radix_radices, state_index
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .model import Instance, State, _require_state
 
 _MASK64 = (1 << 64) - 1
@@ -248,16 +248,21 @@ def simulate_episode(instance: Instance, policy, seed: int) -> EpisodeTrace:
 
 
 def summarize_totals(totals, master_seed: int, policy_name: str) -> EvalSummary:
-    """Mean/sample-stddev summary of per-replication totals in index order."""
+    """Mean/sample-stddev summary of per-replication totals in index order.
+
+    ConfigError names the statistic whose sum overflows a double.
+    """
     n = len(totals)
     if n < 1:
         raise ValueError("at least one replication is required")
-    mean = math.fsum(totals) / n
-    if n > 1:
-        variance = math.fsum((v - mean) ** 2 for v in totals) / (n - 1)
-        stddev = math.sqrt(variance)
-    else:
-        stddev = 0.0
+    statistic, stddev = "mean", 0.0
+    try:
+        mean = math.fsum(totals) / n
+        statistic = "variance"
+        if n > 1:
+            stddev = math.sqrt(math.fsum((v - mean) ** 2 for v in totals) / (n - 1))
+    except OverflowError:
+        raise ConfigError(f"the {statistic} of the episode totals overflows a double") from None
     return EvalSummary(
         mean=mean,
         stddev=stddev,

@@ -446,6 +446,11 @@ def test_partition_validation():
         build_partition_matroid_instance(
             MatroidParams(elements=("a", "b"), value=cov, partition=(((0,), 1),))
         )
+    # A negative k_i once left the schedule a row short: an IndexError.
+    with pytest.raises(InvalidPartition, match="k_i >= 0"):
+        build_partition_matroid_instance(
+            MatroidParams(elements=("a", "b"), value=cov, partition=(((0,), 3), ((1,), -1)))
+        )
 
 
 def test_stochastic_selection_per_element_sequences():

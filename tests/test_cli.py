@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -232,6 +233,14 @@ def test_missing_app_parameter_exits_2(capsys, tmp_path):
     assert err["error"] == "KeyError" and "epsilon" in err["message"]
 
 
+def test_app_parameter_list_too_short_exits_2(capsys, tmp_path):
+    """One selection sequence for two elements: an IndexError, once a traceback and exit 1."""
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps(dict(MINIMAL_PARAMS["matroid-card"], selection_probs=[[0.5]])))
+    assert main(["generate", "--app", "matroid-card", "--params", str(params)]) == 2
+    assert _error_line(capsys) == {"error": "IndexError", "message": "list index out of range"}
+
+
 def test_simulate_zero_reps_exits_2(worst_case_file, capsys):
     assert main(["simulate", "--instance", str(worst_case_file), "--reps", "0"]) == 2
     assert _error_line(capsys)["error"] == "ValueError"
@@ -424,6 +433,40 @@ def test_hostile_input_ends_in_one_json_error(case, command, tmp_path, capsys, m
     assert set(err) == {"error", "message"} and "\n" not in err["message"]
     assert err["error"] == error
     assert all(not line.startswith("{") for line in lines[:-1])
+
+
+def _heavy_instance(tmp_path, weight, p=0.9) -> str:
+    """Two types of capacity 2, linear weights (weight, weight), T = 2, one
+    activity with probability p: it passes validate_instance."""
+    path = tmp_path / "heavy.json"
+    save_instance(stodep.Instance(num_types=2, capacities=(2, 2), initial_items=(2, 2), horizon=2,
+                                  activities=("a",), schedule=[[[p, p]]] * 2,
+                                  reward=stodep.LinearReward((weight, weight))), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [
+    ["solve"],
+    ["check", "--properties", "vfm,ir", "--policy", "fixed:0"],
+    ["simulate", "--policy", "fixed:0"],
+], ids=lambda command: command[0])
+def test_reward_totals_past_double_precision_exit_2(command, tmp_path, capsys):
+    """(1e308, 1e308) once solved to J*=inf, simulated to a mean of Infinity,
+    and failed vfm and ir; the operator refuses it when it is built."""
+    assert main(command + ["--instance", _heavy_instance(tmp_path, 1e308)]) == 2
+    out = capsys.readouterr().out
+    assert "Infinity" not in out and "NaN" not in out
+    assert json.loads(out) == {"error": "ConfigError", "message": "the largest reward total over "
+                               "one episode is inf: the reward data must be finite"}
+
+
+@pytest.mark.parametrize("weight, p, statistic", [(1e155, 0.5, "variance"), (4e307, 0.9, "mean")])
+def test_simulate_statistics_past_double_precision_exit_2(weight, p, statistic, tmp_path, capsys):
+    """Finite totals whose squared deviations, or whose sum, overflow."""
+    path = _heavy_instance(tmp_path, weight, p)
+    assert main(["simulate", "--instance", path, "--policy", "fixed:0", "--reps", "20"]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "ConfigError", "message": f"the {statistic} of the episode totals overflows a double"}
 
 
 def test_check_names_the_first_missing_entry_of_a_huge_tabulated_reward(tmp_path, capsys):
@@ -638,6 +681,36 @@ def test_generate_every_app(app, tmp_path):
     inst = load_instance(out)  # loader re-validates
     assert inst.num_types >= 1
     assert main(["solve", "--instance", str(out)]) == 0
+
+
+# Sizes whose subsets would take terabytes to list: (params, the message of exit 3).
+HUGE_ENUMERATIONS = {
+    "adwords": (dict(MINIMAL_PARAMS["adwords"], num_advertisers=40, slot_cap=20,
+                     budgets=[None] * 40, valuations=[[1.0]] * 40, click_probs=[[0.5]] * 40),
+                "618679078298 advertiser subsets exceed cap 100000"),
+    "broadcast": (dict(MINIMAL_PARAMS["broadcast"], num_users=40, cap=20,
+                       rewards=[[1.0] * 40], channels=[0.5] * 40),
+                  "618679078297 (page, users) activities exceed cap 100000"),
+    "productline": (dict(MINIMAL_PARAMS["productline"], num_products=40, assortment_cap=20),
+                    "618679078297 assortments exceed cap 100000"),
+}
+
+
+@pytest.mark.parametrize("app", sorted(HUGE_ENUMERATIONS))
+def test_generate_counts_subsets_before_it_builds_any(app, tmp_path, capsys):
+    params, message = HUGE_ENUMERATIONS[app]
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(params))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        assert main(["generate", "--app", app, "--params", str(path), "--seed", "3"]) == 3
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _error_line(capsys) == {"error": "ActivityCapExceeded", "message": message}
+    assert peak < 2**20 and elapsed < 0.5
 
 
 def test_generate_prints_the_bytes_it_saves(tmp_path, capsysbinary):

@@ -45,7 +45,6 @@ from stodep.dp import (
 from stodep import cli
 from stodep.cli import _sweep_policy
 from stodep.apps import build_worst_case_instance, random_linear_decaying_instance
-from stodep.policies import decision_tables
 
 from conftest import make_instance, small_instances
 from oracles import dp_value_oracle, q_oracle, reward_oracle, value_function_oracle
@@ -556,7 +555,7 @@ def test_q_budget_of_one_chunk_changes_no_output(reward_kind, monkeypatch):
 def _cache_instance(kind):
     """A fresh instance of each kind the operator's epoch data must serve."""
     if kind in ("random-submodular", "random-linear-decaying"):
-        return cli.build_from_app(kind, {}, 5, 10**5)
+        return cli._app_builder(kind)({}, 5, 10**5)
     if kind == "queueing":  # a 0/1 schedule
         params = {"num_buffers": 2, "num_servers": 2, "horizon": 4,
                   "service_means": [[1.5, 2.0], [3.0, 1.2]],
@@ -829,7 +828,7 @@ def test_one_sweep_matches_the_separate_solve_tables_and_evaluation(inst, data):
         _eight_per_chunk(mp, inst)
         table = solve_clairvoyant(inst)
         separate = [stodep.policy_from_name(name, table=table) for name in names]
-        decisions = decision_tables(inst, separate)
+        decisions = [p.decisions(inst) for p in separate]
         expected = evaluate_policies_exact(inst, separate)
         shared = {}
         # A repeated name is sometimes the same policy object, sometimes a new one.
@@ -839,7 +838,7 @@ def test_one_sweep_matches_the_separate_solve_tables_and_evaluation(inst, data):
             for name in names
         ]
         warm = [p for p in policies if data.draw(st.booleans()) and p != OPTIMAL]
-        decision_tables(inst, warm)  # their memos already hold their tables
+        evaluate_policies_exact(inst, warm)  # their memos already hold their tables
         solved, evaluated = solve_and_evaluate(inst, policies)
     assert solved.values.tobytes() == table.values.tobytes()
     assert solved.best_activity.tobytes() == table.best_activity.tobytes()
@@ -968,6 +967,50 @@ def test_operator_refuses_non_finite_reward_data(reward, entry):
                          reward=reward)
     with pytest.raises(ConfigError, match=re.escape(entry)):  # RuntimeWarnings are errors here
         solve_clairvoyant(inst)
+
+
+@pytest.mark.parametrize("reward", [
+    LinearReward((1e308, 1e308)),
+    LinearDecayingReward(((1e308, 1.0), (1.0, 1e308))),
+    SubmodularReward(lambda y: 1e308 if sum(y) else -1e308, label="steep"),
+    stodep.GeneralTabulatedReward.from_entries([[x, y, t, -1e308] for x, y, t, _ in _TABLE_ENTRIES]),
+], ids=["linear", "linear_decaying", "potential", "tabulated"])
+def test_operator_refuses_reward_totals_past_double_precision(reward):
+    """Every value and weight is finite, but the largest total over one
+    episode is not: sum_m c_m max_t |w_m(t)|, max Phi - min Phi, T max |g|."""
+    inst = make_instance(capacities=(1, 1), horizon=2, schedule=np.full((2, 2, 2), 0.5),
+                         reward=reward)
+    with pytest.raises(ConfigError, match="the largest reward total over one episode is inf"):
+        solve_clairvoyant(inst)
+
+
+def test_totals_within_double_precision_still_solve():
+    """(4e307, 4e307) on capacities (2, 2): the largest total, 1.6e308, is finite."""
+    inst = make_instance(capacities=(2, 2), horizon=2, schedule=np.full((2, 1, 2), 0.9),
+                         reward=LinearReward((4e307, 4e307)))
+    table = solve_clairvoyant(inst)
+    assert optimal_value(table, State((2, 2), 0)) == pytest.approx(1.584e308, rel=1e-12)
+    assert audit_table(inst, table).passed
+
+
+@pytest.mark.parametrize("run", [
+    solve_clairvoyant,
+    lambda inst: evaluate_policy_exact(inst, stodep.policy_from_name("fixed:0")),
+    lambda inst: monte_carlo_value(inst, stodep.policy_from_name("fixed:0"), 10, 0),
+], ids=["solve", "evaluate", "monte_carlo"])
+@pytest.mark.parametrize("t", [0, 1], ids=["epoch-with-a-zero", "epoch-without"])
+@pytest.mark.parametrize("value", [1.5, math.nan, -0.5], ids=repr)
+def test_operator_refuses_a_schedule_entry_that_is_not_a_probability(value, t, run):
+    """Unvalidated, 1.5 at epoch 0 once solved to J* = 5.5 where four unit
+    items earn at most 4, NaN left best_activity -1, and -0.5 solved without
+    an error."""
+    schedule = np.full((2, 2, 2), 0.5)
+    schedule[0, 1, 0] = 0.0  # epoch 0 holds a 0; epoch 1 does not
+    schedule[t, 0, 1] = value
+    inst = make_instance(capacities=(2, 2), horizon=2, schedule=schedule,
+                         reward=LinearReward((1.0, 1.0)))
+    with pytest.raises(ConfigError, match=re.escape(f"schedule[{t}][0][1] is {value!r}")):
+        run(inst)
 
 
 @st.composite
@@ -1223,12 +1266,14 @@ def test_shared_one_step_sweep_gives_each_policy_its_own_table(inst, data):
         _eight_per_chunk(mp, inst)
         calls = _counting_q(mp)
         policies = [myopic_policy()] + [stodep.approx_myopic_policy(a) for a in alphas]
-        shared = decision_tables(inst, policies)
+        shared = stodep.dp.one_step_decisions(inst, [p._rule for p in policies])
         once = Counter(calls)  # one sweep, whatever the number of rules
         assert once == {t: -(-inst.num_activities // _CHUNK) for t in range(inst.horizon)}
+        evaluate_policies_exact(inst, policies)  # each policy keeps what it chose in the sweep
         for policy, table in zip(policies, shared):
             alone = stodep.policy_from_name(policy.name).decisions(inst)
             assert table.dtype == alone.dtype and np.array_equal(table, alone)
+            assert np.array_equal(policy.decisions(inst), alone)
 
 
 @settings(max_examples=40, deadline=None)

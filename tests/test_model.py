@@ -26,7 +26,6 @@ from stodep import (
     reward,
     sample_depletion,
     instance_to_dict,
-    load_instance,
     reward_from_dict,
     validate_instance,
 )
@@ -296,7 +295,7 @@ def test_reward_shape_faults_raise_when_the_instance_is_built(case, worst_case_t
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(dict(instance_to_dict(worst_case_tenth), reward=spec)))
     with pytest.raises(stodep.ConfigError):
-        load_instance(path, validate=False)
+        stodep.instance_from_dict(json.loads(path.read_text()))
 
 
 def test_window_violations_come_in_t_m_a_order():

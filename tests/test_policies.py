@@ -8,7 +8,6 @@ from stodep import (
     LinearReward,
     State,
     approx_myopic_policy,
-    baseline_policies,
     myopic_policy,
     optimal_policy_from_table,
     policy_from_name,
@@ -117,18 +116,17 @@ def test_approx_alpha_below_one_rejected():
 
 
 def test_baselines(worst_case_tenth):
-    factories = baseline_policies()
-    fixed = factories["fixed"](0)
-    rr = factories["round_robin"]()
-    rand = factories["random"](7)
+    fixed = stodep.FixedPolicy(0)
+    rr = stodep.RoundRobinPolicy()
+    rand = stodep.SeededRandomPolicy(7)
     for s in all_states(worst_case_tenth):
         assert fixed.select(s, worst_case_tenth) == 0
         assert rr.select(s, worst_case_tenth) == s.epoch % 2
         assert rand.select(s, worst_case_tenth) == rand.select(s, worst_case_tenth)
     with pytest.raises(ConfigError):
-        factories["fixed"](5).select(State((1, 1), 0), worst_case_tenth)
+        stodep.FixedPolicy(5).select(State((1, 1), 0), worst_case_tenth)
     with pytest.raises(ConfigError):
-        factories["fixed"](-1)
+        stodep.FixedPolicy(-1)
 
 
 def test_scaling_rewards_preserves_myopic_choice():

@@ -81,8 +81,9 @@ def test_ir_alpha_zero_is_trivial(worst_case_tenth):
 def test_ir_cap():
     inst = random_submodular_instance(0)
     table = solve_clairvoyant(inst)
-    with pytest.raises(stodep.EnumerationCapExceeded):
-        check_ir(inst, table, pair_cap=2)
+    with mock.patch.object(stodep.properties, "DEFAULT_PAIR_CAP", 2):
+        with pytest.raises(stodep.EnumerationCapExceeded, match="exceeds cap 2"):
+            check_ir(inst, table)
 
 
 def test_check_submodular_cap():

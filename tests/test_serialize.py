@@ -109,9 +109,6 @@ def test_loader_rejects_invalid_instances(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ConfigError):
         load_instance(path)
-    # validation can be bypassed explicitly
-    loaded = load_instance(path, validate=False)
-    assert not stodep.validate_instance(loaded).passed
 
 
 def test_custom_evaluator_is_not_serializable():
@@ -318,7 +315,7 @@ def test_every_kind_saves_loads_and_saves_the_same_bytes(name):
     first, second = io.StringIO(), io.StringIO()
     save_instance(inst, first)
     first.seek(0)
-    loaded = load_instance(first, validate=False)  # the layout, not the data, is under test
+    loaded = instance_from_dict(json.load(first))  # the layout, not the data, is under test
     save_instance(loaded, second)
     assert first.getvalue() == second.getvalue()
     assert first.getvalue().count("\n") == len(instance_to_dict(inst)) + 2
@@ -329,7 +326,7 @@ def test_every_kind_saves_loads_and_saves_the_same_bytes(name):
 def test_files_in_the_indented_layout_still_load(name):
     inst = _every_reward_kind()[name]
     old = io.StringIO(json.dumps(instance_to_dict(inst), indent=2, sort_keys=True) + "\n")
-    assert instance_fingerprint(load_instance(old, validate=False)) == instance_fingerprint(inst)
+    assert instance_fingerprint(instance_from_dict(json.load(old))) == instance_fingerprint(inst)
 
 
 def test_a_submodular_instance_pickles_to_the_same_bytes_after_use():
