@@ -133,9 +133,22 @@ def build_partition_matroid_instance(
 
 
 def matroid_params_from_dict(data: Mapping) -> MatroidParams:
-    """Parse JSON matroid parameters (value must be a built-in evaluator spec)."""
+    """Parse JSON matroid parameters (value must be a built-in evaluator spec).
+
+    A selection_probs object names each element by its index as a string,
+    as JSON keys are; a key that is not an element's index is refused.
+    """
     from ..rewards import reward_from_dict
 
+    elements = tuple(data["elements"])
+    probs = data.get("selection_probs")
+    if isinstance(probs, Mapping):
+        index = {str(m): m for m in range(len(elements))}
+        stray = [key for key in probs if str(key) not in index]
+        if stray:
+            raise ConfigError(f"selection_probs key {stray[0]!r} is not an element index "
+                              f"in [0, {len(elements)})")
+        probs = {index[str(key)]: seq for key, seq in probs.items()}
     value_spec = data["value"]
     reward = reward_from_dict(value_spec)
     if not isinstance(reward, SubmodularReward):
@@ -147,9 +160,9 @@ def matroid_params_from_dict(data: Mapping) -> MatroidParams:
             for block in data["partition"]
         )
     return MatroidParams(
-        elements=tuple(data["elements"]),
+        elements=elements,
         value=reward.evaluator,
         cardinality=data.get("cardinality"),
         partition=partition,
-        selection_probs=data.get("selection_probs"),
+        selection_probs=probs,
     )

@@ -100,7 +100,7 @@ def _load_params(path: str | None) -> dict:
 
 
 def _load(args, *, rewards: bool = True) -> Instance:
-    """The validated --instance file, with more activities than --cap-activities refused."""
+    """The --instance file (load_instance), with more activities than --cap-activities refused."""
     instance = load_instance(args.instance, rewards=rewards)
     n, cap = instance.num_activities, args.cap_activities
     if n > cap:

@@ -77,10 +77,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, FingerprintMismatch, StateSpaceCapExceeded
-from .model import (DEFAULT_STATE_CAP, Instance, State, _table_key, require_tolerance,
+from .model import (DEFAULT_STATE_CAP, Instance, State, _require_finite, require_tolerance,
                     state_space_size)
 from .rewards import (GeneralTabulatedReward, LinearDecayingReward, LinearReward, SubmodularReward,
-                      pair_count, pair_index, potential_on_box)
+                      entry_types, is_integer, is_number, pair_count, pair_index, potential_on_box)
 from .serialize import instance_fingerprint
 
 # Activities within TIE_TOL * max(1, |best|) of the best Q are tied; the
@@ -224,17 +224,16 @@ class ValueTable:
         # JSON null loads as NaN, "0.25" as 0.25 and true as 1.0: find them
         # among the entries.  NaN and Infinity load as themselves.
         bad = ~np.isfinite(values)
-        if _entry_types(data["values"]) & _NOT_NUMBERS:
+        if not all(map(is_number, entry_types(data["values"]))):
             entries = np.asarray(data["values"], dtype=object)
-            bad |= np.frompyfunc(lambda v: type(v) in _NOT_NUMBERS, 1, 1)(entries).astype(bool)
+            bad |= np.frompyfunc(lambda v: not is_number(type(v)), 1, 1)(entries).astype(bool)
         _refuse_first(bad, data["values"], "value", "every value must be a finite number")
         A = table.num_activities
-        if best.dtype.kind in "iu" and not _entry_types(data["best_activity"]) & _NOT_NUMBERS:
+        if best.dtype.kind in "iu" and all(map(is_integer, entry_types(data["best_activity"]))):
             bad = (best < 0) | (best >= A)
         else:  # a float, string, bool or huge entry: find it among the entries
             def stray(a):
-                integer = isinstance(a, (int, np.integer)) and type(a) not in _NOT_NUMBERS
-                return not (integer and 0 <= a < A)
+                return not (is_integer(type(a)) and 0 <= a < A)
 
             bad = np.frompyfunc(stray, 1, 1)(np.asarray(data["best_activity"], dtype=object))
         _refuse_first(bad, data["best_activity"], "best_activity",
@@ -267,17 +266,6 @@ def _refuse_first(bad: np.ndarray, rows, name: str, rule: str) -> None:
             f"table {name} at (row {i}, column {j}) is "
             f"{json.dumps(rows[i][j], default=lambda v: v.item())}: {rule}"
         )
-
-
-# Entry types that numpy reads as numbers but a table refuses.
-_NOT_NUMBERS = frozenset({str, bool, np.str_, np.bool_})
-
-
-def _entry_types(rows) -> set[type]:
-    """The types of the entries of a table array: a list of rows, or an array."""
-    if isinstance(rows, np.ndarray) and rows.dtype != object:
-        return {rows.dtype.type}
-    return set(map(type, itertools.chain.from_iterable(rows)))
 
 
 def _check_header(data) -> None:
@@ -355,24 +343,20 @@ class BellmanOperator:
     telescoping potential Phi(x) = w(cap - x) for submodular rewards, where
     g = Phi(x') - Phi(x); and for a tabulated reward, the sum over its
     (x, x') pairs of P(x -> x') g(x, x', t), with g read from the table's
-    values as they are stored (_pair_rewards).  ConfigError names the first
-    of those weights, potential values or tabulated values that is not
-    finite, and the first schedule entry outside [0, 1]; it also refuses
-    reward data whose largest total over one episode, which bounds every Q
-    and J, is not a finite double: sum_m c_m max_t |w_m(t)| on the linear
-    routes, max Phi - min Phi on the potential route, T max |g| for a table.
+    values as they are stored (_pair_rewards).  The Instance constructor has
+    refused every schedule entry outside [0, 1], every weight and tabulated
+    value that is not finite, and reward data whose largest total over one
+    episode, which bounds every Q and J, is not a finite double.  A
+    potential is known only on the capacity box, so the operator refuses
+    its values that are not finite, and a max Phi - min Phi that is not a
+    finite double, with ConfigError.
     """
 
     def __init__(self, instance: Instance):
-        rew = instance.reward  # a tabulated value not finite is refused before any S-size array
+        rew = instance.reward
         self.tabulated = (_pair_rewards(rew, instance.capacities, instance.horizon)
                           if isinstance(rew, GeneralTabulatedReward) else None)
         self.schedule = s = instance.schedule
-        low, high = s.min(), s.max()
-        if not (low >= 0 and high <= 1):  # NaN fails both
-            t, a, m = np.argwhere(~((s >= 0) & (s <= 1)))[0].tolist()
-            raise ConfigError(f"schedule[{t}][{a}][{m}] is {float(s[t, a, m])!r}: "
-                              "a probability must lie in [0, 1]")
         self.horizon, self.num_activities = instance.horizon, instance.num_activities
         self.capacities = instance.capacities
         self.dims = tuple(c + 1 for c in instance.capacities)
@@ -385,10 +369,7 @@ class BellmanOperator:
         self.weights = self.potential = None
         if isinstance(rew, (LinearReward, LinearDecayingReward)):
             weights = np.asarray(rew.weights, dtype=np.float64)  # (M,) or (M, horizon)
-            _require_finite(weights, lambda i: f"reward.weights{list(i)}")
             self.weights = weights.T if weights.ndim == 2 else np.tile(weights, (self.horizon, 1))
-            peaks = np.abs(self.weights).max(axis=0).tolist()
-            total = sum(c * w for c, w in zip(instance.capacities, peaks))
             self._counts = self.items.T.astype(np.float64)  # (M, S), against (horizon, M) weights
         elif isinstance(rew, SubmodularReward):
             caps = np.array(instance.capacities)  # w(cap - x) at each state x, type 0 fastest
@@ -396,13 +377,11 @@ class BellmanOperator:
             _require_finite(self.potential, lambda i: "reward potential "
                             f"w({tuple((caps - self.items[i[0]]).tolist())})")
             total = float(self.potential.max()) - float(self.potential.min())
-        else:
-            total = self.horizon * float(np.abs(self.tabulated[0]).max())
-        if not math.isfinite(total):
-            raise ConfigError(f"the largest reward total over one episode is {total!r}: "
-                              "the reward data must be finite")
+            if not math.isfinite(total):
+                raise ConfigError(f"the largest reward total over one episode is {total!r}: "
+                                  "the reward data must be finite")
         # A schedule with no 0 and no 1 skips no type at any epoch.
-        self._distinct = _distinct_rows(s) if low == 0 or high == 1 else {}
+        self._distinct = _distinct_rows(s) if s.min() == 0 or s.max() == 1 else {}
         # The most bytes one epoch keeps: every activity's matrices, and its
         # reward row or, on the potential route, its D_m phi of every type.
         per_row = S * (len(self.dims) if self.potential is not None else 1)
@@ -714,24 +693,13 @@ def _pair_rewards(rew: GeneralTabulatedReward, caps: tuple[int, ...], T: int) ->
 
     The constructor has found the rows with t < T complete, so they are the
     pair layout's T * E (pair, t) in order, and their values are g as
-    stored.  ConfigError names the first value not finite.
+    stored.
     """
     M, E = len(caps), pair_count(caps)
     keep = np.flatnonzero(rew.keys[:, 2 * M] < T)  # rows, not a copy of the keys
-    values = rew.values[keep]
-    _require_finite(values, lambda i: "tabulated reward entry "
-                    f"{_table_key(rew.keys[keep[i[0]]], M)}")
     pairs = rew.keys[keep[::T]]
     x = pairs[:, :M]
-    return values.reshape(E, T), x, pairs[:, M:2 * M], x @ mixed_radix_radices(caps)
-
-
-def _require_finite(values: np.ndarray, name: Callable[[tuple], str]) -> None:
-    """ConfigError naming the first entry of values that is not finite, by name(index)."""
-    bad = np.argwhere(~np.isfinite(values))
-    if len(bad):
-        i = tuple(int(k) for k in bad[0])
-        raise ConfigError(f"{name(i)} is {float(values[i])!r}: the reward data must be finite")
+    return rew.values[keep].reshape(E, T), x, pairs[:, M:2 * M], x @ mixed_radix_radices(caps)
 
 
 @functools.cache

@@ -33,9 +33,13 @@ from .rewards import (
     LinearReward,
     RewardSpec,
     SubmodularReward,
+    entry_types,
+    is_integer,
+    is_number,
     pair_count,
     pair_index,
     pair_items,
+    require_entries,
 )
 
 DEFAULT_STATE_CAP = 10**7
@@ -43,6 +47,10 @@ DEFAULT_ACTIVITY_CAP = 10**5
 
 # The documented limit on any one type's capacity.
 MAX_CAPACITY = 64
+
+
+# The fields that hold integers: a count, or one count per type.
+_COUNTS = ("num_types", "horizon", "capacities", "initial_items", "arrivals", "deadlines")
 
 
 class State(NamedTuple):
@@ -75,10 +83,17 @@ class Instance:
     """A full stochastic depletion problem over a realized probability schedule.
 
     Fields mirror the canonical JSON form (see stodep.serialize).  The
-    constructor raises ConfigError on every fault of shape, the reward data's
-    included, and of structural limits; value-level rules (probability bounds,
-    reward monotonicity, arrival/deadline masking) are reported by
-    validate_instance as data, not raised.
+    constructor is the one place that refuses, with ConfigError naming the
+    first bad field, every fault that would make a number wrong: a field of
+    the wrong shape; a count that is not an integer or a number that is a
+    string or a bool; a capacity outside [1, MAX_CAPACITY], initial items
+    outside [0, capacity], a schedule entry outside [0, 1] (NaN included),
+    windows that break 0 <= arrival <= deadline <= horizon or a nonzero
+    entry outside [arrival, deadline); and reward data that is not finite or
+    whose largest total over one episode is not (_check_reward).  An
+    instance that exists can be run.  The reward value rules (non-negative,
+    non-increasing in t, zero at the horizon) are what the paper's
+    Assumption 1 asks of the data; validate_instance reports them as data.
 
     Instances are immutable: assigning a field raises, and the schedule and
     metadata are read-only copies of what was passed in.  That is what lets
@@ -101,42 +116,47 @@ class Instance:
         def put(name, value):
             object.__setattr__(self, name, value)
 
+        counts = {name: getattr(self, name) for name in _COUNTS if getattr(self, name) is not None}
+        if not all(map(is_integer, entry_types(list(counts.values())))):
+            for name, value in counts.items():
+                require_entries(value, name, is_integer, "an integer")
         put("num_types", int(self.num_types))
         put("horizon", int(self.horizon))
-        put("capacities", tuple(int(c) for c in self.capacities))
-        put("initial_items", tuple(int(v) for v in self.initial_items))
-        put("activities", tuple(str(a) for a in self.activities))
-        if self.num_types < 1:
+        M, T = self.num_types, self.horizon
+        if M < 1:
             raise ConfigError("num_types must be >= 1")
-        if self.horizon < 1:
+        if T < 1:
             raise ConfigError("horizon must be >= 1")
+        put("activities", tuple(str(a) for a in self.activities))
         if not self.activities:
             raise ConfigError("activities must name at least one activity")
-        if len(self.capacities) != self.num_types:
-            raise ConfigError("capacities must have one entry per type")
-        if len(self.initial_items) != self.num_types:
-            raise ConfigError("initial_items must have one entry per type")
-        if any(c > MAX_CAPACITY for c in self.capacities):
-            raise ConfigError(f"capacities are capped at {MAX_CAPACITY} per type")
-        if any(c < 0 for c in self.capacities):
-            raise ConfigError("capacities must be non-negative")
-        schedule = np.array(self.schedule, dtype=np.float64)
+        for name in _COUNTS[2:]:
+            if name in counts:
+                put(name, values := tuple(int(v) for v in counts[name]))
+                if len(values) != M:
+                    raise ConfigError(f"{name} must have one entry per type")
+        for m, (c, x) in enumerate(zip(self.capacities, self.initial_items)):
+            if not 1 <= c <= MAX_CAPACITY:
+                raise ConfigError(f"capacities[{m}] is {c}: a capacity must lie in [1, {MAX_CAPACITY}]")
+            if not 0 <= x <= c:
+                raise ConfigError(f"initial_items[{m}] is {x}: it must lie in [0, capacities[{m}]]")
+        require_entries(self.schedule, "schedule", is_number, "a number")
+        try:
+            schedule = np.array(self.schedule, dtype=np.float64)
+        except ValueError as exc:  # rows of unequal length
+            raise ConfigError(f"schedule: {exc}") from None
         schedule.flags.writeable = False
         put("schedule", schedule)
-        expected = (self.horizon, len(self.activities), self.num_types)
-        if schedule.shape != expected:
-            raise ConfigError(
-                f"schedule shape {schedule.shape} != (horizon, activities, types) {expected}"
-            )
-        if self.arrivals is not None:
-            put("arrivals", tuple(int(v) for v in self.arrivals))
-            if len(self.arrivals) != self.num_types:
-                raise ConfigError("arrivals must have one entry per type")
-        if self.deadlines is not None:
-            put("deadlines", tuple(int(v) for v in self.deadlines))
-            if len(self.deadlines) != self.num_types:
-                raise ConfigError("deadlines must have one entry per type")
-        _check_reward_shape(self.reward, self.capacities, self.horizon)
+        if schedule.shape != (T, len(self.activities), M):
+            raise ConfigError(f"schedule shape {schedule.shape} != (horizon, activities, types) "
+                              f"{(T, len(self.activities), M)}")
+        if not (schedule.min() >= 0 and schedule.max() <= 1):  # NaN fails both
+            t, a, m = np.argwhere(~((schedule >= 0) & (schedule <= 1)))[0].tolist()
+            raise ConfigError(f"schedule[{t}][{a}][{m}] is {float(schedule[t, a, m])!r}: "
+                              "a probability must lie in [0, 1]")
+        if self.arrivals is not None or self.deadlines is not None:
+            _check_windows(schedule, self.arrivals or (0,) * M, self.deadlines or (T,) * M)
+        _check_reward(self.reward, self.capacities, T)
         put("metadata", freeze(self.metadata))
 
     @functools.cached_property
@@ -175,14 +195,40 @@ class Instance:
         return State(self.initial_items, 0)
 
 
-def _check_reward_shape(rew: RewardSpec, caps: tuple[int, ...], T: int) -> None:
-    """Raise ConfigError unless the reward's data has one entry per type (and epoch).
+def _check_windows(schedule: np.ndarray, arrivals, deadlines) -> None:
+    """Raise ConfigError unless 0 <= arrival <= deadline <= horizon for every
+    type and the schedule is 0 outside each type's [arrival, deadline); the
+    first entry outside is named in (t, m, a) order."""
+    T = len(schedule)
+    for m, (a, d) in enumerate(zip(arrivals, deadlines)):
+        if not 0 <= a <= d <= T:
+            raise ConfigError(f"arrivals[{m}] is {a} and deadlines[{m}] is {d}: "
+                              "need 0 <= arrival <= deadline <= horizon")
+    epochs = np.arange(T)[:, None]
+    outside = (epochs < np.array(arrivals)) | (epochs >= np.array(deadlines))  # (T, M)
+    # The schedule transposed to (T, M, A), so the hits come in (t, m, a) order.
+    hits = np.argwhere((schedule.transpose(0, 2, 1) != 0.0) & outside[:, :, None])
+    if len(hits):
+        t, m, a = hits[0].tolist()
+        raise ConfigError(f"schedule[{t}][{a}][{m}] is {float(schedule[t, a, m])!r}: nonzero "
+                          f"outside [arrivals[{m}], deadlines[{m}]) = [{arrivals[m]}, {deadlines[m]})")
 
+
+def _check_reward(rew: RewardSpec, caps: tuple[int, ...], T: int) -> None:
+    """Raise ConfigError unless the reward's data has one entry per type (and
+    epoch), every value is finite and the largest total over one episode is
+    a finite double.
+
+    That total is sum_m c_m max_t |w_m(t)| on the linear routes and
+    T max |g| for a table; on the potential route it is max Phi - min Phi,
+    which the Bellman operator checks, since a custom evaluator is known
+    only on the capacity box.  A budget may be +inf: its group is uncapped.
     Every key of a tabulated reward must lie in the domain x' <= x <= caps,
     0 <= t <= T, and every key with t < T must be present; a missing one is
     named lexicographically first.
     """
     M = len(caps)
+    total = 0.0
     if isinstance(rew, LinearReward):
         if len(rew.weights) != M:
             raise ConfigError(f"reward.weights: length {len(rew.weights)} != num_types {M}")
@@ -194,10 +240,18 @@ def _check_reward_shape(rew: RewardSpec, caps: tuple[int, ...], T: int) -> None:
                 raise ConfigError(f"reward.weights[{m}]: row length {len(row)} != horizon {T}")
     elif isinstance(rew, SubmodularReward):
         ev = rew.evaluator
-        if isinstance(ev, CoverageFunction) and len(ev.covers) != M:
-            raise ConfigError(f"reward.covers: one cover per type required, got {len(ev.covers)}")
-        if isinstance(ev, BudgetedLinearFunction) and len(ev.values) != M:
-            raise ConfigError(f"reward.values: one value per type required, got {len(ev.values)}")
+        if isinstance(ev, CoverageFunction):
+            if len(ev.covers) != M:
+                raise ConfigError(f"reward.covers: one cover per type required, got {len(ev.covers)}")
+            _require_finite(np.array(ev.element_weights),
+                            lambda i: f"reward.element_weights[{i[0]}]")
+        if isinstance(ev, BudgetedLinearFunction):
+            if len(ev.values) != M:
+                raise ConfigError(f"reward.values: one value per type required, got {len(ev.values)}")
+            _require_finite(np.array(ev.values), lambda i: f"reward.values[{i[0]}]")
+            budgets = np.array(ev.budgets)
+            _require_finite(np.where(budgets == math.inf, 0.0, budgets),
+                            lambda i: f"reward.budgets[{i[0]}]")
     elif isinstance(rew, GeneralTabulatedReward):
         keys = rew.keys
         if not len(keys):
@@ -222,8 +276,27 @@ def _check_reward_shape(rew: RewardSpec, caps: tuple[int, ...], T: int) -> None:
             want = np.concatenate((*pair_items(k // T, caps), (k % T)[:, None]), axis=1)
             first = np.argmax(np.append((keys[below] != want[:n]).any(axis=1), True))
             raise ConfigError(f"reward.entries: no entry for {_table_key(want[first], M)}")
+        _require_finite(rew.values, lambda i: f"reward.entries: the value at {_table_key(keys[i[0]], M)}")
+        total = T * float(np.abs(rew.values[below]).max())
     else:
         raise ConfigError(f"unknown reward spec {type(rew).__name__}")
+    if isinstance(rew, (LinearReward, LinearDecayingReward)):
+        weights = np.array(rew.weights)  # (M,) or (M, T)
+        peaks = np.abs(weights).reshape(M, -1).max(axis=1).tolist()
+        total = sum(c * w for c, w in zip(caps, peaks))
+        if not math.isfinite(total):  # a weight that is not finite, or a sum past a double
+            _require_finite(weights, lambda i: "reward.weights" + "".join(f"[{k}]" for k in i))
+    if not math.isfinite(total):
+        raise ConfigError(f"the largest reward total over one episode is {total!r}: "
+                          "the reward data must be finite")
+
+
+def _require_finite(values: np.ndarray, name: Callable[[tuple], str]) -> None:
+    """ConfigError naming the first entry of values that is not finite, by name(index)."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = tuple(int(k) for k in np.argwhere(~finite)[0])
+        raise ConfigError(f"{name(i)} is {float(values[i])!r}: the reward data must be finite")
 
 
 def _table_key(row, M: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
@@ -264,50 +337,16 @@ class ValidationReport:
         return {"passed": self.passed, "violations": [v.to_dict() for v in self.violations]}
 
 
-def validate_instance(instance: Instance, *, rewards: bool = True) -> ValidationReport:
-    """Check every value-level invariant; violations are data, not failures.
+def validate_instance(instance: Instance) -> ValidationReport:
+    """The reward value rules (reward_rules) the instance breaks, as data.
 
-    An instance with an empty violation list is accepted by every other
-    operation in the package.  rewards=False leaves out the value rules on
-    the reward data (reward_rules), which stodep check reports as its
+    Every other fault that would make a number wrong is refused by the
+    Instance constructor; these rules are what stodep check reports as its
     assumption1 property.
     """
-    out: list[RuleViolation] = []
-    M, T = instance.num_types, instance.horizon
-
-    for m, cap in enumerate(instance.capacities):
-        if cap < 1:
-            out.append(RuleViolation("capacities", (m,), "capacity below 1"))
-    for m, x0 in enumerate(instance.initial_items):
-        if x0 < 0 or x0 > instance.capacities[m]:
-            out.append(RuleViolation("initial_items", (m,), "initial items out of [0, capacity]"))
-
-    sched = instance.schedule
-    finite = np.isfinite(sched)
-    for t, a, m in np.argwhere(~finite):
-        out.append(RuleViolation("schedule", (int(t), int(a), int(m)), "probability not finite"))
-    for t, a, m in np.argwhere(finite & ((sched < 0.0) | (sched > 1.0))):
-        out.append(RuleViolation("schedule", (int(t), int(a), int(m)), "probability out of [0,1]"))
-
-    if instance.arrivals is not None or instance.deadlines is not None:
-        arrivals = instance.arrivals or (0,) * M
-        deadlines = instance.deadlines or (T,) * M
-        for m in range(M):
-            if not 0 <= arrivals[m] <= deadlines[m] <= T:
-                out.append(
-                    RuleViolation("arrivals/deadlines", (m,), "need 0 <= arrival <= deadline <= horizon")
-                )
-        epochs = np.arange(T)[:, None]
-        outside = (epochs < np.array(arrivals)) | (epochs >= np.array(deadlines))  # (T, M)
-        # The schedule transposed to (T, M, A), so the hits come in (t, m, a) order.
-        for t, m, a in np.argwhere((sched.transpose(0, 2, 1) != 0.0) & outside[:, :, None]):
-            out.append(RuleViolation("schedule", (int(t), int(a), int(m)),
-                                     "nonzero probability outside the [arrival, deadline) window"))
-    if rewards:
-        lhs, rhs, describe = reward_rules(instance)
-        for k in np.flatnonzero(exceeds(lhs, rhs, 0.0)):
-            out.append(RuleViolation(*describe(int(k))))
-    return ValidationReport(out)
+    lhs, rhs, describe = reward_rules(instance)
+    return ValidationReport([RuleViolation(*describe(int(k)))
+                             for k in np.flatnonzero(exceeds(lhs, rhs, 0.0))])
 
 
 def exceeds(lhs, rhs, tol):
@@ -335,8 +374,7 @@ def require_tolerance(tol, name: str = "tolerance") -> float:
 
 
 def _non_negative(field: str, indices: tuple, value: float, noun: str):
-    rule = f"negative {noun}" if math.isfinite(value) else f"{noun} not finite"
-    return field, indices, rule, 0.0, value
+    return field, indices, f"negative {noun}", 0.0, value
 
 
 def reward_rules(instance: Instance) -> tuple[np.ndarray, np.ndarray, Callable[[int], tuple]]:

@@ -5,7 +5,9 @@ when the vector of remaining items moves from x to x'; stodep.dp.BellmanOperator
 is the one place g is evaluated.  g is 0 at the terminal epoch (t == horizon),
 and is non-negative and non-increasing in t on valid data;
 `stodep.model.validate_instance` and the property checkers verify those facts
-rather than assuming them.
+rather than assuming them.  The specs refuse data that is not a number (or,
+where a count or an index is meant, an integer): a string or a bool is
+neither, though float() and numpy read both as numbers.
 
 The reward specs and the coverage and budgeted evaluators are frozen: an
 instance's fingerprint and solver data are computed once, so the data they
@@ -14,6 +16,7 @@ are computed from cannot change.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -48,6 +51,7 @@ class LinearReward(RewardSpec):
     kind = "linear"
 
     def __post_init__(self):
+        require_entries(self.weights, "reward.weights", is_number, "a number")
         object.__setattr__(self, "weights", tuple(float(v) for v in self.weights))
 
     def spec_dict(self) -> dict:
@@ -58,8 +62,8 @@ class LinearReward(RewardSpec):
 class LinearDecayingReward(RewardSpec):
     """Per-item rewards that decay over time: g = sum_m w[m][t] (x_m - x'_m).
 
-    weights[m][t] must be non-negative and non-increasing in t; that is a data
-    invariant checked by validate_instance, not enforced here.
+    weights[m][t] must be non-negative and non-increasing in t; that is a
+    value rule reported by validate_instance, not enforced here.
     """
 
     weights: tuple[tuple[float, ...], ...]
@@ -67,6 +71,7 @@ class LinearDecayingReward(RewardSpec):
     kind = "linear_decaying"
 
     def __post_init__(self):
+        require_entries(self.weights, "reward.weights", is_number, "a number")
         weights = tuple(tuple(float(v) for v in row) for row in self.weights)
         object.__setattr__(self, "weights", weights)
 
@@ -89,14 +94,18 @@ class CoverageFunction:
     kind = "submodular_coverage"
 
     def __post_init__(self):
+        require_entries(self.num_elements, "reward.num_elements", is_integer, "an integer")
+        require_entries(self.element_weights, "reward.element_weights", is_number, "a number")
+        for m, cover in enumerate(self.covers):
+            require_entries(list(cover), f"reward.covers[{m}]", is_integer, "an integer")
         covers = tuple(frozenset(int(e) for e in c) for c in self.covers)
         object.__setattr__(self, "covers", covers)
         object.__setattr__(self, "element_weights", tuple(float(v) for v in self.element_weights))
         if len(self.element_weights) != self.num_elements:
-            raise ConfigError("element_weights length must equal num_elements")
+            raise ConfigError("reward.element_weights: length must equal num_elements")
         for m, cover in enumerate(covers):
             if any(e < 0 or e >= self.num_elements for e in cover):
-                raise ConfigError(f"covers[{m}] contains an element outside the universe")
+                raise ConfigError(f"reward.covers[{m}]: an element outside the universe")
         object.__setattr__(self, "_masks", tuple(sum(1 << e for e in cover) for cover in covers))
 
     def __call__(self, y: Sequence[int]) -> float:
@@ -136,13 +145,16 @@ class BudgetedLinearFunction:
     kind = "submodular_budgeted"
 
     def __post_init__(self):
+        require_entries(self.budgets, "reward.budgets", is_number, "a number")
+        require_entries(self.values, "reward.values", is_number, "a number")
+        require_entries(self.groups, "reward.groups", is_integer, "an integer")
         object.__setattr__(self, "budgets", tuple(float(b) for b in self.budgets))
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         object.__setattr__(self, "groups", tuple(int(g) for g in self.groups))
         if len(self.values) != len(self.groups):
-            raise ConfigError("values and groups must have one entry per type")
+            raise ConfigError("reward.values and reward.groups must have one entry per type")
         if any(g < 0 or g >= len(self.budgets) for g in self.groups):
-            raise ConfigError(f"groups {list(self.groups)} index past the budgets")
+            raise ConfigError(f"reward.groups {list(self.groups)}: an index past the budgets")
 
     def __call__(self, y: Sequence[int]) -> float:
         sums = [0.0] * len(self.budgets)
@@ -355,8 +367,11 @@ def _columns(entries: list) -> tuple[np.ndarray, np.ndarray] | None:
         return None
     if not (x.ndim == 2 and x.shape == x_next.shape and t.ndim == values.ndim == 1):
         return None
+    if not (all(map(is_integer, entry_types((xs, xs_next)) | entry_types(ts)))
+            and all(map(is_number, entry_types(vs)))):
+        return None
     keys = np.concatenate((x, x_next, t[:, None]), axis=1)
-    if keys.dtype.kind != "i" or values.dtype.kind not in "biuf":
+    if keys.dtype.kind != "i" or values.dtype.kind not in "iuf":
         return None
     return keys.astype(np.int64, copy=False), values.astype(np.float64, copy=False)
 
@@ -412,6 +427,64 @@ def _ascending(keys: np.ndarray) -> np.ndarray:
     return later[at] > earlier[at]
 
 
+@functools.cache
+def is_number(kind: type) -> bool:
+    """Is kind a type of real number?  bool and str are not, nor numpy's bool
+    and str, though float() and numpy read them as numbers."""
+    return (issubclass(kind, (int, float, np.integer, np.floating))
+            and not issubclass(kind, (bool, np.bool_)))
+
+
+@functools.cache
+def is_integer(kind: type) -> bool:
+    """Is kind a type of integer?  bool and numpy's bool are not."""
+    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
+
+
+def entry_types(value) -> set[type]:
+    """The types of the entries of value: lists and tuples are walked to any
+    depth, and an array stands for its dtype's scalar type (np.object_ if
+    it holds objects).  A level at a time, so the entries cost one map(type).
+    """
+    found, level = set(), [value]
+    while level:
+        types = set(map(type, level))
+        found |= types - _CONTAINERS
+        if np.ndarray in types:
+            found |= {v.dtype.type for v in level if type(v) is np.ndarray}
+        if types.isdisjoint(_SEQUENCES):
+            break
+        if not types <= _SEQUENCES:  # rows of unequal depth
+            level = [v for v in level if type(v) in _SEQUENCES]
+        level = list(itertools.chain.from_iterable(level))
+    return found
+
+
+_SEQUENCES = frozenset({list, tuple})
+_CONTAINERS = _SEQUENCES | {np.ndarray}
+
+
+def require_entries(value, name: str, accept: Callable[[type], bool], noun: str) -> None:
+    """ConfigError naming the first entry of value (see entry_types), by name
+    and index, whose type accept refuses; noun says what it must be.  The
+    entries are read one by one only when entry_types finds such a type."""
+    if all(map(accept, entry_types(value))):
+        return
+    for index, entry in _indexed(value):
+        if not accept(type(entry)):
+            at = "".join(f"[{i}]" for i in index)
+            raise ConfigError(f"{name}{at} is {entry!r}: {noun} is required")
+
+
+def _indexed(value, index=()):
+    """(index, entry) of every entry of value, in order."""
+    if type(value) in (list, tuple) or (type(value) is np.ndarray and value.ndim):
+        for i, v in enumerate(value):
+            yield from _indexed(v, index + (i,))
+    else:
+        yield index, value
+
+
 def reward_from_dict(spec: Mapping) -> RewardSpec:
     """Build a RewardSpec from its JSON descriptor."""
     kind = spec.get("kind")
@@ -422,13 +495,13 @@ def reward_from_dict(spec: Mapping) -> RewardSpec:
     if kind == "submodular_coverage":
         return SubmodularReward(
             CoverageFunction(
-                num_elements=int(spec["num_elements"]),
-                covers=tuple(frozenset(c) for c in spec["covers"]),
+                num_elements=spec["num_elements"],
+                covers=tuple(spec["covers"]),
                 element_weights=tuple(spec["element_weights"]),
             )
         )
     if kind == "submodular_budgeted":
-        budgets = tuple(float("inf") if b is None else float(b) for b in spec["budgets"])
+        budgets = tuple(math.inf if b is None else b for b in spec["budgets"])
         return SubmodularReward(
             BudgetedLinearFunction(
                 budgets=budgets,

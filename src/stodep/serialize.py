@@ -103,11 +103,12 @@ def save_instance(instance: Instance, path_or_file) -> None:
 
 
 def load_instance(path_or_file, *, rewards: bool = True) -> Instance:
-    """Load and validate an instance, raising ConfigError on bad data.
+    """Load an instance, raising ConfigError on bad data.
 
-    rewards=False validates everything but the reward value rules (see
-    stodep.model.validate_instance).  Data that is to be read unvalidated
-    goes through instance_from_dict.
+    The Instance constructor refuses every fault that would make a number
+    wrong.  rewards=True also refuses a reward that breaks a value rule
+    (stodep.model.validate_instance); rewards=False leaves those rules to
+    the caller, as stodep check does, which reports them as assumption1.
     """
     if hasattr(path_or_file, "read"):
         data = json.load(path_or_file)
@@ -115,13 +116,11 @@ def load_instance(path_or_file, *, rewards: bool = True) -> Instance:
         with open(path_or_file, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     instance = instance_from_dict(data)
-    report = validate_instance(instance, rewards=rewards)
-    if not report.passed:
-        first = report.violations[0]
-        raise ConfigError(
-            f"instance failed validation with {len(report.violations)} violation(s); "
-            f"first: {first.field}{list(first.indices)}: {first.rule}"
-        )
+    violations = validate_instance(instance).violations if rewards else []
+    if violations:
+        first = violations[0]
+        raise ConfigError(f"{first.field}{list(first.indices)}: {first.rule} (the first of "
+                          f"{len(violations)} broken reward value rule(s))")
     return instance
 
 

@@ -241,8 +241,8 @@ def _episodes(instance: Instance, policy, seeds: Iterable[int],
 def simulate_episode(instance: Instance, policy, seed: int) -> EpisodeTrace:
     """Roll out one episode from the initial items under the given policy.
 
-    Bit-reproducible per (instance, policy, seed) on a platform; the caller is
-    responsible for passing a validated instance.  A block of one (_episodes).
+    Bit-reproducible per (instance, policy, seed) on a platform.  A block of
+    one (_episodes).
     """
     return next(_episodes(instance, policy, [seed], bellman_operator(instance)))
 

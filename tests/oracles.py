@@ -207,8 +207,7 @@ def table_rules_oracle(instance):
             for t in range(T + 1):
                 key = (x, x_next, t)
                 value = _entries(rew).get(key, 0.0)
-                rule = "negative reward" if math.isfinite(value) else "reward not finite"
-                yield "reward.table", key, rule, 0.0, value
+                yield "reward.table", key, "negative reward", 0.0, value
                 if t == T:
                     yield "reward.table", key, "terminal reward nonzero", abs(value), 0.0
                 if previous is not None:

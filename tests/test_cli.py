@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -15,7 +16,7 @@ import stodep
 from stodep import GeneralTabulatedReward, LinearDecayingReward
 from stodep import cli
 from stodep.cli import main
-from stodep.serialize import instance_to_dict, load_instance, save_instance
+from stodep.serialize import instance_fingerprint, instance_to_dict, load_instance, save_instance
 from stodep.apps import build_worst_case_instance
 
 from conftest import SHAPE_FAULTS
@@ -241,6 +242,20 @@ def test_app_parameter_list_too_short_exits_2(capsys, tmp_path):
     assert _error_line(capsys) == {"error": "IndexError", "message": "list index out of range"}
 
 
+def test_matroid_selection_probs_read_as_a_list_or_an_object(capsys, tmp_path):
+    """An object names each element by its index as a string: it once
+    failed with KeyError: 0.  A key that names no element is refused."""
+    params, fingerprints = tmp_path / "p.json", []
+    for probs in ([[0.5], [0.25]], {"1": [0.25], "0": [0.5]}, {"0": [0.5], "2": [0.25]}):
+        params.write_text(json.dumps(dict(MINIMAL_PARAMS["matroid-card"], selection_probs=probs)))
+        out = tmp_path / f"instance{len(fingerprints)}.json"
+        code = main(["generate", "--app", "matroid-card", "--params", str(params), "--out", str(out)])
+        fingerprints.append(instance_fingerprint(load_instance(out)) if code == 0 else code)
+    assert fingerprints[0] == fingerprints[1] and fingerprints[2] == 2
+    assert _error_line(capsys) == {"error": "ConfigError", "message": "selection_probs key '2' "
+                                   "is not an element index in [0, 2)"}
+
+
 def test_simulate_zero_reps_exits_2(worst_case_file, capsys):
     assert main(["simulate", "--instance", str(worst_case_file), "--reps", "0"]) == 2
     assert _error_line(capsys)["error"] == "ValueError"
@@ -319,7 +334,7 @@ def _hostile_inputs():
         cases[name] = (dict(base, reward=spec), [], 2, "ConfigError")
     empty = {"kind": "general_tabulated", "entries": []}
     cases["tabulated-no-entries"] = (dict(base, reward=empty), [], 2, "ConfigError")
-    # Value faults outside the reward: every command refuses them on loading.
+    # Value faults outside the reward: every command refuses them when it builds the instance.
     value_faults = {
         "nan-schedule-entry": {"schedule": [[[float("nan"), 0.0], [0.0, 1.0]],
                                             [[1.0, 0.0], [0.0, 0.0]]]},
@@ -336,9 +351,8 @@ def _hostile_inputs():
     }
     for name, fields in value_faults.items():
         cases[name] = (dict(base, **fields), [], 2, "ConfigError")
-    # Non-finite reward data: validation refuses it on loading, and check,
-    # which leaves the reward value rules to assumption1, meets the Bellman
-    # operator's refusal.  A null budget is uncapped, so the value reaches the potential.
+    # Non-finite reward data: the Instance constructor refuses it, so check,
+    # which leaves the reward value rules to assumption1, refuses it too.
     first, *rest = table["entries"]
     non_finite = {
         "linear-weight-infinite": {"kind": "linear", "weights": [math.inf, 0.9]},
@@ -435,13 +449,126 @@ def test_hostile_input_ends_in_one_json_error(case, command, tmp_path, capsys, m
     assert all(not line.startswith("{") for line in lines[:-1])
 
 
+def _instance_faults():
+    """(text the message holds, edits) per fault the Instance constructor
+    refuses, each a one-field edit of the worst-case example's file."""
+    base = instance_to_dict(build_worst_case_instance(0.1))
+
+    def schedule(t, a, m, value):
+        rows = json.loads(json.dumps(base["schedule"]))
+        rows[t][a][m] = value
+        return {"schedule": rows}
+
+    def reward(**spec):
+        return {"reward": spec}
+
+    def table(value, t):
+        entries = GeneralTabulatedReward.from_potential(
+            lambda y: float(sum(y)), (1, 1), 2).spec_dict()["entries"]
+        entries = [e[:3] + [value if e[2] == t else e[3]] for e in entries]
+        if t == 2:
+            entries.append([[1, 1], [0, 0], 2, value])
+        return reward(kind="general_tabulated", entries=entries)
+
+    linear, budgeted = dict(kind="linear"), dict(kind="submodular_budgeted", groups=[0, 0])
+    coverage = dict(kind="submodular_coverage", num_elements=2, covers=[[0], [1]],
+                    element_weights=[1.0, 1.0])
+    faults = {
+        "num-types-zero": ("num_types", {"num_types": 0}),
+        "num-types-bool": ("num_types is True", {"num_types": True}),
+        "horizon-zero": ("horizon", {"horizon": 0}),
+        "horizon-float": ("horizon is 2.7", {"horizon": 2.7}),
+        "activities-empty": ("activities", {"activities": []}),
+        "capacities-short": ("capacities", {"capacities": [1]}),
+        "capacity-zero": ("capacities[0] is 0", {"capacities": [0, 1], "initial_items": [0, 1]}),
+        "capacity-above-cap": ("capacities[0] is 65", {"capacities": [65, 1]}),
+        "capacity-float": ("capacities[0] is 1.5", {"capacities": [1.5, 1]}),
+        "capacity-string": ("capacities[0] is '1'", {"capacities": ["1", 1]}),
+        "initial-items-long": ("initial_items", {"initial_items": [1, 1, 1]}),
+        "initial-items-negative": ("initial_items[1] is -1", {"initial_items": [1, -1]}),
+        "initial-items-above-capacity": ("initial_items[0] is 2", {"initial_items": [2, 1]}),
+        "initial-items-bool": ("initial_items[0] is True", {"initial_items": [True, 1]}),
+        "schedule-shape": ("schedule shape", {"schedule": [[[0.5] * 3] * 2] * 2}),
+        "schedule-ragged": ("schedule", {"schedule": [[[0.5, 0.5], [0.5]]] * 2}),
+        "schedule-above-one": ("schedule[0][0][0] is 1.5", schedule(0, 0, 0, 1.5)),
+        "schedule-negative": ("schedule[0][1][1] is -0.5", schedule(0, 1, 1, -0.5)),
+        "schedule-nan": ("schedule[1][0][0] is nan", schedule(1, 0, 0, math.nan)),
+        "schedule-bool": ("schedule[0][0][0] is True", schedule(0, 0, 0, True)),
+        "schedule-string": ("schedule[1][0][0] is '0.5'", schedule(1, 0, 0, "0.5")),
+        "arrivals-short": ("arrivals", {"arrivals": [0]}),
+        "arrival-float": ("arrivals[0] is 0.9", {"arrivals": [0.9, 0]}),
+        "deadlines-long": ("deadlines", {"deadlines": [2, 2, 2]}),
+        "deadline-before-arrival": ("deadlines[0] is 0", {"arrivals": [1, 0], "deadlines": [0, 2]}),
+        "deadline-past-horizon": ("deadlines[0] is 3", {"deadlines": [3, 2]}),
+        "outside-window": ("schedule[0][1][1] is 1.0", {"arrivals": [0, 1], "deadlines": [2, 2]}),
+        "weight-string": ("reward.weights[0] is '1.0'", reward(**linear, weights=["1.0", 0.9])),
+        "weight-bool": ("reward.weights[0] is True", reward(**linear, weights=[True, 0.9])),
+        "weight-nan": ("reward.weights[0] is nan", reward(**linear, weights=[math.nan, 0.9])),
+        "weight-infinite": ("reward.weights[1] is inf", reward(**linear, weights=[1.0, math.inf])),
+        "decaying-weight-nan": ("reward.weights[1][0] is nan", reward(
+            kind="linear_decaying", weights=[[1.0, 0.5], [math.nan, 0.5]])),
+        "weights-total-overflow": ("largest reward total over one episode is inf",
+                                   reward(**linear, weights=[1e308, 1e308])),
+        "coverage-count-float": ("reward.num_elements is 1.5",
+                                 reward(**dict(coverage, num_elements=1.5))),
+        "coverage-element-float": ("reward.covers[1][0] is 0.5",
+                                   reward(**dict(coverage, covers=[[0], [0.5]]))),
+        "coverage-weight-nan": ("reward.element_weights[1] is nan",
+                                reward(**dict(coverage, element_weights=[1.0, math.nan]))),
+        "budget-string": ("reward.budgets[0] is '1'",
+                          reward(**budgeted, budgets=["1"], values=[1.0, 1.0])),
+        "budget-minus-infinity": ("reward.budgets[0] is -inf",
+                                  reward(**budgeted, budgets=[-math.inf], values=[1.0, 1.0])),
+        "budgeted-value-infinite": ("reward.values[0] is inf",
+                                    reward(**budgeted, budgets=[None], values=[math.inf, 1.0])),
+        "group-float": ("reward.groups[0] is 0.5", reward(**dict(
+            budgeted, groups=[0.5, 0]), budgets=[1.0], values=[1.0, 1.0])),
+        "tabulated-value-nan": ("reward.entries: the value at ((0, 0), (0, 0), 1) is nan",
+                                table(math.nan, 1)),
+        "tabulated-terminal-infinite": ("reward.entries: the value at ((1, 1), (0, 0), 2) is inf",
+                                        table(math.inf, 2)),
+        "tabulated-value-bool": ("reward.entries[1]", table(True, 1)),
+        "tabulated-total-overflow": ("largest reward total over one episode is inf",
+                                     table(-1e308, 0)),
+    }
+    return {name: (named, dict(base, **edits)) for name, (named, edits) in faults.items()}
+
+
+INSTANCE_FAULTS = _instance_faults()
+
+
+@pytest.mark.parametrize("case", sorted(INSTANCE_FAULTS))
+def test_an_instance_fault_is_refused_naming_its_field(case, tmp_path, capsys):
+    """Each fault raises ConfigError from the Instance constructor, or from
+    the reward spec it is given, whether built directly, from a dict or
+    from a file by the CLI, which exits 2 with one JSON line."""
+    named, data = INSTANCE_FAULTS[case]
+    data = json.loads(json.dumps(data))  # as a file reads
+    fields = {k: data.get(k) for k in ("num_types", "capacities", "initial_items", "horizon",
+                                       "activities", "schedule", "arrivals", "deadlines")}
+    with pytest.raises(stodep.ConfigError, match=re.escape(named)):
+        stodep.Instance(**fields, reward=stodep.reward_from_dict(data["reward"]))
+    with pytest.raises(stodep.ConfigError, match=re.escape(named)):
+        stodep.instance_from_dict(data)
+    path = tmp_path / "fault.json"
+    path.write_text(json.dumps(data))
+    for command in (["solve"], ["check", "--properties", "assumption1"], ["simulate"]):
+        assert main(command + ["--instance", str(path)]) == 2
+        (line,) = capsys.readouterr().out.strip().splitlines()
+        err = json.loads(line)
+        assert err["error"] == "ConfigError" and named in err["message"], command
+
+
 def _heavy_instance(tmp_path, weight, p=0.9) -> str:
-    """Two types of capacity 2, linear weights (weight, weight), T = 2, one
-    activity with probability p: it passes validate_instance."""
+    """The file of two types of capacity 2, linear weights (weight, weight),
+    T = 2 and one activity with probability p, written as JSON: the Instance
+    constructor refuses the largest weights."""
     path = tmp_path / "heavy.json"
-    save_instance(stodep.Instance(num_types=2, capacities=(2, 2), initial_items=(2, 2), horizon=2,
-                                  activities=("a",), schedule=[[[p, p]]] * 2,
-                                  reward=stodep.LinearReward((weight, weight))), path)
+    path.write_text(json.dumps({
+        "num_types": 2, "capacities": [2, 2], "initial_items": [2, 2], "horizon": 2,
+        "activities": ["a"], "schedule": [[[p, p]]] * 2, "metadata": {},
+        "reward": {"kind": "linear", "weights": [weight, weight]},
+    }))
     return str(path)
 
 
@@ -452,7 +579,7 @@ def _heavy_instance(tmp_path, weight, p=0.9) -> str:
 ], ids=lambda command: command[0])
 def test_reward_totals_past_double_precision_exit_2(command, tmp_path, capsys):
     """(1e308, 1e308) once solved to J*=inf, simulated to a mean of Infinity,
-    and failed vfm and ir; the operator refuses it when it is built."""
+    and failed vfm and ir; the instance is refused when it is built."""
     assert main(command + ["--instance", _heavy_instance(tmp_path, 1e308)]) == 2
     out = capsys.readouterr().out
     assert "Infinity" not in out and "NaN" not in out

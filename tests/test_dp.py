@@ -950,23 +950,26 @@ _TABLE_ENTRIES = stodep.GeneralTabulatedReward.from_potential(
 
 @pytest.mark.parametrize("reward, entry", [
     (LinearReward((1.0, math.inf)), "reward.weights[1] is inf"),
-    (LinearDecayingReward(((1.0, 0.5), (0.9, math.nan))), "reward.weights[1, 1] is nan"),
+    (LinearDecayingReward(((1.0, 0.5), (0.9, math.nan))), "reward.weights[1][1] is nan"),
     (SubmodularReward(CoverageFunction(2, (frozenset({0}), frozenset({1})), (math.inf, 1.0))),
-     "reward potential w((1, 1)) is inf"),
+     "reward.element_weights[0] is inf"),
     (SubmodularReward(BudgetedLinearFunction((math.nan,), (1.0, 1.0), (0, 0))),
-     "reward potential w((1, 1)) is nan"),
+     "reward.budgets[0] is nan"),
+    (SubmodularReward(lambda y: math.inf if y == (1, 1) else 0.0, label="spike"),
+     "reward potential w((1, 1)) is inf"),
     (stodep.GeneralTabulatedReward.from_entries(
         [[x, y, t, math.inf if (x, y, t) == ([1, 1], [1, 0], 1) else 1.0]
          for x, y, t, _ in _TABLE_ENTRIES]),
-     "tabulated reward entry ((1, 1), (1, 0), 1) is inf"),
-], ids=["linear", "linear_decaying", "coverage", "budgeted", "tabulated"])
+     "reward.entries: the value at ((1, 1), (1, 0), 1) is inf"),
+], ids=["linear", "linear_decaying", "coverage", "budgeted", "potential", "tabulated"])
 def test_operator_refuses_non_finite_reward_data(reward, entry):
-    """The operator names the first reward weight, potential value or
-    tabulated value that is not finite, before computing with any of them."""
-    inst = make_instance(capacities=(1, 1), horizon=2, schedule=np.full((2, 2, 2), 0.5),
-                         reward=reward)
+    """The first reward weight, potential value or tabulated value that is
+    not finite is named before any computation with it: by the Instance
+    constructor, or by the operator for a custom potential, which is known
+    only on the capacity box."""
     with pytest.raises(ConfigError, match=re.escape(entry)):  # RuntimeWarnings are errors here
-        solve_clairvoyant(inst)
+        solve_clairvoyant(make_instance(capacities=(1, 1), horizon=2,
+                                        schedule=np.full((2, 2, 2), 0.5), reward=reward))
 
 
 @pytest.mark.parametrize("reward", [
@@ -977,11 +980,11 @@ def test_operator_refuses_non_finite_reward_data(reward, entry):
 ], ids=["linear", "linear_decaying", "potential", "tabulated"])
 def test_operator_refuses_reward_totals_past_double_precision(reward):
     """Every value and weight is finite, but the largest total over one
-    episode is not: sum_m c_m max_t |w_m(t)|, max Phi - min Phi, T max |g|."""
-    inst = make_instance(capacities=(1, 1), horizon=2, schedule=np.full((2, 2, 2), 0.5),
-                         reward=reward)
+    episode is not: sum_m c_m max_t |w_m(t)| and T max |g|, refused when
+    the instance is built, and max Phi - min Phi, when the operator is."""
     with pytest.raises(ConfigError, match="the largest reward total over one episode is inf"):
-        solve_clairvoyant(inst)
+        solve_clairvoyant(make_instance(capacities=(1, 1), horizon=2,
+                                        schedule=np.full((2, 2, 2), 0.5), reward=reward))
 
 
 def test_totals_within_double_precision_still_solve():
@@ -1001,16 +1004,17 @@ def test_totals_within_double_precision_still_solve():
 @pytest.mark.parametrize("t", [0, 1], ids=["epoch-with-a-zero", "epoch-without"])
 @pytest.mark.parametrize("value", [1.5, math.nan, -0.5], ids=repr)
 def test_operator_refuses_a_schedule_entry_that_is_not_a_probability(value, t, run):
-    """Unvalidated, 1.5 at epoch 0 once solved to J* = 5.5 where four unit
-    items earn at most 4, NaN left best_activity -1, and -0.5 solved without
-    an error."""
+    """No run reaches the operator with it: the Instance constructor names
+    the entry.  Unchecked, 1.5 at epoch 0 once solved to J* = 5.5 where four
+    unit items earn at most 4, NaN left best_activity -1, and -0.5 solved
+    without an error."""
     schedule = np.full((2, 2, 2), 0.5)
     schedule[0, 1, 0] = 0.0  # epoch 0 holds a 0; epoch 1 does not
     schedule[t, 0, 1] = value
-    inst = make_instance(capacities=(2, 2), horizon=2, schedule=schedule,
-                         reward=LinearReward((1.0, 1.0)))
-    with pytest.raises(ConfigError, match=re.escape(f"schedule[{t}][0][1] is {value!r}")):
-        run(inst)
+    with pytest.raises(ConfigError, match=re.escape(f"schedule[{t}][0][1] is {value!r}: "
+                                                    "a probability must lie in [0, 1]")):
+        run(make_instance(capacities=(2, 2), horizon=2, schedule=schedule,
+                          reward=LinearReward((1.0, 1.0))))
 
 
 @st.composite
@@ -1019,7 +1023,7 @@ def stored_tables(draw):
     arbitrary values, zeros of both signs among them, and each pair's
     terminal entry present or not."""
     M, T = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    caps = tuple(draw(st.integers(0, 2)) for _ in range(M))
+    caps = tuple(draw(st.integers(1, 2)) for _ in range(M))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     table = {}
     for x in itertools.product(*(range(c + 1) for c in caps)):

@@ -181,8 +181,8 @@ def _every_reward_kind():
     schedule = [[[0.5, 0.0], [0.25, 1.0]], [[-0.0, 0.75], [0.125, 0.5]]]
 
     def build(reward, **kwargs):
-        return make_instance(capacities=(2, 1), horizon=2, schedule=schedule, reward=reward,
-                             **kwargs)
+        return make_instance(capacities=(2, 1), horizon=2, reward=reward,
+                             **{"schedule": schedule, **kwargs})
 
     coverage = CoverageFunction(3, (frozenset({0, 2}), frozenset({1})), (1.0, 0.5, 0.1))
     return {
@@ -192,7 +192,9 @@ def _every_reward_kind():
         "budgeted": adwords,
         "custom": build(SubmodularReward(lambda y: float(len(y)) + 0.5 * y[0], label="adhoc")),
         "tabulated": build(GeneralTabulatedReward.from_potential(coverage, (2, 1), 2)),
-        "windowed": build(LinearReward((1.0, 2.0)), arrivals=(0, 1), deadlines=(2, 1)),
+        # 0 outside each window: type 0 may deplete at epoch 0 only, type 1 at epoch 1.
+        "windowed": build(LinearReward((1.0, 2.0)), arrivals=(0, 1), deadlines=(1, 2),
+                          schedule=[[[0.5, 0.0], [0.25, 0.0]], [[-0.0, 0.75], [0.0, 0.5]]]),
         "nested-metadata": build(LinearReward((1.0, 2.0)), metadata={
             "app": "test", "trace": [[1, 2], [3]], "nested": {"k": 1, "z": [0.5, None]},
         }),
@@ -254,17 +256,21 @@ def test_fingerprint_tells_instances_apart(inst, data):
         schedule[cell] = value
         return dataclasses.replace(base, schedule=schedule)
 
+    # Edits within the domain: no window, or windows that hold every epoch;
+    # a nonzero entry only where its type's window is open.
     windows = {"arrivals": (0,) * M, "deadlines": (T,) * M}
     if base.arrivals is not None:
-        windows = {"arrivals": base.arrivals, "deadlines": (T + 1,) + base.deadlines[1:]}
+        windows = {"arrivals": None, "deadlines": None}
     changes = {
-        "schedule-ulp": lambda: schedule_with(up(0.0, 1.0)),
         "reward-ulp": lambda: dataclasses.replace(
             base, reward=_nudged(base.reward, lambda v: up(v, math.inf))),
         "negative-zero": lambda: schedule_with(-0.0),
         "metadata": lambda: dataclasses.replace(base, metadata={"app": "test", "k": [1, 3]}),
         "windows": lambda: dataclasses.replace(base, **windows),
     }
+    t, _, m = cell
+    if base.arrivals is None or base.arrivals[m] <= t < base.deadlines[m]:
+        changes["schedule-ulp"] = lambda: schedule_with(up(0.0, 1.0))
     if A > 1:
         names = list(base.activities)
         names[0], names[1] = names[1], names[0]
