@@ -20,7 +20,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..model import DEFAULT_ACTIVITY_CAP, Instance
-from ..rewards import BudgetedLinearFunction, SubmodularReward
+from ..rewards import BudgetedLinearFunction, SubmodularReward, require_integers
 from .product_line import feasible_assortments
 
 
@@ -116,6 +116,7 @@ def build_adwords_instance(
 
 
 def adwords_params_from_dict(data: Mapping) -> AdwordsParams:
+    require_integers(data, "num_advertisers", "num_keywords", "keyword_sequence", "slot_cap")
     budgets = tuple(math.inf if b is None else float(b) for b in data["budgets"])
     return AdwordsParams(
         num_advertisers=int(data["num_advertisers"]),

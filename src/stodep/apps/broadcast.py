@@ -19,7 +19,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..model import DEFAULT_ACTIVITY_CAP, Instance
-from ..rewards import LinearReward
+from ..rewards import LinearReward, require_integers
 from .product_line import feasible_assortments
 
 
@@ -147,6 +147,8 @@ def build_broadcast_instance(
 
 
 def broadcast_params_from_dict(data: Mapping) -> BroadcastParams:
+    require_integers(data, "num_users", "num_pages", "horizon", "cap", "requests",
+                     "max_requests_per_slot")
     return BroadcastParams(
         num_users=int(data["num_users"]),
         num_pages=int(data["num_pages"]),

@@ -26,6 +26,7 @@ from ..rewards import (
     CoverageFunction,
     SetFunctionEvaluator,
     SubmodularReward,
+    require_integers,
 )
 
 
@@ -141,6 +142,9 @@ def matroid_params_from_dict(data: Mapping) -> MatroidParams:
     from ..rewards import reward_from_dict
 
     elements = tuple(data["elements"])
+    require_integers(data, "cardinality")
+    for i, block in enumerate(data.get("partition") or ()):
+        require_integers(block, "elements", "k", prefix=f"partition[{i}].")
     probs = data.get("selection_probs")
     if isinstance(probs, Mapping):
         index = {str(m): m for m in range(len(elements))}

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..errors import ActivityCapExceeded, ConfigError
 from ..model import DEFAULT_ACTIVITY_CAP, Instance
-from ..rewards import LinearDecayingReward
+from ..rewards import LinearDecayingReward, require_integers
 
 
 def assortment_key(products: tuple[int, ...]) -> str:
@@ -112,6 +112,7 @@ def build_product_line_instance(
 
 
 def product_line_params_from_dict(data: Mapping) -> ProductLineParams:
+    require_integers(data, "num_products", "assortment_cap", "segment_sizes", "horizon")
     return ProductLineParams(
         num_products=int(data["num_products"]),
         assortment_cap=int(data["assortment_cap"]),

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import ActivityCapExceeded, ConfigError
 from ..model import DEFAULT_ACTIVITY_CAP, Instance
-from ..rewards import LinearDecayingReward
+from ..rewards import LinearDecayingReward, require_integers
 
 
 @dataclass
@@ -150,6 +150,7 @@ def build_queueing_instance(
 
 
 def queueing_params_from_dict(data: Mapping) -> QueueingParams:
+    require_integers(data, "num_buffers", "num_servers", "horizon", "arrival_trace")
     return QueueingParams(
         num_buffers=int(data["num_buffers"]),
         num_servers=int(data["num_servers"]),

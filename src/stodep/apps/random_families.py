@@ -16,10 +16,14 @@ from ..rewards import (
     CoverageFunction,
     LinearDecayingReward,
     SubmodularReward,
+    require_integers,
 )
 
 
 def _random_shape(rng, max_types, max_capacity, max_horizon, max_activities):
+    bounds = dict(max_types=max_types, max_capacity=max_capacity, max_horizon=max_horizon,
+                  max_activities=max_activities)
+    require_integers(bounds, *bounds)
     M = int(rng.integers(1, max_types + 1))
     caps = tuple(int(rng.integers(1, max_capacity + 1)) for _ in range(M))
     T = int(rng.integers(1, max_horizon + 1))

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import ActivityCapExceeded, ConfigError
 from ..model import DEFAULT_ACTIVITY_CAP, Instance
-from ..rewards import LinearReward
+from ..rewards import LinearReward, is_integer, require_entries
 
 
 def build_set_cover_instance(
@@ -24,6 +24,7 @@ def build_set_cover_instance(
     *,
     activity_cap: int = DEFAULT_ACTIVITY_CAP,
 ) -> Instance:
+    require_entries(k, "k", is_integer, "an integer")
     elements = list(ground_set)
     if not elements:
         raise ConfigError("ground set must be non-empty")

@@ -64,7 +64,7 @@ def _family_seed(seed: int | None) -> int:
 _APPS = {
     "worstcase": lambda p, seed, cap: apps.build_worst_case_instance(float(p["epsilon"])),
     "setcover": lambda p, seed, cap: apps.build_set_cover_instance(
-        p["ground_set"], p["cover_sets"], int(p["k"]), activity_cap=cap),
+        p["ground_set"], p["cover_sets"], p["k"], activity_cap=cap),
     "queueing": lambda p, seed, cap: apps.build_queueing_instance(
         apps.queueing_params_from_dict(p), seed, activity_cap=cap),
     "broadcast": lambda p, seed, cap: apps.build_broadcast_instance(

@@ -85,13 +85,14 @@ class Instance:
     Fields mirror the canonical JSON form (see stodep.serialize).  The
     constructor is the one place that refuses, with ConfigError naming the
     first bad field, every fault that would make a number wrong: a field of
-    the wrong shape; a count that is not an integer or a number that is a
-    string or a bool; a capacity outside [1, MAX_CAPACITY], initial items
-    outside [0, capacity], a schedule entry outside [0, 1] (NaN included),
-    windows that break 0 <= arrival <= deadline <= horizon or a nonzero
-    entry outside [arrival, deadline); and reward data that is not finite or
-    whose largest total over one episode is not (_check_reward).  An
-    instance that exists can be run.  The reward value rules (non-negative,
+    the wrong shape; activities that are not a list or tuple of strings; a
+    count that is not an integer or a number that is a string or a bool; a
+    capacity outside [1, MAX_CAPACITY], initial items outside [0, capacity],
+    a schedule entry outside [0, 1] (NaN included), windows that break
+    0 <= arrival <= deadline <= horizon or a nonzero entry outside
+    [arrival, deadline); and reward data that is not finite or whose largest
+    total over one episode is not (_check_reward).  An instance that exists
+    can be run.  The reward value rules (non-negative,
     non-increasing in t, zero at the horizon) are what the paper's
     Assumption 1 asks of the data; validate_instance reports them as data.
 
@@ -127,7 +128,13 @@ class Instance:
             raise ConfigError("num_types must be >= 1")
         if T < 1:
             raise ConfigError("horizon must be >= 1")
-        put("activities", tuple(str(a) for a in self.activities))
+        if type(self.activities) not in (list, tuple):
+            raise ConfigError("activities must be a list of strings, "
+                              f"not a {type(self.activities).__name__}")
+        for a, name in enumerate(self.activities):
+            if not isinstance(name, str):
+                raise ConfigError(f"activities[{a}] is {name!r}: a string is required")
+        put("activities", tuple(map(str, self.activities)))
         if not self.activities:
             raise ConfigError("activities must name at least one activity")
         for name in _COUNTS[2:]:

@@ -476,6 +476,14 @@ def require_entries(value, name: str, accept: Callable[[type], bool], noun: str)
             raise ConfigError(f"{name}{at} is {entry!r}: {noun} is required")
 
 
+def require_integers(data: Mapping, *names: str, prefix: str = "") -> None:
+    """ConfigError naming the first entry of data's fields names (those set
+    and not null) that is not an integer (is_integer), as prefix + name."""
+    for name in names:
+        if data.get(name) is not None:
+            require_entries(data[name], prefix + name, is_integer, "an integer")
+
+
 def _indexed(value, index=()):
     """(index, entry) of every entry of value, in order."""
     if type(value) in (list, tuple) or (type(value) is np.ndarray and value.ndim):

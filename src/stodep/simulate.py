@@ -6,11 +6,23 @@ nonzero probability, in type order.  That is the stream of one draw per type
 with items left, because numpy's binomial draws nothing at p = 0.  The policy
 is asked once per distinct (state, epoch) of a call and its choice reused, so
 select must be a pure function of (state, instance), as the Policy contract
-says.  A block of _BLOCK episodes reads its rewards with one Bellman
-operator call.  The generator is default_rng(seed)'s, built without its
+says.  The generator is default_rng(seed)'s, built without its
 SeedSequence: PCG64 seeds itself from the four words SeedSequence(seed) would
-generate, and _seed_words computes those for a whole call's seeds at once
-(monte_carlo_value) or a block's (simulate_episode, stodep simulate).
+generate, and _seed_words computes those for a block's seeds at once.
+
+A rollout runs a block of episodes together, epoch by epoch, as arrays: a
+call's episodes, as many at a time as keep their uniforms and paths within
+_BLOCK_BYTES.  Each episode reads T * M raw words of its PCG64 at once and
+turns each into a double as numpy's next_double does.  A draw is numpy's own
+inversion walk (random_binomial in numpy's distributions.c) over those
+doubles, its steps tabulated once per (p, n) pair in Python floats
+(_Inversion); an inversion draw reads exactly one word.  A draw the walk
+cannot finish, in numpy's BTPE regime (n * min(p, 1 - p) > 30) or where
+numpy would restart its walk, is made by Generator.binomial itself on the
+episode's PCG64 advanced to that draw's word, as are the episode's later
+draws in that epoch; its later words come from that generator.  So every
+draw is the one default_rng(seed).binomial makes, bit for bit.  A block
+reads its rewards with one Bellman operator call.
 
 Reproducibility contract: replication k of a Monte Carlo run uses the seed
 mix64(master_seed, k), where mix64 is a splitmix64-style avalanche of
@@ -37,12 +49,15 @@ from .model import Instance, State, _require_state
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
-# Episodes per rollout block: one rewards read, and the paths held, per block.
-_BLOCK = 64
+# Bytes of uniforms and paths one rollout holds: a Monte Carlo call's
+# episodes roll out together up to this many (_block_size).
+_BLOCK_BYTES = 1 << 23
 
-# Replications whose seed words monte_carlo_value computes at once: memory per
-# call stays bounded whatever n_reps is.
-_WORDS_AT_ONCE = 1 << 14
+# _Inversion.row of a (p, n) pair not yet tabulated; -1 is a pair that draws nothing.
+_UNBUILT = -2
+
+# numpy's next_double: a raw word's top 53 bits times 2^-53.
+_DOUBLE = 1.0 / 9007199254740992.0
 
 # numpy/random/bit_generator.pyx: SeedSequence's hashmix and mix constants.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -182,60 +197,194 @@ class EvalSummary:
         return asdict(self)
 
 
+def _inversion_steps(n: int, p: float) -> list[float]:
+    """px_0 .. px_bound of numpy's inversion walk for n items at probability p.
+
+    As random_binomial and random_binomial_inversion in numpy's
+    distributions.c compute them, in the same floating-point operations: the
+    walk runs at min(p, 1 - p), and [] where numpy uses BTPE instead,
+    n * min(p, 1 - p) > 30.
+    """
+    if p > 0.5:
+        p = 1.0 - p  # numpy returns n - X for X ~ Binomial(n, 1 - p)
+    if p * n > 30.0:
+        return []
+    q = 1.0 - p
+    px = math.exp(n * math.log(q))
+    mean = n * p
+    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
+    steps = [px]
+    for x in range(1, bound + 1):
+        px = ((n - x + 1) * p * px) / (x * q)
+        steps.append(px)
+    return steps
+
+
+class _Inversion:
+    """numpy's binomial draws for an instance, tabulated per (p, n) pair.
+
+    pid[t, a, m] numbers schedule[t, a, m] among the schedule's distinct
+    values.  row[pid, n] is the pair's row of table, -1 where nothing is
+    drawn (n = 0 or p = 0), _UNBUILT until a rollout first meets the pair.
+    A row holds _inversion_steps, then -inf, and flip[row] says p > 0.5.
+    Kept on the instance (_inversion), so each pair is tabulated once.
+    """
+
+    def __init__(self, instance: Instance):
+        values, pid = np.unique(instance.schedule, return_inverse=True)
+        self.p = values.tolist()
+        self.pid = pid.reshape(instance.schedule.shape)
+        self.row = np.full((len(values), max(instance.initial_items) + 1), _UNBUILT)
+        self.row[:, 0] = -1
+        self.row[values == 0.0] = -1
+        self.table = np.empty((0, 1))
+        self.flip = np.empty(0, dtype=bool)
+
+    def rows(self, pid: np.ndarray, n: np.ndarray) -> np.ndarray:
+        """The rows of the (pid, n) pairs, tabulating those not met before."""
+        rows = self.row[pid, n]
+        missing = rows == _UNBUILT
+        if missing.any():
+            pairs = sorted(set(zip(pid[missing].tolist(), n[missing].tolist())))
+            steps = [_inversion_steps(count, self.p[k]) for k, count in pairs]
+            width = max(self.table.shape[1], *map(len, steps))
+            table = np.full((len(self.table) + len(pairs), width), -np.inf)
+            table[:len(self.table), :self.table.shape[1]] = self.table
+            for r, ((k, count), s) in enumerate(zip(pairs, steps), start=len(self.table)):
+                self.row[k, count] = r
+                table[r, :len(s)] = s
+            self.table = table
+            self.flip = np.concatenate([self.flip, [self.p[k] > 0.5 for k, _ in pairs]])
+            rows = self.row[pid, n]
+        return rows
+
+
+def _inversion(instance: Instance) -> _Inversion:
+    """The instance's _Inversion, kept in its __dict__ as bellman_operator keeps the operator."""
+    cache = vars(instance)
+    inversion = cache.get("_inversion")
+    if inversion is None:
+        inversion = cache["_inversion"] = _Inversion(instance)
+    return inversion
+
+
+def _walk(u: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """numpy's inversion walk for each uniform in u along its row of steps.
+
+    The walk stops at the first X where u, less px_0 .. px_(X-1) subtracted
+    one at a time, is at most px_X; X is -1 where the steps run out first
+    (numpy would restart, or its BTPE regime: a row of -inf).
+    """
+    left = np.subtract.accumulate(np.column_stack([u, steps[:, :-1]]), axis=1)
+    stop = left <= steps
+    return np.where(stop.any(axis=1), stop.argmax(axis=1), -1)
+
+
 def _rollout(instance: Instance, policy, words: np.ndarray, op: BellmanOperator, choices):
     """Roll out one episode per row of seed words (_seed_words) from the
-    initial items; op is the instance's operator.
+    initial items, all together, epoch by epoch; op is the instance's operator.
 
-    choices holds one dict per epoch, state index -> (activity, draws), that
-    the caller keeps across calls: the policy is asked once per distinct
+    choices holds one dict per epoch, state index -> activity, that the
+    caller keeps across calls: the policy is asked once per distinct
     (state, epoch), and its choice range-checked then.  Returns the state
-    indices, (episodes, T + 1), the activities in one list, the rewards,
-    (episodes, T), and the totals.  Only the initial items are range-checked:
-    from them a rollout reaches no state outside the capacities.
+    indices, (episodes, T + 1), the activities and the rewards, each
+    (episodes, T), and the totals.  Only the initial items are
+    range-checked: from them a rollout reaches no state outside the
+    capacities.
     """
-    T, x0, draws = instance.horizon, instance.initial_items, instance._draws
+    T, x0, E = instance.horizon, instance.initial_items, len(words)
     _require_state(instance, x0, 0)
-    radices = mixed_radix_radices(instance.capacities)
-    i0, visited, chosen = state_index(x0, radices), [], []
     Generator, PCG64, SeedWords = _generator_parts()
-    for row in words:
-        binomial = Generator(PCG64(SeedWords(row))).binomial
-        items, i = list(x0), i0
-        visited.append(i)
-        for t, memo in enumerate(choices):
-            step = memo.get(i)
-            if step is None:
-                activity = policy.select(State(tuple(items), t), instance)
+    width = T * instance.num_types  # an inversion draw reads one word
+    raw = np.empty((E, width), dtype=np.uint64)
+    for e, row in enumerate(words):
+        raw[e] = PCG64(SeedWords(row)).random_raw(width)
+    raw >>= np.uint64(11)
+    uniforms = raw * _DOUBLE  # numpy's next_double
+    del raw
+    inversion = _inversion(instance)
+    radices = np.array(mixed_radix_radices(instance.capacities))
+    items = np.tile(np.array(x0, dtype=np.intp), (E, 1))
+    index = np.empty((E, T + 1), dtype=np.intp)
+    index[:, 0] = state_index(x0, radices)
+    activities = np.empty((E, T), dtype=np.intp)
+    read = np.zeros(E, dtype=np.intp)  # words each episode's draws have read
+    resume = {}  # episode -> (PCG64 state, word) where a fallback left its stream
+
+    def bits_at(k: int, word: int):
+        """Episode k's bit generator, at its stream's word."""
+        bits = PCG64(SeedWords(words[k]))
+        state, at = resume.get(k, (None, 0))
+        if state is not None:
+            bits.state = state
+        return bits.advance(word - at)
+
+    for t, memo in enumerate(choices):
+        states, inverse = np.unique(index[:, t], return_inverse=True)
+        chosen = []
+        for i in states.tolist():
+            activity = memo.get(i)
+            if activity is None:
+                activity = operator.index(policy.select(State(tuple(op.items[i].tolist()), t),
+                                                        instance))
                 if not 0 <= activity < instance.num_activities:
                     raise DomainError(f"activity index {activity} out of range")
-                step = memo[i] = (activity, draws[t][activity])
-            for m, p in step[1]:  # as model.sample_depletion draws
-                if v := items[m]:
-                    d = int(binomial(v, p))
-                    items[m] = v - d
-                    i -= d * radices[m]
-            visited.append(i)
-            chosen.append(step[0])
-    index = np.array(visited).reshape(len(words), T + 1)
+                memo[i] = activity
+            chosen.append(activity)
+        activities[:, t] = np.array(chosen)[inverse]
+        pid = inversion.pid[t][activities[:, t]]
+        rows = inversion.rows(pid, items)
+        drawn = rows >= 0
+        e, m = np.nonzero(drawn)  # by episode, then in type order: each stream's order
+        at = (read[:, None] + np.cumsum(drawn, axis=1) - 1)[e, m]
+        r = rows[e, m]
+        x = _walk(uniforms[e, at], inversion.table[r])
+        n = items[e, m]
+        redo = np.flatnonzero(x < 0)
+        x = np.where(inversion.flip[r], n - x, x)
+        # A draw the walk cannot finish, and the episode's later draws this
+        # epoch, are numpy's own, on the episode's stream at that draw's word.
+        for k in dict.fromkeys(e[redo].tolist()):
+            first = redo[np.searchsorted(e[redo], k)]
+            last = np.searchsorted(e, k, side="right")
+            bits = bits_at(k, int(at[first]))
+            binomial = Generator(bits).binomial
+            for d in range(first, last):
+                x[d] = binomial(n[d], inversion.p[pid[k, m[d]]])
+            resume[k] = bits.state, int(at[last - 1]) + 1
+            uniforms[k, at[last - 1] + 1:] = (bits.random_raw(width - at[last - 1] - 1)
+                                              >> np.uint64(11)) * _DOUBLE
+        read += drawn.sum(axis=1)
+        depleted = np.zeros_like(items)
+        depleted[e, m] = x
+        items -= depleted
+        index[:, t + 1] = index[:, t] - depleted @ radices
     g = op.rewards(index[:, :-1], index[:, 1:], np.arange(T))
-    totals = np.zeros(len(words))
+    totals = np.zeros(E)
     for t in range(T):  # epoch by epoch from 0.0, as a running sum adds them
         totals += g[:, t]
-    return index, chosen, g, totals.tolist()
+    return index, activities, g, totals.tolist()
+
+
+def _block_size(instance: Instance) -> int:
+    """Episodes per rollout: as many as keep their uniforms and paths within _BLOCK_BYTES."""
+    T = instance.horizon
+    return max(1, _BLOCK_BYTES // (8 * (T * instance.num_types + T + 1)))
 
 
 def _episodes(instance: Instance, policy, seeds: Iterable[int],
               op: BellmanOperator) -> Iterator[EpisodeTrace]:
-    """The trace of each seed's episode, in seed order, rolled out _BLOCK at a time."""
-    T, seeds = instance.horizon, map(_require_seed, seeds)
+    """The trace of each seed's episode, in seed order, _block_size at a time."""
+    T, seeds, size = instance.horizon, map(_require_seed, seeds), _block_size(instance)
     choices = [{} for _ in range(T)]
-    while block := list(itertools.islice(seeds, _BLOCK)):
+    while block := list(itertools.islice(seeds, size)):
         index, chosen, g, totals = _rollout(instance, policy, _seed_words(block), op, choices)
-        for k, (path, earned) in enumerate(zip(op.items[index].tolist(), g.tolist())):
-            steps = [EpisodeStep(State(tuple(x), t), chosen[k * T + t],
+        for k, seed in enumerate(block):  # as lists an episode at a time: a block is large
+            path, acts, earned = op.items[index[k]].tolist(), chosen[k].tolist(), g[k].tolist()
+            steps = [EpisodeStep(State(tuple(x), t), acts[t],
                                  tuple(u - v for u, v in zip(x, path[t + 1])), earned[t])
                      for t, x in enumerate(path[:-1])]
-            yield EpisodeTrace(steps, totals[k], block[k])
+            yield EpisodeTrace(steps, totals[k], seed)
 
 
 def simulate_episode(instance: Instance, policy, seed: int) -> EpisodeTrace:
@@ -279,12 +428,11 @@ def monte_carlo_value(
     """Sample mean of the episode total over n_reps seeded replications."""
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
-    op, totals = bellman_operator(instance), []
+    op, totals, size = bellman_operator(instance), [], _block_size(instance)
     choices = [{} for _ in range(instance.horizon)]
-    for start in range(0, n_reps, _WORDS_AT_ONCE):
-        stop = min(start + _WORDS_AT_ONCE, n_reps)
+    for start in range(0, n_reps, size):
+        stop = min(start + size, n_reps)
         words = _seed_words(np.fromiter((mix64(master_seed, k) for k in range(start, stop)),
                                         dtype=np.uint64, count=stop - start))
-        for lo in range(0, stop - start, _BLOCK):
-            totals += _rollout(instance, policy, words[lo:lo + _BLOCK], op, choices)[3]
+        totals += _rollout(instance, policy, words, op, choices)[3]
     return summarize_totals(totals, master_seed, getattr(policy, "name", str(policy)))

@@ -479,6 +479,9 @@ def _instance_faults():
         "horizon-zero": ("horizon", {"horizon": 0}),
         "horizon-float": ("horizon is 2.7", {"horizon": 2.7}),
         "activities-empty": ("activities", {"activities": []}),
+        "activities-string": ("activities must be a list of strings, not a str",
+                              {"activities": "ab"}),
+        "activities-number": ("activities[1] is 2", {"activities": ["a", 2]}),
         "capacities-short": ("capacities", {"capacities": [1]}),
         "capacity-zero": ("capacities[0] is 0", {"capacities": [0, 1], "initial_items": [0, 1]}),
         "capacity-above-cap": ("capacities[0] is 65", {"capacities": [65, 1]}),
@@ -808,6 +811,40 @@ def test_generate_every_app(app, tmp_path):
     inst = load_instance(out)  # loader re-validates
     assert inst.num_types >= 1
     assert main(["solve", "--instance", str(out)]) == 0
+
+
+# (app, the message of exit 2, edits of its minimal parameters): an integer
+# field given a value that is not an integer.
+NON_INTEGRAL_PARAMS = {
+    "queueing-horizon": ("queueing", "horizon is 2.7", {"horizon": 2.7}),
+    "queueing-trace": ("queueing", "arrival_trace[0][1] is 0.5",
+                       {"arrival_rates": None, "arrival_trace": [[1, 0.5]]}),
+    "broadcast": ("broadcast", "requests[1][3] is 2.0", {"requests": [[0, 0, 0, 2], [1, 0, 1, 2.0]]}),
+    "productline": ("productline", "segment_sizes[0] is True", {"segment_sizes": [True]}),
+    "adwords": ("adwords", "slot_cap is 1.5", {"slot_cap": 1.5}),
+    "matroid-card": ("matroid-card", "cardinality is '1'", {"cardinality": "1"}),
+    "matroid-part-k": ("matroid-part", "partition[1].k is 0.5",
+                       {"partition": [{"elements": [0], "k": 1}, {"elements": [1], "k": 0.5}]}),
+    "matroid-part-elements": ("matroid-part", "partition[0].elements[0] is 0.0",
+                              {"partition": [{"elements": [0.0], "k": 1}, {"elements": [1], "k": 1}]}),
+    "setcover": ("setcover", "k is 1.5", {"k": 1.5}),
+    "random-submodular": ("random-submodular", "max_horizon is 2.5", {"max_horizon": 2.5}),
+    "random-linear-decaying": ("random-linear-decaying", "max_capacity is 2.9",
+                               {"max_capacity": 2.9}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGRAL_PARAMS))
+def test_generate_refuses_a_non_integral_app_parameter(case, tmp_path, capsys):
+    app, message, edits = NON_INTEGRAL_PARAMS[case]
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps(dict(MINIMAL_PARAMS[app], **edits)))
+    out = tmp_path / "inst.json"
+    args = ["generate", "--app", app, "--params", str(params), "--seed", "3", "--out", str(out)]
+    assert main(args) == 2
+    err = _error_line(capsys)
+    assert err["error"] == "ConfigError" and message in err["message"]
+    assert not out.exists()
 
 
 # Sizes whose subsets would take terabytes to list: (params, the message of exit 3).

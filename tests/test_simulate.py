@@ -323,11 +323,13 @@ def test_episode_seed_outside_64_bits_is_refused(seed, worst_case_tenth):
 @pytest.mark.parametrize("at_once", [None, 100])
 @pytest.mark.parametrize("name", ["zero-one", "queueing", "coverage"])
 def test_monte_carlo_value_is_the_step_by_step_oracles(name, at_once, monkeypatch):
-    # Whole blocks, a short last block, and (at_once=100) seed words
-    # computed in chunks that do not end on a block's edge.
-    if at_once is not None:
-        monkeypatch.setattr(simulate, "_WORDS_AT_ONCE", at_once)
+    # One rollout of a call's episodes, and (at_once=100) rollouts of 100
+    # episodes, the last of them short.
     inst = _zero_one_instance() if name == "zero-one" else _stream_instances()[name]
+    if at_once is not None:
+        T = inst.horizon
+        monkeypatch.setattr(simulate, "_BLOCK_BYTES", at_once * 8 * (T * inst.num_types + T + 1))
+        assert simulate._block_size(inst) == at_once
     for policy_name in ("myopic", "random:3"):
         policy = stodep.policy_from_name(policy_name)
         for n_reps in (1, 63, 64, 65, 250):
@@ -348,3 +350,77 @@ def test_import_leaves_numpy_random_unloaded():
     if loads("numpy"):
         pytest.skip("this numpy imports numpy.random with numpy itself")
     assert not loads("stodep")
+
+
+# A probability grid for numpy's binomial: tiny p, p = 0.5 and the doubles
+# beside it, p > 0.5 (drawn as n - X at 1 - p), p = 1, and n * min(p, 1 - p)
+# at 30 for n = 64 (inversion) and just above it (BTPE).
+P_GRID = [5e-324, 1e-300, 1e-12, 0.01, 0.3, 30 / 64, np.nextafter(30 / 64, 1.0),
+          np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 1 - 30 / 64,
+          np.nextafter(1 - 30 / 64, 0.0), 0.7, 0.99, np.nextafter(1.0, 0.0), 1.0]
+
+
+@pytest.mark.parametrize("p", [float(p) for p in P_GRID])
+def test_inversion_walk_is_numpys_binomial(p):
+    # An inversion draw reads one word of the stream, so walking the steps
+    # over a stream's words gives the draws numpy's binomial makes from it.
+    Generator, PCG64, SeedWords = _generator_parts()
+    for n in range(1, 65):
+        steps = simulate._inversion_steps(n, p)
+        if n * min(p, 1 - p) > 30:
+            assert steps == []  # numpy's BTPE regime: left to numpy
+            continue
+        seed = _seed_words([n])[0]
+        u = (PCG64(SeedWords(seed)).random_raw(500) >> np.uint64(11)) * simulate._DOUBLE
+        x = simulate._walk(u, np.tile(steps, (500, 1)))
+        assert (x >= 0).all()
+        if p > 0.5:
+            x = n - x
+        assert np.array_equal(x, Generator(PCG64(SeedWords(seed))).binomial(n, p, size=500))
+
+
+def _grid_instance():
+    """Capacities 64 and 61, with P_GRID spread over epochs, activities and types."""
+    T, A = 6, 5
+    schedule = np.array([[[P_GRID[(3 * t + 2 * a + 7 * m) % len(P_GRID)] for m in range(2)]
+                          for a in range(A)] for t in range(T)])
+    return make_instance(capacities=(64, 61), horizon=T, schedule=schedule,
+                         reward=LinearReward((1.0, 0.5)))
+
+
+def _assert_draws_are_the_oracles(inst, policy_name):
+    policy = stodep.policy_from_name(policy_name)
+    for seed in range(12):
+        trace = simulate_episode(inst, policy, seed)
+        rng = np.random.default_rng(seed)
+        for step in trace.steps:
+            assert stodep.sample_depletion(step.state, step.activity, inst, rng) == step.outcome
+    summary = monte_carlo_value(inst, policy, 150, master_seed=5)
+    assert (summary.mean, summary.stddev) == monte_carlo_oracle(inst, policy, 150, 5)
+
+
+@pytest.mark.parametrize("policy_name", ["random:3", "round_robin"])
+def test_rollout_draws_are_numpys_over_the_probability_grid(policy_name):
+    inst = _grid_instance()
+    assert any(simulate._inversion_steps(64, p) == [] for p in P_GRID)  # BTPE is reached
+    _assert_draws_are_the_oracles(inst, policy_name)
+
+
+@pytest.mark.parametrize("forced", ["every", "some"])
+@pytest.mark.parametrize("name", ["grid", "zero-one", "coverage"])
+def test_draws_left_to_numpy_keep_every_stream(name, forced, monkeypatch):
+    # Every draw, or those whose uniform is below 0.4, is made by numpy on
+    # the episode's generator advanced to the draw's word: the traces and
+    # summaries do not change.
+    inst = {"grid": _grid_instance, "zero-one": _zero_one_instance,
+            "coverage": lambda: _stream_instances()["coverage"]}[name]()
+    walk = simulate._walk
+
+    def forcing(u, steps):
+        return np.full(len(u), -1) if forced == "every" else np.where(u < 0.4, -1, walk(u, steps))
+
+    policy = stodep.policy_from_name("random:3")
+    plain = [simulate_episode(inst, policy, seed) for seed in range(12)]
+    monkeypatch.setattr(simulate, "_walk", forcing)
+    assert [simulate_episode(inst, policy, seed) for seed in range(12)] == plain
+    _assert_draws_are_the_oracles(inst, "random:3")
