@@ -11,14 +11,15 @@ SeedSequence: PCG64 seeds itself from the four words SeedSequence(seed) would
 generate, and _seed_words computes those for a block's seeds at once.
 
 A rollout runs a block of episodes together, epoch by epoch, as arrays: a
-call's episodes, as many at a time as keep their uniforms and paths within
-_BLOCK_BYTES.  Each episode reads T * M raw words of its PCG64 at once and
-turns each into a double as numpy's next_double does.  A draw is numpy's own
-inversion walk (random_binomial in numpy's distributions.c) over those
-doubles, its steps tabulated once per (p, n) pair in Python floats
-(_Inversion); an inversion draw reads exactly one word.  A draw the walk
+call's episodes, _BLOCK at a time, or fewer where their arrays would pass
+_BLOCK_CELLS (_block_size).  Each episode reads T * M raw words of its
+PCG64 at once and turns each into a double as numpy's next_double does.
+A draw is numpy's own inversion walk (random_binomial in numpy's
+distributions.c) over those doubles, its steps tabulated once per (p, n)
+pair in Python floats (_Inversion); an inversion draw reads exactly one
+word.  A draw the walk
 cannot finish, in numpy's BTPE regime (n * min(p, 1 - p) > 30) or where
-numpy would restart its walk, is made by Generator.binomial itself on the
+it reaches numpy's bound, is made by Generator.binomial itself on the
 episode's PCG64 advanced to that draw's word, as are the episode's later
 draws in that epoch; its later words come from that generator.  So every
 draw is the one default_rng(seed).binomial makes, bit for bit.  A block
@@ -49,9 +50,13 @@ from .model import Instance, State, _require_state
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
-# Bytes of uniforms and paths one rollout holds: a Monte Carlo call's
-# episodes roll out together up to this many (_block_size).
-_BLOCK_BYTES = 1 << 23
+# Episodes per rollout (_block_size).  Per episode, blocks of 256 took 6-30%
+# longer than blocks of 1024 on the benchmark's instances, and blocks of 4096
+# or 20000 from 25% less to 40% more, holding 3-15 times the memory.
+_BLOCK = 1024
+# Float64 cells a block's arrays may hold, 8 MiB: fewer episodes where an
+# instance's horizon or types would pass it.
+_BLOCK_CELLS = 1 << 20
 
 # _Inversion.row of a (p, n) pair not yet tabulated; -1 is a pair that draws nothing.
 _UNBUILT = -2
@@ -198,12 +203,18 @@ class EvalSummary:
 
 
 def _inversion_steps(n: int, p: float) -> list[float]:
-    """px_0 .. px_bound of numpy's inversion walk for n items at probability p.
+    """px_0 .. px_last of numpy's inversion walk for n items at probability p.
 
     As random_binomial and random_binomial_inversion in numpy's
     distributions.c compute them, in the same floating-point operations: the
     walk runs at min(p, 1 - p), and [] where numpy uses BTPE instead,
-    n * min(p, 1 - p) > 30.
+    n * min(p, 1 - p) > 30.  numpy restarts a walk past its bound,
+    min(n, mean + 10 sqrt(mean q + 1)) rounded down, whose last operations a
+    C compiler may fuse into one rounding.  So the steps stop short of any
+    X that rounding could move past the bound: at n where the expression is
+    n + 1 or more, one below the bound otherwise.  A walk past the last
+    step, a draw about 9 standard deviations above its mean or more, is
+    left to numpy.
     """
     if p > 0.5:
         p = 1.0 - p  # numpy returns n - X for X ~ Binomial(n, 1 - p)
@@ -212,9 +223,9 @@ def _inversion_steps(n: int, p: float) -> list[float]:
     q = 1.0 - p
     px = math.exp(n * math.log(q))
     mean = n * p
-    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
+    last = min(n, int(mean + 10.0 * math.sqrt(mean * q + 1)) - 1)
     steps = [px]
-    for x in range(1, bound + 1):
+    for x in range(1, last + 1):
         px = ((n - x + 1) * p * px) / (x * q)
         steps.append(px)
     return steps
@@ -273,7 +284,7 @@ def _walk(u: np.ndarray, steps: np.ndarray) -> np.ndarray:
 
     The walk stops at the first X where u, less px_0 .. px_(X-1) subtracted
     one at a time, is at most px_X; X is -1 where the steps run out first
-    (numpy would restart, or its BTPE regime: a row of -inf).
+    (at numpy's bound, or in its BTPE regime: a row of -inf).
     """
     left = np.subtract.accumulate(np.column_stack([u, steps[:, :-1]]), axis=1)
     stop = left <= steps
@@ -367,9 +378,17 @@ def _rollout(instance: Instance, policy, words: np.ndarray, op: BellmanOperator,
 
 
 def _block_size(instance: Instance) -> int:
-    """Episodes per rollout: as many as keep their uniforms and paths within _BLOCK_BYTES."""
-    T = instance.horizon
-    return max(1, _BLOCK_BYTES // (8 * (T * instance.num_types + T + 1)))
+    """Episodes per rollout: _BLOCK, or as many as keep a block's arrays within _BLOCK_CELLS.
+
+    An episode holds T * M uniforms, T + 1 states and T activities, then
+    BellmanOperator.rewards' items before and after each step, their
+    difference and T rewards: (4M + 3) T + 1 cells.  Each epoch's walk holds
+    three rows of at most c + 1 steps per type, c the most items a type
+    starts with.
+    """
+    T, M = instance.horizon, instance.num_types
+    cells = (4 * M + 3) * T + 1 + 3 * M * (max(instance.initial_items) + 1)
+    return max(1, min(_BLOCK, _BLOCK_CELLS // cells))
 
 
 def _episodes(instance: Instance, policy, seeds: Iterable[int],

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -327,14 +328,33 @@ def test_monte_carlo_value_is_the_step_by_step_oracles(name, at_once, monkeypatc
     # episodes, the last of them short.
     inst = _zero_one_instance() if name == "zero-one" else _stream_instances()[name]
     if at_once is not None:
-        T = inst.horizon
-        monkeypatch.setattr(simulate, "_BLOCK_BYTES", at_once * 8 * (T * inst.num_types + T + 1))
+        monkeypatch.setattr(simulate, "_BLOCK", at_once)
         assert simulate._block_size(inst) == at_once
     for policy_name in ("myopic", "random:3"):
         policy = stodep.policy_from_name(policy_name)
         for n_reps in (1, 63, 64, 65, 250):
             summary = monte_carlo_value(inst, policy, n_reps, master_seed=9)
             assert (summary.mean, summary.stddev) == monte_carlo_oracle(inst, policy, n_reps, 9)
+
+
+@pytest.mark.parametrize("capacity, horizon", [(64, 1), (3, 400)])
+def test_a_large_monte_carlo_call_holds_one_blocks_arrays(capacity, horizon):
+    # A block is at most _BLOCK episodes, fewer on a long horizon: 20000
+    # replications hold a few MiB, not 20000 episodes' walks or uniforms.
+    inst = make_instance(capacities=(capacity,), horizon=horizon,
+                         schedule=np.full((horizon, 1, 1), 0.4 / horizon),
+                         reward=LinearReward((1.0,)))
+    policy = myopic_policy()
+    monte_carlo_value(inst, policy, 10, master_seed=1)  # tables and numpy.random
+    n_reps = 20000 if horizon == 1 else 2000
+    tracemalloc.start()
+    try:
+        summary = monte_carlo_value(inst, policy, n_reps, master_seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.n_reps == n_reps
+    assert peak < 10 * 2**20
 
 
 def test_import_leaves_numpy_random_unloaded():
@@ -370,6 +390,12 @@ def test_inversion_walk_is_numpys_binomial(p):
         if n * min(p, 1 - p) > 30:
             assert steps == []  # numpy's BTPE regime: left to numpy
             continue
+        # The steps end before numpy's bound unless that bound is n with a
+        # whole unit to spare, so a rounding of the bound cannot move it
+        # below a step the walk accepts.
+        r = min(p, 1 - p)
+        reach = n * r + 10 * math.sqrt(n * r * (1 - r) + 1)
+        assert len(steps) - 1 <= (n if reach >= n + 1 else math.floor(reach) - 1)
         seed = _seed_words([n])[0]
         u = (PCG64(SeedWords(seed)).random_raw(500) >> np.uint64(11)) * simulate._DOUBLE
         x = simulate._walk(u, np.tile(steps, (500, 1)))
